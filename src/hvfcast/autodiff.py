@@ -156,7 +156,8 @@ def conv2d(
         raise ShapeError(f"conv2d kernel must be square and odd, got {kh}x{kw}")
 
     pad = kh // 2
-    xpad = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xpad = np.zeros((batch, c_in, height + 2 * pad, width + 2 * pad))
+    xpad[:, :, pad : pad + height, pad : pad + width] = x.data
     # im2col: one GEMM per conv instead of one per kernel offset.  The cols
     # buffer lives in the backward closure for the graph's lifetime; at the
     # grid sizes this engine targets that is a few MB per layer.

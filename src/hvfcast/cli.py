@@ -398,8 +398,7 @@ def _cmd_predict(args) -> int:
     runs_dir = Path(args.runs)
     combo_name = args.combo or _phase_winner(runs_dir, PHASE_FEATURES, "combo")
     combo = FeatureCombo.parse(combo_name)
-    models_by_bin = load_interval_models(runs_dir)
-    models = models_by_bin.get(center, [])
+    models = load_interval_models(runs_dir, bins=[center]).get(center, [])
     if not models:
         raise EvaluationError(f"no trained models for bin {center}")
 

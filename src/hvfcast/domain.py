@@ -43,6 +43,11 @@ BLIND_SPOT = {RIGHT: ((3, 7), (4, 7)), LEFT: ((3, 1), (4, 1))}
 
 Cell = tuple[int, int]
 
+# Every value a field may hold: the two-decimal dB values k/100 in
+# [DB_MIN, DB_MAX].  k / 100 is the double nearest k/100, which is exactly
+# what round(v, 2) returns, so membership here is the full value check.
+_VALID_DB = frozenset(k / 100 for k in range(round(DB_MIN * 100), round(DB_MAX * 100) + 1))
+
 
 class DomainError(ValueError):
     """A visual-field value or record violates a domain rule."""
@@ -161,22 +166,34 @@ def validate_field(f: VisualField) -> list[str]:
         violations.append(f"gender {f.gender!r} not in {GENDERS}")
     if not (isinstance(f.age_years, (int, float)) and f.age_years >= 0):
         violations.append(f"age_years {f.age_years!r} must be >= 0")
-    if not (isinstance(f.test_index, int) and f.test_index >= 1):
+    if not (_is_int(f.test_index) and f.test_index >= 1):
         violations.append(f"test_index {f.test_index!r} must be an integer >= 1")
 
-    expected_cells = set(mask_cells())
-    got_cells = set(f.values)
-    for cell in sorted(expected_cells - got_cells):
-        violations.append(f"missing cell {cell}")
-    for cell in sorted(got_cells - expected_cells):
-        violations.append(f"unexpected cell {cell}")
-    for cell in sorted(got_cells & expected_cells):
+    # mask_cells() is sorted, so every group of messages comes in cell order:
+    # missing cells, then unexpected cells, then bad values
+    bad_values = []
+    n_present = 0
+    for cell in mask_cells():
+        if cell not in f.values:
+            violations.append(f"missing cell {cell}")
+            continue
+        n_present += 1
         v = f.values[cell]
+        if v in _VALID_DB:
+            continue
         if not np.isfinite(v) or not (DB_MIN <= v <= DB_MAX):
-            violations.append(f"value {v!r} at {cell} out of range [{DB_MIN:g}, {DB_MAX:g}]")
+            bad_values.append(f"value {v!r} at {cell} out of range [{DB_MIN:g}, {DB_MAX:g}]")
         elif round(v, 2) != v:
-            violations.append(f"value {v!r} at {cell} not stored to two decimals")
-    return violations
+            bad_values.append(f"value {v!r} at {cell} not stored to two decimals")
+    if len(f.values) > n_present:
+        for cell in sorted(f.values.keys() - set(mask_cells())):
+            violations.append(f"unexpected cell {cell}")
+    return violations + bad_values
+
+
+def _is_int(x) -> bool:
+    """An integer that is not a bool (bool subclasses int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def mean_deviation(f: VisualField, normative: NormativeSurface) -> float:
@@ -221,7 +238,7 @@ def parse_record(line: str) -> VisualField:
         test_date = date.fromisoformat(obj["test_date"])
     except (TypeError, ValueError) as e:
         raise RecordError(f"bad value for key 'test_date': {obj['test_date']!r}") from e
-    if not isinstance(obj["test_index"], int):
+    if not _is_int(obj["test_index"]):
         raise RecordError(f"bad value for key 'test_index': {obj['test_index']!r}")
 
     field = VisualField(
@@ -231,7 +248,7 @@ def parse_record(line: str) -> VisualField:
         age_years=float(obj["age"]),
         test_date=test_date,
         test_index=obj["test_index"],
-        values={cell: float(v) for cell, v in zip(mask_cells(), vals)},
+        values=dict(zip(mask_cells(), map(float, vals))),
     )
     violations = validate_field(field)
     if violations:
@@ -258,17 +275,30 @@ def serialize_record(f: VisualField) -> str:
 
 
 def load_dataset(path) -> list[VisualField]:
-    """Read a JSON-lines dataset file. Raises RecordError with line context."""
+    """Read a JSON-lines dataset file. Raises RecordError with line context.
+
+    Each (patient_id, eye, test_index) key may appear on one line only.
+    """
     fields = []
+    first_line: dict[tuple[str, str, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                fields.append(parse_record(line))
+                field = parse_record(line)
             except RecordError as e:
                 raise RecordError(f"line {lineno}: {e}") from e
+            key = (field.patient_id, field.eye, field.test_index)
+            if key in first_line:
+                raise RecordError(
+                    f"line {lineno}: duplicate record for patient {field.patient_id!r}, "
+                    f"eye {EYE_TO_WIRE[field.eye]}, test_index {field.test_index} "
+                    f"(first at line {first_line[key]})"
+                )
+            first_line[key] = lineno
+            fields.append(field)
     return fields
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from .domain import Cell, VisualField, mask_cells, mean_deviation_values, valid_mask_array
 from .models import Model
@@ -125,8 +124,12 @@ def pearson_adj_r2(pairs) -> tuple[float, float, float]:
     if r2 >= 1.0:
         p = 0.0
     else:
+        # imported here: scipy.stats costs about a second at start-up and
+        # only this statistic needs it
+        from scipy import stats
+
         t = abs(r) * math.sqrt((n - 2) / (1.0 - r2))
-        p = 2.0 * float(sstats.t.sf(t, df=n - 2))
+        p = 2.0 * float(stats.t.sf(t, df=n - 2))
     return r, adj, p
 
 
@@ -319,7 +322,8 @@ def evaluate_testset(
         "rmse": float(np.sqrt(sq_arr.mean())),
         "rmse_ci": _bootstrap_rmse_ci(sq_arr, rng, n_bootstrap),
     }
-    assert overall["rmse"] >= overall["mae"] - 1e-12
+    if not overall["rmse"] >= overall["mae"] - 1e-12:
+        raise EvaluationError(f"rmse {overall['rmse']!r} < mae {overall['mae']!r}")
 
     md_pairs = [(row["predicted_md"], row["actual_md"]) for row in md_rows]
     md_scatter: dict = {"n": len(md_pairs)}
@@ -349,7 +353,9 @@ def evaluate_testset(
             entry["mae"] = None
             entry["mae_ci"] = None
         per_bin.append(entry)
-    assert sum(e["n_pairs"] for e in per_bin) == len(pair_mae)
+    n_binned = sum(e["n_pairs"] for e in per_bin)
+    if n_binned != len(pair_mae):
+        raise EvaluationError(f"per-bin counts sum to {n_binned}, not {len(pair_mae)} pairs")
 
     baselines = []
     for method in BASELINE_METHODS:

@@ -255,13 +255,15 @@ def published_comparison(specs: list[ModelSpec] | None = None) -> list[dict]:
 class Model:
     """A built architecture: parameters, batch-norm states, and wiring."""
 
-    def __init__(self, spec: ModelSpec):
+    def __init__(self, spec: ModelSpec, *, _seeded: bool = True):
+        """He-uniform weights drawn from spec.seed; `_seeded=False` leaves
+        the weights unset, for callers that overwrite every array."""
         self.spec = spec
         self.layers = layer_plan(spec)
         self._by_name = {layer.name: layer for layer in self.layers}
         self.params = ParamSet()
         self.bn: dict[str, BatchNormState] = {}
-        rng = np.random.default_rng(spec.seed)
+        rng = np.random.default_rng(spec.seed) if _seeded else None
         for layer in self.layers:
             if layer.kind == "dense":
                 shape = (layer.out_dim, layer.in_dim)
@@ -269,8 +271,12 @@ class Model:
             else:
                 shape = (layer.out_dim, layer.in_dim, layer.kernel, layer.kernel)
                 fan_in = layer.in_dim * layer.kernel**2
-            limit = np.sqrt(6.0 / fan_in)
-            self.params.add(f"{layer.name}.w", Tensor(rng.uniform(-limit, limit, size=shape)))
+            if rng is None:
+                w = np.empty(shape)
+            else:
+                limit = np.sqrt(6.0 / fan_in)
+                w = rng.uniform(-limit, limit, size=shape)
+            self.params.add(f"{layer.name}.w", Tensor(w))
             self.params.add(f"{layer.name}.b", Tensor(np.zeros(layer.out_dim)))
             if layer.bn:
                 state = BatchNormState.create(layer.out_dim)
@@ -477,7 +483,9 @@ def load_weights(dir_path) -> Model:
             f"{manifest['total_length']}"
         )
 
-    model = build_model(ModelSpec.from_dict(manifest["spec"]))
+    # every array is overwritten below (a missing entry is an error), so
+    # the seeded init that build_model draws would be thrown away
+    model = Model(ModelSpec.from_dict(manifest["spec"]), _seeded=False)
     arrays = dict((name, arr) for name, arr, _ in model.all_entries())
     seen = set()
     for entry in manifest["entries"]:

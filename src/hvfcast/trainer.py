@@ -610,11 +610,14 @@ def train_interval_chain(
     return result
 
 
-def load_interval_models(runs_dir) -> dict[float, list[Model]]:
-    """Frozen fold models per bin from a chain run's checkpoint tree."""
+def load_interval_models(runs_dir, bins=BIN_CENTERS) -> dict[float, list[Model]]:
+    """Frozen fold models per bin from a chain run's checkpoint tree.
+
+    Only the checkpoints of `bins` (default: every bin) are read.
+    """
     runs_dir = Path(runs_dir)
     out: dict[float, list[Model]] = {}
-    for center in BIN_CENTERS:
+    for center in bins:
         bin_dir = runs_dir / PHASE_INTERVALS / bin_dir_name(center)
         if not bin_dir.is_dir():
             continue

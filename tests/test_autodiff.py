@@ -98,6 +98,31 @@ class TestConv2d:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_bit_identical_to_np_pad_im2col(self, k):
+        """Forward and gradients equal the np.pad + im2col formula exactly."""
+        rng = np.random.default_rng(4)
+        xd = rng.normal(size=(3, 2, 8, 9))
+        wd = rng.normal(size=(4, 2, k, k))
+        bd = rng.normal(size=4)
+        g = rng.normal(size=(3, 4, 8, 9))
+        pad = k // 2
+        xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        windows = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(2, 3))
+        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(3, 2 * k * k, 72)
+        w2d = wd.reshape(4, 2 * k * k)
+        expected = np.matmul(w2d, cols).reshape(3, 4, 8, 9) + bd[None, :, None, None]
+        expected_dw = np.matmul(g.reshape(3, 4, 72), cols.transpose(0, 2, 1)).sum(axis=0)
+
+        x, w, b = Tensor(xd), Tensor(wd), Tensor(bd)
+        out = conv2d(x, w, b)
+        np.testing.assert_array_equal(out.data, expected)
+        out.grad = g
+        out._backward()
+        np.testing.assert_array_equal(w.grad, expected_dw.reshape(wd.shape))
+        np.testing.assert_array_equal(b.grad, g.sum(axis=(0, 2, 3)))
+
+
 def _dot(out: Tensor, probe: Tensor) -> Tensor:
     """Scalar projection sum(out * probe) built from engine ops."""
     prod = Tensor(out.data * probe.data, parents=(out,))

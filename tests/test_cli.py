@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, manifests, and a mini end-to-end run."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -50,12 +51,25 @@ class TestBasics:
         assert out.returncode == 0
         assert "hvfcast" in out.stdout
 
+    def test_start_up_does_not_import_scipy(self):
+        """scipy.stats is about a second of start-up; only `evaluate` needs it."""
+        code = "import sys, hvfcast.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
     def test_unknown_flag_exits_1(self, capsys):
         assert run_cli("simulate", "--bogus") == 1
         assert "error" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_1(self):
         assert run_cli() == 1
+
+    def test_duplicate_record_exits_2(self, workdir, tmp_path, capsys):
+        lines = (workdir / "d.jsonl").read_text().splitlines()
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text("\n".join(lines + [lines[0]]) + "\n")
+        code = run_cli("pairs", "--data", str(dup), "--out", str(tmp_path / "p.jsonl"))
+        assert code == 2
+        assert f"line {len(lines) + 1}: duplicate record" in capsys.readouterr().err
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         code = run_cli("pairs", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "p.jsonl"))
@@ -208,6 +222,39 @@ class TestPredict:
             "--out", str(trained / "forecast2.json"),
         )
         assert code == 0
+
+    def _corrupt_bin_copy(self, trained, tmp_path, bin_name):
+        """A copy of the runs tree with one byte of one fold's weights.bin flipped."""
+        runs = tmp_path / "runs"
+        shutil.copytree(trained / "runs", runs)
+        blob_path = runs / "intervals" / bin_name / "fold-0" / "weights.bin"
+        blob = bytearray(blob_path.read_bytes())
+        blob[0] ^= 0xFF
+        blob_path.write_bytes(bytes(blob))
+        return runs
+
+    def _predict_bin_1(self, trained, field, runs, out):
+        return run_cli(
+            "predict", "--interval", "1.0",
+            "--data", str(trained / "d.jsonl"),
+            "--patient", field.patient_id, "--eye", "OD" if field.eye == "right" else "OS",
+            "--test-index", str(field.test_index),
+            "--runs", str(runs), "--combo", "age",
+            "--out", str(out),
+        )
+
+    def test_corrupt_checkpoint_in_other_bin_is_not_read(self, trained, small_cohort, tmp_path):
+        field = small_cohort[1][0]
+        other = sorted(d.name for d in (trained / "runs" / "intervals").glob("bin-*") if d.name != "bin-1.0")[-1]
+        runs = self._corrupt_bin_copy(trained, tmp_path, other)
+        assert self._predict_bin_1(trained, field, runs, tmp_path / "a.json") == 0
+        assert self._predict_bin_1(trained, field, trained / "runs", tmp_path / "b.json") == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_corrupt_checkpoint_in_requested_bin_exits_2(self, trained, small_cohort, tmp_path, capsys):
+        runs = self._corrupt_bin_copy(trained, tmp_path, "bin-1.0")
+        assert self._predict_bin_1(trained, small_cohort[1][0], runs, tmp_path / "a.json") == 2
+        assert "checksum mismatch" in capsys.readouterr().err
 
     def test_missing_record_exits_2(self, trained):
         code = run_cli(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvfcast import domain
 from hvfcast.domain import (
@@ -15,6 +17,7 @@ from hvfcast.domain import (
     build_mask,
     cell_degrees,
     eccentricity,
+    load_dataset,
     mask_cells,
     mean_deviation,
     parse_record,
@@ -120,6 +123,63 @@ class TestValidation:
         f = make_field(np.random.default_rng(5), **patch)
         assert any(needle in m for m in validate_field(f))
 
+    def test_bool_test_index_rejected(self):
+        f = make_field(np.random.default_rng(5), test_index=True)
+        assert any("test_index True must be an integer" in m for m in validate_field(f))
+
+
+def _range_round_messages(values: dict) -> list[str]:
+    """Per-cell messages of the range-then-round(v, 2) definition of a valid dB value."""
+    msgs = []
+    for cell in sorted(values):
+        v = values[cell]
+        if not np.isfinite(v) or not (0.0 <= v <= 50.0):
+            msgs.append(f"value {v!r} at {cell} out of range [0, 50]")
+        elif round(v, 2) != v:
+            msgs.append(f"value {v!r} at {cell} not stored to two decimals")
+    return msgs
+
+
+# two-decimal values, their float neighbours, and arbitrary floats
+_db_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-1.0, max_value=51.0),
+    st.integers(-200, 5200).map(lambda k: k / 100),
+    st.integers(-200, 5200).map(lambda k: float(np.nextafter(k / 100, np.inf))),
+    st.integers(-200, 5200).map(lambda k: float(np.nextafter(k / 100, -np.inf))),
+    st.integers(-200, 5200).map(lambda k: k / 1000),
+    st.sampled_from([0.0, -0.0, 50.0, 50.01, -0.01, 5e-324, -5e-324, 0.1 + 0.2, 2.675]),
+)
+
+
+class TestValueCheckProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_db_values, min_size=54, max_size=54))
+    def test_matches_range_and_round_definition(self, vals):
+        values = dict(zip(mask_cells(), vals))
+        assert validate_field(make_field(values=values)) == _range_round_messages(values)
+
+    def test_matches_definition_on_every_grid_value_and_its_neighbours(self):
+        values = {c: 20.0 for c in mask_cells()}
+        f = make_field(values=values)
+        for k in range(-100, 5101):
+            for v in (k / 100, np.nextafter(k / 100, -np.inf), np.nextafter(k / 100, np.inf)):
+                values[(3, 3)] = float(v)
+                assert validate_field(f) == _range_round_messages(values), v
+
+    def test_missing_unexpected_and_bad_value_order(self):
+        values = {c: 20.0 for c in mask_cells()}
+        del values[(7, 5)]
+        values[(0, 0)] = 1.0
+        values[(2, 1)] = 70.0
+        values[(1, 1)] = 2.005
+        assert validate_field(make_field(values=values)) == [
+            "missing cell (7, 5)",
+            "unexpected cell (0, 0)",
+            "value 2.005 at (1, 1) not stored to two decimals",
+            "value 70.0 at (2, 1) out of range [0, 50]",
+        ]
+
 
 class TestMeanDeviation:
     def _uniform_surface(self, level=30.0):
@@ -203,6 +263,39 @@ class TestCodec:
         f.values[(3, 3)] = 77.0
         with pytest.raises(DomainError, match="refusing to serialize"):
             serialize_record(f)
+
+    def test_bool_test_index_rejected(self):
+        line = serialize_record(make_field(np.random.default_rng(13)))
+        line = line.replace('"test_index": 1', '"test_index": true')
+        with pytest.raises(RecordError, match="bad value for key 'test_index': True"):
+            parse_record(line)
+
+    def test_load_dataset_names_line_of_bool_test_index(self, tmp_path):
+        good = serialize_record(make_field(np.random.default_rng(14)))
+        path = tmp_path / "d.jsonl"
+        path.write_text(good + "\n" + good.replace('"test_index": 1', '"test_index": true') + "\n")
+        with pytest.raises(RecordError, match=r"^line 2: bad value for key 'test_index'"):
+            load_dataset(path)
+
+    def test_load_dataset_rejects_duplicate_key(self, tmp_path):
+        rng = np.random.default_rng(15)
+        first = make_field(rng, patient_id="P7", test_index=2)
+        other = make_field(rng, patient_id="P7", test_index=3)
+        again = make_field(rng, patient_id="P7", test_index=2)
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(serialize_record(f) for f in (first, other, again)) + "\n")
+        with pytest.raises(
+            RecordError,
+            match=r"^line 3: duplicate record for patient 'P7', eye OD, test_index 2 \(first at line 1\)",
+        ):
+            load_dataset(path)
+
+    def test_load_dataset_same_index_other_eye_is_not_duplicate(self, tmp_path):
+        rng = np.random.default_rng(16)
+        fields = [make_field(rng, eye=RIGHT), make_field(rng, eye=LEFT)]
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(serialize_record(f) for f in fields) + "\n")
+        assert load_dataset(path) == fields
 
     def test_values_are_row_major(self):
         values = random_values(np.random.default_rng(12))

@@ -245,6 +245,28 @@ class TestSerialization:
         )
         assert models.load_provenance(tmp_path / "ck") == {"phase": "arch", "fold": 3}
 
+    @pytest.mark.parametrize("spec", ALL_TINY, ids=lambda s: s.name)
+    def test_round_trip_every_family(self, spec, tmp_path):
+        m = build_model(spec.replace(seed=15))
+        rng = np.random.default_rng(16)
+        m.forward(rng.normal(size=(4, 1, 8, 9)), mode="train")
+        save_weights(m, tmp_path / "ck")
+        m2 = load_weights(tmp_path / "ck")
+        assert models.snapshot_hash(m2.snapshot()) == models.snapshot_hash(m.snapshot())
+        x = rng.normal(size=(3, 1, 8, 9))
+        np.testing.assert_array_equal(
+            m.forward(x, mode="infer").data, m2.forward(x, mode="infer").data
+        )
+
+    def test_missing_entry_rejected(self, tmp_path):
+        m = self._trained_tiny()
+        save_weights(m, tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        dropped = manifest["entries"].pop(1)["name"]
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(WeightsError, match=rf"manifest missing entries for \['{dropped}'\]"):
+            load_weights(tmp_path / "ck")
+
     def test_truncated_blob(self, tmp_path):
         m = self._trained_tiny()
         save_weights(m, tmp_path / "ck")

@@ -247,6 +247,16 @@ class TestIntervalChain:
         out = model.forward(np.zeros((1, 2, 8, 9)), mode="infer")
         assert out.data.shape == (1, 1, 8, 9)
 
+    def test_load_interval_models_reads_only_requested_bins(self, chain_run):
+        runs, result, _, _ = chain_run
+        all_bins = load_interval_models(runs)
+        some_bin = sorted(all_bins)[-1]
+        one_bin = load_interval_models(runs, bins=[some_bin])
+        assert list(one_bin) == [some_bin]
+        assert [weights_hash(m) for m in one_bin[some_bin]] == [
+            weights_hash(m) for m in all_bins[some_bin]
+        ]
+
     def test_gap_recorded_for_empty_bins(self, cohort_pairs):
         _, binned, plan = cohort_pairs
         only_one = {c: (binned[c] if c == 1.0 else []) for c in BIN_CENTERS}
