@@ -43,6 +43,7 @@ from .models import (
     load_weights,
     published_comparison,
     spec_from_name,
+    write_json,
 )
 from .pipeline import (
     BIN_CENTERS,
@@ -126,7 +127,12 @@ def _write_run_manifest(target, command: str, config: dict, inputs, outputs, sta
         "started_at": started,
         "finished_at": _utc_now(),
     }
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(path, manifest)
+
+
+def _write_csv(path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _parse_widths(text: str) -> tuple[int, int, int]:
@@ -169,7 +175,7 @@ def _cmd_simulate(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(fields, out)
     meta_path = out.parent / "cohort_meta.json"
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write_json(meta_path, meta)
     _write_run_manifest(out, "simulate", cfg.to_json_dict(), [], [out, meta_path], started)
     print(f"wrote {len(fields)} fields for {cfg.patients} patients to {out}")
     return EXIT_OK
@@ -202,7 +208,7 @@ def _cmd_split(args) -> int:
     plan = split_patients(fields, ratio=args.ratio, seed=seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(plan.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    write_json(out, plan.to_json_dict())
     _write_run_manifest(out, "split", {"ratio": args.ratio, "seed": seed}, [args.data], [out], started)
     print(
         f"{len(plan.train_patients())} train+validation patients in {len(plan.folds)} folds, "
@@ -343,10 +349,9 @@ def _cmd_evaluate(args) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    write_json(out, report.to_json_dict())
     csv_path = out.with_suffix(".csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(report_csv_rows(report))
+    _write_csv(csv_path, report_csv_rows(report))
     _write_run_manifest(
         out, "evaluate",
         {"combo": combo_name, "bootstrap_seed": _resolve_seed(args.bootstrap_seed),
@@ -418,7 +423,7 @@ def _cmd_predict(args) -> int:
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(out, payload)
     _write_run_manifest(
         out, "predict", {"interval": args.interval, "combo": combo_name},
         [args.field or args.data, args.runs], [out], started,
@@ -433,33 +438,23 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    md_path = out_dir / "report_md_scatter.csv"
-    with open(md_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["predicted_md", "actual_md", "input_md", "bin", "delta_years"])
-        for row in report["rows"]["md_scatter"]:
-            w.writerow([row["predicted_md"], row["actual_md"], row["input_md"], row["bin"], row["delta_years"]])
-
-    ba_path = out_dir / "report_bland_altman.csv"
-    with open(ba_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mean_md", "difference_md", "bin"])
-        for row in report["rows"]["bland_altman"]:
-            w.writerow([row["mean_md"], row["difference_md"], row["bin"]])
-
-    bin_path = out_dir / "report_bin_mae.csv"
-    with open(bin_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin", "n_pairs", "mae", "mae_ci_low", "mae_ci_high"])
-        for entry in report["per_bin"]:
-            if entry["mae"] is not None:
-                w.writerow([entry["bin"], entry["n_pairs"], entry["mae"], entry["mae_ci"][0], entry["mae_ci"][1]])
+    tables = [
+        ("report_md_scatter.csv", ["predicted_md", "actual_md", "input_md", "bin", "delta_years"],
+         report["rows"]["md_scatter"]),
+        ("report_bland_altman.csv", ["mean_md", "difference_md", "bin"], report["rows"]["bland_altman"]),
+        ("report_bin_mae.csv", ["bin", "n_pairs", "mae", "mae_ci_low", "mae_ci_high"],
+         [e | {"mae_ci_low": e["mae_ci"][0], "mae_ci_high": e["mae_ci"][1]}
+          for e in report["per_bin"] if e["mae"] is not None]),
+    ]
+    paths = []
+    for name, header, records in tables:
+        paths.append(out_dir / name)
+        _write_csv(paths[-1], [header] + [[r[k] for k in header] for r in records])
 
     _write_run_manifest(
-        out_dir, "report", {"report": str(args.report)}, [args.report],
-        [md_path, ba_path, bin_path], started,
+        out_dir, "report", {"report": str(args.report)}, [args.report], paths, started,
     )
-    print(f"wrote {md_path.name}, {ba_path.name}, {bin_path.name} under {out_dir}")
+    print(f"wrote {', '.join(p.name for p in paths)} under {out_dir}")
     return EXIT_OK
 
 

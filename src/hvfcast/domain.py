@@ -43,6 +43,9 @@ BLIND_SPOT = {RIGHT: ((3, 7), (4, 7)), LEFT: ((3, 1), (4, 1))}
 
 Cell = tuple[int, int]
 
+# The types json.loads gives a JSON number (never bool, str or None).
+_JSON_NUMBER = frozenset((int, float))
+
 # Every value a field may hold: the two-decimal dB values k/100 in
 # [DB_MIN, DB_MAX].  k / 100 is the double nearest k/100, which is exactly
 # what round(v, 2) returns, so membership here is the full value check.
@@ -218,7 +221,7 @@ def parse_record(line: str) -> VisualField:
     """Parse one JSON-line dataset record into a validated VisualField."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
         raise RecordError(f"malformed JSON: {e}") from e
     if not isinstance(obj, dict):
         raise RecordError("record is not a JSON object")
@@ -240,16 +243,24 @@ def parse_record(line: str) -> VisualField:
         raise RecordError(f"bad value for key 'test_date': {obj['test_date']!r}") from e
     if not _is_int(obj["test_index"]):
         raise RecordError(f"bad value for key 'test_index': {obj['test_index']!r}")
+    if type(obj["age"]) not in _JSON_NUMBER:
+        raise RecordError(f"bad value for key 'age': {obj['age']!r} (expected a number)")
+    if not _JSON_NUMBER.issuperset(map(type, vals)):
+        bad = next(v for v in vals if type(v) not in _JSON_NUMBER)
+        raise RecordError(f"bad value in 'values': {bad!r} (expected a number)")
 
-    field = VisualField(
-        patient_id=obj["patient_id"],
-        eye=EYE_FROM_WIRE[eye_wire],
-        gender=obj["gender"],
-        age_years=float(obj["age"]),
-        test_date=test_date,
-        test_index=obj["test_index"],
-        values=dict(zip(mask_cells(), map(float, vals))),
-    )
+    try:
+        field = VisualField(
+            patient_id=obj["patient_id"],
+            eye=EYE_FROM_WIRE[eye_wire],
+            gender=obj["gender"],
+            age_years=float(obj["age"]),
+            test_date=test_date,
+            test_index=obj["test_index"],
+            values=dict(zip(mask_cells(), map(float, vals))),
+        )
+    except OverflowError as e:  # an integer beyond the float range
+        raise RecordError(f"number out of range: {e}") from e
     violations = validate_field(field)
     if violations:
         raise RecordError("invalid record: " + "; ".join(violations))

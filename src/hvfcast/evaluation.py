@@ -222,22 +222,19 @@ class MetricsReport:
         }
 
 
-def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator, n_resamples: int) -> list[float]:
-    """Percentile 95% CI of the mean under pair-level resampling."""
+def _bootstrap_ci(
+    values: np.ndarray, rng: np.random.Generator, n_resamples: int, transform=None
+) -> list[float]:
+    """Percentile 95% CI of the mean under pair-level resampling, with each
+    resample's mean passed through `transform` (np.sqrt: RMSE from squares).
+
+    One `integers` call draws every index; it consumes the generator exactly
+    as `n_resamples` separate draws of `n` indices would.
+    """
     n = values.size
-    stats = np.empty(n_resamples)
-    for i in range(n_resamples):
-        idx = rng.integers(0, n, size=n)
-        stats[i] = values[idx].mean()
-    return [float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))]
-
-
-def _bootstrap_rmse_ci(sq_means: np.ndarray, rng: np.random.Generator, n_resamples: int) -> list[float]:
-    n = sq_means.size
-    stats = np.empty(n_resamples)
-    for i in range(n_resamples):
-        idx = rng.integers(0, n, size=n)
-        stats[i] = np.sqrt(sq_means[idx].mean())
+    stats = values[rng.integers(0, n, size=(n_resamples, n))].mean(axis=1)
+    if transform is not None:
+        stats = transform(stats)
     return [float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))]
 
 
@@ -320,7 +317,7 @@ def evaluate_testset(
         "mae": float(mae_arr.mean()),
         "mae_ci": _bootstrap_ci(mae_arr, rng, n_bootstrap),
         "rmse": float(np.sqrt(sq_arr.mean())),
-        "rmse_ci": _bootstrap_rmse_ci(sq_arr, rng, n_bootstrap),
+        "rmse_ci": _bootstrap_ci(sq_arr, rng, n_bootstrap, np.sqrt),
     }
     if not overall["rmse"] >= overall["mae"] - 1e-12:
         raise EvaluationError(f"rmse {overall['rmse']!r} < mae {overall['mae']!r}")

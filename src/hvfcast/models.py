@@ -228,11 +228,6 @@ def count_parameters_spec(spec: ModelSpec) -> int:
     return total
 
 
-def count_parameters(model: "Model") -> int:
-    """Exact count of trainable scalars (running statistics excluded)."""
-    return model.params.n_scalars()
-
-
 def published_comparison(specs: list[ModelSpec] | None = None) -> list[dict]:
     """Our layer/parameter counts next to the published clinical-scale ones."""
     if specs is None:
@@ -459,10 +454,7 @@ def save_weights(model: Model, dir_path, provenance: dict | None = None) -> Path
         "total_length": offset,
     }
     _atomic_write(dir_path / WEIGHTS_NAME, b"".join(blobs))
-    _atomic_write(
-        dir_path / MANIFEST_NAME,
-        (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(),
-    )
+    write_json(dir_path / MANIFEST_NAME, manifest)
     return dir_path
 
 
@@ -520,3 +512,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def write_json(path, obj) -> None:
+    """Atomically write `obj` as sorted, 2-space-indented JSON plus a newline."""
+    _atomic_write(Path(path), (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())

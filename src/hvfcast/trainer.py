@@ -8,15 +8,13 @@ horizon bins per fold, initializing each bin from the previous bin's frozen
 weights (forward transfer), yielding up to 10 bins x 10 folds = 100
 checkpointed models.
 
-Every (candidate, fold) job derives its own RNG streams from the experiment
-seed, so results are bit-identical whether jobs run sequentially or on a
-process pool.
+Every training step derives its own RNG streams from (seed, phase,
+candidate or bin label, fold), so results are bit-identical whether jobs
+run sequentially or on a process pool.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -33,6 +31,7 @@ from .models import (
     save_weights,
     snapshot_hash,
     weights_hash,
+    write_json,
 )
 from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, SplitPlan, encode_pairs
 from .seeds import derive_seed
@@ -82,9 +81,7 @@ class TrainConfig:
             raise TrainerError(f"freeze must be 'best' or 'last', got {self.freeze!r}")
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["widths"] = list(self.widths)
-        return d
+        return asdict(self) | {"widths": list(self.widths)}
 
 
 @dataclass
@@ -164,6 +161,11 @@ def train_model(
     best_val = np.inf
     best_snap = model.snapshot()
 
+    def partial_history() -> TrainHistory:
+        best_val_mae = None if best_epoch is None else val_maes[best_epoch]
+        return TrainHistory(train_losses, val_maes, best_epoch, best_val_mae,
+                            best_snap, initial_hash, snapshot_hash(best_snap))
+
     for epoch in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle else np.arange(n)
         epoch_abs = 0.0
@@ -173,26 +175,12 @@ def train_model(
             loss = masked_mae(out, train_y[idx], mask)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
-                raise TrainingDiverged(
-                    f"divergence: non-finite loss at epoch {epoch}",
-                    TrainHistory(
-                        train_losses, val_maes, best_epoch,
-                        None if best_epoch is None else val_maes[best_epoch],
-                        best_snap, initial_hash, snapshot_hash(best_snap),
-                    ),
-                )
+                raise TrainingDiverged(f"divergence: non-finite loss at epoch {epoch}", partial_history())
             loss.backward()
             try:
                 adam_step(model.params, adam)
             except DivergenceError as e:
-                raise TrainingDiverged(
-                    str(e),
-                    TrainHistory(
-                        train_losses, val_maes, best_epoch,
-                        None if best_epoch is None else val_maes[best_epoch],
-                        best_snap, initial_hash, snapshot_hash(best_snap),
-                    ),
-                ) from e
+                raise TrainingDiverged(str(e), partial_history()) from e
             epoch_abs += loss_val * idx.shape[0] * n_mask
 
         train_losses.append(epoch_abs / (n * n_mask))
@@ -244,149 +232,98 @@ def bin_dir_name(center: float) -> str:
 
 @dataclass
 class _Job:
+    """One fold of one candidate: a selection job has a single step labelled
+    with the candidate, a chain job one step per bin labelled `bin-X.X`.
+
+    Each step is (label, bin center or None, train_x, train_y, val_x, val_y).
+    """
+
     phase: str
     candidate: str
     fold: int
-    spec: dict
-    train_x: np.ndarray
-    train_y: np.ndarray
-    val_x: np.ndarray
-    val_y: np.ndarray
-    cfg: dict
-    seed: int
+    spec: ModelSpec
+    cfg: TrainConfig
     out_dir: str | None
-
-
-@dataclass
-class _ChainJob:
-    fold: int
-    spec: dict
-    combo: str
-    bins: list  # (center, train_x, train_y, val_x, val_y)
-    cfg: dict
-    seed: int
-    out_dir: str | None
+    steps: list
     init_snapshot: dict | None = None
 
 
-def _cfg_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    d["widths"] = tuple(d["widths"])
-    return TrainConfig(**d)
+def _fit(job: _Job, step: tuple, init: dict | None = None,
+         extra: dict | None = None) -> tuple[TrainHistory, str | None]:
+    """Train one step of `job`, starting from the `init` snapshot when given.
 
-
-def _write_history(out_dir: Path, history: TrainHistory, extra: dict) -> None:
-    payload = dict(history.to_json_dict())
-    payload.update(extra)
-    tmp = out_dir / "history.json.tmp"
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, out_dir / "history.json")
-
-
-def _checkpoint(model: Model, out_dir: Path, history: TrainHistory, extra: dict) -> None:
-    provenance = {
-        k: extra.get(k) for k in ("phase", "candidate", "fold", "bin")
-    }
-    provenance["epoch"] = history.best_epoch
-    save_weights(model, out_dir, provenance=provenance)
-    _write_history(out_dir, history, extra)
+    Seeds derive from (cfg.seed, phase, label, fold).  With an output directory
+    the frozen model and its history go under `phase/label/fold-N`, whose
+    runs-relative path is returned.  Raises TrainingDiverged.
+    """
+    label, center, train_x, train_y, val_x, val_y = step
+    cfg = job.cfg
+    init_seed = derive_seed(cfg.seed, job.phase, label, job.fold, "init")
+    shuffle_seed = derive_seed(cfg.seed, job.phase, label, job.fold, "shuffle")
+    model = build_model(job.spec.replace(seed=init_seed))
+    if init is not None:
+        model.restore(init)
+        model.params.zero_grads()
+    history = train_model(model, (train_x, train_y), (val_x, val_y), cfg, shuffle_seed)
+    if job.out_dir is None:
+        return history, None
+    # relative to the runs dir so output trees are location-independent
+    rel = Path(job.phase) / label / f"fold-{job.fold}"
+    out_dir = Path(job.out_dir) / rel
+    provenance = {"phase": job.phase, "candidate": job.candidate, "fold": job.fold, "bin": center}
+    save_weights(model, out_dir, provenance=provenance | {"epoch": history.best_epoch})
+    write_json(
+        out_dir / "history.json",
+        history.to_json_dict() | provenance | {
+            "config": cfg.to_json_dict(),
+            "seeds": {"init": init_seed, "shuffle": shuffle_seed},
+            "n_train_pairs": int(train_x.shape[0]),
+            "n_val_pairs": int(val_x.shape[0]),
+        } | (extra or {}),
+    )
+    return history, str(rel)
 
 
 def _run_phase_job(job: _Job) -> dict:
-    cfg = _cfg_from_dict(job.cfg)
-    init_seed = derive_seed(job.seed, job.phase, job.candidate, job.fold, "init")
-    shuffle_seed = derive_seed(job.seed, job.phase, job.candidate, job.fold, "shuffle")
-    spec = ModelSpec.from_dict(job.spec).replace(seed=init_seed)
-    model = build_model(spec)
+    (step,) = job.steps
     result = {"candidate": job.candidate, "fold": job.fold, "best_val_mae": None, "error": None}
     try:
-        history = train_model(model, (job.train_x, job.train_y), (job.val_x, job.val_y), cfg, shuffle_seed)
+        history, _ = _fit(job, step)
     except TrainingDiverged as e:
         result["error"] = str(e)
         return result
     result["best_val_mae"] = history.best_val_mae
-    if job.out_dir is not None:
-        out_dir = Path(job.out_dir) / job.phase / job.candidate / f"fold-{job.fold}"
-        _checkpoint(
-            model,
-            out_dir,
-            history,
-            {
-                "phase": job.phase,
-                "candidate": job.candidate,
-                "fold": job.fold,
-                "bin": None,
-                "config": cfg.to_json_dict(),
-                "seeds": {"init": init_seed, "shuffle": shuffle_seed},
-                "n_train_pairs": int(job.train_x.shape[0]),
-                "n_val_pairs": int(job.val_x.shape[0]),
-            },
-        )
     return result
 
 
-def _run_chain_job(job: _ChainJob) -> dict:
-    cfg = _cfg_from_dict(job.cfg)
+def _run_chain_job(job: _Job) -> dict:
     prev_snapshot = job.init_snapshot
     prev_label = "seed" if job.init_snapshot is not None else None
     entries = []
-    for center, train_x, train_y, val_x, val_y in job.bins:
-        label = bin_dir_name(center)
-        if train_x.shape[0] == 0 or val_x.shape[0] == 0:
-            entries.append(
-                {"bin": center, "fold": job.fold, "gap": True, "best_val_mae": None,
+    for step in job.steps:
+        label, center, train_x, _, val_x, _ = step
+        entry = {"bin": center, "fold": job.fold, "gap": True, "best_val_mae": None,
                  "error": None, "transferred_from": None}
-            )
+        entries.append(entry)
+        if train_x.shape[0] == 0 or val_x.shape[0] == 0:
             continue
-        init_seed = derive_seed(job.seed, PHASE_INTERVALS, label, job.fold, "init")
-        shuffle_seed = derive_seed(job.seed, PHASE_INTERVALS, label, job.fold, "shuffle")
-        spec = ModelSpec.from_dict(job.spec).replace(seed=init_seed)
-        model = build_model(spec)
-        if prev_snapshot is not None:
-            model.restore(prev_snapshot)
-            model.params.zero_grads()
-        initial_hash = weights_hash(model)
-        entry = {
-            "bin": center,
-            "fold": job.fold,
-            "gap": False,
-            "error": None,
-            "transferred_from": prev_label,
-            "initial_weights_sha256": initial_hash,
-        }
+        entry["transferred_from"] = prev_label
         try:
-            history = train_model(model, (train_x, train_y), (val_x, val_y), cfg, shuffle_seed)
+            history, checkpoint = _fit(job, step, prev_snapshot, {"transferred_from": prev_label})
         except TrainingDiverged as e:
             entry["error"] = str(e)
-            entry["gap"] = True
-            entry["best_val_mae"] = None
-            entries.append(entry)
+            entry["initial_weights_sha256"] = e.history.initial_hash
             continue
-        entry["best_val_mae"] = history.best_val_mae
-        entry["best_weights_sha256"] = history.best_hash
-        if job.out_dir is not None:
-            rel = Path(PHASE_INTERVALS) / label / f"fold-{job.fold}"
-            _checkpoint(
-                model,
-                Path(job.out_dir) / rel,
-                history,
-                {
-                    "phase": PHASE_INTERVALS,
-                    "candidate": job.combo,
-                    "fold": job.fold,
-                    "bin": center,
-                    "transferred_from": prev_label,
-                    "config": cfg.to_json_dict(),
-                    "seeds": {"init": init_seed, "shuffle": shuffle_seed},
-                    "n_train_pairs": int(train_x.shape[0]),
-                    "n_val_pairs": int(val_x.shape[0]),
-                },
-            )
-            # relative to the runs dir so output trees are location-independent
-            entry["checkpoint"] = str(rel)
+        entry.update(
+            gap=False,
+            best_val_mae=history.best_val_mae,
+            initial_weights_sha256=history.initial_hash,
+            best_weights_sha256=history.best_hash,
+        )
+        if checkpoint is not None:
+            entry["checkpoint"] = checkpoint
         prev_snapshot = history.best_weights
         prev_label = label
-        entries.append(entry)
     return {"fold": job.fold, "entries": entries}
 
 
@@ -413,13 +350,7 @@ class PhaseResult:
     errors: dict[str, list[str]] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "candidates": self.candidates,
-            "matrix": self.matrix,
-            "winner": self.winner,
-            "errors": self.errors,
-        }
+        return asdict(self)
 
 
 def _pick_winner(matrix: dict[str, list[float | None]]) -> str:
@@ -452,21 +383,16 @@ def _run_selection_phase(
             train, val = fold_pairs[fold]
             if not train or not val:
                 raise TrainerError(f"fold {fold} has no pairs for phase {phase!r}")
-            train_x, train_y = encode_pairs(train, combo)
-            val_x, val_y = encode_pairs(val, combo)
+            step = (name, None, *encode_pairs(train, combo), *encode_pairs(val, combo))
             jobs.append(
                 _Job(
                     phase=phase,
                     candidate=name,
                     fold=fold,
-                    spec=spec.to_dict(),
-                    train_x=train_x,
-                    train_y=train_y,
-                    val_x=val_x,
-                    val_y=val_y,
-                    cfg=cfg.to_json_dict(),
-                    seed=cfg.seed,
+                    spec=spec,
+                    cfg=cfg,
                     out_dir=None if runs_dir is None else str(runs_dir),
+                    steps=[step],
                 )
             )
 
@@ -502,12 +428,7 @@ def _run_selection_phase(
 
 def write_phase_result(phase_dir: Path, result: PhaseResult, extra: dict | None = None) -> None:
     phase_dir.mkdir(parents=True, exist_ok=True)
-    payload = result.to_json_dict()
-    if extra:
-        payload.update(extra)
-    tmp = phase_dir / "phase_result.json.tmp"
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, phase_dir / "phase_result.json")
+    write_json(phase_dir / "phase_result.json", result.to_json_dict() | (extra or {}))
 
 
 def select_architecture(
@@ -578,21 +499,19 @@ def train_interval_chain(
 
     jobs = []
     for fold in range(n_folds):
-        per_bin = []
+        steps = []
         for center in BIN_CENTERS:
             train, val = fold_split(binned_pairs.get(center, []), plan, fold)
-            train_x, train_y = encode_pairs(train, combo)
-            val_x, val_y = encode_pairs(val, combo)
-            per_bin.append((center, train_x, train_y, val_x, val_y))
+            steps.append((bin_dir_name(center), center, *encode_pairs(train, combo), *encode_pairs(val, combo)))
         jobs.append(
-            _ChainJob(
+            _Job(
+                phase=PHASE_INTERVALS,
+                candidate=combo.name,
                 fold=fold,
-                spec=spec.to_dict(),
-                combo=combo.name,
-                bins=per_bin,
-                cfg=cfg.to_json_dict(),
-                seed=cfg.seed,
+                spec=spec,
+                cfg=cfg,
                 out_dir=None if runs_dir is None else str(runs_dir),
+                steps=steps,
                 init_snapshot=None if init_snapshots is None else init_snapshots.get(fold),
             )
         )
@@ -604,9 +523,7 @@ def train_interval_chain(
     if runs_dir is not None:
         phase_dir = Path(runs_dir) / PHASE_INTERVALS
         phase_dir.mkdir(parents=True, exist_ok=True)
-        tmp = phase_dir / "chain_result.json.tmp"
-        tmp.write_text(json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n")
-        os.replace(tmp, phase_dir / "chain_result.json")
+        write_json(phase_dir / "chain_result.json", result.to_json_dict())
     return result
 
 

@@ -71,6 +71,21 @@ class TestBasics:
         assert code == 2
         assert f"line {len(lines) + 1}: duplicate record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, bad", [("age", "null"), ("age", '"old"'), ("value", '"12.5"'), ("value", "null")])
+    def test_non_number_field_exits_2_with_line(self, workdir, tmp_path, capsys, key, bad):
+        lines = (workdir / "d.jsonl").read_text().splitlines()[:3]
+        obj = json.loads(lines[1])
+        if key == "age":
+            obj["age"] = json.loads(bad)
+        else:
+            obj["values"][0] = json.loads(bad)
+        lines[1] = json.dumps(obj)
+        data = tmp_path / "d.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        code = run_cli("pairs", "--data", str(data), "--out", str(tmp_path / "p.jsonl"))
+        assert code == 2
+        assert "error: line 2: bad value" in capsys.readouterr().err
+
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         code = run_cli("pairs", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "p.jsonl"))
         assert code == 2

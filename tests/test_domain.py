@@ -1,5 +1,6 @@
 """Grid layout, record validation, mean deviation, and the line codec."""
 
+import json
 import math
 
 import numpy as np
@@ -269,6 +270,29 @@ class TestCodec:
         line = line.replace('"test_index": 1', '"test_index": true')
         with pytest.raises(RecordError, match="bad value for key 'test_index': True"):
             parse_record(line)
+
+    @pytest.mark.parametrize("bad", [None, "old", "12.5", True, 10**400])
+    def test_non_number_age_rejected(self, bad):
+        obj = json.loads(serialize_record(make_field(np.random.default_rng(17))))
+        obj["age"] = bad
+        with pytest.raises(RecordError, match="'age'|out of range"):
+            parse_record(json.dumps(obj))
+
+    @pytest.mark.parametrize("bad", [None, "old", "12.5", True, 10**400])
+    def test_non_number_db_value_rejected(self, bad):
+        obj = json.loads(serialize_record(make_field(np.random.default_rng(18))))
+        obj["values"][7] = bad
+        with pytest.raises(RecordError, match="'values'|out of range"):
+            parse_record(json.dumps(obj))
+
+    def test_integer_numbers_parse_as_floats(self):
+        f = make_field(values={c: 30.0 for c in mask_cells()}, age_years=61.0)
+        obj = json.loads(serialize_record(f))
+        obj["age"], obj["values"] = 61, [30] * len(obj["values"])
+        parsed = parse_record(json.dumps(obj))
+        assert parsed == f
+        assert type(parsed.age_years) is float
+        assert all(type(v) is float for v in parsed.values.values())
 
     def test_load_dataset_names_line_of_bool_test_index(self, tmp_path):
         good = serialize_record(make_field(np.random.default_rng(14)))

@@ -11,6 +11,7 @@ from hvfcast.domain import RIGHT, mask_cells, valid_mask_array
 from hvfcast.evaluation import (
     DegenerateDataError,
     EvaluationError,
+    _bootstrap_ci,
     baseline_forecast,
     bland_altman,
     ensemble_predict,
@@ -311,6 +312,20 @@ class TestEvaluateTestset:
         lo, hi = r1.overall["mae_ci"]
         assert lo <= r1.overall["mae"] <= hi
         assert r1.overall["rmse"] >= r1.overall["mae"]
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 129, 1000])
+    @pytest.mark.parametrize("transform", [None, np.sqrt])
+    def test_bootstrap_matches_per_resample_loop(self, n, transform):
+        values = np.random.default_rng(n).gamma(2.0, 1.5, size=n)
+        ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+        stats = np.empty(150)
+        for i in range(150):
+            mean = values[ref_rng.integers(0, n, size=n)].mean()
+            stats[i] = mean if transform is None else transform(mean)
+        expected = [float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))]
+        assert _bootstrap_ci(values, rng, 150, transform) == expected
+        # the generator is left where the loop leaves it, so later draws agree
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_copy_baseline_rows(self, small_cohort):
         _, fields, _ = small_cohort

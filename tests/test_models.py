@@ -16,7 +16,6 @@ from hvfcast.models import (
     build_model,
     canonical_specs,
     count_layers,
-    count_parameters,
     count_parameters_spec,
     layer_plan,
     load_weights,
@@ -66,7 +65,7 @@ class TestCounting:
 
     def test_built_model_matches_spec_count(self):
         for spec in ALL_TINY:
-            assert count_parameters(build_model(spec)) == count_parameters_spec(spec)
+            assert build_model(spec).params.n_scalars() == count_parameters_spec(spec)
 
     def test_dense_72_to_72_with_bias(self):
         spec = ModelSpec(family="FullyConnected", fc_hidden=72)
@@ -304,6 +303,13 @@ class TestSerialization:
             assert entry["offset"] == offset
             offset += entry["length"]
         assert manifest["total_length"] == offset
+
+    def test_write_json_is_sorted_indented_and_atomic(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("stale")
+        models.write_json(path, {"b": [1, 2.5], "a": None})
+        assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 class TestTransfer:

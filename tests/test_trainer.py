@@ -165,6 +165,15 @@ class TestSelectionPhases:
         history = json.loads((tmp_path / "arch" / "Cascade-2" / "fold-3" / "history.json").read_text())
         assert history["fold"] == 3 and history["phase"] == "arch"
 
+    def test_selection_history_has_null_bin_and_no_transfer(self, cohort_pairs, tmp_path):
+        _, binned, plan = cohort_pairs
+        cfg = TrainConfig(epochs=1, widths=(2, 3, 4), seed=5)
+        select_architecture([TINY_SPEC], binned[1.0], plan, cfg, runs_dir=tmp_path)
+        history = json.loads((tmp_path / "arch" / "Cascade-2" / "fold-0" / "history.json").read_text())
+        assert history["bin"] is None
+        assert "transferred_from" not in history
+        assert history["candidate"] == "Cascade-2"
+
     def test_workers_do_not_change_results(self, cohort_pairs):
         _, binned, plan = cohort_pairs
         cfg = TrainConfig(epochs=1, widths=(2, 3, 4), seed=6)
@@ -256,6 +265,35 @@ class TestIntervalChain:
         assert [weights_hash(m) for m in one_bin[some_bin]] == [
             weights_hash(m) for m in all_bins[some_bin]
         ]
+
+    def test_chain_history_records_bin_and_transfer(self, chain_run):
+        runs, result, _, _ = chain_run
+        trained = sorted((e for e in result.entries if e["fold"] == 0 and not e["gap"]),
+                         key=lambda e: e["bin"])
+        for entry in trained[:2]:
+            history = json.loads((runs / entry["checkpoint"] / "history.json").read_text())
+            assert history["bin"] == entry["bin"]
+            assert history["transferred_from"] == entry["transferred_from"]
+            assert history["candidate"] == "age" and history["phase"] == "intervals"
+        assert trained[0]["transferred_from"] is None
+        assert trained[1]["transferred_from"] == f"bin-{trained[0]['bin']:.1f}"
+
+    def test_diverging_chain_records_gaps_without_checkpoints(self, cohort_pairs, tmp_path):
+        _, binned, plan = cohort_pairs
+        cfg = TrainConfig(epochs=2, widths=(2, 3, 4), seed=12, lr=1e300)
+        with np.errstate(all="ignore"):
+            result = train_interval_chain(TINY_SPEC, FeatureCombo(), binned, plan, cfg, runs_dir=tmp_path)
+        diverged = [e for e in result.entries if e["error"]]
+        assert diverged
+        for e in diverged:
+            assert e["gap"] is True and e["best_val_mae"] is None
+            assert len(e["initial_weights_sha256"]) == 64
+            assert "checkpoint" not in e
+        # every trained cell diverges at this rate, so nothing is written but the result
+        assert result.n_checkpoints == 0
+        assert not list((tmp_path / "intervals").glob("bin-*"))
+        on_disk = json.loads((tmp_path / "intervals" / "chain_result.json").read_text())
+        assert on_disk["entries"] == json.loads(json.dumps(result.entries))
 
     def test_gap_recorded_for_empty_bins(self, cohort_pairs):
         _, binned, plan = cohort_pairs
