@@ -37,7 +37,7 @@ bn = BatchNormState.create(1)
 
 def loss_fn():
     h = conv2d(Tensor(x), w, b)
-    h = batch_norm(h, bn)
+    h = batch_norm(h, bn, True)
     h = relu(h)
     return masked_mae(h, target, mask)
 

@@ -39,10 +39,11 @@ print(f"{len(fields)} fields -> {sum(len(v) for v in binned.values())} binned pa
 train_binned = pipeline.pairs_for_patients(binned, plan.train_patients())
 test_binned = pipeline.pairs_for_patients(binned, plan.test_patients)
 cfg1 = trainer.TrainConfig(epochs=1, widths=(4, 8, 12), fc_hidden=64, seed=23)
+runs = workdir / "runs"
 
 print("\n=== phase 1: architecture selection on the 1.0-year bin ===")
 candidates = canonical_specs(in_channels=1, widths=cfg1.widths, fc_hidden=cfg1.fc_hidden)
-arch_result = trainer.select_architecture(candidates, train_binned[1.0], plan, cfg1)
+arch_result = trainer.select_architecture(candidates, train_binned[1.0], plan, cfg1, runs)
 means = {name: sum(row) / len(row) for name, row in arch_result.matrix.items()}
 for name in arch_result.candidates:
     marker = "  <- winner" if name == arch_result.winner else ""
@@ -50,13 +51,12 @@ for name in arch_result.candidates:
 
 print("\n=== phase 2: clinical-feature selection (16 combos) ===")
 arch_spec = spec_from_name(arch_result.winner, widths=cfg1.widths, fc_hidden=cfg1.fc_hidden)
-feat_result = trainer.select_features(arch_spec, FeatureCombo.all_combos(), train_binned[1.0], plan, cfg1)
+feat_result = trainer.select_features(arch_spec, FeatureCombo.all_combos(), train_binned[1.0], plan, cfg1, runs)
 print(f"  winner: {feat_result.winner}")
 
 print("\n=== phase 3: the interval chain (10 bins x 10 folds, forward transfer) ===")
 combo = FeatureCombo.parse(feat_result.winner)
-runs = workdir / "runs"
-chain = trainer.train_interval_chain(arch_spec, combo, train_binned, plan, cfg1, runs_dir=runs)
+chain = trainer.train_interval_chain(arch_spec, combo, train_binned, plan, cfg1, runs)
 gaps = [e for e in chain.entries if e["gap"]]
 print(f"  {chain.n_checkpoints} checkpoints, {len(gaps)} gaps "
       f"(bins without pairs for a fold are skipped and the chain carries weights forward)")

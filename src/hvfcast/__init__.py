@@ -20,5 +20,3 @@ The package is organized by pipeline stage:
 """
 
 __version__ = "0.1.0"
-
-from . import autodiff, cli, domain, evaluation, models, pipeline, synthsim, trainer  # noqa: F401,E402

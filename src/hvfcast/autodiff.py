@@ -20,7 +20,7 @@ import numpy as np
 
 
 class EngineError(ValueError):
-    """Misuse of the engine (bad mode, empty mask, non-scalar backward)."""
+    """Misuse of the engine (empty mask or concat, non-scalar backward)."""
 
 
 class ShapeError(EngineError):
@@ -103,10 +103,6 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # Layers
 
@@ -121,29 +117,13 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def _apply_activation(out: Tensor, activation: str) -> Tensor:
-    if activation == "linear":
-        return out
-    if activation == "relu":
-        return relu(out)
-    raise EngineError(f"unknown activation {activation!r}")
-
-
-def conv2d(
-    x: Tensor,
-    weights: Tensor,
-    bias: Tensor,
-    stride: int = 1,
-    padding: str = "same",
-    activation: str = "linear",
-) -> Tensor:
-    """Same-padding 2-D convolution over (B, C, H, W) with square odd kernels.
+def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    """Stride-1 same-padding 2-D convolution over (B, C, H, W) with square
+    odd kernels.
 
     Output spatial size equals input size.  Gradients are exact w.r.t. the
     input, the kernel, and the bias.
     """
-    if stride != 1 or padding != "same":
-        raise EngineError("only stride=1 same-padding convolutions are supported")
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-axis, got shape {x.data.shape}")
     batch, c_in, height, width = x.data.shape
@@ -184,10 +164,10 @@ def conv2d(
         x.grad += dxpad[:, :, pad : pad + height, pad : pad + width]
 
     out._backward = backward
-    return _apply_activation(out, activation)
+    return out
 
 
-def dense(x: Tensor, weights: Tensor, bias: Tensor, activation: str = "linear") -> Tensor:
+def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """y = x @ W.T + b for x shaped (B, in_dim), W shaped (out_dim, in_dim)."""
     if x.data.ndim != 2:
         raise ShapeError(f"dense input must be 2-axis, got shape {x.data.shape}")
@@ -204,7 +184,7 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor, activation: str = "linear") 
         x.grad += g @ weights.data
 
     out._backward = backward
-    return _apply_activation(out, activation)
+    return out
 
 
 @dataclass
@@ -221,7 +201,6 @@ class BatchNormState:
     running_var: np.ndarray
     momentum: float = 0.99
     eps: float = 1e-5
-    mode: str = "train"  # "train" | "infer"
 
     @classmethod
     def create(cls, channels: int, momentum: float = 0.99, eps: float = 1e-5) -> "BatchNormState":
@@ -235,12 +214,13 @@ class BatchNormState:
         )
 
 
-def batch_norm(x: Tensor, state: BatchNormState) -> Tensor:
+def batch_norm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
     """Normalize per channel over (batch, H, W).
 
-    Train mode uses batch statistics (biased variance, the same statistic
-    stored in the running average); infer mode uses the running statistics
-    and is a pure function of its input.
+    With `train` it uses batch statistics (biased variance, the same
+    statistic stored in the running average) and updates the running
+    statistics; otherwise it uses the running statistics and is a pure
+    function of its input.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm input must be 4-axis, got shape {x.data.shape}")
@@ -252,24 +232,21 @@ def batch_norm(x: Tensor, state: BatchNormState) -> Tensor:
         )
     gamma, beta = state.gamma, state.beta
 
-    if state.mode == "train":
+    if train:
         mu = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
         inv = 1.0 / np.sqrt(var + state.eps)
         xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
         state.running_mean = state.momentum * state.running_mean + (1.0 - state.momentum) * mu
         state.running_var = state.momentum * state.running_var + (1.0 - state.momentum) * var
-    elif state.mode == "infer":
+    else:
         inv = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = (x.data - state.running_mean[None, :, None, None]) * inv[None, :, None, None]
-    else:
-        raise EngineError(f"unknown batch_norm mode {state.mode!r}")
 
     out = Tensor(
         gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None],
         parents=(x, gamma, beta),
     )
-    train = state.mode == "train"
 
     def backward():
         g = out.grad
@@ -314,7 +291,7 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
     return out
 
 
-def masked_mae(pred: Tensor, target, mask: np.ndarray) -> Tensor:
+def masked_mae(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     """Mean absolute error over the masked cells only.
 
     loss = sum_b sum_{cell in mask} |pred - target| / (B * |mask|).
@@ -325,25 +302,18 @@ def masked_mae(pred: Tensor, target, mask: np.ndarray) -> Tensor:
     n_mask = int(mask.sum())
     if n_mask == 0:
         raise EngineError("masked_mae: empty mask")
-    target_t = target if isinstance(target, Tensor) else None
-    tdata = target.data if target_t is not None else np.asarray(target, dtype=np.float64)
-    if pred.data.shape != tdata.shape:
-        raise ShapeError(f"masked_mae: pred {pred.data.shape} vs target {tdata.shape}")
+    target = np.asarray(target, dtype=np.float64)
+    if pred.data.shape != target.shape:
+        raise ShapeError(f"masked_mae: pred {pred.data.shape} vs target {target.shape}")
 
     batch = pred.data.shape[0]
     denom = batch * n_mask
-    diff = pred.data - tdata
+    diff = pred.data - target
     m = mask[None, None, :, :]
-    out = Tensor(
-        np.abs(diff * m).sum() / denom,
-        parents=(pred,) if target_t is None else (pred, target_t),
-    )
+    out = Tensor(np.abs(diff * m).sum() / denom, parents=(pred,))
 
     def backward():
-        g = out.grad * np.sign(diff) * m / denom
-        pred.grad += g
-        if target_t is not None:
-            target_t.grad -= g
+        pred.grad += out.grad * np.sign(diff) * m / denom
 
     out._backward = backward
     return out

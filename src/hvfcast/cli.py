@@ -39,9 +39,7 @@ from .evaluation import (
 from .models import (
     ModelError,
     canonical_specs,
-    count_parameters_spec,
     load_weights,
-    published_comparison,
     spec_from_name,
     write_json,
 )
@@ -75,7 +73,6 @@ from .trainer import (
     select_architecture,
     select_features,
     train_interval_chain,
-    write_phase_result,
 )
 
 EXIT_OK = 0
@@ -255,36 +252,16 @@ def _cmd_train(args) -> int:
     runs_dir.mkdir(parents=True, exist_ok=True)
     train_binned = pairs_for_patients(binned, plan.train_patients())
 
-    # worker count is a scheduling knob with no effect on results; it is
-    # recorded in the run manifest only, keeping result files byte-stable
-    config_echo = cfg.to_json_dict() | {"phase": args.phase}
-
     if args.phase == PHASE_ARCH:
         bin1 = train_binned[BIN_CENTERS[0]]
         candidates = canonical_specs(in_channels=1, widths=cfg.widths, fc_hidden=cfg.fc_hidden)
         result = select_architecture(candidates, bin1, plan, cfg, runs_dir, args.workers)
-        # the comparison table always uses the canonical widths so its
-        # parameter column lines up with the published clinical-scale counts
-        write_phase_result(
-            runs_dir / PHASE_ARCH,
-            result,
-            {
-                "published_comparison": published_comparison(),
-                "trained_parameters": {
-                    spec.name: count_parameters_spec(spec) for spec in candidates
-                },
-                "config": config_echo,
-            },
-        )
         print(f"architecture winner: {result.winner}")
     elif args.phase == PHASE_FEATURES:
         bin1 = train_binned[BIN_CENTERS[0]]
         arch = args.arch or _phase_winner(runs_dir, PHASE_ARCH, "arch")
         arch_spec = spec_from_name(arch, widths=cfg.widths, fc_hidden=cfg.fc_hidden)
         result = select_features(arch_spec, FeatureCombo.all_combos(), bin1, plan, cfg, runs_dir, args.workers)
-        write_phase_result(
-            runs_dir / PHASE_FEATURES, result, {"architecture": arch, "config": config_echo}
-        )
         print(f"feature-combination winner: {result.winner}")
     else:  # intervals
         arch = args.arch or _phase_winner(runs_dir, PHASE_ARCH, "arch")
@@ -303,8 +280,11 @@ def _cmd_train(args) -> int:
             f"({len(gaps)} gaps) under {runs_dir / PHASE_INTERVALS}"
         )
 
+    # worker count is a scheduling knob with no effect on results; it is
+    # recorded in the run manifest only, keeping result files byte-stable
     _write_run_manifest(
-        runs_dir, f"train --phase {args.phase}", config_echo | {"workers": args.workers},
+        runs_dir, f"train --phase {args.phase}",
+        cfg.to_json_dict() | {"phase": args.phase, "workers": args.workers},
         [args.data, args.pairs, args.split], [runs_dir], started,
     )
     return EXIT_OK

@@ -11,7 +11,7 @@ pointwise least squares, pointwise exponential).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -208,18 +208,7 @@ class MetricsReport:
     reference: dict = field(default_factory=lambda: dict(CLINICAL_REFERENCE))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "n_skipped": self.n_skipped,
-            "overall": self.overall,
-            "md_scatter": self.md_scatter,
-            "bland_altman": self.bland_altman,
-            "per_bin": self.per_bin,
-            "baselines": self.baselines,
-            "rows": self.rows,
-            "bootstrap": self.bootstrap,
-            "reference": self.reference,
-        }
+        return asdict(self)
 
 
 def _bootstrap_ci(

@@ -281,16 +281,15 @@ class Model:
 
     # -- forward ----------------------------------------------------------
 
-    def _unit(self, name: str, x: Tensor) -> Tensor:
-        """conv -> batch norm -> relu (norm/relu only where the plan says)."""
+    def _unit(self, name: str, x: Tensor, train: bool) -> Tensor:
+        """dense or conv -> batch norm -> relu (norm/relu only where the plan
+        says); `train` selects batch or running statistics for the norm."""
         layer = self._layer(name)
         w = self.params[f"{name}.w"]
         b = self.params[f"{name}.b"]
-        if layer.kind == "dense":
-            return dense(x, w, b, activation=layer.activation)
-        out = conv2d(x, w, b, activation="linear")
+        out = dense(x, w, b) if layer.kind == "dense" else conv2d(x, w, b)
         if layer.bn:
-            out = batch_norm(out, self.bn[name])
+            out = batch_norm(out, self.bn[name], train)
         if layer.activation == "relu":
             out = relu(out)
         return out
@@ -311,15 +310,13 @@ class Model:
                 f"input shape {x.data.shape} does not match in_channels="
                 f"{self.spec.in_channels}"
             )
-        for state in self.bn.values():
-            state.mode = mode
-
+        train = mode == "train"
         family = self.spec.family
         if family == FULLY_CONNECTED:
             batch = x.data.shape[0]
             h = x.reshape(batch, self.spec.in_channels * GRID_SIZE)
-            h = self._unit("fc1", h)
-            h = self._unit("fc2", h)
+            h = self._unit("fc1", h, train)
+            h = self._unit("fc2", h, train)
             return h.reshape(batch, 1, GRID_ROWS, GRID_COLS)
 
         k = self.spec.depth_k
@@ -327,27 +324,27 @@ class Model:
             h = x
             for j in range(1, k + 1):
                 for c in (1, 2, 3):
-                    h = self._unit(f"block{j}.conv{c}", h)
-            return self._unit("head", h)
+                    h = self._unit(f"block{j}.conv{c}", h, train)
+            return self._unit("head", h, train)
 
         if family == RESIDUAL:
             h = x
             for j in range(1, k + 1):
                 block_in = h
                 for c in (1, 2, 3):
-                    h = self._unit(f"block{j}.conv{c}", h)
-                skip = self._unit("block1.skip", block_in) if j == 1 else block_in
+                    h = self._unit(f"block{j}.conv{c}", h, train)
+                skip = self._unit("block1.skip", block_in, train) if j == 1 else block_in
                 h = h + skip
-            return self._unit("head", h) + self._unit("input_skip", x)
+            return self._unit("head", h, train) + self._unit("input_skip", x, train)
 
         # Cascade
         feats = [x]
         for j in range(1, k + 1):
             h = concat_channels(list(feats))
             for c in (1, 2, 3):
-                h = self._unit(f"block{j}.conv{c}", h)
+                h = self._unit(f"block{j}.conv{c}", h, train)
             feats.append(h)
-        return self._unit("head", concat_channels(feats))
+        return self._unit("head", concat_channels(feats), train)
 
     # -- state ------------------------------------------------------------
 
@@ -391,26 +388,6 @@ def weights_hash(model: Model) -> str:
 def build_model(spec: ModelSpec) -> Model:
     """Construct and seed-initialize a model (He-uniform weights, BN 1/0)."""
     return Model(spec)
-
-
-def transfer_weights(src: Model, dst: Model) -> Model:
-    """Overwrite dst's parameters and BN statistics with src's.
-
-    Specs must agree on family, depth, widths, input channels and hidden
-    width; the destination keeps its own seed and gets zeroed gradients so
-    any optimizer built on it starts fresh.
-    """
-    fields = ("family", "depth_k", "widths", "in_channels", "fc_hidden")
-    diffs = [
-        f"{name}: {getattr(src.spec, name)!r} != {getattr(dst.spec, name)!r}"
-        for name in fields
-        if getattr(src.spec, name) != getattr(dst.spec, name)
-    ]
-    if diffs:
-        raise ModelError("transfer_weights spec mismatch: " + "; ".join(diffs))
-    dst.restore(src.snapshot())
-    dst.params.zero_grads()
-    return dst
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +478,6 @@ def load_weights(dir_path) -> Model:
     if missing:
         raise WeightsError(f"manifest missing entries for {sorted(missing)}")
     return model
-
-
-def load_provenance(dir_path) -> dict | None:
-    manifest = json.loads((Path(dir_path) / MANIFEST_NAME).read_text())
-    return manifest.get("provenance")
 
 
 def _atomic_write(path: Path, data: bytes) -> None:

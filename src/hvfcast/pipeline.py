@@ -114,9 +114,6 @@ class SplitPlan:
     seed: int
     ratio: float = 0.8
 
-    def fold_of(self) -> dict[str, int]:
-        return {pid: i for i, fold in enumerate(self.folds) for pid in fold}
-
     def train_patients(self) -> tuple[str, ...]:
         return tuple(pid for fold in self.folds for pid in fold)
 

@@ -120,22 +120,6 @@ def _load_archetypes() -> dict[str, Archetype]:
 ARCHETYPES = _load_archetypes()
 
 
-def progress_field(
-    baseline: dict[Cell, float],
-    archetype: Archetype,
-    eye: str,
-    rate_db_per_year: float,
-    t_years: float,
-) -> dict[Cell, float]:
-    """Evolve a baseline field: affected cells lose rate*multiplier*t dB."""
-    if rate_db_per_year < 0 or t_years < 0:
-        raise SimError("rate and t_years must be nonnegative")
-    out = dict(baseline)
-    for cell, mult in archetype.affected(eye):
-        out[cell] = float(np.clip(baseline[cell] - rate_db_per_year * mult * t_years, 0.0, NORM_MAX_DB))
-    return out
-
-
 def noise_sd(values: np.ndarray) -> np.ndarray:
     """Test-retest SD grows as sensitivity falls below the hill apex."""
     return np.clip(
@@ -145,12 +129,8 @@ def noise_sd(values: np.ndarray) -> np.ndarray:
     )
 
 
-def add_noise(values, rng: np.random.Generator):
+def add_noise(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Gaussian test-retest noise, clamped to [0, 50] and rounded to 2 dp."""
-    if isinstance(values, dict):
-        cells = list(values)
-        arr = add_noise(np.array([values[c] for c in cells]), rng)
-        return {c: float(v) for c, v in zip(cells, arr)}
     arr = np.asarray(values, dtype=np.float64)
     noisy = arr + rng.normal(0.0, 1.0, size=arr.shape) * noise_sd(arr)
     return np.round(np.clip(noisy, 0.0, 50.0), 2)

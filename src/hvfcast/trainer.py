@@ -27,7 +27,9 @@ from .models import (
     Model,
     ModelSpec,
     build_model,
+    count_parameters_spec,
     load_weights,
+    published_comparison,
     save_weights,
     snapshot_hash,
     weights_hash,
@@ -243,18 +245,18 @@ class _Job:
     fold: int
     spec: ModelSpec
     cfg: TrainConfig
-    out_dir: str | None
+    out_dir: str
     steps: list
     init_snapshot: dict | None = None
 
 
 def _fit(job: _Job, step: tuple, init: dict | None = None,
-         extra: dict | None = None) -> tuple[TrainHistory, str | None]:
+         extra: dict | None = None) -> tuple[TrainHistory, str]:
     """Train one step of `job`, starting from the `init` snapshot when given.
 
-    Seeds derive from (cfg.seed, phase, label, fold).  With an output directory
-    the frozen model and its history go under `phase/label/fold-N`, whose
-    runs-relative path is returned.  Raises TrainingDiverged.
+    Seeds derive from (cfg.seed, phase, label, fold).  The frozen model and
+    its history go under `phase/label/fold-N`, whose runs-relative path is
+    returned.  Raises TrainingDiverged.
     """
     label, center, train_x, train_y, val_x, val_y = step
     cfg = job.cfg
@@ -265,8 +267,6 @@ def _fit(job: _Job, step: tuple, init: dict | None = None,
         model.restore(init)
         model.params.zero_grads()
     history = train_model(model, (train_x, train_y), (val_x, val_y), cfg, shuffle_seed)
-    if job.out_dir is None:
-        return history, None
     # relative to the runs dir so output trees are location-independent
     rel = Path(job.phase) / label / f"fold-{job.fold}"
     out_dir = Path(job.out_dir) / rel
@@ -319,9 +319,8 @@ def _run_chain_job(job: _Job) -> dict:
             best_val_mae=history.best_val_mae,
             initial_weights_sha256=history.initial_hash,
             best_weights_sha256=history.best_hash,
+            checkpoint=checkpoint,
         )
-        if checkpoint is not None:
-            entry["checkpoint"] = checkpoint
         prev_snapshot = history.best_weights
         prev_label = label
     return {"fold": job.fold, "entries": entries}
@@ -370,9 +369,12 @@ def _run_selection_phase(
     pairs: list[FieldPair],
     plan: SplitPlan,
     cfg: TrainConfig,
-    runs_dir=None,
-    workers: int = 1,
+    runs_dir,
+    workers: int,
+    extra: dict,
 ) -> PhaseResult:
+    """Train every (candidate, fold) job, pick the winner, and write
+    `phase_result.json`: the fold matrix, the config echo, and `extra`."""
     cfg.validate()
     n_folds = len(plan.folds)
     fold_pairs = [fold_split(pairs, plan, fold) for fold in range(n_folds)]
@@ -391,7 +393,7 @@ def _run_selection_phase(
                     fold=fold,
                     spec=spec,
                     cfg=cfg,
-                    out_dir=None if runs_dir is None else str(runs_dir),
+                    out_dir=str(runs_dir),
                     steps=[step],
                 )
             )
@@ -421,14 +423,11 @@ def _run_selection_phase(
         winner=winner,
         errors=errors,
     )
-    if runs_dir is not None:
-        write_phase_result(Path(runs_dir) / phase, result)
-    return result
-
-
-def write_phase_result(phase_dir: Path, result: PhaseResult, extra: dict | None = None) -> None:
+    phase_dir = Path(runs_dir) / phase
     phase_dir.mkdir(parents=True, exist_ok=True)
-    write_json(phase_dir / "phase_result.json", result.to_json_dict() | (extra or {}))
+    config = cfg.to_json_dict() | {"phase": phase}
+    write_json(phase_dir / "phase_result.json", result.to_json_dict() | {"config": config} | extra)
+    return result
 
 
 def select_architecture(
@@ -436,13 +435,19 @@ def select_architecture(
     bin1_pairs: list[FieldPair],
     plan: SplitPlan,
     cfg: TrainConfig,
-    runs_dir=None,
+    runs_dir,
     workers: int = 1,
 ) -> PhaseResult:
     """Train each candidate once per fold on the 1.0-year bin (field-only input)."""
     combo = FeatureCombo()
     named = [(spec.name, spec, combo) for spec in candidates]
-    return _run_selection_phase(PHASE_ARCH, named, bin1_pairs, plan, cfg, runs_dir, workers)
+    # the comparison table always uses the canonical widths so its
+    # parameter column lines up with the published clinical-scale counts
+    extra = {
+        "published_comparison": published_comparison(),
+        "trained_parameters": {spec.name: count_parameters_spec(spec) for spec in candidates},
+    }
+    return _run_selection_phase(PHASE_ARCH, named, bin1_pairs, plan, cfg, runs_dir, workers, extra)
 
 
 def select_features(
@@ -451,7 +456,7 @@ def select_features(
     bin1_pairs: list[FieldPair],
     plan: SplitPlan,
     cfg: TrainConfig,
-    runs_dir=None,
+    runs_dir,
     workers: int = 1,
 ) -> PhaseResult:
     """Train the winning architecture once per fold for each feature combo."""
@@ -459,7 +464,8 @@ def select_features(
         (combo.name, arch_spec.replace(in_channels=combo.channels()), combo)
         for combo in combos
     ]
-    return _run_selection_phase(PHASE_FEATURES, named, bin1_pairs, plan, cfg, runs_dir, workers)
+    extra = {"architecture": arch_spec.name}
+    return _run_selection_phase(PHASE_FEATURES, named, bin1_pairs, plan, cfg, runs_dir, workers, extra)
 
 
 @dataclass
@@ -482,7 +488,7 @@ def train_interval_chain(
     binned_pairs: dict[float, list[FieldPair]],
     plan: SplitPlan,
     cfg: TrainConfig,
-    runs_dir=None,
+    runs_dir,
     workers: int = 1,
     init_snapshots: dict[int, dict] | None = None,
 ) -> ChainResult:
@@ -510,7 +516,7 @@ def train_interval_chain(
                 fold=fold,
                 spec=spec,
                 cfg=cfg,
-                out_dir=None if runs_dir is None else str(runs_dir),
+                out_dir=str(runs_dir),
                 steps=steps,
                 init_snapshot=None if init_snapshots is None else init_snapshots.get(fold),
             )
@@ -520,10 +526,9 @@ def train_interval_chain(
     entries = [entry for res in results for entry in res["entries"]]
     entries.sort(key=lambda e: (e["bin"], e["fold"]))
     result = ChainResult(entries=entries)
-    if runs_dir is not None:
-        phase_dir = Path(runs_dir) / PHASE_INTERVALS
-        phase_dir.mkdir(parents=True, exist_ok=True)
-        write_json(phase_dir / "chain_result.json", result.to_json_dict())
+    phase_dir = Path(runs_dir) / PHASE_INTERVALS
+    phase_dir.mkdir(parents=True, exist_ok=True)
+    write_json(phase_dir / "chain_result.json", result.to_json_dict())
     return result
 
 

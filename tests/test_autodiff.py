@@ -61,7 +61,7 @@ class TestConv2d:
         x = Tensor(np.full((1, 1, 2, 2), -2.0))
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        out = conv2d(x, Tensor(w), Tensor(np.zeros(1)), activation="relu")
+        out = relu(conv2d(x, Tensor(w), Tensor(np.zeros(1))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_channel_mismatch_names_shapes(self):
@@ -151,7 +151,7 @@ class TestDense:
         assert out.data[0, 0] == pytest.approx(11.5, abs=1e-15)
 
     def test_relu_on_negative_preactivation(self):
-        out = dense(Tensor([[1.0]]), Tensor([[-1.0]]), Tensor([0.0]), activation="relu")
+        out = relu(dense(Tensor([[1.0]]), Tensor([[-1.0]]), Tensor([0.0])))
         assert out.data[0, 0] == 0.0
 
     def test_dimension_mismatch(self):
@@ -189,7 +189,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(loc=3.0, scale=2.5, size=(4, 3, 8, 9)))
         state = BatchNormState.create(3)
-        out = batch_norm(x, state)
+        out = batch_norm(x, state, True)
         mean = out.data.mean(axis=(0, 2, 3))
         var = out.data.var(axis=(0, 2, 3))
         np.testing.assert_allclose(mean, 0.0, atol=1e-12)
@@ -201,31 +201,34 @@ class TestBatchNorm:
         state.running_var[:] = 1.0
         state.gamma.data[:] = 2.0
         state.beta.data[:] = 3.0
-        state.mode = "infer"
-        out = batch_norm(Tensor(np.ones((1, 1, 2, 2))), state)
+        out = batch_norm(Tensor(np.ones((1, 1, 2, 2))), state, train=False)
         np.testing.assert_allclose(out.data, 5.0, atol=1e-4)
 
     def test_infer_is_pure(self):
         rng = np.random.default_rng(6)
         state = BatchNormState.create(2)
-        batch_norm(Tensor(rng.normal(size=(4, 2, 3, 3))), state)  # populate running stats
-        state.mode = "infer"
+        batch_norm(Tensor(rng.normal(size=(4, 2, 3, 3))), state, True)  # populate running stats
         x = rng.normal(size=(2, 2, 3, 3))
-        a = batch_norm(Tensor(x), state).data
-        b = batch_norm(Tensor(x), state).data
+        running = (state.running_mean.copy(), state.running_var.copy())
+        a = batch_norm(Tensor(x), state, train=False).data
+        b = batch_norm(Tensor(x), state, train=False).data
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.running_mean, running[0])
+        np.testing.assert_array_equal(state.running_var, running[1])
+        # infer mode really reads the running statistics, not the batch's
+        assert np.abs(a - batch_norm(Tensor(x), state, train=True).data).max() > 1e-3
 
     def test_running_stats_ema(self):
         rng = np.random.default_rng(7)
         x = rng.normal(loc=5.0, size=(8, 1, 4, 4))
         state = BatchNormState.create(1, momentum=0.9)
-        batch_norm(Tensor(x), state)
+        batch_norm(Tensor(x), state, True)
         np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(), atol=1e-12)
         np.testing.assert_allclose(state.running_var, 0.1 * x.var(), atol=1e-12)
 
     def test_batch_of_one_constant_channel_is_finite(self):
         state = BatchNormState.create(1)
-        out = batch_norm(Tensor(np.full((1, 1, 3, 3), 7.0)), state)
+        out = batch_norm(Tensor(np.full((1, 1, 3, 3), 7.0)), state, True)
         assert np.all(np.isfinite(out.data))
 
     def test_train_gradients(self):
@@ -235,7 +238,7 @@ class TestBatchNorm:
         probe = Tensor(rng.normal(size=(3, 2, 4, 4)))
 
         def f():
-            return _dot(batch_norm(x, state), probe)
+            return _dot(batch_norm(x, state, True), probe)
 
         for t in (x, state.gamma, state.beta):
             t.zero_grad()
@@ -245,7 +248,7 @@ class TestBatchNorm:
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            batch_norm(Tensor(np.zeros((1, 3, 2, 2))), BatchNormState.create(2))
+            batch_norm(Tensor(np.zeros((1, 3, 2, 2))), BatchNormState.create(2), True)
 
 
 class TestConcat:
@@ -415,7 +418,7 @@ class TestGradCheck:
 
         def f():
             h = conv2d(Tensor(x), w, b)
-            h = batch_norm(h, state)
+            h = batch_norm(h, state, True)
             h = relu(h)
             return masked_mae(_reduce_channels(h), target, mask)
 

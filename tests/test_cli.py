@@ -45,8 +45,11 @@ def trained(workdir):
 
 class TestBasics:
     def test_console_script_version(self):
+        """Also a guard on the package `__init__`: importing a submodule there
+        makes runpy warn that `hvfcast.cli` is already in sys.modules."""
         out = subprocess.run(
-            [sys.executable, "-m", "hvfcast.cli", "--version"], capture_output=True, text=True
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hvfcast.cli", "--version"],
+            capture_output=True, text=True,
         )
         assert out.returncode == 0
         assert "hvfcast" in out.stdout
@@ -145,6 +148,33 @@ class TestTrainAndEvaluate:
             )
         assert code == 3
         assert "divergence" in capsys.readouterr().err
+
+    def test_arch_phase_result_written_once_and_complete(self, workdir, monkeypatch):
+        from hvfcast import models, trainer
+
+        writes = []
+
+        def counting_write_json(path, obj):
+            writes.append(path)
+            models.write_json(path, obj)
+
+        monkeypatch.setattr(trainer, "write_json", counting_write_json)
+        monkeypatch.setattr(cli, "write_json", counting_write_json)
+        runs = workdir / "runs-arch"
+        code = run_cli(
+            "train", "--phase", "arch",
+            "--data", str(workdir / "d.jsonl"),
+            "--pairs", str(workdir / "pairs.jsonl"),
+            "--split", str(workdir / "split.json"),
+            "--out", str(runs),
+            "--epochs", "1", "--widths", "2,3,4", "--fc-hidden", "8", "--seed", "3",
+        )
+        assert code == 0
+        assert [p for p in writes if p.name == "phase_result.json"] == [runs / "arch" / "phase_result.json"]
+        result = json.loads((runs / "arch" / "phase_result.json").read_text())
+        assert {"matrix", "winner", "published_comparison", "trained_parameters", "config"} <= set(result)
+        assert result["config"]["phase"] == "arch" and result["config"]["seed"] == 3
+        assert len(result["trained_parameters"]) == len(result["candidates"]) == 9
 
     def test_needs_phase_results_without_flags(self, workdir, capsys):
         code = run_cli(

@@ -22,7 +22,6 @@ from hvfcast.models import (
     published_comparison,
     save_weights,
     spec_from_name,
-    transfer_weights,
     weights_hash,
 )
 
@@ -184,21 +183,17 @@ class TestForward:
         spec = tiny_spec("Cascade", 2, seed=9)
         m = build_model(spec)
         x = Tensor(np.random.default_rng(3).normal(size=(1, 1, 8, 9)))
-        for state in m.bn.values():
-            state.mode = "infer"
         m.forward(np.random.default_rng(4).normal(size=(4, 1, 8, 9)), mode="train")
 
         def cascade_forward(ablate_block1_into_block2: bool) -> np.ndarray:
-            for state in m.bn.values():
-                state.mode = "infer"
             h1 = x
             for c in (1, 2, 3):
-                h1 = m._unit(f"block1.conv{c}", h1)
+                h1 = m._unit(f"block1.conv{c}", h1, train=False)
             h1_for_2 = Tensor(np.zeros_like(h1.data)) if ablate_block1_into_block2 else h1
             h2 = concat_channels([x, h1_for_2])
             for c in (1, 2, 3):
-                h2 = m._unit(f"block2.conv{c}", h2)
-            return m._unit("head", concat_channels([x, h1, h2])).data
+                h2 = m._unit(f"block2.conv{c}", h2, train=False)
+            return m._unit("head", concat_channels([x, h1, h2]), train=False).data
 
         full = cascade_forward(False)
         np.testing.assert_allclose(full, m.forward(x.data, mode="infer").data, atol=1e-12)
@@ -242,7 +237,8 @@ class TestSerialization:
         np.testing.assert_array_equal(
             m.forward(x, mode="infer").data, m2.forward(x, mode="infer").data
         )
-        assert models.load_provenance(tmp_path / "ck") == {"phase": "arch", "fold": 3}
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert manifest["provenance"] == {"phase": "arch", "fold": 3}
 
     @pytest.mark.parametrize("spec", ALL_TINY, ids=lambda s: s.name)
     def test_round_trip_every_family(self, spec, tmp_path):
@@ -313,28 +309,24 @@ class TestSerialization:
 
 
 class TestTransfer:
+    """The chain's forward transfer: `restore` of the previous step's snapshot."""
+
     def test_transfer_copies_forward_behavior(self):
         src = build_model(tiny_spec("FullBN", 2, seed=20))
         rng = np.random.default_rng(21)
         src.forward(rng.normal(size=(4, 1, 8, 9)), mode="train")
         dst = build_model(tiny_spec("FullBN", 2, seed=99))
-        transfer_weights(src, dst)
+        dst.restore(src.snapshot())
         x = rng.normal(size=(2, 1, 8, 9))
         np.testing.assert_array_equal(
             src.forward(x, mode="infer").data, dst.forward(x, mode="infer").data
         )
         assert weights_hash(src) == weights_hash(dst)
 
-    def test_spec_mismatch_lists_fields(self):
-        src = build_model(tiny_spec("FullBN", 2, in_channels=1))
-        dst = build_model(tiny_spec("FullBN", 2, in_channels=2))
-        with pytest.raises(ModelError, match="in_channels"):
-            transfer_weights(src, dst)
-
     def test_zero_epoch_chain_propagates_initial_weights(self):
         a = build_model(tiny_spec("Cascade", 2, seed=30))
         b = build_model(tiny_spec("Cascade", 2, seed=31))
         c = build_model(tiny_spec("Cascade", 2, seed=32))
-        transfer_weights(a, b)  # B "trained" for 0 epochs keeps A's weights
-        transfer_weights(b, c)
+        b.restore(a.snapshot())  # B "trained" for 0 epochs keeps A's weights
+        c.restore(b.snapshot())
         assert weights_hash(c) == weights_hash(a)

@@ -1,0 +1,38 @@
+"""The benchmark's tracer patches hvfcast functions by name where their
+callers look them up; a rename or signature change there breaks the traced
+benchmark run, so it must fail here too."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+PROBE = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+from hvfcast import models
+
+tracer = Tracer(sys.argv[2])
+tracer.install()
+try:
+    model = models.build_model(models.ModelSpec(family="FullBN", depth_k=1, widths=(2, 2, 2)))
+    model.forward(np.zeros((1, 1, 8, 9)), "train")
+finally:
+    tracer.uninstall()
+names = {span[3] for span in tracer.spans}
+expected = {"models.build_model", "models.forward.train", "autodiff.conv2d",
+            "autodiff.batch_norm", "autodiff.relu"}
+assert expected <= names, sorted(expected - names)
+assert tracer.counters["autodiff.tensor.grad_bytes"] > 0
+"""
+
+
+def test_tracer_installs_on_every_patch_target(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(PERFBENCH), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]

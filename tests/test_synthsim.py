@@ -1,5 +1,6 @@
 """Simulator tests: normative surface, archetypes, noise, reproducibility."""
 
+import functools
 import io
 import math
 
@@ -24,7 +25,6 @@ from hvfcast.synthsim import (
     noise_sd,
     normative_sensitivity,
     normative_surface,
-    progress_field,
 )
 
 
@@ -73,39 +73,93 @@ class TestArchetypes:
         assert ARCHETYPES["normal"].affected(RIGHT) == ()
 
 
+def _expected(normal: float, loss: float) -> float:
+    return float(np.round(np.clip(normal - loss, 0.0, 40.0), 2))
+
+
+@functools.lru_cache(maxsize=1)
+def _noiseless_visits():
+    """(field, archetype, rate, t_years, normative values) for every test of a
+    noiseless cohort that draws all seven archetypes and fast rates; t and the
+    ground truth are read back from the record dates and the cohort metadata."""
+    cfg = CohortConfig(
+        patients=40,
+        archetype_mix={name: 1.0 for name in synthsim.ARCHETYPE_NAMES},
+        rate_range=(0.3, 6.0),
+        noise=False,
+        seed=11,
+    )
+    fields, meta = generate_cohort(cfg)
+    truth = {p["patient_id"]: p for p in meta["patients"]}
+    first_day = {}
+    for f in fields:
+        day = (f.test_date - cfg.start_date).days
+        key = (f.patient_id, f.eye)
+        first_day[key] = min(first_day.get(key, day), day)
+    visits = []
+    for f in fields:
+        patient = truth[f.patient_id]
+        eye_truth = patient["eyes"][f.eye]
+        day = (f.test_date - cfg.start_date).days
+        t = (day - first_day[(f.patient_id, f.eye)]) / synthsim.DAYS_PER_YEAR
+        age = patient["baseline_age"] + day / synthsim.DAYS_PER_YEAR
+        normal = {c: normative_sensitivity(age, c, f.eye) for c in mask_cells()}
+        visits.append((f, ARCHETYPES[eye_truth["archetype"]], eye_truth["rate_db_per_year"], t, normal))
+    assert {arch.name for _, arch, _, _, _ in visits} == set(ARCHETYPES)
+    return visits
+
+
 class TestProgression:
+    """Noiseless generate_cohort values are round(clip(normal - loss, 0, 40), 2)
+    with loss = depth + rate*mult*t on the archetype's cells and 0 elsewhere."""
+
     def test_t_zero_is_baseline(self):
-        baseline = {c: 30.0 for c in mask_cells()}
-        out = progress_field(baseline, ARCHETYPES["superior_arcuate"], RIGHT, 1.0, 0.0)
-        assert out == baseline
+        n_checked = 0
+        for f, arch, _, t, normal in _noiseless_visits():
+            if t != 0.0:
+                continue
+            mults = dict(arch.affected(f.eye))
+            for c in mask_cells():
+                loss = arch.depth_db if c in mults else 0.0
+                assert f.values[c] == _expected(normal[c], loss), (f.patient_id, f.eye, c)
+            n_checked += 1
+        assert n_checked > 0
 
     def test_linear_decay(self):
-        baseline = {c: 30.0 for c in mask_cells()}
-        arch = ARCHETYPES["diffuse"]  # multiplier 1 everywhere
-        out = progress_field(baseline, arch, RIGHT, 1.5, 2.0)
-        for c in mask_cells():
-            assert out[c] == pytest.approx(27.0, abs=1e-12)
+        n_later = 0
+        for f, arch, rate, t, normal in _noiseless_visits():
+            for c, mult in arch.affected(f.eye):
+                loss = arch.depth_db + rate * mult * t
+                assert f.values[c] == _expected(normal[c], loss), (f.patient_id, f.eye, f.test_index, c)
+            n_later += t > 0 and arch.name == "diffuse"
+        assert n_later > 0
 
     def test_stable_defect_constant_in_time(self):
-        baseline = {c: 25.0 for c in mask_cells()}
-        arch = ARCHETYPES["stable_hemianopia"]
-        early = progress_field(baseline, arch, RIGHT, 1.0, 0.5)
-        late = progress_field(baseline, arch, RIGHT, 1.0, 5.0)
-        assert early == late == baseline
+        n_later = 0
+        for f, arch, _, t, normal in _noiseless_visits():
+            if arch.name != "stable_hemianopia":
+                continue
+            for c, _ in arch.affected(f.eye):
+                assert f.values[c] == _expected(normal[c], arch.depth_db), (f.patient_id, f.eye, c)
+            n_later += t > 0
+        assert n_later > 0
 
     def test_unaffected_cells_unchanged(self):
-        baseline = {c: 30.0 for c in mask_cells()}
-        arch = ARCHETYPES["paracentral"]
-        out = progress_field(baseline, arch, RIGHT, 2.0, 3.0)
-        affected = {c for c, _ in arch.affected(RIGHT)}
-        for c in mask_cells():
-            if c not in affected:
-                assert out[c] == 30.0
+        for f, arch, _, _, normal in _noiseless_visits():
+            affected = {c for c, _ in arch.affected(f.eye)}
+            for c in mask_cells():
+                if c not in affected:
+                    assert f.values[c] == _expected(normal[c], 0.0), (f.patient_id, f.eye, c)
 
     def test_clamped_at_zero(self):
-        baseline = {c: 1.0 for c in mask_cells()}
-        out = progress_field(baseline, ARCHETYPES["diffuse"], RIGHT, 3.0, 5.0)
-        assert all(v == 0.0 for v in out.values())
+        n_clamped = 0
+        for f, arch, rate, t, normal in _noiseless_visits():
+            assert min(f.values.values()) >= 0.0
+            for c, mult in arch.affected(f.eye):
+                if normal[c] - (arch.depth_db + rate * mult * t) <= 0.0:
+                    assert f.values[c] == 0.0, (f.patient_id, f.eye, c)
+                    n_clamped += 1
+        assert n_clamped > 0
 
 
 class TestNoise:
@@ -125,13 +179,6 @@ class TestNoise:
         out = add_noise(np.full(1000, 1.0), rng)
         assert out.min() >= 0.0 and out.max() <= 50.0
         assert np.all(out == np.round(out, 2))
-
-    def test_dict_form(self):
-        rng = np.random.default_rng(101)
-        values = {c: 20.0 for c in mask_cells()}
-        out = add_noise(values, rng)
-        assert set(out) == set(values)
-        assert all(v == round(v, 2) for v in out.values())
 
 
 class TestGenerateCohort:

@@ -174,19 +174,19 @@ class TestSelectionPhases:
         assert "transferred_from" not in history
         assert history["candidate"] == "Cascade-2"
 
-    def test_workers_do_not_change_results(self, cohort_pairs):
+    def test_workers_do_not_change_results(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
         cfg = TrainConfig(epochs=1, widths=(2, 3, 4), seed=6)
-        seq = select_architecture([TINY_SPEC], binned[1.0], plan, cfg, workers=1)
-        par = select_architecture([TINY_SPEC], binned[1.0], plan, cfg, workers=4)
+        seq = select_architecture([TINY_SPEC], binned[1.0], plan, cfg, tmp_path / "seq", workers=1)
+        par = select_architecture([TINY_SPEC], binned[1.0], plan, cfg, tmp_path / "par", workers=4)
         assert seq.matrix == par.matrix
 
-    def test_all_candidates_diverging_surfaces_divergence(self, cohort_pairs):
+    def test_all_candidates_diverging_surfaces_divergence(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
         cfg = TrainConfig(epochs=2, widths=(2, 3, 4), seed=6, lr=1e300)
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDiverged, match="every candidate"):
-                select_architecture([TINY_SPEC], binned[1.0], plan, cfg)
+                select_architecture([TINY_SPEC], binned[1.0], plan, cfg, runs_dir=tmp_path)
 
     def test_feature_combos_and_channels(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
@@ -295,19 +295,19 @@ class TestIntervalChain:
         on_disk = json.loads((tmp_path / "intervals" / "chain_result.json").read_text())
         assert on_disk["entries"] == json.loads(json.dumps(result.entries))
 
-    def test_gap_recorded_for_empty_bins(self, cohort_pairs):
+    def test_gap_recorded_for_empty_bins(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
         only_one = {c: (binned[c] if c == 1.0 else []) for c in BIN_CENTERS}
         cfg = TrainConfig(epochs=1, widths=(2, 3, 4), seed=10)
-        result = train_interval_chain(TINY_SPEC, FeatureCombo(), only_one, plan, cfg)
+        result = train_interval_chain(TINY_SPEC, FeatureCombo(), only_one, plan, cfg, runs_dir=tmp_path)
         gaps = [e for e in result.entries if e["gap"]]
         assert len(gaps) == 9 * 10
         assert result.n_checkpoints == 10
 
-    def test_zero_epoch_chain_shares_first_weights(self, cohort_pairs):
+    def test_zero_epoch_chain_shares_first_weights(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
         cfg = TrainConfig(epochs=0, widths=(2, 3, 4), seed=11)
-        result = train_interval_chain(TINY_SPEC, FeatureCombo(), binned, plan, cfg)
+        result = train_interval_chain(TINY_SPEC, FeatureCombo(), binned, plan, cfg, runs_dir=tmp_path)
         for fold in range(10):
             entries = sorted(
                 (e for e in result.entries if e["fold"] == fold and not e["gap"]),
