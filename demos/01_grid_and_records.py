@@ -12,7 +12,6 @@ import numpy as np
 from hvfcast.domain import (
     build_mask,
     cell_degrees,
-    mask_cells,
     mean_deviation,
     parse_record,
     serialize_record,

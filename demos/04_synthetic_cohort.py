@@ -9,8 +9,8 @@ reproducible from their seed.
 
 import numpy as np
 
-from hvfcast.domain import build_mask, valid_mask_array, mean_deviation
-from hvfcast.pipeline import assign_bin, bin_pairs, make_pairs
+from hvfcast.domain import valid_mask_array, mean_deviation
+from hvfcast.pipeline import bin_pairs, make_pairs
 from hvfcast.synthsim import ARCHETYPES, CohortConfig, generate_cohort, noise_sd, normative_surface
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from hvfcast import evaluation, pipeline, synthsim, trainer
 from hvfcast.models import canonical_specs, spec_from_name
-from hvfcast.pipeline import BIN_CENTERS, FeatureCombo
+from hvfcast.pipeline import FeatureCombo
 
 workdir = Path(tempfile.mkdtemp(prefix="hvfcast-demo-"))
 print(f"working under {workdir}\n")

@@ -15,6 +15,7 @@ a fixed evaluation order, so repeated runs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,22 +33,38 @@ class DivergenceError(RuntimeError):
 
 
 class Tensor:
-    """An array node in the autodiff graph with a gradient accumulator."""
+    """An array node in the autodiff graph with a gradient accumulator.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    The accumulator is allocated as zeros on first read or write, so nodes
+    that never take part in a backward pass (inference forwards, loaded
+    parameters) hold none.
+    """
+
+    __slots__ = ("data", "_grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
         self._parents = tuple(parents)
         self._backward = backward
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     @property
     def shape(self):
         return self.data.shape
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.data.shape != other.data.shape:
@@ -141,8 +158,10 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     # im2col: one GEMM per conv instead of one per kernel offset.  The cols
     # buffer lives in the backward closure for the graph's lifetime; at the
     # grid sizes this engine targets that is a few MB per layer.
-    windows = np.lib.stride_tricks.sliding_window_view(xpad, (kh, kw), axis=(2, 3))
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(batch, c_in * kh * kw, height * width)
+    flat_pad = xpad.reshape(batch, c_in, -1)
+    cols = np.take(flat_pad, _im2col_index(kh, height, width), axis=2).reshape(
+        batch, c_in * kh * kw, height * width
+    )
     w2d = weights.data.reshape(c_out, c_in * kh * kw)
     out_flat = np.matmul(w2d, cols)  # (B, C_out, H*W)
     out = Tensor(
@@ -165,6 +184,18 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
     out._backward = backward
     return out
+
+
+@lru_cache(maxsize=None)
+def _im2col_index(k: int, height: int, width: int) -> np.ndarray:
+    """(k*k, H*W) flat offsets into a padded (H+k-1, W+k-1) plane: row
+    di*k+dj, column i*W+j holds the position of pixel (i+di, j+dj)."""
+    padded_width = width + k - 1
+    offsets = np.arange(k)[:, None] * padded_width + np.arange(k)[None, :]
+    pixels = np.arange(height)[:, None] * padded_width + np.arange(width)[None, :]
+    index = offsets.reshape(-1, 1) + pixels.reshape(1, -1)
+    index.setflags(write=False)
+    return index
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:

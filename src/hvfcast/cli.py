@@ -25,6 +25,7 @@ from .domain import (
     DomainError,
     EYE_FROM_WIRE,
     EYE_TO_WIRE,
+    find_record,
     load_dataset,
     mask_cells,
     parse_record,
@@ -270,7 +271,7 @@ def _cmd_train(args) -> int:
         spec = spec_from_name(arch, widths=cfg.widths, fc_hidden=cfg.fc_hidden)
         init_snapshots = None
         if args.chain_init == "features":
-            init_snapshots = _features_snapshots(runs_dir, combo_name, len(plan.folds))
+            init_snapshots = _features_snapshots(runs_dir, combo.name, len(plan.folds))
         result = train_interval_chain(
             spec, combo, train_binned, plan, cfg, runs_dir, args.workers, init_snapshots
         )
@@ -291,16 +292,25 @@ def _cmd_train(args) -> int:
 
 
 def _features_snapshots(runs_dir: Path, combo_name: str, n_folds: int) -> dict[int, dict]:
-    snaps = {}
-    for fold in range(n_folds):
-        ckpt = runs_dir / PHASE_FEATURES / combo_name / f"fold-{fold}"
-        if ckpt.is_dir():
-            snaps[fold] = load_weights(ckpt).snapshot()
-    if not snaps:
+    """Fold -> weights of `combo_name`'s checkpoints from a complete features
+    phase: its `phase_result.json` must hold a result for every fold."""
+    result_path = runs_dir / PHASE_FEATURES / "phase_result.json"
+    if not result_path.is_file():
         raise TrainerError(
-            f"--chain-init features: no checkpoints under {runs_dir / PHASE_FEATURES / combo_name}"
+            f"--chain-init features: {result_path} not found; run `train --phase features` "
+            "to completion first"
         )
-    return snaps
+    row = json.loads(result_path.read_text()).get("matrix", {}).get(combo_name)
+    if row is None:
+        raise TrainerError(f"--chain-init features: combo {combo_name!r} is not in {result_path}")
+    missing = [fold for fold in range(n_folds) if fold >= len(row) or row[fold] is None]
+    if missing:
+        raise TrainerError(
+            f"--chain-init features: combo {combo_name!r} has no result for folds {missing} "
+            f"in {result_path}"
+        )
+    ckpt_dir = runs_dir / PHASE_FEATURES / combo_name
+    return {fold: load_weights(ckpt_dir / f"fold-{fold}").snapshot() for fold in range(n_folds)}
 
 
 def _cmd_evaluate(args) -> int:
@@ -367,18 +377,13 @@ def _cmd_predict(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        fields = load_dataset(args.data)
         eye = EYE_FROM_WIRE.get(args.eye, args.eye)
-        match = [
-            f for f in fields
-            if f.patient_id == args.patient and f.eye == eye and f.test_index == args.test_index
-        ]
-        if not match:
+        field = find_record(args.data, args.patient, eye, args.test_index)
+        if field is None:
             raise DomainError(
                 f"no record for patient {args.patient!r}, eye {args.eye!r}, "
                 f"test_index {args.test_index}"
             )
-        field = match[0]
 
     runs_dir = Path(args.runs)
     combo_name = args.combo or _phase_winner(runs_dir, PHASE_FEATURES, "combo")

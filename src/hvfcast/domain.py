@@ -14,6 +14,7 @@ blind-spot column mirrors (column 7 for right eyes, column 1 for left).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
@@ -285,17 +286,20 @@ def serialize_record(f: VisualField) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def load_dataset(path) -> list[VisualField]:
-    """Read a JSON-lines dataset file. Raises RecordError with line context.
+def _read_records(path, needle: str | None = None) -> Iterator[VisualField]:
+    """Parse the records of a JSON-lines dataset file, in file order.
 
-    Each (patient_id, eye, test_index) key may appear on one line only.
+    With `needle`, a line that contains neither the needle nor a backslash
+    is skipped unparsed: without an escape a JSON string holds its text
+    verbatim, so such a line cannot carry a string equal to the needle.
+    Raises RecordError with line context for a bad parsed line, and for a
+    (patient_id, eye, test_index) key on a second parsed line.
     """
-    fields = []
     first_line: dict[tuple[str, str, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
+            if not line or (needle is not None and needle not in line and "\\" not in line):
                 continue
             try:
                 field = parse_record(line)
@@ -309,8 +313,27 @@ def load_dataset(path) -> list[VisualField]:
                     f"(first at line {first_line[key]})"
                 )
             first_line[key] = lineno
-            fields.append(field)
-    return fields
+            yield field
+
+
+def load_dataset(path) -> list[VisualField]:
+    """Read a JSON-lines dataset file. Raises RecordError with line context.
+
+    Each (patient_id, eye, test_index) key may appear on one line only.
+    """
+    return list(_read_records(path))
+
+
+def find_record(path, patient_id: str, eye: str, test_index: int) -> VisualField | None:
+    """The dataset record with this key, or None, parsing only the lines
+    that may hold `patient_id`; those are validated as `load_dataset` does,
+    so a malformed or duplicate line for this patient still raises."""
+    key = (patient_id, eye, test_index)
+    match = None
+    for field in _read_records(path, needle=patient_id):
+        if (field.patient_id, field.eye, field.test_index) == key:
+            match = field
+    return match
 
 
 def save_dataset(fields, path) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -242,9 +243,14 @@ def evaluate_testset(
     full dataset is supplied, the least-squares/exponential baselines use
     each pair's input-side history (tests up to the input date), so they
     never see information the model could not.
+
+    `normative(age_years, eye)` must be pure: each surface is computed once
+    per call.  A field paired with several others repeats its key; about
+    two thirds of the calls on a five-tests-per-eye cohort do.
     """
     mask = valid_mask_array()
     cells = mask_cells()
+    normative = lru_cache(maxsize=None)(normative)
 
     history_index: dict[tuple[str, str], list[VisualField]] = {}
     if fields is not None:

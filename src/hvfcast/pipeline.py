@@ -25,7 +25,6 @@ from .domain import (
     LEFT,
     RIGHT,
     VisualField,
-    valid_mask_array,
 )
 
 BIN_CENTERS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5)
@@ -223,9 +222,9 @@ def encode_input(f: VisualField, combo: FeatureCombo) -> np.ndarray:
     return np.stack(faces)
 
 
-def encode_target(f: VisualField) -> tuple[np.ndarray, np.ndarray]:
-    """((1, 8, 9) dB grid, (8, 9) boolean mask of the 54 valid cells)."""
-    return f.to_grid()[None, :, :], np.array(valid_mask_array())
+def encode_target(f: VisualField) -> np.ndarray:
+    """(1, 8, 9) dB grid; unmeasured cells are 0.0."""
+    return f.to_grid()[None, :, :]
 
 
 def encode_pairs(pairs: list[FieldPair], combo: FeatureCombo) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +236,7 @@ def encode_pairs(pairs: list[FieldPair], combo: FeatureCombo) -> tuple[np.ndarra
             np.zeros((0, 1, GRID_ROWS, GRID_COLS)),
         )
     xs = np.stack([encode_input(p.input, combo) for p in pairs])
-    ys = np.stack([encode_target(p.target)[0] for p in pairs])
+    ys = np.stack([encode_target(p.target) for p in pairs])
     return xs, ys
 
 

@@ -398,6 +398,10 @@ def _run_selection_phase(
                 )
             )
 
+    # The jobs overwrite checkpoints in place; a result from an earlier run
+    # into the same directory must not outlive them.
+    phase_dir = Path(runs_dir) / phase
+    (phase_dir / "phase_result.json").unlink(missing_ok=True)
     results = _run_jobs(jobs, _run_phase_job, workers)
     matrix = {name: [None] * n_folds for name, _, _ in candidates}
     errors: dict[str, list[str]] = {}
@@ -423,7 +427,6 @@ def _run_selection_phase(
         winner=winner,
         errors=errors,
     )
-    phase_dir = Path(runs_dir) / phase
     phase_dir.mkdir(parents=True, exist_ok=True)
     config = cfg.to_json_dict() | {"phase": phase}
     write_json(phase_dir / "phase_result.json", result.to_json_dict() | {"config": config} | extra)

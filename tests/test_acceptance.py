@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hvfcast import cli, evaluation, pipeline, synthsim, trainer
+from hvfcast import cli, pipeline, synthsim
 from hvfcast.autodiff import AdamState, ParamSet, Tensor, adam_step, grad_check, masked_mae
 from hvfcast.domain import (
     VisualField,

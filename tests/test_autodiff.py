@@ -4,7 +4,6 @@ central finite differences, Adam against its closed form."""
 import numpy as np
 import pytest
 
-from hvfcast import autodiff as ad
 from hvfcast.autodiff import (
     AdamState,
     BatchNormState,
@@ -474,3 +473,10 @@ class TestTensor:
 
     def test_float64_enforced(self):
         assert Tensor(np.zeros(3, dtype=np.float32)).data.dtype == np.float64
+
+    def test_grad_allocated_on_first_read(self):
+        t = Tensor(np.ones((2, 3)))
+        t.zero_grad()
+        assert t._grad is None
+        np.testing.assert_array_equal(t.grad, np.zeros((2, 3)))
+        assert t.grad is t._grad

@@ -43,6 +43,23 @@ def trained(workdir):
     return workdir
 
 
+@pytest.fixture(scope="module")
+def features_run(workdir):
+    """A complete one-epoch features phase (FullyConnected, 16 combos x 10 folds)."""
+    runs = workdir / "runs-features"
+    code = run_cli(
+        "train", "--phase", "features",
+        "--data", str(workdir / "d.jsonl"),
+        "--pairs", str(workdir / "pairs.jsonl"),
+        "--split", str(workdir / "split.json"),
+        "--out", str(runs),
+        "--arch", "FullyConnected",
+        "--epochs", "1", "--widths", "2,3,4", "--fc-hidden", "8", "--seed", "3", "--workers", "2",
+    )
+    assert code == 0
+    return runs
+
+
 class TestBasics:
     def test_console_script_version(self):
         """Also a guard on the package `__init__`: importing a submodule there
@@ -225,6 +242,79 @@ class TestTrainAndEvaluate:
             assert (out_dir / name).is_file()
 
 
+class TestChainInitFeatures:
+    def _features_copy(self, features_run, tmp_path):
+        runs = tmp_path / "runs"
+        shutil.copytree(features_run / "features", runs / "features")
+        return runs
+
+    def _chain(self, workdir, runs, combo="age"):
+        return run_cli(
+            "train", "--phase", "intervals",
+            "--data", str(workdir / "d.jsonl"),
+            "--pairs", str(workdir / "pairs.jsonl"),
+            "--split", str(workdir / "split.json"),
+            "--out", str(runs),
+            "--arch", "FullyConnected", "--combo", combo, "--chain-init", "features",
+            "--epochs", "1", "--widths", "2,3,4", "--fc-hidden", "8", "--seed", "3",
+        )
+
+    @pytest.mark.parametrize("combo", ["age", "eye+age"])
+    def test_complete_features_run_seeds_every_fold(self, workdir, features_run, tmp_path, combo):
+        """Any spelling of a combo finds its canonically named features result."""
+        runs = self._features_copy(features_run, tmp_path)
+        assert self._chain(workdir, runs, combo) == 0
+        entries = json.loads((runs / "intervals" / "chain_result.json").read_text())["entries"]
+        first_bin = [e for e in entries if e["bin"] == 1.0]
+        assert len(first_bin) == 10
+        assert all(e["transferred_from"] == "seed" and not e["gap"] for e in first_bin)
+
+    def test_features_tree_without_phase_result_exits_2(self, workdir, features_run, tmp_path, capsys):
+        """Fold checkpoints with no phase_result.json: what a features run
+        that exited 3 leaves behind."""
+        runs = self._features_copy(features_run, tmp_path)
+        (runs / "features" / "phase_result.json").unlink()
+        assert self._chain(workdir, runs) == 2
+        assert "phase_result.json not found" in capsys.readouterr().err
+        assert not (runs / "intervals").exists()
+
+    def test_failed_rerun_into_complete_tree_exits_2(self, workdir, features_run, tmp_path, capsys):
+        """A features run that exits 3 over a complete tree leaves the old
+        checkpoints beside no result, so the chain cannot mix two runs."""
+        runs = self._features_copy(features_run, tmp_path)
+        code = run_cli(
+            "train", "--phase", "features",
+            "--data", str(workdir / "d.jsonl"),
+            "--pairs", str(workdir / "pairs.jsonl"),
+            "--split", str(workdir / "split.json"),
+            "--out", str(runs),
+            "--arch", "FullyConnected", "--lr", "1e300",
+            "--epochs", "1", "--widths", "2,3,4", "--fc-hidden", "8", "--seed", "3", "--workers", "2",
+        )
+        assert code == 3
+        assert not (runs / "features" / "phase_result.json").exists()
+        assert self._chain(workdir, runs) == 2
+        assert "phase_result.json not found" in capsys.readouterr().err
+
+    def test_combo_missing_folds_exits_2_naming_them(self, workdir, features_run, tmp_path, capsys):
+        runs = self._features_copy(features_run, tmp_path)
+        result_path = runs / "features" / "phase_result.json"
+        result = json.loads(result_path.read_text())
+        result["matrix"]["age"][2] = result["matrix"]["age"][7] = None
+        result_path.write_text(json.dumps(result))
+        assert self._chain(workdir, runs) == 2
+        assert "combo 'age' has no result for folds [2, 7]" in capsys.readouterr().err
+
+    def test_combo_not_in_features_result_exits_2(self, workdir, features_run, tmp_path, capsys):
+        runs = self._features_copy(features_run, tmp_path)
+        result_path = runs / "features" / "phase_result.json"
+        result = json.loads(result_path.read_text())
+        del result["matrix"]["age"]
+        result_path.write_text(json.dumps(result))
+        assert self._chain(workdir, runs) == 2
+        assert "combo 'age' is not in" in capsys.readouterr().err
+
+
 class TestPredict:
     def test_interval_out_of_range_exits_1(self, trained, capsys):
         code = run_cli(
@@ -278,10 +368,10 @@ class TestPredict:
         blob_path.write_bytes(bytes(blob))
         return runs
 
-    def _predict_bin_1(self, trained, field, runs, out):
+    def _predict_bin_1(self, trained, field, runs, out, data=None):
         return run_cli(
             "predict", "--interval", "1.0",
-            "--data", str(trained / "d.jsonl"),
+            "--data", str(data or trained / "d.jsonl"),
             "--patient", field.patient_id, "--eye", "OD" if field.eye == "right" else "OS",
             "--test-index", str(field.test_index),
             "--runs", str(runs), "--combo", "age",
@@ -310,3 +400,37 @@ class TestPredict:
             "--out", str(trained / "f.json"),
         )
         assert code == 2
+
+    def _data_with(self, trained, tmp_path, extra_line):
+        """The fixture dataset (its first line is the first cohort field) plus one line."""
+        lines = (trained / "d.jsonl").read_text().splitlines()
+        data = tmp_path / "extra.jsonl"
+        data.write_text("\n".join(lines + [extra_line]) + "\n")
+        return data, len(lines) + 1
+
+    def test_duplicate_of_served_record_exits_2_naming_both_lines(self, trained, small_cohort, tmp_path, capsys):
+        field = small_cohort[1][0]
+        first = (trained / "d.jsonl").read_text().splitlines()[0]
+        data, lineno = self._data_with(trained, tmp_path, first)
+        assert self._predict_bin_1(trained, field, trained / "runs", tmp_path / "a.json", data) == 2
+        err = capsys.readouterr().err
+        assert f"line {lineno}: duplicate record for patient {field.patient_id!r}" in err
+        assert "(first at line 1)" in err
+
+    def test_malformed_line_holding_the_id_exits_2_with_line(self, trained, small_cohort, tmp_path, capsys):
+        field = small_cohort[1][0]
+        data, lineno = self._data_with(trained, tmp_path, f'{{"patient_id": "{field.patient_id}", "eye": ')
+        assert self._predict_bin_1(trained, field, trained / "runs", tmp_path / "a.json", data) == 2
+        assert f"error: line {lineno}: malformed JSON" in capsys.readouterr().err
+
+    def test_other_patients_malformed_line_is_not_read(self, trained, small_cohort, tmp_path):
+        """Predict validates only the lines that may hold the served record;
+        `pairs`, `split`, `train` and `evaluate` still validate every line."""
+        field = small_cohort[1][0]
+        malformed = '{"patient_id": "OTHER", "eye": '
+        assert field.patient_id not in malformed
+        data, _ = self._data_with(trained, tmp_path, malformed)
+        assert self._predict_bin_1(trained, field, trained / "runs", tmp_path / "a.json", data) == 0
+        assert self._predict_bin_1(trained, field, trained / "runs", tmp_path / "b.json") == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert run_cli("pairs", "--data", str(data), "--out", str(tmp_path / "p.jsonl")) == 2

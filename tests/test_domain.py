@@ -2,6 +2,8 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +20,12 @@ from hvfcast.domain import (
     build_mask,
     cell_degrees,
     eccentricity,
+    find_record,
     load_dataset,
     mask_cells,
     mean_deviation,
     parse_record,
+    save_dataset,
     serialize_record,
     validate_field,
 )
@@ -326,3 +330,45 @@ class TestCodec:
         f = make_field(values=values)
         parsed = parse_record(serialize_record(f))
         assert parsed.values_row_major() == [values[c] for c in mask_cells()]
+
+
+def _escaped(patient_id: str) -> str:
+    """The id as a JSON string with every character a \\u escape."""
+    return '"' + "".join(f"\\u{ord(ch):04x}" for ch in patient_id) + '"'
+
+
+class TestFindRecordProperty:
+    """`find_record` skips lines that cannot hold the id; it must still find
+    what a full `load_dataset` scan finds, for ids that are prefixes of one
+    another, ids that JSON escapes, and ids written as \\u escapes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ids=st.lists(st.text(alphabet="P10\u00e9\"\\", min_size=1, max_size=4), max_size=3).map(
+            lambda extra: list(dict.fromkeys(["P1", "P10", *extra]))
+        ),
+        keys=st.lists(
+            st.tuples(st.integers(0, 4), st.sampled_from([RIGHT, LEFT]), st.integers(1, 3), st.booleans()),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_matches_full_scan(self, ids, keys):
+        rng = np.random.default_rng(19)
+        # one line per (id, eye, test_index); the flag spells that line's id in escapes
+        keys = list({(ids[i % len(ids)], eye, n): esc for i, eye, n, esc in keys}.items())
+        fields = [make_field(rng, patient_id=pid, eye=eye, test_index=n) for (pid, eye, n), _ in keys]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            save_dataset(fields, path)
+            lines = path.read_text(encoding="utf-8").splitlines()
+            for i, ((pid, _, _), esc) in enumerate(keys):
+                if esc:
+                    lines[i] = lines[i].replace(json.dumps(pid), _escaped(pid), 1)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            every = load_dataset(path)
+            assert every == fields
+            for pid in ids + ["Q9"]:
+                for eye in (RIGHT, LEFT):
+                    for n in (1, 2, 3):
+                        want = [f for f in every if (f.patient_id, f.eye, f.test_index) == (pid, eye, n)]
+                        assert find_record(path, pid, eye, n) == (want[0] if want else None)

@@ -21,7 +21,6 @@ from hvfcast.evaluation import (
 )
 from hvfcast.models import ModelSpec, build_model
 from hvfcast.pipeline import FeatureCombo, FieldPair, bin_pairs, make_pairs, years_between
-from hvfcast.synthsim import normative_surface
 
 from conftest import make_field, make_series
 

@@ -9,7 +9,6 @@ from hvfcast import models
 from hvfcast.autodiff import Tensor, concat_channels, masked_mae
 from hvfcast.domain import valid_mask_array
 from hvfcast.models import (
-    Model,
     ModelError,
     ModelSpec,
     WeightsError,
@@ -252,6 +251,14 @@ class TestSerialization:
         np.testing.assert_array_equal(
             m.forward(x, mode="infer").data, m2.forward(x, mode="infer").data
         )
+
+    @pytest.mark.parametrize("spec", ALL_TINY, ids=lambda s: s.name)
+    def test_load_and_infer_allocate_no_grads(self, spec, tmp_path):
+        save_weights(build_model(spec), tmp_path / "ck")
+        m = load_weights(tmp_path / "ck")
+        out = m.forward(np.zeros((2, 1, 8, 9)), "infer")
+        assert [name for name, p in m.params.items() if p._grad is not None] == []
+        assert out._grad is None
 
     def test_missing_entry_rejected(self, tmp_path):
         m = self._trained_tiny()

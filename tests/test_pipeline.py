@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hvfcast.autodiff import Tensor, masked_mae
-from hvfcast.domain import LEFT, RIGHT, mask_cells
+from hvfcast.domain import LEFT, RIGHT, mask_cells, valid_mask_array
 from hvfcast.pipeline import (
     BIN_CENTERS,
     FeatureCombo,
@@ -22,7 +22,6 @@ from hvfcast.pipeline import (
     read_pairs,
     split_patients,
     write_pairs,
-    years_between,
 )
 
 from conftest import make_field, make_series
@@ -237,7 +236,8 @@ class TestEncoding:
 
     def test_target_mask_is_54_cells(self):
         f = make_field(np.random.default_rng(13))
-        y, mask = encode_target(f)
+        y = encode_target(f)
+        mask = valid_mask_array()
         assert y.shape == (1, 8, 9)
         assert int(mask.sum()) == 54
         assert np.all(y[0][~mask] == 0.0)
