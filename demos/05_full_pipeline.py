@@ -32,7 +32,7 @@ print("=== simulate and pair ===")
 cfg = synthsim.CohortConfig(patients=36, tests_per_eye=(3, 6), followup_years=(1.5, 5.4), seed=424242)
 fields, _ = synthsim.generate_cohort(cfg)
 binned, excluded = pipeline.bin_pairs(pipeline.make_pairs(fields))
-plan = pipeline.split_patients(fields, seed=17)
+plan = pipeline.split_patients({f.patient_id for f in fields}, seed=17)
 print(f"{len(fields)} fields -> {sum(len(v) for v in binned.values())} binned pairs "
       f"({len(excluded)} excluded); {len(plan.test_patients)} held-out patients")
 
@@ -67,7 +67,8 @@ linked = sum(
 print(f"  {linked} models initialized from the previous bin's frozen weights")
 
 print("\n=== evaluate the held-out patients with fold ensembles ===")
-models_by_bin = trainer.load_interval_models(runs)
+# the chain's combo comes back with its models, so they are fed what they were trained on
+combo, models_by_bin = trainer.load_interval_models(runs)
 report = evaluation.evaluate_testset(models_by_bin, test_binned, combo, fields=fields, n_bootstrap=200)
 print(f"  {report.n_pairs} pairs evaluated, {report.n_skipped} skipped")
 print(f"  MAE  {report.overall['mae']:6.2f} dB  (95% CI {report.overall['mae_ci'][0]:.2f}-{report.overall['mae_ci'][1]:.2f})")

@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,12 +32,7 @@ from .domain import (
     parse_record,
     save_dataset,
 )
-from .evaluation import (
-    EvaluationError,
-    ensemble_predict,
-    evaluate_testset,
-    report_csv_rows,
-)
+from .evaluation import EvaluationError, ensemble_predict, evaluate_testset
 from .models import (
     ModelError,
     canonical_specs,
@@ -128,11 +124,6 @@ def _write_run_manifest(target, command: str, config: dict, inputs, outputs, sta
     write_json(path, manifest)
 
 
-def _write_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
-
-
 def _parse_widths(text: str) -> tuple[int, int, int]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3 or not all(p.isdigit() for p in parts):
@@ -203,7 +194,7 @@ def _cmd_split(args) -> int:
     started = _utc_now()
     seed = _resolve_seed(args.seed)
     fields = load_dataset(args.data)
-    plan = split_patients(fields, ratio=args.ratio, seed=seed)
+    plan = split_patients({f.patient_id for f in fields}, ratio=args.ratio, seed=seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, plan.to_json_dict())
@@ -215,8 +206,20 @@ def _cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _load_plan(path) -> SplitPlan:
-    return SplitPlan.from_json_dict(json.loads(Path(path).read_text()))
+def _load_plan(path, fields) -> SplitPlan:
+    """The split plan at `path`, which must plan each patient once and only
+    patients of the loaded dataset `fields`."""
+    plan = SplitPlan.from_json_dict(json.loads(Path(path).read_text()))
+    planned = Counter([*plan.train_patients(), *plan.test_patients])
+    repeated = sorted(pid for pid, n in planned.items() if n > 1)
+    if repeated:
+        raise PipelineError(
+            f"{path}: patients planned more than once (folds and test set must be disjoint): {repeated}"
+        )
+    absent = sorted(planned.keys() - {f.patient_id for f in fields})
+    if absent:
+        raise PipelineError(f"{path}: planned patients absent from the dataset: {absent}")
+    return plan
 
 
 def _phase_winner(runs_dir: Path, phase: str, flag: str) -> str:
@@ -248,7 +251,7 @@ def _cmd_train(args) -> int:
     cfg = _train_config(args, seed)
     fields = load_dataset(args.data)
     binned = read_pairs(args.pairs, fields)
-    plan = _load_plan(args.split)
+    plan = _load_plan(args.split, fields)
     runs_dir = Path(args.out)
     runs_dir.mkdir(parents=True, exist_ok=True)
     train_binned = pairs_for_patients(binned, plan.train_patients())
@@ -313,21 +316,29 @@ def _features_snapshots(runs_dir: Path, combo_name: str, n_folds: int) -> dict[i
     return {fold: load_weights(ckpt_dir / f"fold-{fold}").snapshot() for fold in range(n_folds)}
 
 
+def _served_models(args, bins=BIN_CENTERS):
+    """The combo and fold models per bin that the chain under `--runs`
+    recorded; `--combo`, when given, must name the same combo."""
+    combo, models_by_bin = load_interval_models(args.runs, bins)
+    if args.combo is not None and FeatureCombo.parse(args.combo) != combo:
+        raise TrainerError(
+            f"--combo {args.combo!r} is not {combo.name!r}, the combo the chain under {args.runs} was trained on"
+        )
+    return combo, models_by_bin
+
+
 def _cmd_evaluate(args) -> int:
     started = _utc_now()
     fields = load_dataset(args.data)
     binned = read_pairs(args.pairs, fields)
-    plan = _load_plan(args.split)
-    runs_dir = Path(args.runs)
-    combo_name = args.combo or _phase_winner(runs_dir, PHASE_FEATURES, "combo")
-    combo = FeatureCombo.parse(combo_name)
+    plan = _load_plan(args.split, fields)
 
     test_binned = pairs_for_patients(binned, plan.test_patients)
     if not any(test_binned.values()):
         raise EvaluationError("no binned pairs for the held-out test patients")
-    models_by_bin = load_interval_models(runs_dir)
+    combo, models_by_bin = _served_models(args)
     if not models_by_bin:
-        raise EvaluationError(f"no interval checkpoints under {runs_dir / PHASE_INTERVALS}")
+        raise EvaluationError(f"no interval checkpoints listed under {Path(args.runs) / PHASE_INTERVALS}")
 
     report = evaluate_testset(
         models_by_bin,
@@ -340,13 +351,11 @@ def _cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, report.to_json_dict())
-    csv_path = out.with_suffix(".csv")
-    _write_csv(csv_path, report_csv_rows(report))
     _write_run_manifest(
         out, "evaluate",
-        {"combo": combo_name, "bootstrap_seed": _resolve_seed(args.bootstrap_seed),
+        {"combo": combo.name, "bootstrap_seed": _resolve_seed(args.bootstrap_seed),
          "bootstrap_n": args.bootstrap_n},
-        [args.data, args.pairs, args.split, args.runs], [out, csv_path], started,
+        [args.data, args.pairs, args.split, args.runs], [out], started,
     )
     print(
         f"evaluated {report.n_pairs} pairs ({report.n_skipped} skipped): "
@@ -385,10 +394,8 @@ def _cmd_predict(args) -> int:
                 f"test_index {args.test_index}"
             )
 
-    runs_dir = Path(args.runs)
-    combo_name = args.combo or _phase_winner(runs_dir, PHASE_FEATURES, "combo")
-    combo = FeatureCombo.parse(combo_name)
-    models = load_interval_models(runs_dir, bins=[center]).get(center, [])
+    combo, models_by_bin = _served_models(args, bins=[center])
+    models = models_by_bin.get(center, [])
     if not models:
         raise EvaluationError(f"no trained models for bin {center}")
 
@@ -398,7 +405,7 @@ def _cmd_predict(args) -> int:
         "interval_years": args.interval,
         "bin": center,
         "n_models": forecast.n_models,
-        "combo": combo_name,
+        "combo": combo.name,
         "input": {
             "patient_id": field.patient_id,
             "eye": EYE_TO_WIRE[field.eye],
@@ -410,7 +417,7 @@ def _cmd_predict(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, payload)
     _write_run_manifest(
-        out, "predict", {"interval": args.interval, "combo": combo_name},
+        out, "predict", {"interval": args.interval, "combo": combo.name},
         [args.field or args.data, args.runs], [out], started,
     )
     print(f"forecast at +{args.interval} y (bin {center}, {forecast.n_models} models) -> {out}")
@@ -434,7 +441,8 @@ def _cmd_report(args) -> int:
     paths = []
     for name, header, records in tables:
         paths.append(out_dir / name)
-        _write_csv(paths[-1], [header] + [[r[k] for k in header] for r in records])
+        with open(paths[-1], "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + [[r[k] for k in header] for r in records])
 
     _write_run_manifest(
         out_dir, "report", {"report": str(args.report)}, [args.report], paths, started,
@@ -527,21 +535,23 @@ def build_parser() -> _Parser:
                    help="how the chain's first bin is initialized")
     p.set_defaults(func=_cmd_train)
 
+    served_combo = "optional check: the combo chain_result.json records (exit 2 if it differs)"
     p = sub.add_parser(
         "evaluate",
         help="fold-ensemble evaluation on the held-out test set",
         epilog="writes report.json (overall MAE/RMSE with bootstrap CIs, MD scatter stats, "
-               "Bland-Altman, per-bin MAE, baseline rows, row data) and a CSV with a "
-               "`table` column holding the md_scatter / bland_altman / bin_mae surfaces",
+               "Bland-Altman, per-bin MAE, baseline rows, row data); `hvfcast report` splits "
+               "it into plot-ready CSVs. Serves the combo and checkpoints that "
+               "intervals/chain_result.json records",
     )
     p.add_argument("--data", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--runs", required=True)
-    p.add_argument("--combo", default=None)
+    p.add_argument("--combo", default=None, help=served_combo)
     p.add_argument("--bootstrap-seed", type=int, default=None)
     p.add_argument("--bootstrap-n", type=int, default=1000)
-    p.add_argument("--out", required=True, help="report JSON path (CSV written beside)")
+    p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("predict", help="forecast one field at a horizon")
@@ -552,7 +562,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test-index", type=int, default=None)
     p.add_argument("--interval", type=float, required=True, help="forecast horizon in years")
     p.add_argument("--runs", required=True)
-    p.add_argument("--combo", default=None)
+    p.add_argument("--combo", default=None, help=served_combo)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 

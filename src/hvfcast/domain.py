@@ -148,9 +148,6 @@ class VisualField:
             grid[cell] = v
         return grid
 
-    def values_row_major(self) -> list[float]:
-        return [self.values[c] for c in mask_cells()]
-
 
 @dataclass
 class NormativeSurface:

@@ -195,7 +195,7 @@ def baseline_forecast(method: str, history: list[VisualField], horizon_years: fl
 
 @dataclass
 class MetricsReport:
-    """Everything the evaluation emits, JSON- and CSV-serializable."""
+    """Everything the evaluation emits, JSON-serializable."""
 
     n_pairs: int
     n_skipped: int
@@ -411,28 +411,3 @@ def _accumulate_baselines(acc, pair: FieldPair, history_index, cells, mask) -> N
         for method in ("pointwise_ols", "pointwise_exp"):
             score(baseline_forecast(method, history, horizon), method)
 
-
-# ---------------------------------------------------------------------------
-# CSV emission (the plot-ready Fig-2-style surfaces)
-
-
-def report_csv_rows(report: MetricsReport) -> list[tuple]:
-    """One flat table with a `table` discriminator column.
-
-    Column meaning per table: md_scatter -> (predicted MD, actual MD,
-    input MD); bland_altman -> (mean MD, difference, -); bin_mae ->
-    (MAE, CI low, CI high).
-    """
-    rows: list[tuple] = [("table", "bin", "x", "y", "z")]
-    for row in report.rows.get("md_scatter", []):
-        rows.append(
-            ("md_scatter", row["bin"], row["predicted_md"], row["actual_md"], row["input_md"])
-        )
-    for row in report.rows.get("bland_altman", []):
-        rows.append(("bland_altman", row["bin"], row["mean_md"], row["difference_md"], ""))
-    for entry in report.per_bin:
-        if entry["mae"] is not None:
-            rows.append(
-                ("bin_mae", entry["bin"], entry["mae"], entry["mae_ci"][0], entry["mae_ci"][1])
-            )
-    return rows

@@ -71,14 +71,12 @@ def make_pairs(fields: list[VisualField]) -> list[FieldPair]:
     return pairs
 
 
-def assign_bin(delta) -> float | None:
-    """Horizon bin center for a time gap, or None when excluded.
+def assign_bin(delta: float) -> float | None:
+    """Horizon bin center for a time gap in years, or None when excluded.
 
     Bin c covers [c - 0.25, c + 0.25) except the last bin, which closes at
     5.5; gaps below 0.75 or above 5.5 years belong to no bin.
     """
-    if isinstance(delta, FieldPair):
-        delta = delta.delta_years
     if delta < DELTA_MIN or delta > DELTA_MAX:
         return None
     if delta >= DELTA_MAX - BIN_HALF_WIDTH:
@@ -134,12 +132,10 @@ class SplitPlan:
         )
 
 
-def split_patients(fields, ratio: float = 0.8, seed: int = 0, n_folds: int = N_FOLDS) -> SplitPlan:
-    """Seeded patient-level split: ~80% train+validation (10 folds), rest test."""
-    if fields and isinstance(next(iter(fields)), VisualField):
-        patient_ids = sorted({f.patient_id for f in fields})
-    else:
-        patient_ids = sorted(set(fields))
+def split_patients(patient_ids, ratio: float = 0.8, seed: int = 0, n_folds: int = N_FOLDS) -> SplitPlan:
+    """Seeded patient-level split of distinct ids: ~80% train+validation
+    (10 folds), rest test."""
+    patient_ids = sorted(set(patient_ids))
     n = len(patient_ids)
     if n < MIN_PATIENTS:
         raise PipelineError(f"need at least {MIN_PATIENTS} patients, got {n}")
@@ -271,7 +267,12 @@ def write_pairs(path, binned: dict[float, list[FieldPair]]) -> int:
 
 
 def read_pairs(path, fields: list[VisualField]) -> dict[float, list[FieldPair]]:
-    """Resolve a pair file against its dataset; raises on dangling refs."""
+    """Resolve a pair file against its dataset.
+
+    Raises PipelineError with the line number on a dangling ref, on refs to
+    two patients or eyes, on an input test not strictly before its target,
+    and on a stored bin other than `assign_bin` of the pair's gap.
+    """
     index = {(f.patient_id, f.eye, f.test_index): f for f in fields}
     binned: dict[float, list[FieldPair]] = {c: [] for c in BIN_CENTERS}
     with open(path, "r", encoding="utf-8") as fh:
@@ -288,11 +289,19 @@ def read_pairs(path, fields: list[VisualField]) -> dict[float, list[FieldPair]]:
                     raise PipelineError(f"line {lineno}: {key} {ref} not in dataset")
                 pair_fields.append(index[k])
             a, b = pair_fields
-            if obj["bin"] not in binned:
-                raise PipelineError(f"line {lineno}: unknown bin {obj['bin']!r}")
-            binned[obj["bin"]].append(
-                FieldPair(input=a, target=b, delta_years=years_between(a.test_date, b.test_date))
-            )
+            if (a.patient_id, a.eye) != (b.patient_id, b.eye):
+                raise PipelineError(f"line {lineno}: input_ref and target_ref are different patients or eyes")
+            if not a.test_date < b.test_date:
+                raise PipelineError(
+                    f"line {lineno}: input test of {a.test_date} is not before target test of {b.test_date}"
+                )
+            delta = years_between(a.test_date, b.test_date)
+            center = assign_bin(delta)
+            if center is None or obj["bin"] != center:
+                raise PipelineError(
+                    f"line {lineno}: stored bin {obj['bin']!r} != {center!r}, the bin of its {delta:.6f}-year gap"
+                )
+            binned[center].append(FieldPair(input=a, target=b, delta_years=delta))
     return binned
 
 

@@ -15,6 +15,7 @@ run sequentially or on a process pool.
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -41,6 +42,7 @@ from .seeds import derive_seed
 PHASE_ARCH = "arch"
 PHASE_FEATURES = "features"
 PHASE_INTERVALS = "intervals"
+CHAIN_RESULT = "chain_result.json"
 
 DESK_WIDTHS = (8, 16, 24)
 PAPER_WIDTHS = (64, 128, 256)
@@ -473,8 +475,9 @@ def select_features(
 
 @dataclass
 class ChainResult:
-    """Outcome of the interval chain: one entry per (bin, fold)."""
+    """Outcome of the interval chain: its combo and one entry per (bin, fold)."""
 
+    combo: str
     entries: list[dict]
 
     @property
@@ -482,7 +485,7 @@ class ChainResult:
         return sum(1 for e in self.entries if not e["gap"])
 
     def to_json_dict(self) -> dict:
-        return {"n_checkpoints": self.n_checkpoints, "entries": self.entries}
+        return {"combo": self.combo, "n_checkpoints": self.n_checkpoints, "entries": self.entries}
 
 
 def train_interval_chain(
@@ -525,32 +528,35 @@ def train_interval_chain(
             )
         )
 
+    # `load_interval_models` serves what this file lists, so a result from
+    # an earlier run into the same directory must not outlive its jobs
+    result_path = Path(runs_dir) / PHASE_INTERVALS / CHAIN_RESULT
+    result_path.unlink(missing_ok=True)
     results = _run_jobs(jobs, _run_chain_job, workers)
     entries = [entry for res in results for entry in res["entries"]]
     entries.sort(key=lambda e: (e["bin"], e["fold"]))
-    result = ChainResult(entries=entries)
-    phase_dir = Path(runs_dir) / PHASE_INTERVALS
-    phase_dir.mkdir(parents=True, exist_ok=True)
-    write_json(phase_dir / "chain_result.json", result.to_json_dict())
+    result = ChainResult(combo=combo.name, entries=entries)
+    result_path.parent.mkdir(parents=True, exist_ok=True)
+    write_json(result_path, result.to_json_dict())
     return result
 
 
-def load_interval_models(runs_dir, bins=BIN_CENTERS) -> dict[float, list[Model]]:
-    """Frozen fold models per bin from a chain run's checkpoint tree.
+def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict[float, list[Model]]]:
+    """The combo and the frozen fold models per bin that a chain recorded.
 
-    Only the checkpoints of `bins` (default: every bin) are read.
+    Exactly the checkpoints of the non-gap entries of `bins` (default: every
+    bin) in `chain_result.json` are read, in its (bin, fold) order; no other
+    file under the runs dir counts.
     """
-    runs_dir = Path(runs_dir)
+    path = Path(runs_dir) / PHASE_INTERVALS / CHAIN_RESULT
+    if not path.is_file():
+        raise TrainerError(f"{path} not found; run `train --phase intervals` to completion first")
+    chain = json.loads(path.read_text())
+    if "combo" not in chain:
+        raise TrainerError(f"{path} records no combo; re-run `train --phase intervals`")
+    wanted = set(bins)
     out: dict[float, list[Model]] = {}
-    for center in bins:
-        bin_dir = runs_dir / PHASE_INTERVALS / bin_dir_name(center)
-        if not bin_dir.is_dir():
-            continue
-        fold_dirs = sorted(
-            (d for d in bin_dir.iterdir() if d.is_dir() and d.name.startswith("fold-")),
-            key=lambda d: int(d.name.split("-", 1)[1]),
-        )
-        models = [load_weights(d) for d in fold_dirs]
-        if models:
-            out[center] = models
-    return out
+    for e in chain["entries"]:
+        if e["bin"] in wanted and not e["gap"]:
+            out.setdefault(e["bin"], []).append(load_weights(Path(runs_dir) / e["checkpoint"]))
+    return FeatureCombo.parse(chain["combo"]), out

@@ -78,7 +78,7 @@ def progressive_cohort():
     )
     fields, meta = synthsim.generate_cohort(cfg)
     binned, _ = pipeline.bin_pairs(make_pairs(fields))
-    plan = split_patients(fields, seed=101)
+    plan = split_patients({f.patient_id for f in fields}, seed=101)
     return fields, meta, binned, plan
 
 
@@ -95,7 +95,7 @@ def bin1_ensemble_report(progressive_cohort, tmp_path_factory):
     cfg = TrainConfig(epochs=130, widths=(8, 16, 24), seed=33)
     train_interval_chain(spec, combo, only_bin1, plan, cfg, runs_dir=runs, workers=1)
     report = evaluate_testset(
-        load_interval_models(runs),
+        load_interval_models(runs)[1],
         {1.0: test_binned[1.0]},
         combo,
         fields=fields,
@@ -223,7 +223,7 @@ def test_criterion_pairing_binning_oracle():
     got = {}
     for pair in make_pairs(fields):
         key = (pair.input.patient_id, pair.input.eye, pair.input.test_index, pair.target.test_index)
-        got[key] = (pair.delta_years, assign_bin(pair))
+        got[key] = (pair.delta_years, assign_bin(pair.delta_years))
 
     expected = {}
     by_eye = {}

@@ -219,7 +219,7 @@ class TestTrainAndEvaluate:
         report = json.loads((trained / "report.json").read_text())
         assert report["overall"]["rmse"] >= report["overall"]["mae"]
         assert report["reference"]["overall_mae_db"] == 2.47
-        assert (trained / "report.csv").is_file()
+        assert not (trained / "report.csv").exists()
 
     def test_evaluate_without_test_pairs_exits_2(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty_pairs.jsonl"
@@ -240,6 +240,232 @@ class TestTrainAndEvaluate:
         assert run_cli("report", "--report", str(trained / "report.json"), "--out-dir", str(out_dir)) == 0
         for name in ("report_md_scatter.csv", "report_bland_altman.csv", "report_bin_mae.csv"):
             assert (out_dir / name).is_file()
+
+
+def _evaluate(workdir, runs, out, *extra, split=None):
+    return run_cli(
+        "evaluate",
+        "--data", str(workdir / "d.jsonl"),
+        "--pairs", str(workdir / "pairs.jsonl"),
+        "--split", str(split or workdir / "split.json"),
+        "--runs", str(runs), "--bootstrap-n", "20", "--out", str(out), *extra,
+    )
+
+
+def _predict(workdir, field, runs, out, interval="1.0", *extra):
+    return run_cli(
+        "predict", "--interval", interval,
+        "--data", str(workdir / "d.jsonl"),
+        "--patient", field.patient_id, "--eye", "OD" if field.eye == "right" else "OS",
+        "--test-index", str(field.test_index),
+        "--runs", str(runs), "--out", str(out), *extra,
+    )
+
+
+@pytest.fixture(scope="module")
+def diverged_rerun(trained, tmp_path_factory):
+    """The `trained` chain re-run with `--lr 1e300` into a copy of its tree:
+    the old checkpoints stay on disk wherever the new run gapped."""
+    import numpy as np
+
+    runs = tmp_path_factory.mktemp("rerun") / "runs"
+    shutil.copytree(trained / "runs", runs)
+    with np.errstate(all="ignore"):
+        code = run_cli(
+            "train", "--phase", "intervals",
+            "--data", str(trained / "d.jsonl"),
+            "--pairs", str(trained / "pairs.jsonl"),
+            "--split", str(trained / "split.json"),
+            "--out", str(runs),
+            "--arch", "Cascade-1", "--combo", "age", "--lr", "1e300",
+            "--epochs", "1", "--widths", "2,3,4", "--seed", "3", "--workers", "2",
+        )
+    assert code == 0
+    return runs
+
+
+class TestServeWhatTheChainRecorded:
+    """evaluate and predict take their combo and checkpoints from
+    `intervals/chain_result.json`; `--combo` only checks the combo."""
+
+    def test_rerun_serves_only_listed_checkpoints(self, trained, diverged_rerun, tmp_path):
+        from hvfcast.trainer import load_interval_models
+
+        chain = json.loads((diverged_rerun / "intervals" / "chain_result.json").read_text())
+        listed = {}
+        for e in chain["entries"]:
+            if not e["gap"]:
+                listed.setdefault(e["bin"], []).append(e["fold"])
+        on_disk = len(list((diverged_rerun / "intervals").glob("bin-*/fold-*/weights.bin")))
+        assert 0 < chain["n_checkpoints"] < on_disk
+        _, models = load_interval_models(diverged_rerun)
+        assert {c: len(m) for c, m in models.items()} == {c: len(f) for c, f in listed.items()}
+
+        assert _evaluate(trained, diverged_rerun, tmp_path / "r.json") == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        gapped = [e for e in report["per_bin"] if e["bin"] not in listed]
+        # the parent ensembled the stale checkpoints here and skipped nothing
+        assert report["n_skipped"] == sum(e["n_skipped"] for e in gapped) > 0
+        assert all(e["n_pairs"] == 0 for e in gapped)
+
+    def test_predict_into_fully_gapped_bin_exits_2(self, trained, diverged_rerun, small_cohort, tmp_path, capsys):
+        chain = json.loads((diverged_rerun / "intervals" / "chain_result.json").read_text())
+        gapped = sorted({e["bin"] for e in chain["entries"]} - {e["bin"] for e in chain["entries"] if not e["gap"]})
+        assert gapped and (diverged_rerun / "intervals" / f"bin-{gapped[0]:.1f}" / "fold-0").is_dir()
+        field = small_cohort[1][0]
+        assert _predict(trained, field, diverged_rerun, tmp_path / "f.json", str(gapped[0])) == 2
+        assert f"no trained models for bin {gapped[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_mismatched_combo_exits_2_naming_both(self, trained, small_cohort, tmp_path, capsys, command):
+        """`age` and `test_index` both encode two channels, so nothing else catches it."""
+        if command == "evaluate":
+            code = _evaluate(trained, trained / "runs", tmp_path / "r.json", "--combo", "test_index")
+        else:
+            code = _predict(trained, small_cohort[1][0], trained / "runs", tmp_path / "f.json", "1.0",
+                            "--combo", "test_index")
+        assert code == 2
+        assert "--combo 'test_index' is not 'age'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_combo_spelling_is_accepted(self, workdir, small_cohort, tmp_path):
+        runs = tmp_path / "runs"
+        assert run_cli(
+            "train", "--phase", "intervals",
+            "--data", str(workdir / "d.jsonl"),
+            "--pairs", str(workdir / "pairs.jsonl"),
+            "--split", str(workdir / "split.json"),
+            "--out", str(runs),
+            "--arch", "FullyConnected", "--combo", "age+eye",
+            "--epochs", "1", "--widths", "2,3,4", "--fc-hidden", "8", "--seed", "3",
+        ) == 0
+        assert json.loads((runs / "intervals" / "chain_result.json").read_text())["combo"] == "age+eye"
+        field = small_cohort[1][0]
+        assert _predict(workdir, field, runs, tmp_path / "a.json", "1.0", "--combo", "eye+age") == 0
+        assert _predict(workdir, field, runs, tmp_path / "b.json") == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert json.loads((tmp_path / "a.json").read_text())["combo"] == "age+eye"
+
+    def test_chain_combo_wins_over_features_winner(self, trained, small_cohort, tmp_path):
+        runs = tmp_path / "runs"
+        shutil.copytree(trained / "runs", runs)
+        (runs / "features").mkdir()
+        (runs / "features" / "phase_result.json").write_text(json.dumps({"winner": "test_index"}))
+        field = small_cohort[1][0]
+        assert _predict(trained, field, runs, tmp_path / "a.json") == 0
+        assert _predict(trained, field, trained / "runs", tmp_path / "b.json", "1.0", "--combo", "age") == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 0
+        manifest = json.loads((tmp_path / "r.json.run_manifest.json").read_text())
+        assert manifest["config"]["combo"] == "age"
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_missing_chain_result_exits_2(self, trained, small_cohort, tmp_path, capsys, command):
+        runs = tmp_path / "runs"
+        shutil.copytree(trained / "runs", runs)
+        (runs / "intervals" / "chain_result.json").unlink()
+        if command == "evaluate":
+            code = _evaluate(trained, runs, tmp_path / "r.json")
+        else:
+            code = _predict(trained, small_cohort[1][0], runs, tmp_path / "f.json")
+        assert code == 2
+        assert "chain_result.json not found" in capsys.readouterr().err
+
+    def test_old_chain_result_is_gone_while_jobs_run(self, trained, tmp_path, monkeypatch):
+        from hvfcast import trainer
+
+        runs = tmp_path / "runs"
+        shutil.copytree(trained / "runs", runs)
+        result_path = runs / "intervals" / "chain_result.json"
+        seen = []
+
+        def run_jobs(jobs, worker, workers):
+            seen.append(result_path.exists())
+            return original(jobs, worker, workers)
+
+        original = trainer._run_jobs
+        monkeypatch.setattr(trainer, "_run_jobs", run_jobs)
+        assert run_cli(
+            "train", "--phase", "intervals",
+            "--data", str(trained / "d.jsonl"),
+            "--pairs", str(trained / "pairs.jsonl"),
+            "--split", str(trained / "split.json"),
+            "--out", str(runs),
+            "--arch", "Cascade-1", "--combo", "age",
+            "--epochs", "0", "--widths", "2,3,4", "--seed", "3",
+        ) == 0
+        assert seen == [False]
+        assert result_path.is_file()
+
+
+class TestPlanContract:
+    """train and evaluate reject a split plan that plans a patient twice or
+    plans one the dataset does not hold."""
+
+    def _plan_copy(self, workdir, tmp_path, change):
+        plan = json.loads((workdir / "split.json").read_text())
+        change(plan)
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(plan))
+        return path
+
+    def _train(self, workdir, split, tmp_path):
+        return run_cli(
+            "train", "--phase", "intervals",
+            "--data", str(workdir / "d.jsonl"),
+            "--pairs", str(workdir / "pairs.jsonl"),
+            "--split", str(split),
+            "--out", str(tmp_path / "runs"),
+            "--arch", "FullyConnected", "--combo", "age",
+            "--epochs", "1", "--widths", "2,3,4", "--fc-hidden", "8", "--seed", "3",
+        )
+
+    def _evaluate(self, trained, split, tmp_path):
+        return _evaluate(trained, trained / "runs", tmp_path / "r.json", split=split)
+
+    @pytest.mark.parametrize("command", ["_train", "_evaluate"])
+    def test_test_patient_in_a_fold_exits_2(self, trained, tmp_path, capsys, command):
+        leaked = json.loads((trained / "split.json").read_text())["test_patients"][0]
+        split = self._plan_copy(trained, tmp_path, lambda plan: plan["folds"][3].append(leaked))
+        assert getattr(self, command)(trained, split, tmp_path) == 2
+        assert f"patients planned more than once (folds and test set must be disjoint): ['{leaked}']" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "r.json").exists()
+
+    def test_patient_in_two_folds_exits_2(self, trained, tmp_path, capsys):
+        split = self._plan_copy(trained, tmp_path, lambda plan: plan["folds"][0].append(plan["folds"][1][0]))
+        assert self._train(trained, split, tmp_path) == 2
+        assert "planned more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["_train", "_evaluate"])
+    def test_patient_absent_from_dataset_exits_2(self, trained, tmp_path, capsys, command):
+        split = self._plan_copy(trained, tmp_path, lambda plan: plan["test_patients"].append("GHOST"))
+        assert getattr(self, command)(trained, split, tmp_path) == 2
+        assert "planned patients absent from the dataset: ['GHOST']" in capsys.readouterr().err
+
+    def test_cross_patient_pair_line_exits_2(self, trained, tmp_path, capsys):
+        """The target is another patient's existing record, so only the
+        pairing check catches the line."""
+        from hvfcast.domain import EYE_TO_WIRE, load_dataset
+
+        lines = (trained / "pairs.jsonl").read_text().splitlines()
+        obj = json.loads(lines[0])
+        ref = obj["target_ref"]
+        ref["patient_id"] = next(
+            f.patient_id for f in load_dataset(trained / "d.jsonl")
+            if f.patient_id != ref["patient_id"] and (EYE_TO_WIRE[f.eye], f.test_index) == (ref["eye"], ref["test_index"])
+        )
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("\n".join([json.dumps(obj)] + lines[1:]) + "\n")
+        code = run_cli(
+            "train", "--phase", "intervals",
+            "--data", str(trained / "d.jsonl"), "--pairs", str(pairs),
+            "--split", str(trained / "split.json"), "--out", str(tmp_path / "runs"),
+            "--arch", "FullyConnected", "--combo", "age", "--epochs", "1",
+        )
+        assert code == 2
+        assert "line 1: input_ref and target_ref are different patients or eyes" in capsys.readouterr().err
 
 
 class TestChainInitFeatures:

@@ -17,7 +17,6 @@ from hvfcast.evaluation import (
     ensemble_predict,
     evaluate_testset,
     pearson_adj_r2,
-    report_csv_rows,
 )
 from hvfcast.models import ModelSpec, build_model
 from hvfcast.pipeline import FeatureCombo, FieldPair, bin_pairs, make_pairs, years_between
@@ -343,13 +342,6 @@ class TestEvaluateTestset:
         assert rows["copy"]["rmse"] >= rows["copy"]["mae"]
         # least-squares rows only use pairs whose input has >= 2 earlier tests
         assert rows["pointwise_ols"]["n_pairs"] <= 6
-
-    def test_csv_rows_cover_all_tables(self):
-        pairs = self._two_pair_fixture()
-        report = evaluate_testset({1.0: [constant_model(24.0)]}, {1.0: pairs}, FeatureCombo(), n_bootstrap=50)
-        rows = report_csv_rows(report)
-        tables = {r[0] for r in rows[1:]}
-        assert tables == {"md_scatter", "bland_altman", "bin_mae"}
 
     def test_no_models_anywhere_errors(self):
         pairs = self._two_pair_fixture()

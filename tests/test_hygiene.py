@@ -1,12 +1,17 @@
-"""Source hygiene without a lint tool: no file imports a name it never uses."""
+"""Source hygiene without a lint tool: no file imports a name it never uses,
+and the package defines no function, class or method that nothing names."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "hvfcast").rglob("*.py"))
+# the benchmark patches and calls package names, so it counts as a user
+USERS = SCANNED + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -39,3 +44,44 @@ def test_scanner_flags_unused_names():
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(source: str, corpus: str) -> list[tuple[int, str]]:
+    """(line, name) of every top-level function or class in `source`, and
+    every method of a top-level class, whose name occurs as a word only once
+    in `corpus` (which includes `source`): at its own definition.  Dunder
+    methods are exempt; Python calls them."""
+    tree = ast.parse(source)
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append(node)
+        if isinstance(node, ast.ClassDef):
+            defs += [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted(
+        (d.lineno, d.name) for d in defs
+        if not (d.name.startswith("__") and d.name.endswith("__"))
+        and len(re.findall(rf"\b{re.escape(d.name)}\b", corpus)) < 2
+    )
+
+
+def test_dead_scanner_flags_unnamed_definitions():
+    source = (
+        "def used():\n    pass\n"
+        "def unused():\n    pass\n"
+        "class Box:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def get(self):\n        return used()\n"
+        "    def lost(self):\n        pass\n"
+    )
+    assert dead_definitions(source, source + "Box().get()\n") == [(3, "unused"), (10, "lost")]
+
+
+def test_no_dead_definitions():
+    corpus = "\n".join(p.read_text(encoding="utf-8") for p in USERS)
+    dead = {
+        str(path.relative_to(ROOT)): found
+        for path in PACKAGE
+        if (found := dead_definitions(path.read_text(encoding="utf-8"), corpus))
+    }
+    assert dead == {}

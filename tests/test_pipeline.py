@@ -1,9 +1,15 @@
 """Pairing, binning, splitting, and encoding, each against a simple oracle."""
 
+import json
+import tempfile
+from datetime import date, timedelta
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvfcast.autodiff import Tensor, masked_mae
 from hvfcast.domain import LEFT, RIGHT, mask_cells, valid_mask_array
@@ -25,6 +31,28 @@ from hvfcast.pipeline import (
 )
 
 from conftest import make_field, make_series
+
+# Pair-file mutations, each of which breaks the data contract of one line.
+_OTHER_EYE = {"OD": "OS", "OS": "OD"}
+
+
+def _swap_refs(obj):
+    obj["input_ref"], obj["target_ref"] = obj["target_ref"], obj["input_ref"]
+
+
+def _other_bin(obj):
+    obj["bin"] = BIN_CENTERS[(BIN_CENTERS.index(obj["bin"]) + 1) % len(BIN_CENTERS)]
+
+
+def _other_patient(obj):
+    obj["target_ref"]["patient_id"] = "P2" if obj["target_ref"]["patient_id"] == "P1" else "P1"
+
+
+def _other_eye(obj):
+    obj["target_ref"]["eye"] = _OTHER_EYE[obj["target_ref"]["eye"]]
+
+
+MUTATIONS = (_swap_refs, _other_bin, _other_patient, _other_eye)
 
 
 def oracle_bin(delta: float):
@@ -145,7 +173,7 @@ class TestSplit:
 
     def test_fields_in_both_eyes_stay_together(self, small_cohort):
         _, fields, _ = small_cohort
-        plan = split_patients(fields, seed=3)
+        plan = split_patients({f.patient_id for f in fields}, seed=3)
         test = set(plan.test_patients)
         train = set(plan.train_patients())
         for f in fields:
@@ -285,3 +313,60 @@ class TestPairFiles:
         assert ys.shape == (5, 1, 8, 9)
         xs0, ys0 = encode_pairs([], FeatureCombo(age=True))
         assert xs0.shape == (0, 2, 8, 9)
+
+
+class TestPairFileProperty:
+    """Every line `write_pairs` emits reads back as the same pair, and a line
+    with one field mutated (refs swapped, another bin, the target in another
+    patient or eye) is rejected with its line number."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        days=st.dictionaries(
+            st.tuples(st.sampled_from(["P1", "P2"]), st.sampled_from([RIGHT, LEFT])),
+            st.sets(st.integers(0, 2200), max_size=5),
+        ),
+        pick=st.integers(0, 10**6),
+        mutate=st.sampled_from(MUTATIONS),
+    )
+    def test_round_trip_and_mutations(self, days, pick, mutate):
+        # P1's right eye always holds one 1.0-year pair
+        days[("P1", RIGHT)] = days.get(("P1", RIGHT), set()) | {0, 400}
+        rng = np.random.default_rng(5)
+        base = date(2012, 5, 14)
+        fields = [
+            make_field(rng, patient_id=pid, eye=eye, test_index=i,
+                       test_date=base + timedelta(days=d), age_years=60.0 + d / 365.25)
+            for (pid, eye), offsets in days.items()
+            for i, d in enumerate(sorted(offsets), start=1)
+        ]
+        binned, _ = bin_pairs(make_pairs(fields))
+
+        def keys(b):
+            return {c: [(p.input.patient_id, p.input.eye, p.input.test_index, p.target.test_index,
+                         p.delta_years) for p in b[c]] for c in BIN_CENTERS}
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pairs.jsonl"
+            write_pairs(path, binned)
+            assert keys(read_pairs(path, fields)) == keys(binned)
+            lines = path.read_text().splitlines()
+            i = pick % len(lines)
+            obj = json.loads(lines[i])
+            mutate(obj)
+            lines[i] = json.dumps(obj)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(PipelineError, match=f"^line {i + 1}: "):
+                read_pairs(path, fields)
+
+    def test_cross_patient_line_is_named(self, tmp_path):
+        """Two series with the same dates: only the patient differs."""
+        rng = np.random.default_rng(6)
+        fields = make_series(rng, "P1", RIGHT, [0.0, 1.0]) + make_series(rng, "P2", RIGHT, [0.0, 1.0])
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(path, bin_pairs(make_pairs(fields))[0])
+        obj = json.loads(path.read_text().splitlines()[0])
+        _other_patient(obj)
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(PipelineError, match="line 1: input_ref and target_ref are different patients"):
+            read_pairs(path, fields)

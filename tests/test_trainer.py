@@ -43,7 +43,7 @@ def tiny_data(n=24, seed=0, channels=1):
 def cohort_pairs(small_cohort):
     _, fields, _ = small_cohort
     binned, _ = bin_pairs(make_pairs(fields))
-    plan = split_patients(fields, seed=17)
+    plan = split_patients({f.patient_id for f in fields}, seed=17)
     return fields, binned, plan
 
 
@@ -248,7 +248,8 @@ class TestIntervalChain:
 
     def test_checkpoints_reload_for_evaluation(self, chain_run):
         runs, result, _, _ = chain_run
-        models_by_bin = load_interval_models(runs)
+        combo, models_by_bin = load_interval_models(runs)
+        assert combo == FeatureCombo(age=True)
         trained_bins = {e["bin"] for e in result.entries if not e["gap"]}
         assert set(models_by_bin) == trained_bins
         some_bin = sorted(trained_bins)[0]
@@ -258,9 +259,9 @@ class TestIntervalChain:
 
     def test_load_interval_models_reads_only_requested_bins(self, chain_run):
         runs, result, _, _ = chain_run
-        all_bins = load_interval_models(runs)
+        _, all_bins = load_interval_models(runs)
         some_bin = sorted(all_bins)[-1]
-        one_bin = load_interval_models(runs, bins=[some_bin])
+        _, one_bin = load_interval_models(runs, bins=[some_bin])
         assert list(one_bin) == [some_bin]
         assert [weights_hash(m) for m in one_bin[some_bin]] == [
             weights_hash(m) for m in all_bins[some_bin]
@@ -321,4 +322,5 @@ class TestIntervalChain:
         runs, result, _, _ = chain_run
         on_disk = json.loads((runs / "intervals" / "chain_result.json").read_text())
         assert on_disk["n_checkpoints"] == result.n_checkpoints
-        assert ChainResult(entries=on_disk["entries"]).n_checkpoints == result.n_checkpoints
+        assert on_disk["combo"] == result.combo == "age"
+        assert ChainResult(combo="age", entries=on_disk["entries"]).n_checkpoints == result.n_checkpoints
