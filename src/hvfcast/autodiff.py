@@ -10,10 +10,15 @@ that scatters the upstream gradient into its parents' accumulators.
 `Tensor.backward()` walks the graph in reverse topological order.  All
 arithmetic is 64-bit, and every reduction is a plain numpy reduction with
 a fixed evaluation order, so repeated runs are bit-identical.
+
+Inside `no_tape()` the same ops compute the same values but record no
+parents and no closure, so an inference graph is freed as soon as its last
+reference goes, not when the cyclic collector runs.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -69,23 +74,21 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.data.shape != other.data.shape:
             raise ShapeError(f"add: {self.data.shape} vs {other.data.shape}")
-        out = Tensor(self.data + other.data, parents=(self, other))
+        out = Tensor(self.data + other.data)
 
         def backward():
             self.grad += out.grad
             other.grad += out.grad
 
-        out._backward = backward
-        return out
+        return _taped(out, (self, other), backward)
 
     def reshape(self, *shape) -> "Tensor":
-        out = Tensor(self.data.reshape(*shape), parents=(self,))
+        out = Tensor(self.data.reshape(*shape))
 
         def backward():
             self.grad += out.grad.reshape(self.data.shape)
 
-        out._backward = backward
-        return out
+        return _taped(out, (self,), backward)
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable node's .grad."""
@@ -99,6 +102,37 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
+
+
+# Whether ops record their parents and backward closure; see `no_tape`.
+_taping = True
+
+
+@contextmanager
+def no_tape():
+    """Run ops without recording a graph; the previous setting is restored
+    on exit, also when the block raises.
+
+    Every taped op's closure references the op's own output, so a taped
+    graph is a reference cycle that lives until the cyclic collector runs.
+    Use it for forwards whose outputs are never backpropagated.
+    """
+    global _taping
+    saved = _taping
+    _taping = False
+    try:
+        yield
+    finally:
+        _taping = saved
+
+
+def _taped(out: Tensor, parents: tuple, backward) -> Tensor:
+    """`out` with its parents and backward closure recorded, unless the
+    tape is off."""
+    if _taping:
+        out._parents = parents
+        out._backward = backward
+    return out
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -125,13 +159,12 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0), parents=(x,))
+    out = Tensor(np.maximum(x.data, 0.0))
 
     def backward():
         x.grad += out.grad * (out.data > 0.0)
 
-    out._backward = backward
-    return out
+    return _taped(out, (x,), backward)
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -164,10 +197,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     )
     w2d = weights.data.reshape(c_out, c_in * kh * kw)
     out_flat = np.matmul(w2d, cols)  # (B, C_out, H*W)
-    out = Tensor(
-        out_flat.reshape(batch, c_out, height, width) + bias.data[None, :, None, None],
-        parents=(x, weights, bias),
-    )
+    out = Tensor(out_flat.reshape(batch, c_out, height, width) + bias.data[None, :, None, None])
 
     def backward():
         g2 = out.grad.reshape(batch, c_out, height * width)
@@ -182,8 +212,7 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
                 dxpad[:, :, di : di + height, dj : dj + width] += dcols[:, :, di, dj]
         x.grad += dxpad[:, :, pad : pad + height, pad : pad + width]
 
-    out._backward = backward
-    return out
+    return _taped(out, (x, weights, bias), backward)
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +235,7 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"dense dimension mismatch: input {x.data.shape} vs weights {weights.data.shape}"
         )
-    out = Tensor(x.data @ weights.data.T + bias.data, parents=(x, weights, bias))
+    out = Tensor(x.data @ weights.data.T + bias.data)
 
     def backward():
         g = out.grad
@@ -214,8 +243,7 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         bias.grad += g.sum(axis=0)
         x.grad += g @ weights.data
 
-    out._backward = backward
-    return out
+    return _taped(out, (x, weights, bias), backward)
 
 
 @dataclass
@@ -274,10 +302,7 @@ def batch_norm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
         inv = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = (x.data - state.running_mean[None, :, None, None]) * inv[None, :, None, None]
 
-    out = Tensor(
-        gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None],
-        parents=(x, gamma, beta),
-    )
+    out = Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
 
     def backward():
         g = out.grad
@@ -294,8 +319,7 @@ def batch_norm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
         else:
             x.grad += g_xhat * inv[None, :, None, None]
 
-    out._backward = backward
-    return out
+    return _taped(out, (x, gamma, beta), backward)
 
 
 def concat_channels(xs: list[Tensor]) -> Tensor:
@@ -309,7 +333,7 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
         s = t.data.shape
         if s[0] != ref[0] or s[2:] != ref[2:]:
             raise ShapeError(f"concat_channels spatial mismatch: {ref} vs {s}")
-    out = Tensor(np.concatenate([t.data for t in xs], axis=1), parents=tuple(xs))
+    out = Tensor(np.concatenate([t.data for t in xs], axis=1))
     sizes = [t.data.shape[1] for t in xs]
 
     def backward():
@@ -318,8 +342,7 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
             t.grad += out.grad[:, offset : offset + size]
             offset += size
 
-    out._backward = backward
-    return out
+    return _taped(out, tuple(xs), backward)
 
 
 def masked_mae(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -341,13 +364,12 @@ def masked_mae(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     denom = batch * n_mask
     diff = pred.data - target
     m = mask[None, None, :, :]
-    out = Tensor(np.abs(diff * m).sum() / denom, parents=(pred,))
+    out = Tensor(np.abs(diff * m).sum() / denom)
 
     def backward():
         pred.grad += out.grad * np.sign(diff) * m / denom
 
-    out._backward = backward
-    return out
+    return _taped(out, (pred,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .pipeline import (
 )
 from .synthsim import DEFAULT_MIX, CohortConfig, SimError, generate_cohort
 from .trainer import (
+    CHAIN_RESULT,
     DESK_EPOCHS,
     DESK_WIDTHS,
     PAPER_EPOCHS,
@@ -256,6 +257,7 @@ def _cmd_train(args) -> int:
     runs_dir.mkdir(parents=True, exist_ok=True)
     train_binned = pairs_for_patients(binned, plan.train_patients())
 
+    diverged = 0
     if args.phase == PHASE_ARCH:
         bin1 = train_binned[BIN_CENTERS[0]]
         candidates = canonical_specs(in_channels=1, widths=cfg.widths, fc_hidden=cfg.fc_hidden)
@@ -278,10 +280,11 @@ def _cmd_train(args) -> int:
         result = train_interval_chain(
             spec, combo, train_binned, plan, cfg, runs_dir, args.workers, init_snapshots
         )
-        gaps = [e for e in result.entries if e["gap"]]
+        diverged = sum(1 for e in result.entries if e["error"])
+        empty = sum(1 for e in result.entries if e["gap"]) - diverged
         print(
             f"interval chain: {result.n_checkpoints} checkpoints "
-            f"({len(gaps)} gaps) under {runs_dir / PHASE_INTERVALS}"
+            f"({empty} empty-bin gaps, {diverged} diverged) under {runs_dir / PHASE_INTERVALS}"
         )
 
     # worker count is a scheduling knob with no effect on results; it is
@@ -291,6 +294,11 @@ def _cmd_train(args) -> int:
         cfg.to_json_dict() | {"phase": args.phase, "workers": args.workers},
         [args.data, args.pairs, args.split], [runs_dir], started,
     )
+    if diverged:
+        # chain_result.json is written: evaluate and predict serve the other cells
+        print(f"error: divergence in {diverged} interval chain cells; see the `error` fields of "
+              f"{runs_dir / PHASE_INTERVALS / CHAIN_RESULT}", file=sys.stderr)
+        return EXIT_DIVERGED
     return EXIT_OK
 
 
@@ -455,21 +463,19 @@ def _cmd_report(args) -> int:
 # Parser
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hvfcast", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"hvfcast {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+_DATASET_SCHEMA = (
+    'dataset: JSON lines, one field per line: {"patient_id", "eye": "OD"|"OS", '
+    '"gender": "M"|"F", "age", "test_date": "YYYY-MM-DD", "test_index", '
+    '"values": [54 dB, row-major over valid cells, 2 decimals]}'
+)
+_SERVED_COMBO = "optional check: the combo chain_result.json records (exit 2 if it differs)"
 
-    dataset_schema = (
-        'dataset: JSON lines, one field per line: {"patient_id", "eye": "OD"|"OS", '
-        '"gender": "M"|"F", "age", "test_date": "YYYY-MM-DD", "test_index", '
-        '"values": [54 dB, row-major over valid cells, 2 decimals]}'
-    )
 
+def _simulate_parser(sub) -> None:
     p = sub.add_parser(
         "simulate",
         help="generate a synthetic longitudinal cohort",
-        epilog=f"writes the {dataset_schema}; plus a cohort_meta.json ground-truth sidecar",
+        epilog=f"writes the {_DATASET_SCHEMA}; plus a cohort_meta.json ground-truth sidecar",
     )
     p.add_argument("--patients", type=int, default=200)
     p.add_argument("--tests-min", type=int, default=3)
@@ -485,6 +491,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="dataset JSONL path")
     p.set_defaults(func=_cmd_simulate)
 
+
+def _pairs_parser(sub) -> None:
     p = sub.add_parser(
         "pairs",
         help="pair and bin a dataset into horizon bins",
@@ -492,10 +500,12 @@ def build_parser() -> _Parser:
                '{"patient_id", "eye", "test_index"}, "delta": years}; '
                "gaps under 0.75 or over 5.5 years are excluded",
     )
-    p.add_argument("--data", required=True, help=dataset_schema)
+    p.add_argument("--data", required=True, help=_DATASET_SCHEMA)
     p.add_argument("--out", required=True, help="pairs JSONL path")
     p.set_defaults(func=_cmd_pairs)
 
+
+def _split_parser(sub) -> None:
     p = sub.add_parser(
         "split",
         help="patient-level train/test split with 10 folds",
@@ -507,6 +517,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="split-plan JSON path")
     p.set_defaults(func=_cmd_split)
 
+
+def _train_parser(sub) -> None:
     p = sub.add_parser(
         "train",
         help="run one training phase",
@@ -535,7 +547,8 @@ def build_parser() -> _Parser:
                    help="how the chain's first bin is initialized")
     p.set_defaults(func=_cmd_train)
 
-    served_combo = "optional check: the combo chain_result.json records (exit 2 if it differs)"
+
+def _evaluate_parser(sub) -> None:
     p = sub.add_parser(
         "evaluate",
         help="fold-ensemble evaluation on the held-out test set",
@@ -548,12 +561,14 @@ def build_parser() -> _Parser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--runs", required=True)
-    p.add_argument("--combo", default=None, help=served_combo)
+    p.add_argument("--combo", default=None, help=_SERVED_COMBO)
     p.add_argument("--bootstrap-seed", type=int, default=None)
     p.add_argument("--bootstrap-n", type=int, default=1000)
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=_cmd_evaluate)
 
+
+def _predict_parser(sub) -> None:
     p = sub.add_parser("predict", help="forecast one field at a horizon")
     p.add_argument("--field", default=None, help="single-record JSONL file")
     p.add_argument("--data", default=None)
@@ -562,20 +577,49 @@ def build_parser() -> _Parser:
     p.add_argument("--test-index", type=int, default=None)
     p.add_argument("--interval", type=float, required=True, help="forecast horizon in years")
     p.add_argument("--runs", required=True)
-    p.add_argument("--combo", default=None, help=served_combo)
+    p.add_argument("--combo", default=None, help=_SERVED_COMBO)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
+
+def _report_parser(sub) -> None:
     p = sub.add_parser("report", help="split a report JSON into plot-ready CSVs")
     p.add_argument("--report", required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_report)
 
+
+# One builder per subcommand, in the order `hvfcast --help` lists them.
+_SUBCOMMANDS = {
+    "simulate": _simulate_parser,
+    "pairs": _pairs_parser,
+    "split": _split_parser,
+    "train": _train_parser,
+    "evaluate": _evaluate_parser,
+    "predict": _predict_parser,
+    "report": _report_parser,
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The full parser, or with `command` one that parses only that
+    subcommand (building all seven parsers takes milliseconds) and prints
+    the same usage and errors for it."""
+    parser = _Parser(prog="hvfcast", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"hvfcast {__version__}")
+    # the full choice list, so a top-level usage line (printed for arguments
+    # the subcommand does not know) reads as the full parser's does
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -1,11 +1,12 @@
 """Held-out evaluation: fold ensembling, agreement metrics, and baselines.
 
 Each test pair is forecast by averaging the per-fold models of its horizon
-bin, then scored pointwise against the actual later field over the 54
-measured cells.  The report carries overall MAE/RMSE with bootstrap CIs,
-mean-deviation agreement (Pearson r, adjusted R^2, Bland-Altman), a
-per-bin MAE table, and rows for the classical baselines (copy-forward,
-pointwise least squares, pointwise exponential).
+bin (each model forwards the bin's pairs as one batch), then scored
+pointwise against the actual later field over the 54 measured cells.  The
+report carries overall MAE/RMSE with bootstrap CIs, mean-deviation
+agreement (Pearson r, adjusted R^2, Bland-Altman), a per-bin MAE table,
+and rows for the classical baselines (copy-forward, pointwise least
+squares, pointwise exponential).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .autodiff import no_tape
 from .domain import Cell, VisualField, mask_cells, mean_deviation_values, valid_mask_array
 from .models import Model
 from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, encode_input, years_between
@@ -71,14 +73,18 @@ class EnsembleForecast:
         return {c: float(grid[c]) for c in mask_cells()}
 
 
-def ensemble_predict(models: list[Model], x: np.ndarray, bin_center: float | None = None) -> EnsembleForecast:
-    """Average the models' infer-mode outputs for a single encoded input.
+def ensemble_means(models: list[Model], xs: np.ndarray) -> np.ndarray:
+    """(n, 8, 9) cell-wise means of the models' infer-mode outputs for a
+    batch of n encoded inputs: one forward per model, without a tape.
 
-    Per-cell values are sorted before summation, so the mean is bit-exactly
-    independent of model order.  Clamping happens on export only.
+    Per-cell values are sorted before summation, so each mean is bit-exactly
+    independent of model order.  Conv families give the same bits at any
+    batch size; the FullyConnected dense layers are a matrix-vector product
+    at batch 1 and a matrix product at batch n, so they can differ in the
+    last bit.
     """
     if not models:
-        raise EvaluationError("ensemble_predict needs at least one model")
+        raise EvaluationError("ensemble needs at least one model")
     ref = models[0].spec
     for m in models[1:]:
         s = m.spec
@@ -88,12 +94,18 @@ def ensemble_predict(models: list[Model], x: np.ndarray, bin_center: float | Non
             raise EvaluationError(
                 f"ensemble models disagree on spec: {s.name} vs {ref.name}"
             )
+    with no_tape():
+        outputs = np.stack([m.forward(xs, "infer").data[:, 0] for m in models])
+    return np.sort(outputs, axis=0).sum(axis=0) / len(models)
+
+
+def ensemble_predict(models: list[Model], x: np.ndarray, bin_center: float | None = None) -> EnsembleForecast:
+    """The fold ensemble's forecast for a single encoded input (see
+    `ensemble_means`).  Clamping happens on export only."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
         x = x[None]
-    outputs = np.stack([m.forward(x, mode="infer").data[0, 0] for m in models])
-    mean = np.sort(outputs, axis=0).sum(axis=0) / len(models)
-    return EnsembleForecast(raw=mean, n_models=len(models), bin=bin_center)
+    return EnsembleForecast(raw=ensemble_means(models, x)[0], n_models=len(models), bin=bin_center)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +251,8 @@ def evaluate_testset(
 ) -> MetricsReport:
     """Score fold-ensembled forecasts of every binned test pair.
 
+    Each fold model of a bin forwards all of that bin's pairs in one batch
+    (`ensemble_means`); pairs are then scored one by one in bin order.
     Pairs whose bin has no trained model are skipped but counted.  When the
     full dataset is supplied, the least-squares/exponential baselines use
     each pair's input-side history (tests up to the input date), so they
@@ -274,9 +288,9 @@ def evaluate_testset(
             n_skipped += len(pairs)
             skipped_by_bin[center] = len(pairs)
             continue
-        for pair in pairs:
-            x = encode_input(pair.input, combo)
-            forecast = ensemble_predict(models, x, bin_center=center)
+        means = ensemble_means(models, np.stack([encode_input(pair.input, combo) for pair in pairs]))
+        for pair, mean in zip(pairs, means):
+            forecast = EnsembleForecast(raw=mean, n_models=len(models), bin=center)
             pred_grid = forecast.exported_grid()
             target_grid = pair.target.to_grid()
             err = (pred_grid - target_grid)[mask]

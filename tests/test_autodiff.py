@@ -19,6 +19,7 @@ from hvfcast.autodiff import (
     dense,
     grad_check,
     masked_mae,
+    no_tape,
     relu,
 )
 
@@ -480,3 +481,45 @@ class TestTensor:
         assert t._grad is None
         np.testing.assert_array_equal(t.grad, np.zeros((2, 3)))
         assert t.grad is t._grad
+
+
+def _every_op(rng) -> list[Tensor]:
+    """One output of each op, on small random operands."""
+    x = Tensor(rng.normal(size=(2, 2, 4, 5)))
+    w, b = Tensor(rng.normal(size=(3, 2, 3, 3))), Tensor(rng.normal(size=3))
+    conv = conv2d(x, w, b)
+    state = BatchNormState.create(3)
+    flat = x.reshape(2, 40)
+    return [
+        x + x,
+        flat,
+        relu(x),
+        conv,
+        dense(flat, Tensor(rng.normal(size=(4, 40))), Tensor(rng.normal(size=4))),
+        batch_norm(conv, state, train=False),
+        batch_norm(conv, state, train=True),
+        concat_channels([x, conv]),
+        masked_mae(Tensor(rng.normal(size=(2, 1, 4, 5))), np.zeros((2, 1, 4, 5)), np.ones((4, 5))),
+    ]
+
+
+class TestNoTape:
+    def test_same_values_without_parents_or_backward(self):
+        taped = _every_op(np.random.default_rng(1))
+        with no_tape():
+            untaped = _every_op(np.random.default_rng(1))
+        assert all(o._parents and o._backward for o in taped)
+        assert [(o._parents, o._backward) for o in untaped] == [((), None)] * len(untaped)
+        for a, b in zip(taped, untaped):
+            np.testing.assert_array_equal(b.data, a.data)
+
+    def test_tape_restored_after_exception_and_after_nesting(self):
+        with pytest.raises(ZeroDivisionError):
+            with no_tape():
+                with no_tape():
+                    pass
+                assert relu(Tensor(np.ones(2)))._backward is None
+                1 / 0
+        x = Tensor(np.array([1.0, -2.0]))
+        _sum_all(relu(x)).backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 0.0])

@@ -111,6 +111,53 @@ class TestBasics:
         assert code == 2
 
 
+def _full_parser_outcome(argv, capsys) -> tuple:
+    try:
+        cli.build_parser().parse_args(argv)
+        code = None
+    except SystemExit as e:
+        code = int(e.code) if e.code is not None else 0
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParser:
+    """`main` builds only the requested subcommand's parser; what a caller
+    sees must not depend on that."""
+
+    @pytest.mark.parametrize("argv", [
+        *([name, "--help"] for name in cli._SUBCOMMANDS),
+        ["--help"],
+        ["--version"],
+        [],
+        ["simulat", "--out", "x"],
+        ["predict", "--interval", "1.0", "--out", "x"],
+        ["train", "--data", "d", "--pairs", "p", "--split", "s", "--out", "r"],
+        ["predict", "--interval", "1.0", "--runs", "r", "--out", "x", "--bogus"],
+        ["train", "--phase", "nope", "--data", "d", "--pairs", "p", "--split", "s", "--out", "r"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_same_outcome_as_full_parser(self, argv, capsys):
+        expected = _full_parser_outcome(argv, capsys)
+        code = run_cli(*argv)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == expected
+        assert expected[0] is not None and (expected[1] or expected[2])
+
+    def test_main_builds_one_subparser_for_a_known_command(self, monkeypatch, capsys):
+        built = []
+
+        def recording(command=None):
+            parser = build_parser(command)
+            built.append(list(parser._subparsers._group_actions[0].choices))
+            return parser
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", recording)
+        run_cli("predict", "--help")
+        run_cli("--version")
+        assert built == [["predict"], list(cli._SUBCOMMANDS)]
+
+
 class TestSimulate:
     def test_identical_files_for_same_seed(self, tmp_path):
         args = ["simulate", "--patients", "25", "--seed", "7"]
@@ -165,6 +212,32 @@ class TestTrainAndEvaluate:
             )
         assert code == 3
         assert "divergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr, code", [("1e-3", 0), ("1e300", 3)])
+    def test_chain_exit_code_counts_diverged_cells_not_empty_bins(self, workdir, tmp_path, capsys, lr, code):
+        """Empty bins leave gaps at any rate; only a diverged cell fails the
+        chain, and its chain_result.json is still written."""
+        import numpy as np
+
+        runs = tmp_path / "runs"
+        with np.errstate(all="ignore"):
+            got = run_cli(
+                "train", "--phase", "intervals",
+                "--data", str(workdir / "d.jsonl"),
+                "--pairs", str(workdir / "pairs.jsonl"),
+                "--split", str(workdir / "split.json"),
+                "--out", str(runs),
+                "--arch", "Cascade-1", "--combo", "age", "--lr", lr,
+                "--epochs", "1", "--widths", "2,3,4", "--seed", "3",
+            )
+        entries = json.loads((runs / "intervals" / "chain_result.json").read_text())["entries"]
+        diverged = sum(1 for e in entries if e["error"])
+        empty = sum(1 for e in entries if e["gap"]) - diverged
+        out, err = capsys.readouterr()
+        assert got == code
+        assert empty > 0 and (diverged > 0) == (code == 3)
+        assert f"({empty} empty-bin gaps, {diverged} diverged)" in out
+        assert (f"divergence in {diverged} interval chain cells" in err) == (code == 3)
 
     def test_arch_phase_result_written_once_and_complete(self, workdir, monkeypatch):
         from hvfcast import models, trainer
@@ -280,7 +353,7 @@ def diverged_rerun(trained, tmp_path_factory):
             "--arch", "Cascade-1", "--combo", "age", "--lr", "1e300",
             "--epochs", "1", "--widths", "2,3,4", "--seed", "3", "--workers", "2",
         )
-    assert code == 0
+    assert code == 3
     return runs
 
 

@@ -5,6 +5,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from hvfcast.domain import RIGHT, mask_cells, valid_mask_array
@@ -14,11 +16,12 @@ from hvfcast.evaluation import (
     _bootstrap_ci,
     baseline_forecast,
     bland_altman,
+    ensemble_means,
     ensemble_predict,
     evaluate_testset,
     pearson_adj_r2,
 )
-from hvfcast.models import ModelSpec, build_model
+from hvfcast.models import Model, ModelSpec, build_model, spec_from_name
 from hvfcast.pipeline import FeatureCombo, FieldPair, bin_pairs, make_pairs, years_between
 
 from conftest import make_field, make_series
@@ -81,6 +84,35 @@ class TestEnsemble:
     def test_no_models_rejected(self):
         with pytest.raises(EvaluationError):
             ensemble_predict([], np.zeros((1, 1, 8, 9)))
+
+
+class TestEnsembleMeans:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arch=st.sampled_from(["FullBN-1", "Residual-1", "Cascade-2", "FullyConnected"]),
+        in_channels=st.integers(1, 7),
+        batch=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batch_equals_stacked_single_forecasts(self, arch, in_channels, batch, seed):
+        """Conv families are bit-identical at any batch size; the dense
+        layers are a matrix-vector product at batch 1, so FullyConnected
+        may differ in the last bits."""
+        rng = np.random.default_rng(seed)
+        models = []
+        for fold in range(3):
+            spec = spec_from_name(arch, widths=(2, 3, 4), in_channels=in_channels, seed=seed + fold, fc_hidden=16)
+            m = build_model(spec)
+            m.forward(rng.normal(size=(4, in_channels, 8, 9)) * 4 + 20, "train")  # running statistics
+            models.append(m)
+        xs = rng.normal(size=(batch, in_channels, 8, 9)) * 4 + 20
+        got = ensemble_means(models, xs)
+        expected = np.stack([ensemble_predict(models, x).raw for x in xs])
+        assert got.shape == (batch, 8, 9)
+        if arch == "FullyConnected":
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestPearson:
@@ -342,6 +374,27 @@ class TestEvaluateTestset:
         assert rows["copy"]["rmse"] >= rows["copy"]["mae"]
         # least-squares rows only use pairs whose input has >= 2 earlier tests
         assert rows["pointwise_ols"]["n_pairs"] <= 6
+
+    def test_one_forward_per_bin_and_fold_model(self, small_cohort, monkeypatch):
+        _, fields, _ = small_cohort
+        binned, _ = bin_pairs(make_pairs(fields))
+        test_binned = {1.0: binned[1.0][:7], 2.0: binned[2.0][:5]}
+        models_by_bin = {
+            center: [build_model(ModelSpec(family="Cascade", depth_k=1, widths=(2, 3, 4), seed=s))
+                     for s in range(3)]
+            for center in test_binned
+        }
+        batches = []
+        forward = Model.forward
+
+        def counted(model, x, mode="infer"):
+            batches.append(x.shape[0])
+            return forward(model, x, mode)
+
+        monkeypatch.setattr(Model, "forward", counted)
+        report = evaluate_testset(models_by_bin, test_binned, FeatureCombo(), n_bootstrap=10)
+        assert report.n_pairs == 12
+        assert batches == [7, 7, 7, 5, 5, 5]
 
     def test_no_models_anywhere_errors(self):
         pairs = self._two_pair_fixture()
