@@ -42,7 +42,7 @@ cfg1 = trainer.TrainConfig(epochs=1, widths=(4, 8, 12), fc_hidden=64, seed=23)
 runs = workdir / "runs"
 
 print("\n=== phase 1: architecture selection on the 1.0-year bin ===")
-candidates = canonical_specs(in_channels=1, widths=cfg1.widths, fc_hidden=cfg1.fc_hidden)
+candidates = canonical_specs(widths=cfg1.widths, fc_hidden=cfg1.fc_hidden)
 arch_result = trainer.select_architecture(candidates, train_binned[1.0], plan, cfg1, runs)
 means = {name: sum(row) / len(row) for name, row in arch_result.matrix.items()}
 for name in arch_result.candidates:

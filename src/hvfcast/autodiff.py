@@ -251,7 +251,8 @@ class BatchNormState:
     """Per-channel batch normalization parameters and running statistics.
 
     `gamma`/`beta` are trainable; the running mean/variance are inference
-    statistics updated by exponential moving average during training.
+    statistics that training updates in place, by exponential moving
+    average, so each array keeps its identity for the state's life.
     """
 
     gamma: Tensor
@@ -296,8 +297,8 @@ def batch_norm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
         var = x.data.var(axis=(0, 2, 3))
         inv = 1.0 / np.sqrt(var + state.eps)
         xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
-        state.running_mean = state.momentum * state.running_mean + (1.0 - state.momentum) * mu
-        state.running_var = state.momentum * state.running_var + (1.0 - state.momentum) * var
+        state.running_mean[...] = state.momentum * state.running_mean + (1.0 - state.momentum) * mu
+        state.running_var[...] = state.momentum * state.running_var + (1.0 - state.momentum) * var
     else:
         inv = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = (x.data - state.running_mean[None, :, None, None]) * inv[None, :, None, None]
@@ -391,31 +392,11 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
     def n_scalars(self) -> int:
         return sum(p.data.size for p in self._params.values())
-
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.zero_grad()
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self._params.items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, p in self._params.items():
-            p.data[...] = snap[name]
 
 
 @dataclass

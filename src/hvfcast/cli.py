@@ -210,7 +210,11 @@ def _cmd_split(args) -> int:
 def _load_plan(path, fields) -> SplitPlan:
     """The split plan at `path`, which must plan each patient once and only
     patients of the loaded dataset `fields`."""
-    plan = SplitPlan.from_json_dict(json.loads(Path(path).read_text()))
+    obj = json.loads(Path(path).read_text())
+    for key in ("test_patients", "folds", "seed"):
+        if not isinstance(obj, dict) or key not in obj:
+            raise PipelineError(f"{path}: split plan lacks key {key!r}")
+    plan = SplitPlan.from_json_dict(obj)
     planned = Counter([*plan.train_patients(), *plan.test_patients])
     repeated = sorted(pid for pid, n in planned.items() if n > 1)
     if repeated:
@@ -229,7 +233,10 @@ def _phase_winner(runs_dir: Path, phase: str, flag: str) -> str:
         raise TrainerError(
             f"no --{flag} given and {result_path} not found; run `train --phase {phase}` first"
         )
-    return json.loads(result_path.read_text())["winner"]
+    result = json.loads(result_path.read_text())
+    if not isinstance(result, dict) or "winner" not in result:
+        raise TrainerError(f"{result_path} records no winner; re-run `train --phase {phase}`")
+    return result["winner"]
 
 
 def _train_config(args, seed: int) -> TrainConfig:
@@ -260,7 +267,7 @@ def _cmd_train(args) -> int:
     diverged = 0
     if args.phase == PHASE_ARCH:
         bin1 = train_binned[BIN_CENTERS[0]]
-        candidates = canonical_specs(in_channels=1, widths=cfg.widths, fc_hidden=cfg.fc_hidden)
+        candidates = canonical_specs(widths=cfg.widths, fc_hidden=cfg.fc_hidden)
         result = select_architecture(candidates, bin1, plan, cfg, runs_dir, args.workers)
         print(f"architecture winner: {result.winner}")
     elif args.phase == PHASE_FEATURES:
@@ -311,7 +318,9 @@ def _features_snapshots(runs_dir: Path, combo_name: str, n_folds: int) -> dict[i
             f"--chain-init features: {result_path} not found; run `train --phase features` "
             "to completion first"
         )
-    row = json.loads(result_path.read_text()).get("matrix", {}).get(combo_name)
+    result = json.loads(result_path.read_text())
+    matrix = result.get("matrix") if isinstance(result, dict) else None
+    row = matrix.get(combo_name) if isinstance(matrix, dict) else None
     if row is None:
         raise TrainerError(f"--chain-init features: combo {combo_name!r} is not in {result_path}")
     missing = [fold for fold in range(n_folds) if fold >= len(row) or row[fold] is None]

@@ -289,10 +289,12 @@ def _read_records(path, needle: str | None = None) -> Iterator[VisualField]:
     With `needle`, a line that contains neither the needle nor a backslash
     is skipped unparsed: without an escape a JSON string holds its text
     verbatim, so such a line cannot carry a string equal to the needle.
-    Raises RecordError with line context for a bad parsed line, and for a
-    (patient_id, eye, test_index) key on a second parsed line.
+    Raises RecordError with line context for a bad parsed line, for a
+    (patient_id, eye, test_index) key on a second parsed line, and for a
+    parsed line whose gender differs from its patient's first parsed line.
     """
     first_line: dict[tuple[str, str, int], int] = {}
+    gender_line: dict[str, tuple[str, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -310,13 +312,20 @@ def _read_records(path, needle: str | None = None) -> Iterator[VisualField]:
                     f"(first at line {first_line[key]})"
                 )
             first_line[key] = lineno
+            gender, first = gender_line.setdefault(field.patient_id, (field.gender, lineno))
+            if field.gender != gender:
+                raise RecordError(
+                    f"line {lineno}: gender {field.gender!r} of patient {field.patient_id!r} "
+                    f"differs from {gender!r} at line {first}"
+                )
             yield field
 
 
 def load_dataset(path) -> list[VisualField]:
     """Read a JSON-lines dataset file. Raises RecordError with line context.
 
-    Each (patient_id, eye, test_index) key may appear on one line only.
+    Each (patient_id, eye, test_index) key may appear on one line only, and
+    all lines of a patient carry the same gender.
     """
     return list(_read_records(path))
 

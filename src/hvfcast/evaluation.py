@@ -244,7 +244,6 @@ def evaluate_testset(
     models_by_bin: dict[float, list[Model]],
     test_binned: dict[float, list[FieldPair]],
     combo: FeatureCombo,
-    normative=synthsim.normative_surface,
     fields: list[VisualField] | None = None,
     bootstrap_seed: int = 0,
     n_bootstrap: int = 1000,
@@ -258,13 +257,14 @@ def evaluate_testset(
     each pair's input-side history (tests up to the input date), so they
     never see information the model could not.
 
-    `normative(age_years, eye)` must be pure: each surface is computed once
-    per call.  A field paired with several others repeats its key; about
-    two thirds of the calls on a five-tests-per-eye cohort do.
+    Mean deviation is taken against `synthsim.normative_surface`, each
+    surface computed once per call: a field paired with several others
+    repeats its (age, eye) key, and about two thirds of the lookups on a
+    five-tests-per-eye cohort do.
     """
     mask = valid_mask_array()
     cells = mask_cells()
-    normative = lru_cache(maxsize=None)(normative)
+    normative = lru_cache(maxsize=None)(synthsim.normative_surface)
 
     history_index: dict[tuple[str, str], list[VisualField]] = {}
     if fields is not None:

@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, asdict
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +85,6 @@ class ModelSpec:
     depth_k: int | None = None
     widths: tuple[int, int, int] = (64, 128, 256)
     in_channels: int = 1
-    batch_size: int = 32
-    lr: float = 1e-3
     seed: int = 0
     fc_hidden: int = 2048
 
@@ -118,9 +117,17 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        d = dict(d)
-        d["widths"] = tuple(d["widths"])
-        return cls(**d)
+        """Inverse of `to_dict`; every field must be present, and no other."""
+        if not isinstance(d, dict):
+            raise ModelError("spec is not an object")
+        fields = cls.__dataclass_fields__.keys()
+        if d.keys() != fields:
+            unknown, missing = sorted(d.keys() - fields), sorted(fields - d.keys())
+            raise ModelError(f"spec fields: unknown {unknown}, missing {missing}")
+        try:
+            return cls(**d | {"widths": tuple(d["widths"])})
+        except TypeError as e:  # a field of the wrong type
+            raise ModelError(f"bad spec value: {e}") from e
 
     def replace(self, **kwargs) -> "ModelSpec":
         d = asdict(self)
@@ -147,13 +154,12 @@ def spec_from_name(
 
 
 def canonical_specs(
-    in_channels: int = 1,
     widths: tuple[int, int, int] = (64, 128, 256),
-    seed: int = 0,
     fc_hidden: int = 2048,
 ) -> list[ModelSpec]:
-    """The nine candidate architectures, in their fixed selection order."""
-    common = dict(widths=widths, in_channels=in_channels, seed=seed, fc_hidden=fc_hidden)
+    """The nine candidate architectures on the field-only input, in their
+    fixed selection order."""
+    common = dict(widths=widths, fc_hidden=fc_hidden)
     specs = [ModelSpec(family=FULLY_CONNECTED, **common)]
     for family, depths in ((FULL_BN, (3, 5, 7)), (RESIDUAL, (3, 5, 7)), (CASCADE, (3, 5))):
         for k in depths:
@@ -228,12 +234,11 @@ def count_parameters_spec(spec: ModelSpec) -> int:
     return total
 
 
-def published_comparison(specs: list[ModelSpec] | None = None) -> list[dict]:
-    """Our layer/parameter counts next to the published clinical-scale ones."""
-    if specs is None:
-        specs = canonical_specs()
+def published_comparison() -> list[dict]:
+    """Layer/parameter counts of the nine candidates at the canonical
+    widths, next to the published clinical-scale ones."""
     rows = []
-    for spec in specs:
+    for spec in canonical_specs():
         ref = PUBLISHED_BENCHMARKS.get(spec.name, {})
         rows.append(
             {
@@ -248,7 +253,10 @@ def published_comparison(specs: list[ModelSpec] | None = None) -> list[dict]:
 
 
 class Model:
-    """A built architecture: parameters, batch-norm states, and wiring."""
+    """A built architecture: parameters, batch-norm states, and wiring.
+
+    Every stored array keeps its identity for the model's life, so the one
+    list built here names them all."""
 
     def __init__(self, spec: ModelSpec, *, _seeded: bool = True):
         """He-uniform weights drawn from spec.seed; `_seeded=False` leaves
@@ -278,6 +286,11 @@ class Model:
                 self.params.add(f"{layer.name}.bn.gamma", state.gamma)
                 self.params.add(f"{layer.name}.bn.beta", state.beta)
                 self.bn[layer.name] = state
+        # the order weights.bin lays the arrays out in
+        self._entries = [(name, p.data, True) for name, p in self.params.items()]
+        for name, state in self.bn.items():
+            self._entries.append((f"{name}.bn.running_mean", state.running_mean, False))
+            self._entries.append((f"{name}.bn.running_var", state.running_var, False))
 
     # -- forward ----------------------------------------------------------
 
@@ -348,28 +361,18 @@ class Model:
 
     # -- state ------------------------------------------------------------
 
-    def _stat_entries(self) -> list[tuple[str, np.ndarray]]:
-        entries = []
-        for name, state in self.bn.items():
-            entries.append((f"{name}.bn.running_mean", state.running_mean))
-            entries.append((f"{name}.bn.running_var", state.running_var))
-        return entries
-
     def all_entries(self) -> list[tuple[str, np.ndarray, bool]]:
-        """(name, array, trainable) for every stored array, in fixed order."""
-        out = [(name, p.data, True) for name, p in self.params.items()]
-        out.extend((name, arr, False) for name, arr in self._stat_entries())
-        return out
+        """(name, array, trainable) for every stored array, in fixed order;
+        the arrays are the model's own."""
+        return self._entries
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of all parameters and running statistics."""
-        return {name: arr.copy() for name, arr, _ in self.all_entries()}
+        return {name: arr.copy() for name, arr, _ in self._entries}
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
-        self.params.restore({n: snap[n] for n in self.params.names()})
-        for name, state in self.bn.items():
-            state.running_mean = snap[f"{name}.bn.running_mean"].copy()
-            state.running_var = snap[f"{name}.bn.running_var"].copy()
+        for name, arr, _ in self._entries:
+            arr[...] = snap[name]
 
 
 def snapshot_hash(snap: dict[str, np.ndarray]) -> str:
@@ -435,48 +438,68 @@ def save_weights(model: Model, dir_path, provenance: dict | None = None) -> Path
     return dir_path
 
 
+_MANIFEST_KEYS = ("format_version", "spec", "entries", "total_length")
+_ENTRY_FIELDS = itemgetter("name", "shape", "offset", "length", "sha256")
+
+
 def load_weights(dir_path) -> Model:
-    """Rebuild a model from a manifest/blob pair; bit-exact round trip."""
+    """Rebuild a model from a manifest/blob pair; bit-exact round trip.
+
+    Raises WeightsError, naming the manifest, for a manifest that is not
+    an object, lacks a key, holds a spec with unknown or missing fields,
+    or disagrees with the blob.
+    """
     dir_path = Path(dir_path)
+    path = dir_path / MANIFEST_NAME
     try:
-        manifest = json.loads((dir_path / MANIFEST_NAME).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise WeightsError(f"cannot read manifest: {e}") from e
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise WeightsError(f"unsupported version {manifest.get('format_version')!r}")
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as e:
+        raise WeightsError(f"{path}: cannot read manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise WeightsError(f"{path}: manifest is not a JSON object")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise WeightsError(f"{path}: manifest lacks key {missing[0]!r}")
+    if manifest["format_version"] != FORMAT_VERSION:
+        raise WeightsError(f"{path}: unsupported version {manifest['format_version']!r}")
+    try:
+        spec = ModelSpec.from_dict(manifest["spec"])
+    except ModelError as e:
+        raise WeightsError(f"{path}: {e}") from e
 
     blob = (dir_path / WEIGHTS_NAME).read_bytes()
     if len(blob) != manifest["total_length"]:
         raise WeightsError(
-            f"length mismatch: blob has {len(blob)} bytes, manifest says "
+            f"{path}: length mismatch: blob has {len(blob)} bytes, manifest says "
             f"{manifest['total_length']}"
         )
 
     # every array is overwritten below (a missing entry is an error), so
     # the seeded init that build_model draws would be thrown away
-    model = Model(ModelSpec.from_dict(manifest["spec"]), _seeded=False)
+    model = Model(spec, _seeded=False)
     arrays = dict((name, arr) for name, arr, _ in model.all_entries())
     seen = set()
-    for entry in manifest["entries"]:
-        name = entry["name"]
+    for i, entry in enumerate(manifest["entries"]):
+        try:
+            name, shape, offset, length, sha256 = _ENTRY_FIELDS(entry)
+        except KeyError as e:
+            raise WeightsError(f"{path}: entry {i} lacks key {e}") from None
+        except TypeError:
+            raise WeightsError(f"{path}: entry {i} is not an object") from None
         if name not in arrays:
-            raise WeightsError(f"unknown layer entry {name!r}")
-        raw = blob[entry["offset"] : entry["offset"] + entry["length"]]
-        if len(raw) != entry["length"]:
-            raise WeightsError(f"length mismatch in {name!r}")
-        if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
-            raise WeightsError(f"checksum mismatch in {name!r}")
-        arr = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"])
-        if arr.shape != arrays[name].shape:
-            raise WeightsError(
-                f"shape mismatch in {name!r}: {list(arr.shape)} vs "
-                f"{list(arrays[name].shape)}"
-            )
-        arrays[name][...] = arr
+            raise WeightsError(f"{path}: unknown layer entry {name!r}")
+        if shape != list(arrays[name].shape):
+            raise WeightsError(f"{path}: shape mismatch in {name!r}: {shape} vs {list(arrays[name].shape)}")
+        raw = blob[offset : offset + length]
+        if len(raw) != arrays[name].nbytes:
+            raise WeightsError(f"{path}: length mismatch in {name!r}")
+        if hashlib.sha256(raw).hexdigest() != sha256:
+            raise WeightsError(f"{path}: checksum mismatch in {name!r}")
+        arrays[name][...] = np.frombuffer(raw, dtype="<f8").reshape(arrays[name].shape)
         seen.add(name)
     missing = set(arrays) - seen
     if missing:
-        raise WeightsError(f"manifest missing entries for {sorted(missing)}")
+        raise WeightsError(f"{path}: manifest missing entries for {sorted(missing)}")
     return model
 
 

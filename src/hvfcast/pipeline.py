@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from datetime import date
 from itertools import combinations, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -132,9 +133,9 @@ class SplitPlan:
         )
 
 
-def split_patients(patient_ids, ratio: float = 0.8, seed: int = 0, n_folds: int = N_FOLDS) -> SplitPlan:
+def split_patients(patient_ids, ratio: float = 0.8, seed: int = 0) -> SplitPlan:
     """Seeded patient-level split of distinct ids: ~80% train+validation
-    (10 folds), rest test."""
+    (N_FOLDS folds), rest test."""
     patient_ids = sorted(set(patient_ids))
     n = len(patient_ids)
     if n < MIN_PATIENTS:
@@ -143,12 +144,12 @@ def split_patients(patient_ids, ratio: float = 0.8, seed: int = 0, n_folds: int 
     rng = np.random.default_rng(seed)
     order = [patient_ids[i] for i in rng.permutation(n)]
     n_train = int(np.ceil(ratio * n))
-    if n_train < n_folds:
+    if n_train < N_FOLDS:
         raise PipelineError(
-            f"too few patients for {n_folds} nonempty folds ({n_train} in train split)"
+            f"too few patients for {N_FOLDS} nonempty folds ({n_train} in train split)"
         )
     train, test = order[:n_train], order[n_train:]
-    folds = tuple(tuple(train[i::n_folds]) for i in range(n_folds))
+    folds = tuple(tuple(train[i::N_FOLDS]) for i in range(N_FOLDS))
     return SplitPlan(test_patients=tuple(test), folds=folds, seed=seed, ratio=ratio)
 
 
@@ -266,12 +267,36 @@ def write_pairs(path, binned: dict[float, list[FieldPair]]) -> int:
     return n
 
 
+_REF_FIELDS = itemgetter("patient_id", "eye", "test_index")
+_WIRE_EYES = tuple(EYE_FROM_WIRE)
+
+
+def _resolve_ref(obj: dict, key: str, index: dict, lineno: int) -> VisualField:
+    """The dataset field that the pair-file line's `key` ref names."""
+    ref = obj.get(key)
+    if not isinstance(ref, dict):
+        raise PipelineError(f"line {lineno}: {key} is missing or not an object")
+    try:
+        patient_id, eye, test_index = _REF_FIELDS(ref)
+    except KeyError as e:
+        raise PipelineError(f"line {lineno}: {key} lacks key {e}") from None
+    if eye not in _WIRE_EYES:
+        raise PipelineError(f"line {lineno}: {key} eye {eye!r} is not OD or OS")
+    k = (patient_id, EYE_FROM_WIRE[eye], test_index)
+    # the type checks keep an unhashable value out of the lookup
+    if type(patient_id) is not str or type(test_index) is not int or k not in index:
+        raise PipelineError(f"line {lineno}: {key} {ref} not in dataset")
+    return index[k]
+
+
 def read_pairs(path, fields: list[VisualField]) -> dict[float, list[FieldPair]]:
     """Resolve a pair file against its dataset.
 
-    Raises PipelineError with the line number on a dangling ref, on refs to
-    two patients or eyes, on an input test not strictly before its target,
-    and on a stored bin other than `assign_bin` of the pair's gap.
+    Raises PipelineError with the line number on a line that is not a JSON
+    object holding `bin` and two refs of `patient_id`, `eye` (OD or OS) and
+    `test_index`; on a dangling ref, on refs to two patients or eyes, on an
+    input test not strictly before its target, and on a stored bin other
+    than `assign_bin` of the pair's gap.
     """
     index = {(f.patient_id, f.eye, f.test_index): f for f in fields}
     binned: dict[float, list[FieldPair]] = {c: [] for c in BIN_CENTERS}
@@ -280,15 +305,16 @@ def read_pairs(path, fields: list[VisualField]) -> dict[float, list[FieldPair]]:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            pair_fields = []
-            for key in ("input_ref", "target_ref"):
-                ref = obj[key]
-                k = (ref["patient_id"], EYE_FROM_WIRE[ref["eye"]], ref["test_index"])
-                if k not in index:
-                    raise PipelineError(f"line {lineno}: {key} {ref} not in dataset")
-                pair_fields.append(index[k])
-            a, b = pair_fields
+            try:
+                obj = json.loads(line)
+            except ValueError as e:
+                raise PipelineError(f"line {lineno}: malformed JSON: {e}") from e
+            if not isinstance(obj, dict):
+                raise PipelineError(f"line {lineno}: not a JSON object")
+            a = _resolve_ref(obj, "input_ref", index, lineno)
+            b = _resolve_ref(obj, "target_ref", index, lineno)
+            if "bin" not in obj:
+                raise PipelineError(f"line {lineno}: lacks key 'bin'")
             if (a.patient_id, a.eye) != (b.patient_id, b.eye):
                 raise PipelineError(f"line {lineno}: input_ref and target_ref are different patients or eyes")
             if not a.test_date < b.test_date:

@@ -74,7 +74,6 @@ class TrainConfig:
     widths: tuple[int, int, int] = DESK_WIDTHS
     fc_hidden: int = 2048
     freeze: str = "best"  # snapshot at best validation epoch ("last" for final epoch)
-    shuffle: bool = True
 
     def validate(self) -> None:
         if self.epochs < 0:
@@ -171,7 +170,7 @@ def train_model(
                             best_snap, initial_hash, snapshot_hash(best_snap))
 
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_abs = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -267,7 +266,6 @@ def _fit(job: _Job, step: tuple, init: dict | None = None,
     model = build_model(job.spec.replace(seed=init_seed))
     if init is not None:
         model.restore(init)
-        model.params.zero_grads()
     history = train_model(model, (train_x, train_y), (val_x, val_y), cfg, shuffle_seed)
     # relative to the runs dir so output trees are location-independent
     rel = Path(job.phase) / label / f"fold-{job.fold}"
@@ -552,11 +550,19 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
     if not path.is_file():
         raise TrainerError(f"{path} not found; run `train --phase intervals` to completion first")
     chain = json.loads(path.read_text())
-    if "combo" not in chain:
-        raise TrainerError(f"{path} records no combo; re-run `train --phase intervals`")
+    for key in ("combo", "entries"):
+        if not isinstance(chain, dict) or key not in chain:
+            raise TrainerError(f"{path} records no {key}; re-run `train --phase intervals`")
     wanted = set(bins)
     out: dict[float, list[Model]] = {}
-    for e in chain["entries"]:
-        if e["bin"] in wanted and not e["gap"]:
-            out.setdefault(e["bin"], []).append(load_weights(Path(runs_dir) / e["checkpoint"]))
+    for i, e in enumerate(chain["entries"]):
+        try:
+            if e["bin"] not in wanted or e["gap"]:
+                continue
+            checkpoint = e["checkpoint"]
+        except KeyError as err:
+            raise TrainerError(f"{path}: entry {i} lacks key {err}") from None
+        except TypeError:
+            raise TrainerError(f"{path}: entry {i} is not an object") from None
+        out.setdefault(e["bin"], []).append(load_weights(Path(runs_dir) / checkpoint))
     return FeatureCombo.parse(chain["combo"]), out

@@ -226,6 +226,17 @@ class TestBatchNorm:
         np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(), atol=1e-12)
         np.testing.assert_allclose(state.running_var, 0.1 * x.var(), atol=1e-12)
 
+    def test_train_mode_writes_running_stats_in_place(self):
+        """A model lists its running-statistic arrays once, at build time."""
+        rng = np.random.default_rng(9)
+        x = rng.normal(loc=2.0, size=(4, 2, 3, 3))
+        state = BatchNormState.create(2, momentum=0.5)
+        mean, var = state.running_mean, state.running_var
+        batch_norm(Tensor(x), state, True)
+        assert state.running_mean is mean and state.running_var is var
+        np.testing.assert_array_equal(mean, 0.5 * x.mean(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(var, 0.5 * x.var(axis=(0, 2, 3)))
+
     def test_batch_of_one_constant_channel_is_finite(self):
         state = BatchNormState.create(1)
         out = batch_norm(Tensor(np.full((1, 1, 3, 3), 7.0)), state, True)

@@ -541,6 +541,85 @@ class TestPlanContract:
         assert "line 1: input_ref and target_ref are different patients or eyes" in capsys.readouterr().err
 
 
+class TestRunTreeContract:
+    """A malformed run-tree, split or data file exits 2 naming the file and
+    the line, key or field, not with a traceback."""
+
+    def _runs_copy(self, trained, tmp_path):
+        runs = tmp_path / "runs"
+        shutil.copytree(trained / "runs", runs)
+        return runs
+
+    def test_checkpoint_with_old_spec_fields_exits_2(self, trained, tmp_path, capsys):
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "bin-1.0" / "fold-0" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["spec"] |= {"batch_size": 32, "lr": 0.001}
+        path.write_text(json.dumps(manifest))
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
+        assert f"{path}: spec fields: unknown ['batch_size', 'lr'], missing []" in capsys.readouterr().err
+
+    def test_chain_entry_without_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        i = next(i for i, e in enumerate(chain["entries"]) if not e["gap"])
+        del chain["entries"][i]["checkpoint"]
+        path.write_text(json.dumps(chain))
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
+        assert f"{path}: entry {i} lacks key 'checkpoint'" in capsys.readouterr().err
+
+    def test_phase_result_without_winner_exits_2(self, trained, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        (runs / "arch").mkdir(parents=True)
+        (runs / "arch" / "phase_result.json").write_text("{}")
+        code = run_cli(
+            "train", "--phase", "features",
+            "--data", str(trained / "d.jsonl"), "--pairs", str(trained / "pairs.jsonl"),
+            "--split", str(trained / "split.json"), "--out", str(runs), "--epochs", "0",
+        )
+        assert code == 2
+        assert f"{runs / 'arch' / 'phase_result.json'} records no winner" in capsys.readouterr().err
+
+    def test_split_without_folds_exits_2(self, trained, tmp_path, capsys):
+        plan = json.loads((trained / "split.json").read_text())
+        del plan["folds"]
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(plan))
+        assert _evaluate(trained, trained / "runs", tmp_path / "r.json", split=split) == 2
+        assert f"{split}: split plan lacks key 'folds'" in capsys.readouterr().err
+
+    def test_pair_line_without_input_ref_exits_2(self, trained, tmp_path, capsys):
+        lines = (trained / "pairs.jsonl").read_text().splitlines()
+        obj = json.loads(lines[2])
+        del obj["input_ref"]
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("\n".join(lines[:2] + [json.dumps(obj)] + lines[3:]) + "\n")
+        code = run_cli(
+            "evaluate", "--data", str(trained / "d.jsonl"), "--pairs", str(pairs),
+            "--split", str(trained / "split.json"), "--runs", str(trained / "runs"),
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert "error: line 3: input_ref is missing or not an object" in capsys.readouterr().err
+
+    def test_patient_with_two_genders_exits_2(self, trained, tmp_path, capsys):
+        lines = (trained / "d.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        i = next(i for i, line in enumerate(lines[1:], start=1)
+                 if json.loads(line)["patient_id"] == first["patient_id"])
+        obj = json.loads(lines[i])
+        obj["gender"] = "M" if first["gender"] == "F" else "F"
+        lines[i] = json.dumps(obj)
+        data = tmp_path / "d.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        assert run_cli("pairs", "--data", str(data), "--out", str(tmp_path / "p.jsonl")) == 2
+        assert (
+            f"error: line {i + 1}: gender {obj['gender']!r} of patient {first['patient_id']!r} "
+            f"differs from {first['gender']!r} at line 1"
+        ) in capsys.readouterr().err
+
+
 class TestChainInitFeatures:
     def _features_copy(self, features_run, tmp_path):
         runs = tmp_path / "runs"
@@ -610,6 +689,13 @@ class TestChainInitFeatures:
         result = json.loads(result_path.read_text())
         del result["matrix"]["age"]
         result_path.write_text(json.dumps(result))
+        assert self._chain(workdir, runs) == 2
+        assert "combo 'age' is not in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("result", [[], {"matrix": []}], ids=["list", "list-matrix"])
+    def test_features_result_not_an_object_exits_2(self, workdir, features_run, tmp_path, capsys, result):
+        runs = self._features_copy(features_run, tmp_path)
+        (runs / "features" / "phase_result.json").write_text(json.dumps(result))
         assert self._chain(workdir, runs) == 2
         assert "combo 'age' is not in" in capsys.readouterr().err
 

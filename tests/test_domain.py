@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -330,6 +331,44 @@ class TestCodec:
         f = make_field(values=values)
         parsed = parse_record(serialize_record(f))
         assert [parsed.values[c] for c in mask_cells()] == [values[c] for c in mask_cells()]
+
+
+class TestGenderProperty:
+    """All lines of a patient carry one gender: `load_dataset`, and
+    `find_record` over the lines it parses, reject the first line that
+    disagrees with its patient's first line, naming both."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(st.sampled_from(["P1", "P2", "P3"]), st.sampled_from(["M", "F"])),
+            min_size=1, max_size=10,
+        )
+    )
+    def test_first_disagreeing_line_is_named(self, lines):
+        rng = np.random.default_rng(21)
+        fields = [make_field(rng, patient_id=pid, gender=g, test_index=n) for n, (pid, g) in enumerate(lines, start=1)]
+        first: dict[str, tuple[str, int]] = {}
+        errors: dict[str, tuple[int, str]] = {}  # patient -> its first disagreeing line and message
+        for lineno, (pid, g) in enumerate(lines, start=1):
+            g0, line0 = first.setdefault(pid, (g, lineno))
+            if g != g0 and pid not in errors:
+                errors[pid] = (lineno, f"line {lineno}: gender '{g}' of patient '{pid}' differs from '{g0}' at line {line0}")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            save_dataset(fields, path)
+            if errors:
+                with pytest.raises(RecordError, match=f"^{re.escape(min(errors.values())[1])}$"):
+                    load_dataset(path)
+            else:
+                assert load_dataset(path) == fields
+            for pid in first:
+                if pid in errors:
+                    with pytest.raises(RecordError, match=f"^{re.escape(errors[pid][1])}$"):
+                        find_record(path, pid, RIGHT, 1)
+                else:
+                    want = [f for f in fields if (f.patient_id, f.test_index) == (pid, 1)]
+                    assert find_record(path, pid, RIGHT, 1) == (want[0] if want else None)
 
 
 def _escaped(patient_id: str) -> str:

@@ -1,6 +1,7 @@
 """Architecture construction, counting, wiring, and weight serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -338,6 +339,45 @@ class TestSerialization:
             offset += entry["length"]
         assert manifest["total_length"] == offset
 
+    def test_manifest_spec_holds_only_model_fields(self, tmp_path):
+        save_weights(self._trained_tiny(), tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert set(manifest["spec"]) == {"family", "depth_k", "widths", "in_channels", "seed", "fc_hidden"}
+
+    @pytest.mark.parametrize(
+        "edit,needle",
+        [
+            (lambda m: m.clear(), "manifest lacks key 'format_version'"),
+            (lambda m: m.pop("spec"), "manifest lacks key 'spec'"),
+            (lambda m: m.pop("entries"), "manifest lacks key 'entries'"),
+            (lambda m: m.pop("total_length"), "manifest lacks key 'total_length'"),
+            (lambda m: m["entries"][2].pop("sha256"), "entry 2 lacks key 'sha256'"),
+            (lambda m: m["entries"].__setitem__(1, []), "entry 1 is not an object"),
+            # the spec of a checkpoint written before the two training fields left it
+            (lambda m: m["spec"].update(batch_size=32, lr=0.001),
+             r"unknown \['batch_size', 'lr'\], missing \[\]"),
+            (lambda m: m["spec"].pop("seed"), r"unknown \[\], missing \['seed'\]"),
+            (lambda m: m["spec"].update(widths=4), "bad spec value"),
+        ],
+        ids=["empty", "no-spec", "no-entries", "no-total-length", "entry-key", "entry-not-object",
+             "old-spec-fields", "missing-spec-field", "spec-type"],
+    )
+    def test_malformed_manifest_names_file_and_key(self, tmp_path, edit, needle):
+        save_weights(self._trained_tiny(), tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(WeightsError, match=f"^{re.escape(str(path))}: .*{needle}"):
+            load_weights(tmp_path / "ck")
+
+    def test_manifest_that_is_not_an_object_is_named(self, tmp_path):
+        save_weights(self._trained_tiny(), tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        path.write_text("[]")
+        with pytest.raises(WeightsError, match=f"^{re.escape(str(path))}: manifest is not a JSON object"):
+            load_weights(tmp_path / "ck")
+
     def test_write_json_is_sorted_indented_and_atomic(self, tmp_path):
         path = tmp_path / "out.json"
         path.write_text("stale")
@@ -360,6 +400,21 @@ class TestTransfer:
             src.forward(x, mode="infer").data, dst.forward(x, mode="infer").data
         )
         assert weights_hash(src) == weights_hash(dst)
+
+    def test_entries_are_the_models_own_arrays(self):
+        """Training, `restore` and `load_weights` write into the arrays the
+        model listed at build time, so every reader sees the current state."""
+        m = build_model(tiny_spec("Residual", 2, seed=40))
+        entries = [(name, arr) for name, arr, _ in m.all_entries()]
+        m.forward(np.random.default_rng(41).normal(size=(4, 1, 8, 9)), mode="train")
+        m.restore(build_model(tiny_spec("Residual", 2, seed=42)).snapshot())
+        for (name, arr), (name2, arr2, _) in zip(entries, m.all_entries()):
+            assert name == name2 and arr is arr2
+        state = m.bn["block1.conv1"]
+        by_name = dict(entries)
+        assert by_name["block1.conv1.bn.running_mean"] is state.running_mean
+        assert by_name["block1.conv1.bn.running_var"] is state.running_var
+        assert by_name["block1.conv1.w"] is m.params["block1.conv1.w"].data
 
     def test_zero_epoch_chain_propagates_initial_weights(self):
         a = build_model(tiny_spec("Cascade", 2, seed=30))

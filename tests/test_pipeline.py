@@ -32,27 +32,58 @@ from hvfcast.pipeline import (
 
 from conftest import make_field, make_series
 
-# Pair-file mutations, each of which breaks the data contract of one line.
+# Pair-file mutations, each of which breaks the data contract of one line:
+# each takes the line's object and returns the new line.
 _OTHER_EYE = {"OD": "OS", "OS": "OD"}
 
 
 def _swap_refs(obj):
     obj["input_ref"], obj["target_ref"] = obj["target_ref"], obj["input_ref"]
+    return json.dumps(obj)
 
 
 def _other_bin(obj):
     obj["bin"] = BIN_CENTERS[(BIN_CENTERS.index(obj["bin"]) + 1) % len(BIN_CENTERS)]
+    return json.dumps(obj)
 
 
 def _other_patient(obj):
     obj["target_ref"]["patient_id"] = "P2" if obj["target_ref"]["patient_id"] == "P1" else "P1"
+    return json.dumps(obj)
 
 
 def _other_eye(obj):
     obj["target_ref"]["eye"] = _OTHER_EYE[obj["target_ref"]["eye"]]
+    return json.dumps(obj)
 
 
-MUTATIONS = (_swap_refs, _other_bin, _other_patient, _other_eye)
+def _truncated(obj):
+    return json.dumps(obj)[:-1]
+
+
+def _not_an_object(obj):
+    return json.dumps([obj])
+
+
+def _without(key, ref=None):
+    def mutate(obj):
+        del (obj if ref is None else obj[ref])[key]
+        return json.dumps(obj)
+    mutate.__name__ = f"_without_{ref}_{key}" if ref else f"_without_{key}"
+    return mutate
+
+
+def _unknown_eye(obj):
+    obj["input_ref"]["eye"] = "right"
+    return json.dumps(obj)
+
+
+MUTATIONS = (
+    _swap_refs, _other_bin, _other_patient, _other_eye, _truncated, _not_an_object,
+    _without("bin"), _without("input_ref"), _without("target_ref"),
+    *(_without(key, ref) for ref in ("input_ref", "target_ref") for key in ("patient_id", "eye", "test_index")),
+    _unknown_eye,
+)
 
 
 def oracle_bin(delta: float):
@@ -318,7 +349,8 @@ class TestPairFiles:
 class TestPairFileProperty:
     """Every line `write_pairs` emits reads back as the same pair, and a line
     with one field mutated (refs swapped, another bin, the target in another
-    patient or eye) is rejected with its line number."""
+    patient or eye, a key dropped, an eye not OD or OS) or not a JSON object
+    is rejected with its line number."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -352,12 +384,33 @@ class TestPairFileProperty:
             assert keys(read_pairs(path, fields)) == keys(binned)
             lines = path.read_text().splitlines()
             i = pick % len(lines)
-            obj = json.loads(lines[i])
-            mutate(obj)
-            lines[i] = json.dumps(obj)
+            lines[i] = mutate(json.loads(lines[i]))
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(PipelineError, match=f"^line {i + 1}: "):
                 read_pairs(path, fields)
+
+    @pytest.mark.parametrize(
+        "mutate,needle",
+        [
+            (_truncated, "malformed JSON: "),
+            (_not_an_object, "not a JSON object"),
+            (_without("bin"), "lacks key 'bin'"),
+            (_without("input_ref"), "input_ref is missing or not an object"),
+            (_without("test_index", "target_ref"), "target_ref lacks key 'test_index'"),
+            (_unknown_eye, "input_ref eye 'right' is not OD or OS"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_malformed_line_names_line_and_key(self, tmp_path, mutate, needle):
+        rng = np.random.default_rng(7)
+        fields = make_series(rng, "P1", RIGHT, [0.0, 1.0, 2.0])
+        path = tmp_path / "pairs.jsonl"
+        write_pairs(path, bin_pairs(make_pairs(fields))[0])
+        lines = path.read_text().splitlines()
+        lines[1] = mutate(json.loads(lines[1]))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PipelineError, match=f"^line 2: {needle}"):
+            read_pairs(path, fields)
 
     def test_cross_patient_line_is_named(self, tmp_path):
         """Two series with the same dates: only the patient differs."""
@@ -366,7 +419,6 @@ class TestPairFileProperty:
         path = tmp_path / "pairs.jsonl"
         write_pairs(path, bin_pairs(make_pairs(fields))[0])
         obj = json.loads(path.read_text().splitlines()[0])
-        _other_patient(obj)
-        path.write_text(json.dumps(obj) + "\n")
+        path.write_text(_other_patient(obj) + "\n")
         with pytest.raises(PipelineError, match="line 1: input_ref and target_ref are different patients"):
             read_pairs(path, fields)
