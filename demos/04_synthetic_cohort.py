@@ -56,7 +56,7 @@ eye_meta = meta["patients"][0]["eyes"][fields[0].eye]
 print(f"archetype {eye_meta['archetype']}, rate {eye_meta['rate_db_per_year']:.2f} dB/year")
 for f in fields:
     surface = normative_surface(f.age_years, f.eye)
-    print(f"\n{f.test_date}  (age {f.age_years:.1f}, MD {mean_deviation(f, surface):+.2f} dB)")
+    print(f"\n{f.test_date}  (age {f.age_years:.1f}, MD {mean_deviation(f.values, surface, f.eye):+.2f} dB)")
     print(render(f.to_grid()))
 
 print("\n=== test-retest noise grows where the field is damaged ===")

@@ -26,6 +26,7 @@ from .domain import (
     DomainError,
     EYE_FROM_WIRE,
     EYE_TO_WIRE,
+    RecordError,
     find_record,
     load_dataset,
     mask_cells,
@@ -210,11 +211,10 @@ def _cmd_split(args) -> int:
 def _load_plan(path, fields) -> SplitPlan:
     """The split plan at `path`, which must plan each patient once and only
     patients of the loaded dataset `fields`."""
-    obj = json.loads(Path(path).read_text())
-    for key in ("test_patients", "folds", "seed"):
-        if not isinstance(obj, dict) or key not in obj:
-            raise PipelineError(f"{path}: split plan lacks key {key!r}")
-    plan = SplitPlan.from_json_dict(obj)
+    try:
+        plan = SplitPlan.from_json_dict(json.loads(Path(path).read_text()))
+    except ValueError as e:  # malformed JSON, or a PipelineError naming the key
+        raise PipelineError(f"{path}: {e}") from None
     planned = Counter([*plan.train_patients(), *plan.test_patients])
     repeated = sorted(pid for pid, n in planned.items() if n > 1)
     if repeated:
@@ -395,7 +395,10 @@ def _cmd_predict(args) -> int:
         lines = [l for l in Path(args.field).read_text().splitlines() if l.strip()]
         if len(lines) != 1:
             raise DomainError(f"--field file must hold exactly one record, got {len(lines)}")
-        field = parse_record(lines[0])
+        try:
+            field = parse_record(lines[0])
+        except RecordError as e:
+            raise RecordError(f"{args.field}: {e}") from None
     else:
         if not (args.data and args.patient and args.eye and args.test_index):
             print(

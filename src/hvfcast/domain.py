@@ -81,29 +81,13 @@ def valid_mask_array() -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Mask24x2:
-    """Eye-specific 24-2 layout: valid cells plus the blind-spot pair."""
-
-    eye: str
-    valid: frozenset[Cell]
-    blind_spot: frozenset[Cell]
-
-    def md_cells(self) -> tuple[Cell, ...]:
-        """Valid cells excluding the blind spot, row-major."""
-        return tuple(c for c in mask_cells() if c not in self.blind_spot)
-
-
 @lru_cache(maxsize=None)
-def build_mask(eye: str) -> Mask24x2:
-    """Canonical layout mask for one eye."""
+def md_positions(eye: str) -> tuple[int, ...]:
+    """Positions in `mask_cells()` order of the 52 cells outside the eye's
+    blind spot, ascending (so row-major)."""
     if eye not in EYES:
         raise DomainError(f"unknown eye {eye!r}; expected one of {EYES}")
-    return Mask24x2(
-        eye=eye,
-        valid=frozenset(mask_cells()),
-        blind_spot=frozenset(BLIND_SPOT[eye]),
-    )
+    return tuple(i for i, c in enumerate(mask_cells()) if c not in BLIND_SPOT[eye])
 
 
 def cell_degrees(cell: Cell, eye: str) -> tuple[float, float]:
@@ -131,7 +115,11 @@ def eccentricity(cell: Cell, eye: str) -> float:
 
 @dataclass
 class VisualField:
-    """One 24-2 test: 54 dB values plus the clinical context of the test."""
+    """One 24-2 test: 54 dB values plus the clinical context of the test.
+
+    `values` holds the 54 measured values in `mask_cells()` order, which is
+    row-major over the valid cells and the order of a dataset record.
+    """
 
     patient_id: str
     eye: str
@@ -139,21 +127,13 @@ class VisualField:
     age_years: float
     test_date: date
     test_index: int
-    values: dict[Cell, float]
+    values: tuple[float, ...]
 
     def to_grid(self) -> np.ndarray:
         """(8, 9) float64 grid; unmeasured cells are 0.0."""
         grid = np.zeros((GRID_ROWS, GRID_COLS), dtype=np.float64)
-        for cell, v in self.values.items():
-            grid[cell] = v
+        grid[valid_mask_array()] = self.values
         return grid
-
-
-@dataclass
-class NormativeSurface:
-    """Expected normal sensitivity per valid cell, for one age and eye."""
-
-    expected: dict[Cell, float]
 
 
 def validate_field(f: VisualField) -> list[str]:
@@ -170,26 +150,16 @@ def validate_field(f: VisualField) -> list[str]:
     if not (_is_int(f.test_index) and f.test_index >= 1):
         violations.append(f"test_index {f.test_index!r} must be an integer >= 1")
 
-    # mask_cells() is sorted, so every group of messages comes in cell order:
-    # missing cells, then unexpected cells, then bad values
-    bad_values = []
-    n_present = 0
-    for cell in mask_cells():
-        if cell not in f.values:
-            violations.append(f"missing cell {cell}")
-            continue
-        n_present += 1
-        v = f.values[cell]
+    if len(f.values) != NUM_VALID_CELLS:
+        return violations + [f"values length {len(f.values)} != {NUM_VALID_CELLS}"]
+    for cell, v in zip(mask_cells(), f.values):
         if v in _VALID_DB:
             continue
         if not np.isfinite(v) or not (DB_MIN <= v <= DB_MAX):
-            bad_values.append(f"value {v!r} at {cell} out of range [{DB_MIN:g}, {DB_MAX:g}]")
+            violations.append(f"value {v!r} at {cell} out of range [{DB_MIN:g}, {DB_MAX:g}]")
         elif round(v, 2) != v:
-            bad_values.append(f"value {v!r} at {cell} not stored to two decimals")
-    if len(f.values) > n_present:
-        for cell in sorted(f.values.keys() - set(mask_cells())):
-            violations.append(f"unexpected cell {cell}")
-    return violations + bad_values
+            violations.append(f"value {v!r} at {cell} not stored to two decimals")
+    return violations
 
 
 def _is_int(x) -> bool:
@@ -197,22 +167,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def mean_deviation(f: VisualField, normative: NormativeSurface) -> float:
-    """Unweighted mean of (measured - expected) over the 52 non-blind cells."""
-    return mean_deviation_values(f.values, normative, f.eye)
+def mean_deviation(values, expected, eye: str) -> float:
+    """Unweighted mean of (measured - expected) over the 52 cells outside
+    the eye's blind spot; `values` and `expected` are 54-value sequences in
+    `mask_cells()` order.
 
-
-def mean_deviation_values(
-    values: dict[Cell, float], normative: NormativeSurface, eye: str
-) -> float:
-    """mean_deviation on a bare cell->dB map (no record validation)."""
-    mask = build_mask(eye)
+    The sum runs one cell at a time in row-major order: a pairwise sum
+    (np.sum) rounds differently.
+    """
     total = 0.0
-    for cell in mask.md_cells():
-        if cell not in normative.expected:
-            raise DomainError(f"normative incomplete: missing cell {cell}")
-        total += values[cell] - normative.expected[cell]
-    return total / NUM_MD_CELLS
+    for i in md_positions(eye):
+        total += values[i] - expected[i]
+    return float(total / NUM_MD_CELLS)
 
 
 def parse_record(line: str) -> VisualField:
@@ -255,7 +221,7 @@ def parse_record(line: str) -> VisualField:
             age_years=float(obj["age"]),
             test_date=test_date,
             test_index=obj["test_index"],
-            values=dict(zip(mask_cells(), map(float, vals))),
+            values=tuple(map(float, vals)),
         )
     except OverflowError as e:  # an integer beyond the float range
         raise RecordError(f"number out of range: {e}") from e
@@ -270,7 +236,7 @@ def serialize_record(f: VisualField) -> str:
     violations = validate_field(f)
     if violations:
         raise DomainError("refusing to serialize invalid field: " + "; ".join(violations))
-    values = ", ".join(f"{f.values[c]:.2f}" for c in mask_cells())
+    values = ", ".join(f"{v:.2f}" for v in f.values)
     parts = [
         f'"patient_id": {json.dumps(f.patient_id)}',
         f'"eye": {json.dumps(EYE_TO_WIRE[f.eye])}',
@@ -289,9 +255,9 @@ def _read_records(path, needle: str | None = None) -> Iterator[VisualField]:
     With `needle`, a line that contains neither the needle nor a backslash
     is skipped unparsed: without an escape a JSON string holds its text
     verbatim, so such a line cannot carry a string equal to the needle.
-    Raises RecordError with line context for a bad parsed line, for a
-    (patient_id, eye, test_index) key on a second parsed line, and for a
-    parsed line whose gender differs from its patient's first parsed line.
+    Raises RecordError, prefixed `PATH: line N: `, for a bad parsed line,
+    for a (patient_id, eye, test_index) key on a second parsed line, and for
+    a parsed line whose gender differs from its patient's first parsed line.
     """
     first_line: dict[tuple[str, str, int], int] = {}
     gender_line: dict[str, tuple[str, int]] = {}
@@ -300,14 +266,15 @@ def _read_records(path, needle: str | None = None) -> Iterator[VisualField]:
             line = line.strip()
             if not line or (needle is not None and needle not in line and "\\" not in line):
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 field = parse_record(line)
             except RecordError as e:
-                raise RecordError(f"line {lineno}: {e}") from e
+                raise RecordError(f"{where}: {e}") from e
             key = (field.patient_id, field.eye, field.test_index)
             if key in first_line:
                 raise RecordError(
-                    f"line {lineno}: duplicate record for patient {field.patient_id!r}, "
+                    f"{where}: duplicate record for patient {field.patient_id!r}, "
                     f"eye {EYE_TO_WIRE[field.eye]}, test_index {field.test_index} "
                     f"(first at line {first_line[key]})"
                 )
@@ -315,14 +282,15 @@ def _read_records(path, needle: str | None = None) -> Iterator[VisualField]:
             gender, first = gender_line.setdefault(field.patient_id, (field.gender, lineno))
             if field.gender != gender:
                 raise RecordError(
-                    f"line {lineno}: gender {field.gender!r} of patient {field.patient_id!r} "
+                    f"{where}: gender {field.gender!r} of patient {field.patient_id!r} "
                     f"differs from {gender!r} at line {first}"
                 )
             yield field
 
 
 def load_dataset(path) -> list[VisualField]:
-    """Read a JSON-lines dataset file. Raises RecordError with line context.
+    """Read a JSON-lines dataset file. Raises RecordError naming the file
+    and line.
 
     Each (patient_id, eye, test_index) key may appear on one line only, and
     all lines of a patient carry the same gender.

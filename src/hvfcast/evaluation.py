@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .autodiff import no_tape
-from .domain import Cell, VisualField, mask_cells, mean_deviation_values, valid_mask_array
+from .domain import Cell, VisualField, mask_cells, mean_deviation, valid_mask_array
 from .models import Model
 from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, encode_input, years_between
 from . import synthsim
@@ -165,8 +165,9 @@ BASELINE_METHODS = ("copy", "pointwise_ols", "pointwise_exp")
 _BASELINE_MIN_FIELDS = {"copy": 1, "pointwise_ols": 2, "pointwise_exp": 2}
 
 
-def baseline_forecast(method: str, history: list[VisualField], horizon_years: float) -> dict[Cell, float]:
-    """Forecast `horizon_years` past the last field of a same-eye series.
+def baseline_forecast(method: str, history: list[VisualField], horizon_years: float) -> np.ndarray:
+    """Forecast `horizon_years` past the last field of a same-eye series, as
+    a (54,) array in `mask_cells()` order.
 
     copy repeats the last field; pointwise_ols extrapolates a per-cell
     least-squares line over time; pointwise_exp fits the line on
@@ -179,13 +180,12 @@ def baseline_forecast(method: str, history: list[VisualField], horizon_years: fl
         raise EvaluationError(f"{method} needs at least {need} field(s), got {len(history)}")
     history = sorted(history, key=lambda f: f.test_date)
     if method == "copy":
-        return dict(history[-1].values)
+        return np.array(history[-1].values)
 
     times = np.array([years_between(history[0].test_date, f.test_date) for f in history])
     if np.unique(times).size < 2:
         raise EvaluationError(f"{method} needs at least 2 distinct test dates")
-    cells = mask_cells()
-    ys = np.array([[f.values[c] for c in cells] for f in history])  # (n, 54)
+    ys = np.array([f.values for f in history])  # (n, 54)
     if method == "pointwise_exp":
         ys = np.log(ys + 1.0)
 
@@ -197,8 +197,7 @@ def baseline_forecast(method: str, history: list[VisualField], horizon_years: fl
     pred = intercept + slope * t_target
     if method == "pointwise_exp":
         pred = np.exp(pred) - 1.0
-    pred = np.clip(pred, EXPORT_MIN_DB, EXPORT_MAX_DB)
-    return {c: float(v) for c, v in zip(cells, pred)}
+    return np.clip(pred, EXPORT_MIN_DB, EXPORT_MAX_DB)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +262,6 @@ def evaluate_testset(
     five-tests-per-eye cohort do.
     """
     mask = valid_mask_array()
-    cells = mask_cells()
     normative = lru_cache(maxsize=None)(synthsim.normative_surface)
 
     history_index: dict[tuple[str, str], list[VisualField]] = {}
@@ -290,19 +288,18 @@ def evaluate_testset(
             continue
         means = ensemble_means(models, np.stack([encode_input(pair.input, combo) for pair in pairs]))
         for pair, mean in zip(pairs, means):
-            forecast = EnsembleForecast(raw=mean, n_models=len(models), bin=center)
-            pred_grid = forecast.exported_grid()
-            target_grid = pair.target.to_grid()
-            err = (pred_grid - target_grid)[mask]
+            pred = EnsembleForecast(raw=mean, n_models=len(models)).exported_grid()[mask]
+            target = np.array(pair.target.values)
+            err = pred - target
             pair_mae.append(float(np.abs(err).mean()))
             pair_sq.append(float((err * err).mean()))
             pair_bin.append(center)
 
             surface = normative(pair.target.age_years, pair.target.eye)
-            pred_md = mean_deviation_values(forecast.exported_values(), surface, pair.target.eye)
-            actual_md = mean_deviation_values(pair.target.values, surface, pair.target.eye)
+            pred_md = mean_deviation(pred, surface, pair.target.eye)
+            actual_md = mean_deviation(pair.target.values, surface, pair.target.eye)
             input_surface = normative(pair.input.age_years, pair.input.eye)
-            input_md = mean_deviation_values(pair.input.values, input_surface, pair.input.eye)
+            input_md = mean_deviation(pair.input.values, input_surface, pair.input.eye)
             md_rows.append(
                 {
                     "bin": center,
@@ -313,7 +310,7 @@ def evaluate_testset(
                 }
             )
 
-            _accumulate_baselines(baseline_acc, pair, history_index, cells, mask)
+            _accumulate_baselines(baseline_acc, pair, target, history_index)
 
     if not pair_mae:
         raise EvaluationError("no test pairs could be evaluated")
@@ -403,14 +400,11 @@ def evaluate_testset(
     return report
 
 
-def _accumulate_baselines(acc, pair: FieldPair, history_index, cells, mask) -> None:
-    target_grid = pair.target.to_grid()
+def _accumulate_baselines(acc, pair: FieldPair, target: np.ndarray, history_index) -> None:
+    """Score the baselines' forecasts for `pair` against its (54,) `target`."""
 
-    def score(pred_values: dict[Cell, float], method: str) -> None:
-        pred_grid = np.zeros_like(target_grid)
-        for c in cells:
-            pred_grid[c] = pred_values[c]
-        err = (pred_grid - target_grid)[mask]
+    def score(pred: np.ndarray, method: str) -> None:
+        err = pred - target
         acc[method]["abs"].append(float(np.abs(err).mean()))
         acc[method]["sq"].append(float((err * err).mean()))
 

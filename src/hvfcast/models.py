@@ -446,8 +446,10 @@ def load_weights(dir_path) -> Model:
     """Rebuild a model from a manifest/blob pair; bit-exact round trip.
 
     Raises WeightsError, naming the manifest, for a manifest that is not
-    an object, lacks a key, holds a spec with unknown or missing fields,
-    or disagrees with the blob.
+    an object, lacks a key, holds a spec with unknown or missing fields, a
+    non-string entry name or an entry offset or length that is not a
+    non-negative integer, or disagrees with the blob (a wrong-typed shape
+    or sha256 fails its comparison with the model or the blob).
     """
     dir_path = Path(dir_path)
     path = dir_path / MANIFEST_NAME
@@ -479,6 +481,8 @@ def load_weights(dir_path) -> Model:
     model = Model(spec, _seeded=False)
     arrays = dict((name, arr) for name, arr, _ in model.all_entries())
     seen = set()
+    if type(manifest["entries"]) is not list:
+        raise WeightsError(f"{path}: manifest key 'entries' is not a list")
     for i, entry in enumerate(manifest["entries"]):
         try:
             name, shape, offset, length, sha256 = _ENTRY_FIELDS(entry)
@@ -486,6 +490,11 @@ def load_weights(dir_path) -> Model:
             raise WeightsError(f"{path}: entry {i} lacks key {e}") from None
         except TypeError:
             raise WeightsError(f"{path}: entry {i} is not an object") from None
+        if type(name) is not str:
+            raise WeightsError(f"{path}: entry {i} key 'name' is not a string: {name!r}")
+        for key, value in (("offset", offset), ("length", length)):
+            if type(value) is not int or value < 0:
+                raise WeightsError(f"{path}: entry {i} key {key!r} is not a non-negative integer: {value!r}")
         if name not in arrays:
             raise WeightsError(f"{path}: unknown layer entry {name!r}")
         if shape != list(arrays[name].shape):

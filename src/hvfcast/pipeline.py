@@ -124,13 +124,31 @@ class SplitPlan:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SplitPlan":
+    def from_json_dict(cls, d) -> "SplitPlan":
+        """The plan `to_json_dict` wrote.  Raises PipelineError naming the
+        key for a missing key or a value of the wrong type."""
+        for key in ("test_patients", "folds", "seed"):
+            if not isinstance(d, dict) or key not in d:
+                raise PipelineError(f"split plan lacks key {key!r}")
+        if not _is_str_list(d["test_patients"]):
+            raise PipelineError("split plan key 'test_patients' is not a list of strings")
+        if not (isinstance(d["folds"], list) and all(map(_is_str_list, d["folds"]))):
+            raise PipelineError("split plan key 'folds' is not a list of lists of strings")
+        if type(d["seed"]) is not int:
+            raise PipelineError(f"split plan key 'seed' is not an integer: {d['seed']!r}")
+        ratio = d.get("ratio", 0.8)
+        if type(ratio) not in (int, float):
+            raise PipelineError(f"split plan key 'ratio' is not a number: {ratio!r}")
         return cls(
             test_patients=tuple(d["test_patients"]),
             folds=tuple(tuple(fold) for fold in d["folds"]),
             seed=d["seed"],
-            ratio=d.get("ratio", 0.8),
+            ratio=ratio,
         )
+
+
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(type(v) is str for v in x)
 
 
 def split_patients(patient_ids, ratio: float = 0.8, seed: int = 0) -> SplitPlan:
@@ -271,28 +289,29 @@ _REF_FIELDS = itemgetter("patient_id", "eye", "test_index")
 _WIRE_EYES = tuple(EYE_FROM_WIRE)
 
 
-def _resolve_ref(obj: dict, key: str, index: dict, lineno: int) -> VisualField:
-    """The dataset field that the pair-file line's `key` ref names."""
+def _resolve_ref(obj: dict, key: str, index: dict, where: str) -> VisualField:
+    """The dataset field that the pair-file line's `key` ref names; `where`
+    (`PATH: line N`) prefixes the errors."""
     ref = obj.get(key)
     if not isinstance(ref, dict):
-        raise PipelineError(f"line {lineno}: {key} is missing or not an object")
+        raise PipelineError(f"{where}: {key} is missing or not an object")
     try:
         patient_id, eye, test_index = _REF_FIELDS(ref)
     except KeyError as e:
-        raise PipelineError(f"line {lineno}: {key} lacks key {e}") from None
+        raise PipelineError(f"{where}: {key} lacks key {e}") from None
     if eye not in _WIRE_EYES:
-        raise PipelineError(f"line {lineno}: {key} eye {eye!r} is not OD or OS")
+        raise PipelineError(f"{where}: {key} eye {eye!r} is not OD or OS")
     k = (patient_id, EYE_FROM_WIRE[eye], test_index)
     # the type checks keep an unhashable value out of the lookup
     if type(patient_id) is not str or type(test_index) is not int or k not in index:
-        raise PipelineError(f"line {lineno}: {key} {ref} not in dataset")
+        raise PipelineError(f"{where}: {key} {ref} not in dataset")
     return index[k]
 
 
 def read_pairs(path, fields: list[VisualField]) -> dict[float, list[FieldPair]]:
     """Resolve a pair file against its dataset.
 
-    Raises PipelineError with the line number on a line that is not a JSON
+    Raises PipelineError, prefixed `PATH: line N: `, on a line that is not a JSON
     object holding `bin` and two refs of `patient_id`, `eye` (OD or OS) and
     `test_index`; on a dangling ref, on refs to two patients or eyes, on an
     input test not strictly before its target, and on a stored bin other
@@ -305,27 +324,28 @@ def read_pairs(path, fields: list[VisualField]) -> dict[float, list[FieldPair]]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
             except ValueError as e:
-                raise PipelineError(f"line {lineno}: malformed JSON: {e}") from e
+                raise PipelineError(f"{where}: malformed JSON: {e}") from e
             if not isinstance(obj, dict):
-                raise PipelineError(f"line {lineno}: not a JSON object")
-            a = _resolve_ref(obj, "input_ref", index, lineno)
-            b = _resolve_ref(obj, "target_ref", index, lineno)
+                raise PipelineError(f"{where}: not a JSON object")
+            a = _resolve_ref(obj, "input_ref", index, where)
+            b = _resolve_ref(obj, "target_ref", index, where)
             if "bin" not in obj:
-                raise PipelineError(f"line {lineno}: lacks key 'bin'")
+                raise PipelineError(f"{where}: lacks key 'bin'")
             if (a.patient_id, a.eye) != (b.patient_id, b.eye):
-                raise PipelineError(f"line {lineno}: input_ref and target_ref are different patients or eyes")
+                raise PipelineError(f"{where}: input_ref and target_ref are different patients or eyes")
             if not a.test_date < b.test_date:
                 raise PipelineError(
-                    f"line {lineno}: input test of {a.test_date} is not before target test of {b.test_date}"
+                    f"{where}: input test of {a.test_date} is not before target test of {b.test_date}"
                 )
             delta = years_between(a.test_date, b.test_date)
             center = assign_bin(delta)
             if center is None or obj["bin"] != center:
                 raise PipelineError(
-                    f"line {lineno}: stored bin {obj['bin']!r} != {center!r}, the bin of its {delta:.6f}-year gap"
+                    f"{where}: stored bin {obj['bin']!r} != {center!r}, the bin of its {delta:.6f}-year gap"
                 )
             binned[center].append(FieldPair(input=a, target=b, delta_years=delta))
     return binned

@@ -31,7 +31,6 @@ from .domain import (
     LEFT,
     RIGHT,
     Cell,
-    NormativeSurface,
     VisualField,
     eccentricity,
     mask_cells,
@@ -87,10 +86,9 @@ def normative_sensitivity(age_years: float, cell: Cell, eye: str = RIGHT) -> flo
     return float(min(max(n, 0.0), NORM_MAX_DB))
 
 
-def normative_surface(age_years: float, eye: str = RIGHT) -> NormativeSurface:
-    return NormativeSurface(
-        expected={c: normative_sensitivity(age_years, c, eye) for c in mask_cells()}
-    )
+def normative_surface(age_years: float, eye: str = RIGHT) -> tuple[float, ...]:
+    """Expected normal sensitivity of the 54 valid cells, in `mask_cells()` order."""
+    return tuple(normative_sensitivity(age_years, c, eye) for c in mask_cells())
 
 
 @dataclass(frozen=True)
@@ -192,8 +190,7 @@ def _visit_offsets(rng: np.random.Generator, n_tests: int, span: float) -> list[
 def generate_cohort(cfg: CohortConfig) -> tuple[list[VisualField], dict]:
     """Simulate a cohort; returns (fields, ground-truth metadata)."""
     cfg.validate()
-    cells = mask_cells()
-    cell_index = {c: i for i, c in enumerate(cells)}
+    cell_index = {c: i for i, c in enumerate(mask_cells())}
     probs = np.array([cfg.archetype_mix.get(n, 0.0) for n in ARCHETYPE_NAMES])
     probs = probs / probs.sum()
 
@@ -232,8 +229,8 @@ def generate_cohort(cfg: CohortConfig) -> tuple[list[VisualField], dict]:
             for day in days:
                 t = (day - day0) / DAYS_PER_YEAR
                 age = baseline_age + day / DAYS_PER_YEAR
-                norm = np.array([normative_sensitivity(age, c, eye) for c in cells])
-                defect = np.zeros(len(cells))
+                norm = np.array(normative_surface(age, eye))
+                defect = np.zeros(len(cell_index))
                 for cell, mult in arch.affected(eye):
                     defect[cell_index[cell]] = arch.depth_db + rate * mult * t
                 values = np.clip(norm - defect, 0.0, NORM_MAX_DB)
@@ -261,7 +258,7 @@ def generate_cohort(cfg: CohortConfig) -> tuple[list[VisualField], dict]:
                     age_years=baseline_age + day / DAYS_PER_YEAR,
                     test_date=cfg.start_date + timedelta(days=day),
                     test_index=test_index,
-                    values={c: float(v) for c, v in zip(cells, values)},
+                    values=tuple(values.tolist()),
                 )
             )
         meta_patients.append(

@@ -11,9 +11,16 @@ from hvfcast.domain import GENDERS, RIGHT, VisualField, mask_cells
 from hvfcast import synthsim
 
 
-def random_values(rng: np.random.Generator) -> dict:
-    """54 valid two-decimal dB values."""
-    return {c: float(rng.integers(0, 5001)) / 100.0 for c in mask_cells()}
+def random_values(rng: np.random.Generator) -> tuple[float, ...]:
+    """54 valid two-decimal dB values, in `mask_cells()` order."""
+    return tuple(float(rng.integers(0, 5001)) / 100.0 for _ in mask_cells())
+
+
+def with_cell(values, cell, v: float) -> tuple[float, ...]:
+    """`values` with the value at `cell` replaced by `v`."""
+    out = list(values)
+    out[mask_cells().index(cell)] = v
+    return tuple(out)
 
 
 def make_field(
@@ -24,7 +31,7 @@ def make_field(
     age_years: float = 60.0,
     test_date: date = date(2015, 3, 2),
     test_index: int = 1,
-    values: dict | None = None,
+    values: tuple[float, ...] | None = None,
 ) -> VisualField:
     if values is None:
         values = random_values(rng or np.random.default_rng(0))

@@ -89,7 +89,7 @@ class TestBasics:
         dup.write_text("\n".join(lines + [lines[0]]) + "\n")
         code = run_cli("pairs", "--data", str(dup), "--out", str(tmp_path / "p.jsonl"))
         assert code == 2
-        assert f"line {len(lines) + 1}: duplicate record" in capsys.readouterr().err
+        assert f"error: {dup}: line {len(lines) + 1}: duplicate record" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, bad", [("age", "null"), ("age", '"old"'), ("value", '"12.5"'), ("value", "null")])
     def test_non_number_field_exits_2_with_line(self, workdir, tmp_path, capsys, key, bad):
@@ -104,7 +104,7 @@ class TestBasics:
         data.write_text("\n".join(lines) + "\n")
         code = run_cli("pairs", "--data", str(data), "--out", str(tmp_path / "p.jsonl"))
         assert code == 2
-        assert "error: line 2: bad value" in capsys.readouterr().err
+        assert f"error: {data}: line 2: bad value" in capsys.readouterr().err
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         code = run_cli("pairs", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "p.jsonl"))
@@ -538,7 +538,9 @@ class TestPlanContract:
             "--arch", "FullyConnected", "--combo", "age", "--epochs", "1",
         )
         assert code == 2
-        assert "line 1: input_ref and target_ref are different patients or eyes" in capsys.readouterr().err
+        assert f"error: {pairs}: line 1: input_ref and target_ref are different patients or eyes" in (
+            capsys.readouterr().err
+        )
 
 
 class TestRunTreeContract:
@@ -589,6 +591,39 @@ class TestRunTreeContract:
         assert _evaluate(trained, trained / "runs", tmp_path / "r.json", split=split) == 2
         assert f"{split}: split plan lacks key 'folds'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, bad, message",
+        [
+            ("folds", 5, "split plan key 'folds' is not a list of lists of strings"),
+            ("folds", [["P0001"], 7], "split plan key 'folds' is not a list of lists of strings"),
+            ("test_patients", "P0001", "split plan key 'test_patients' is not a list of strings"),
+            ("seed", "17", "split plan key 'seed' is not an integer: '17'"),
+        ],
+        ids=["folds-int", "fold-int", "test-patients-str", "seed-str"],
+    )
+    def test_split_value_of_wrong_type_exits_2(self, trained, tmp_path, capsys, key, bad, message):
+        plan = json.loads((trained / "split.json").read_text())
+        plan[key] = bad
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(plan))
+        assert _evaluate(trained, trained / "runs", tmp_path / "r.json", split=split) == 2
+        assert capsys.readouterr().err == f"error: {split}: {message}\n"
+
+    def test_manifest_offset_of_wrong_type_exits_2(self, trained, small_cohort, tmp_path, capsys):
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "bin-1.0" / "fold-0" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["entries"][0]["offset"] = "a"
+        path.write_text(json.dumps(manifest))
+        field = small_cohort[1][0]
+        code = run_cli(
+            "predict", "--interval", "1.0", "--data", str(trained / "d.jsonl"),
+            "--patient", field.patient_id, "--eye", "OD" if field.eye == "right" else "OS",
+            "--test-index", str(field.test_index), "--runs", str(runs), "--out", str(tmp_path / "f.json"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: entry 0 key 'offset' is not a non-negative integer: 'a'\n"
+
     def test_pair_line_without_input_ref_exits_2(self, trained, tmp_path, capsys):
         lines = (trained / "pairs.jsonl").read_text().splitlines()
         obj = json.loads(lines[2])
@@ -601,7 +636,7 @@ class TestRunTreeContract:
             "--out", str(tmp_path / "r.json"),
         )
         assert code == 2
-        assert "error: line 3: input_ref is missing or not an object" in capsys.readouterr().err
+        assert f"error: {pairs}: line 3: input_ref is missing or not an object" in capsys.readouterr().err
 
     def test_patient_with_two_genders_exits_2(self, trained, tmp_path, capsys):
         lines = (trained / "d.jsonl").read_text().splitlines()
@@ -615,7 +650,7 @@ class TestRunTreeContract:
         data.write_text("\n".join(lines) + "\n")
         assert run_cli("pairs", "--data", str(data), "--out", str(tmp_path / "p.jsonl")) == 2
         assert (
-            f"error: line {i + 1}: gender {obj['gender']!r} of patient {first['patient_id']!r} "
+            f"error: {data}: line {i + 1}: gender {obj['gender']!r} of patient {first['patient_id']!r} "
             f"differs from {first['gender']!r} at line 1"
         ) in capsys.readouterr().err
 
@@ -743,6 +778,19 @@ class TestPredict:
         )
         assert code == 0
 
+    def test_bad_field_file_exits_2_naming_it(self, trained, small_cohort, tmp_path, capsys):
+        _, fields, _ = small_cohort
+        from hvfcast.domain import serialize_record
+
+        field_file = tmp_path / "one.jsonl"
+        field_file.write_text(serialize_record(fields[0]).replace('"eye": "O', '"eye": "X') + "\n")
+        code = run_cli(
+            "predict", "--interval", "1.0", "--field", str(field_file),
+            "--runs", str(trained / "runs"), "--out", str(tmp_path / "f.json"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field_file}: bad value for key 'eye': 'X")
+
     def _corrupt_bin_copy(self, trained, tmp_path, bin_name):
         """A copy of the runs tree with one byte of one fold's weights.bin flipped."""
         runs = tmp_path / "runs"
@@ -799,14 +847,14 @@ class TestPredict:
         data, lineno = self._data_with(trained, tmp_path, first)
         assert self._predict_bin_1(trained, field, trained / "runs", tmp_path / "a.json", data) == 2
         err = capsys.readouterr().err
-        assert f"line {lineno}: duplicate record for patient {field.patient_id!r}" in err
+        assert f"error: {data}: line {lineno}: duplicate record for patient {field.patient_id!r}" in err
         assert "(first at line 1)" in err
 
     def test_malformed_line_holding_the_id_exits_2_with_line(self, trained, small_cohort, tmp_path, capsys):
         field = small_cohort[1][0]
         data, lineno = self._data_with(trained, tmp_path, f'{{"patient_id": "{field.patient_id}", "eye": ')
         assert self._predict_bin_1(trained, field, trained / "runs", tmp_path / "a.json", data) == 2
-        assert f"error: line {lineno}: malformed JSON" in capsys.readouterr().err
+        assert f"error: {data}: line {lineno}: malformed JSON" in capsys.readouterr().err
 
     def test_other_patients_malformed_line_is_not_read(self, trained, small_cohort, tmp_path):
         """Predict validates only the lines that may hold the served record;

@@ -4,34 +4,39 @@ import json
 import math
 import re
 import tempfile
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvfcast import domain
 from hvfcast.domain import (
+    BLIND_SPOT,
     DomainError,
+    EYES,
+    GENDERS,
     LEFT,
-    NormativeSurface,
     RecordError,
     RIGHT,
-    build_mask,
+    VisualField,
     cell_degrees,
     eccentricity,
     find_record,
     load_dataset,
     mask_cells,
+    md_positions,
     mean_deviation,
     parse_record,
     save_dataset,
     serialize_record,
+    valid_mask_array,
     validate_field,
 )
 
-from conftest import make_field, random_values
+from conftest import make_field, random_values, with_cell
 
 EXPECTED_ROW_LENGTHS = [4, 6, 8, 9, 9, 8, 6, 4]
 EXPECTED_SPANS = [(2, 5), (1, 6), (0, 7), (0, 8), (0, 8), (0, 7), (1, 6), (2, 5)]
@@ -39,36 +44,45 @@ EXPECTED_SPANS = [(2, 5), (1, 6), (0, 7), (0, 8), (0, 8), (0, 7), (1, 6), (2, 5)
 
 class TestMask:
     def test_54_valid_cells_in_72_cell_grid(self):
-        mask = build_mask(RIGHT)
-        assert len(mask.valid) == 54
+        cells = mask_cells()
+        assert len(set(cells)) == 54
         assert domain.GRID_ROWS * domain.GRID_COLS == 72
-        assert all(0 <= r < 8 and 0 <= c < 9 for r, c in mask.valid)
+        assert all(0 <= r < 8 and 0 <= c < 9 for r, c in cells)
+        assert list(zip(*np.nonzero(valid_mask_array()))) == list(cells)
 
     @pytest.mark.parametrize("eye,expected", [(RIGHT, {(3, 7), (4, 7)}), (LEFT, {(3, 1), (4, 1)})])
     def test_blind_spot(self, eye, expected):
-        mask = build_mask(eye)
-        assert mask.blind_spot == frozenset(expected)
-        assert mask.blind_spot <= mask.valid
+        assert set(BLIND_SPOT[eye]) == expected
+        assert expected <= set(mask_cells())
+        skipped = set(range(54)) - set(md_positions(eye))
+        assert {mask_cells()[i] for i in skipped} == expected
 
     def test_row_occupancy(self):
-        mask = build_mask(RIGHT)
         for row in range(8):
-            cols = sorted(c for r, c in mask.valid if r == row)
+            cols = [c for r, c in mask_cells() if r == row]
             assert len(cols) == EXPECTED_ROW_LENGTHS[row]
             assert (cols[0], cols[-1]) == EXPECTED_SPANS[row]
             assert cols == list(range(cols[0], cols[-1] + 1))
 
     def test_both_eyes_share_the_valid_set(self):
-        assert build_mask(RIGHT).valid == build_mask(LEFT).valid
+        # one 54-cell order serves both eyes; only the blind spot differs
+        for eye in EYES:
+            md = {mask_cells()[i] for i in md_positions(eye)}
+            assert md | set(BLIND_SPOT[eye]) == set(mask_cells())
+        assert md_positions(RIGHT) != md_positions(LEFT)
 
     def test_md_cells_exclude_blind_spot(self):
-        mask = build_mask(RIGHT)
-        assert len(mask.md_cells()) == 52
-        assert not set(mask.md_cells()) & mask.blind_spot
+        for eye in EYES:
+            positions = md_positions(eye)
+            assert len(positions) == 52
+            assert list(positions) == sorted(set(positions))
+            assert not {mask_cells()[i] for i in positions} & set(BLIND_SPOT[eye])
 
     def test_unknown_eye_rejected(self):
-        with pytest.raises(DomainError):
-            build_mask("both")
+        with pytest.raises(DomainError, match="unknown eye 'both'"):
+            md_positions("both")
+        with pytest.raises(DomainError, match="unknown eye 'both'"):
+            mean_deviation((30.0,) * 54, (30.0,) * 54, "both")
 
 
 class TestDegrees:
@@ -100,21 +114,20 @@ class TestValidation:
     def test_well_formed_field_passes(self):
         assert validate_field(make_field(np.random.default_rng(1))) == []
 
-    def test_missing_cell(self):
-        f = make_field(np.random.default_rng(2))
-        del f.values[(0, 2)]
-        msgs = validate_field(f)
-        assert any("missing cell (0, 2)" in m for m in msgs)
+    def test_wrong_length(self):
+        for n in (0, 53, 55):
+            f = make_field(values=(20.0,) * n)
+            assert validate_field(f) == [f"values length {n} != 54"]
 
     def test_value_out_of_range(self):
         f = make_field(np.random.default_rng(3))
-        f.values[(3, 3)] = 61.0
-        assert any("out of range [0, 50]" in m for m in validate_field(f))
+        f.values = with_cell(f.values, (3, 3), 61.0)
+        assert validate_field(f) == ["value 61.0 at (3, 3) out of range [0, 50]"]
 
     def test_value_not_two_decimals(self):
         f = make_field(np.random.default_rng(4))
-        f.values[(3, 3)] = 27.456
-        assert any("two decimals" in m for m in validate_field(f))
+        f.values = with_cell(f.values, (3, 3), 27.456)
+        assert validate_field(f) == ["value 27.456 at (3, 3) not stored to two decimals"]
 
     @pytest.mark.parametrize(
         "patch,needle",
@@ -134,11 +147,10 @@ class TestValidation:
         assert any("test_index True must be an integer" in m for m in validate_field(f))
 
 
-def _range_round_messages(values: dict) -> list[str]:
+def _range_round_messages(values) -> list[str]:
     """Per-cell messages of the range-then-round(v, 2) definition of a valid dB value."""
     msgs = []
-    for cell in sorted(values):
-        v = values[cell]
+    for cell, v in zip(mask_cells(), values):
         if not np.isfinite(v) or not (0.0 <= v <= 50.0):
             msgs.append(f"value {v!r} at {cell} out of range [0, 50]")
         elif round(v, 2) != v:
@@ -162,76 +174,115 @@ class TestValueCheckProperty:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_db_values, min_size=54, max_size=54))
     def test_matches_range_and_round_definition(self, vals):
-        values = dict(zip(mask_cells(), vals))
+        values = tuple(vals)
         assert validate_field(make_field(values=values)) == _range_round_messages(values)
 
     def test_matches_definition_on_every_grid_value_and_its_neighbours(self):
-        values = {c: 20.0 for c in mask_cells()}
-        f = make_field(values=values)
+        f = make_field(values=(20.0,) * 54)
         for k in range(-100, 5101):
             for v in (k / 100, np.nextafter(k / 100, -np.inf), np.nextafter(k / 100, np.inf)):
-                values[(3, 3)] = float(v)
-                assert validate_field(f) == _range_round_messages(values), v
+                f.values = with_cell(f.values, (3, 3), float(v))
+                assert validate_field(f) == _range_round_messages(f.values), v
 
-    def test_missing_unexpected_and_bad_value_order(self):
-        values = {c: 20.0 for c in mask_cells()}
-        del values[(7, 5)]
-        values[(0, 0)] = 1.0
-        values[(2, 1)] = 70.0
-        values[(1, 1)] = 2.005
-        assert validate_field(make_field(values=values)) == [
-            "missing cell (7, 5)",
-            "unexpected cell (0, 0)",
+    def test_length_and_bad_value_order(self):
+        # scalar messages first, then the bad values in cell order; a
+        # wrong length replaces the per-cell messages
+        values = with_cell(with_cell((20.0,) * 54, (2, 1), 70.0), (1, 1), 2.005)
+        assert validate_field(make_field(values=values, gender="X")) == [
+            "gender 'X' not in ('M', 'F')",
             "value 2.005 at (1, 1) not stored to two decimals",
             "value 70.0 at (2, 1) out of range [0, 50]",
         ]
+        assert validate_field(make_field(values=values[:-1], gender="X")) == [
+            "gender 'X' not in ('M', 'F')",
+            "values length 53 != 54",
+        ]
+
+
+def _md_oracle(values, expected, eye: str) -> float:
+    """Mean deviation over cell-keyed dicts, one cell at a time in row-major
+    order: the definition the tuple form must reproduce bit for bit."""
+    measured = dict(zip(mask_cells(), values))
+    normal = dict(zip(mask_cells(), expected))
+    total = 0.0
+    for cell in sorted(measured):
+        if cell not in BLIND_SPOT[eye]:
+            total += measured[cell] - normal[cell]
+    return total / 52
+
+
+_fields_54 = st.lists(st.floats(0.0, 50.0), min_size=54, max_size=54)
 
 
 class TestMeanDeviation:
-    def _uniform_surface(self, level=30.0):
-        return NormativeSurface(expected={c: level for c in mask_cells()})
-
     def test_identity_gives_zero(self):
-        n = self._uniform_surface()
-        f = make_field(values={c: 30.0 for c in mask_cells()})
-        assert mean_deviation(f, n) == pytest.approx(0.0, abs=1e-12)
+        assert mean_deviation((30.0,) * 54, (30.0,) * 54, RIGHT) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_shift(self):
-        n = self._uniform_surface()
-        f = make_field(values={c: 28.0 for c in mask_cells()})
-        assert mean_deviation(f, n) == pytest.approx(-2.0, abs=1e-12)
+        assert mean_deviation((28.0,) * 54, (30.0,) * 54, RIGHT) == pytest.approx(-2.0, abs=1e-12)
 
     def test_single_depressed_cell(self):
-        n = self._uniform_surface()
-        values = {c: 30.0 for c in mask_cells()}
-        values[(2, 3)] = 30.0 - 5.20  # not a blind-spot cell
-        f = make_field(values=values)
-        assert mean_deviation(f, n) == pytest.approx(-5.20 / 52, abs=1e-12)
+        values = with_cell((30.0,) * 54, (2, 3), 30.0 - 5.20)  # not a blind-spot cell
+        assert mean_deviation(values, (30.0,) * 54, RIGHT) == pytest.approx(-5.20 / 52, abs=1e-12)
 
     def test_blind_spot_cells_ignored(self):
-        n = self._uniform_surface()
-        values = {c: 30.0 for c in mask_cells()}
-        values[(3, 7)] = 0.0
-        values[(4, 7)] = 0.0
-        f = make_field(values=values, eye=RIGHT)
-        assert mean_deviation(f, n) == pytest.approx(0.0, abs=1e-12)
+        for eye in EYES:
+            values = (30.0,) * 54
+            for cell in BLIND_SPOT[eye]:
+                values = with_cell(values, cell, 0.0)
+            assert mean_deviation(values, (30.0,) * 54, eye) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_in_constant_offset(self):
         rng = np.random.default_rng(6)
-        n = self._uniform_surface()
-        base = {c: float(rng.integers(500, 3000)) / 100.0 for c in mask_cells()}
-        f = make_field(values=base)
-        g = make_field(values={c: v + 1.25 for c, v in base.items()})
-        assert mean_deviation(g, n) == pytest.approx(mean_deviation(f, n) + 1.25, abs=1e-9)
+        n = (30.0,) * 54
+        base = tuple(float(rng.integers(500, 3000)) / 100.0 for _ in range(54))
+        shifted = tuple(v + 1.25 for v in base)
+        assert mean_deviation(shifted, n, RIGHT) == pytest.approx(mean_deviation(base, n, RIGHT) + 1.25, abs=1e-9)
 
-    def test_incomplete_normative_errors(self):
-        expected = {c: 30.0 for c in mask_cells()}
-        del expected[(2, 2)]
-        with pytest.raises(DomainError, match="normative incomplete"):
-            mean_deviation(make_field(np.random.default_rng(7)), NormativeSurface(expected))
+    @settings(max_examples=200, deadline=None)
+    @given(values=_fields_54, expected=_fields_54, eye=st.sampled_from(EYES))
+    def test_bit_identical_to_cell_by_cell_oracle(self, values, expected, eye):
+        md = mean_deviation(values, expected, eye)
+        assert type(md) is float
+        assert md == _md_oracle(values, expected, eye)
+        # evaluation passes the predicted field as a numpy array
+        assert mean_deviation(np.array(values), expected, eye) == md
+
+    def test_sum_is_sequential_not_pairwise(self):
+        # on these values a pairwise sum (np.sum) differs in the last bits,
+        # so the oracle comparison above would catch a pairwise rewrite
+        rng = np.random.default_rng(23)
+        values = tuple(rng.uniform(0.0, 50.0, 54).tolist())
+        expected = tuple(rng.uniform(0.0, 50.0, 54).tolist())
+        pos = list(md_positions(RIGHT))
+        pairwise = float(np.sum(np.array(values)[pos] - np.array(expected)[pos]) / 52)
+        assert _md_oracle(values, expected, RIGHT) != pairwise
+        assert mean_deviation(values, expected, RIGHT) == _md_oracle(values, expected, RIGHT)
+
+
+_two_decimal_db = st.integers(0, 5000).map(lambda k: k / 100)
+
+_fields = st.builds(
+    VisualField,
+    patient_id=st.text(min_size=1, max_size=8),
+    eye=st.sampled_from(EYES),
+    gender=st.sampled_from(GENDERS),
+    age_years=st.floats(0.0, 120.0),
+    test_date=st.dates(date(1990, 1, 1), date(2040, 12, 31)),
+    test_index=st.integers(1, 10**6),
+    values=st.tuples(*[_two_decimal_db] * 54),
+)
 
 
 class TestCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(_fields)
+    @example(make_field(values=(0.0,) * 27 + (50.0,) * 27))
+    def test_round_trip_property(self, f):
+        line = serialize_record(f)
+        assert parse_record(line) == f
+        assert json.loads(line)["values"] == list(f.values)
+
     def test_round_trip_random_fields(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -239,7 +290,7 @@ class TestCodec:
             assert parse_record(serialize_record(f)) == f
 
     def test_two_decimal_formatting(self):
-        f = make_field(values={c: 30.0 for c in mask_cells()})
+        f = make_field(values=(30.0,) * 54)
         line = serialize_record(f)
         assert '"values": [30.00, 30.00' in line
 
@@ -266,9 +317,15 @@ class TestCodec:
 
     def test_serialize_refuses_invalid(self):
         f = make_field(np.random.default_rng(11))
-        f.values[(3, 3)] = 77.0
+        f.values = with_cell(f.values, (3, 3), 77.0)
         with pytest.raises(DomainError, match="refusing to serialize"):
             serialize_record(f)
+
+    def test_serialize_refuses_wrong_length(self):
+        for n in (53, 55):
+            f = make_field(values=(30.0,) * n)
+            with pytest.raises(DomainError, match=f"refusing to serialize invalid field: values length {n} != 54$"):
+                serialize_record(f)
 
     def test_bool_test_index_rejected(self):
         line = serialize_record(make_field(np.random.default_rng(13)))
@@ -291,19 +348,20 @@ class TestCodec:
             parse_record(json.dumps(obj))
 
     def test_integer_numbers_parse_as_floats(self):
-        f = make_field(values={c: 30.0 for c in mask_cells()}, age_years=61.0)
+        f = make_field(values=(30.0,) * 54, age_years=61.0)
         obj = json.loads(serialize_record(f))
         obj["age"], obj["values"] = 61, [30] * len(obj["values"])
         parsed = parse_record(json.dumps(obj))
         assert parsed == f
         assert type(parsed.age_years) is float
-        assert all(type(v) is float for v in parsed.values.values())
+        assert type(parsed.values) is tuple
+        assert all(type(v) is float for v in parsed.values)
 
     def test_load_dataset_names_line_of_bool_test_index(self, tmp_path):
         good = serialize_record(make_field(np.random.default_rng(14)))
         path = tmp_path / "d.jsonl"
         path.write_text(good + "\n" + good.replace('"test_index": 1', '"test_index": true') + "\n")
-        with pytest.raises(RecordError, match=r"^line 2: bad value for key 'test_index'"):
+        with pytest.raises(RecordError, match=rf"^{re.escape(str(path))}: line 2: bad value for key 'test_index'"):
             load_dataset(path)
 
     def test_load_dataset_rejects_duplicate_key(self, tmp_path):
@@ -315,7 +373,7 @@ class TestCodec:
         path.write_text("\n".join(serialize_record(f) for f in (first, other, again)) + "\n")
         with pytest.raises(
             RecordError,
-            match=r"^line 3: duplicate record for patient 'P7', eye OD, test_index 2 \(first at line 1\)",
+            match=rf"^{re.escape(str(path))}: line 3: duplicate record for patient 'P7', eye OD, test_index 2 \(first at line 1\)",
         ):
             load_dataset(path)
 
@@ -330,7 +388,10 @@ class TestCodec:
         values = random_values(np.random.default_rng(12))
         f = make_field(values=values)
         parsed = parse_record(serialize_record(f))
-        assert [parsed.values[c] for c in mask_cells()] == [values[c] for c in mask_cells()]
+        assert parsed.values == values
+        grid = parsed.to_grid()
+        assert [grid[c] for c in mask_cells()] == list(values)
+        assert not grid[~valid_mask_array()].any()
 
 
 class TestGenderProperty:
@@ -358,13 +419,13 @@ class TestGenderProperty:
             path = Path(tmp) / "d.jsonl"
             save_dataset(fields, path)
             if errors:
-                with pytest.raises(RecordError, match=f"^{re.escape(min(errors.values())[1])}$"):
+                with pytest.raises(RecordError, match=f"^{re.escape(f'{path}: {min(errors.values())[1]}')}$"):
                     load_dataset(path)
             else:
                 assert load_dataset(path) == fields
             for pid in first:
                 if pid in errors:
-                    with pytest.raises(RecordError, match=f"^{re.escape(errors[pid][1])}$"):
+                    with pytest.raises(RecordError, match=f"^{re.escape(f'{path}: {errors[pid][1]}')}$"):
                         find_record(path, pid, RIGHT, 1)
                 else:
                     want = [f for f in fields if (f.patient_id, f.test_index) == (pid, 1)]

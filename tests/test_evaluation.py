@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from hvfcast.domain import RIGHT, mask_cells, valid_mask_array
+from hvfcast.domain import BLIND_SPOT, RIGHT, mask_cells, valid_mask_array
 from hvfcast.evaluation import (
     DegenerateDataError,
     EvaluationError,
@@ -22,7 +22,8 @@ from hvfcast.evaluation import (
     pearson_adj_r2,
 )
 from hvfcast.models import Model, ModelSpec, build_model, spec_from_name
-from hvfcast.pipeline import FeatureCombo, FieldPair, bin_pairs, make_pairs, years_between
+from hvfcast.pipeline import FeatureCombo, FieldPair, bin_pairs, encode_input, make_pairs, years_between
+from hvfcast.synthsim import normative_surface
 
 from conftest import make_field, make_series
 
@@ -193,24 +194,23 @@ class TestBaselines:
         rng = np.random.default_rng(5)
         series = make_series(rng, "P1", RIGHT, [0.0, 1.0])
         pred = baseline_forecast("copy", series, 2.0)
-        assert pred == series[-1].values
+        assert pred.shape == (54,)
+        assert pred.tolist() == list(series[-1].values)
 
     def test_two_point_ols_hand_example(self):
-        values_a = {c: 30.0 for c in mask_cells()}
-        values_b = {c: 28.0 for c in mask_cells()}
-        a = make_field(values=values_a, test_date=date(2015, 1, 1), test_index=1)
-        b = make_field(values=values_b, test_date=date(2015, 1, 1) + timedelta(days=365), test_index=2)
+        a = make_field(values=(30.0,) * 54, test_date=date(2015, 1, 1), test_index=1)
+        b = make_field(values=(28.0,) * 54, test_date=date(2015, 1, 1) + timedelta(days=365), test_index=2)
         delta = years_between(a.test_date, b.test_date)  # ~1 year
         horizon = 2.0 * delta  # extrapolate to "year 3" on the same clock
         pred = baseline_forecast("pointwise_ols", [a, b], horizon)
-        for c in mask_cells():
-            assert pred[c] == pytest.approx(24.0, abs=1e-9)
+        assert pred.shape == (54,)
+        np.testing.assert_allclose(pred, 24.0, rtol=0, atol=1e-9)
 
     def test_ols_exact_on_linear_series(self):
         rng = np.random.default_rng(6)
         base = date(2014, 6, 1)
-        slopes = {c: float(rng.uniform(-2.0, 0.0)) for c in mask_cells()}
-        start = {c: float(rng.uniform(20.0, 33.0)) for c in mask_cells()}
+        slopes = rng.uniform(-2.0, 0.0, size=54)
+        start = rng.uniform(20.0, 33.0, size=54)
         fields = []
         offsets = [0.0, 0.8, 1.7, 2.5, 3.9]
         for i, off in enumerate(offsets, start=1):
@@ -218,7 +218,7 @@ class TestBaselines:
             t = years_between(base, d)
             fields.append(
                 make_field(
-                    values={c: start[c] + slopes[c] * t for c in mask_cells()},
+                    values=tuple((start + slopes * t).tolist()),
                     test_date=d,
                     test_index=i,
                 )
@@ -226,14 +226,13 @@ class TestBaselines:
         horizon = 1.3
         pred = baseline_forecast("pointwise_ols", fields, horizon)
         t_target = years_between(base, fields[-1].test_date) + horizon
-        for c in mask_cells():
-            assert pred[c] == pytest.approx(start[c] + slopes[c] * t_target, abs=1e-9)
+        np.testing.assert_allclose(pred, start + slopes * t_target, rtol=0, atol=1e-9)
 
     def test_ols_matches_two_point_closed_form(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            v0 = {c: float(rng.uniform(5, 35)) for c in mask_cells()}
-            v1 = {c: float(rng.uniform(5, 35)) for c in mask_cells()}
+            v0 = tuple(rng.uniform(5, 35, size=54).tolist())
+            v1 = tuple(rng.uniform(5, 35, size=54).tolist())
             d0 = date(2013, 3, 1)
             d1 = d0 + timedelta(days=int(rng.integers(200, 900)))
             a = make_field(values=v0, test_date=d0, test_index=1)
@@ -242,10 +241,10 @@ class TestBaselines:
             pred = baseline_forecast("pointwise_ols", [a, b], horizon)
             dt = years_between(d0, d1)
             t_target = dt + horizon
-            for c in list(mask_cells())[::11]:
-                slope = (v1[c] - v0[c]) / dt
-                expect = np.clip(v0[c] + slope * t_target, 0.0, 50.0)
-                assert pred[c] == pytest.approx(expect, abs=1e-10)
+            for i in range(0, 54, 11):
+                slope = (v1[i] - v0[i]) / dt
+                expect = np.clip(v0[i] + slope * t_target, 0.0, 50.0)
+                assert pred[i] == pytest.approx(expect, abs=1e-10)
 
     def test_exp_exact_on_exponential_series(self):
         base = date(2014, 6, 1)
@@ -256,21 +255,18 @@ class TestBaselines:
             t = years_between(base, d)
             value = math.exp(a0 + k * t) - 1.0
             fields.append(
-                make_field(values={c: value for c in mask_cells()}, test_date=d, test_index=i)
+                make_field(values=(value,) * 54, test_date=d, test_index=i)
             )
         pred = baseline_forecast("pointwise_exp", fields, 1.0)
         t_target = years_between(base, fields[-1].test_date) + 1.0
         expect = math.exp(a0 + k * t_target) - 1.0
-        for c in mask_cells():
-            assert pred[c] == pytest.approx(expect, abs=1e-9)
+        np.testing.assert_allclose(pred, expect, rtol=0, atol=1e-9)
 
     def test_predictions_clamped(self):
-        values_a = {c: 2.0 for c in mask_cells()}
-        values_b = {c: 1.0 for c in mask_cells()}
-        a = make_field(values=values_a, test_date=date(2015, 1, 1), test_index=1)
-        b = make_field(values=values_b, test_date=date(2016, 1, 1), test_index=2)
+        a = make_field(values=(2.0,) * 54, test_date=date(2015, 1, 1), test_index=1)
+        b = make_field(values=(1.0,) * 54, test_date=date(2016, 1, 1), test_index=2)
         pred = baseline_forecast("pointwise_ols", [a, b], 10.0)
-        assert all(v == 0.0 for v in pred.values())
+        assert np.all(pred == 0.0)
 
     def test_insufficient_history_names_minimum(self):
         f = make_field(np.random.default_rng(8))
@@ -287,8 +283,8 @@ class TestBaselines:
 class TestEvaluateTestset:
     def _two_pair_fixture(self):
         rng = np.random.default_rng(9)
-        t1 = {c: 25.0 for c in mask_cells()}
-        t2 = {c: 31.0 for c in mask_cells()}
+        t1 = (25.0,) * 54
+        t2 = (31.0,) * 54
         base = date(2015, 1, 1)
         pairs = []
         for pid, tvals in (("P1", t1), ("P2", t2)):
@@ -374,6 +370,35 @@ class TestEvaluateTestset:
         assert rows["copy"]["rmse"] >= rows["copy"]["mae"]
         # least-squares rows only use pairs whose input has >= 2 earlier tests
         assert rows["pointwise_ols"]["n_pairs"] <= 6
+
+    def test_rows_match_cell_keyed_reference(self, small_cohort):
+        # the MD rows and the copy baseline, recomputed over cell-keyed
+        # dicts one cell at a time, agree bit for bit
+        _, fields, _ = small_cohort
+        binned, _ = bin_pairs(make_pairs(fields))
+        pairs = binned[1.0][:6]
+        model = constant_model(23.5)
+        report = evaluate_testset({1.0: [model]}, {1.0: pairs}, FeatureCombo(), n_bootstrap=10)
+        predicted = ensemble_predict([model], encode_input(pairs[0].input, FeatureCombo())).exported_values()
+
+        def md(values: dict, f) -> float:
+            expected = dict(zip(mask_cells(), normative_surface(f.age_years, f.eye)))
+            total = 0.0
+            for c in mask_cells():
+                if c not in BLIND_SPOT[f.eye]:
+                    total += values[c] - expected[c]
+            return total / 52
+
+        copy_mae = []
+        for pair, row in zip(pairs, report.rows["md_scatter"], strict=True):
+            source = dict(zip(mask_cells(), pair.input.values))
+            target = dict(zip(mask_cells(), pair.target.values))
+            assert row["predicted_md"] == md(predicted, pair.target)
+            assert row["actual_md"] == md(target, pair.target)
+            assert row["input_md"] == md(source, pair.input)
+            copy_mae.append(np.mean([abs(source[c] - target[c]) for c in mask_cells()]))
+        rows = {r["method"]: r for r in report.baselines}
+        assert rows["copy"]["mae"] == float(np.mean(copy_mae))
 
     def test_one_forward_per_bin_and_fold_model(self, small_cohort, monkeypatch):
         _, fields, _ = small_cohort

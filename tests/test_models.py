@@ -353,6 +353,12 @@ class TestSerialization:
             (lambda m: m.pop("total_length"), "manifest lacks key 'total_length'"),
             (lambda m: m["entries"][2].pop("sha256"), "entry 2 lacks key 'sha256'"),
             (lambda m: m["entries"].__setitem__(1, []), "entry 1 is not an object"),
+            (lambda m: m.update(entries=5), "manifest key 'entries' is not a list"),
+            (lambda m: m["entries"][0].update(offset="a"), "entry 0 key 'offset' is not a non-negative integer: 'a'"),
+            (lambda m: m["entries"][1].update(length=-8), "entry 1 key 'length' is not a non-negative integer: -8"),
+            (lambda m: m["entries"][0].update(shape="x"), "shape mismatch in '.*': x vs \\["),
+            (lambda m: m["entries"][0].update(name=["w"]), r"entry 0 key 'name' is not a string: \['w'\]"),
+            (lambda m: m["entries"][0].update(sha256=None), "checksum mismatch in '"),
             # the spec of a checkpoint written before the two training fields left it
             (lambda m: m["spec"].update(batch_size=32, lr=0.001),
              r"unknown \['batch_size', 'lr'\], missing \[\]"),
@@ -360,6 +366,7 @@ class TestSerialization:
             (lambda m: m["spec"].update(widths=4), "bad spec value"),
         ],
         ids=["empty", "no-spec", "no-entries", "no-total-length", "entry-key", "entry-not-object",
+             "entries-int", "offset-str", "length-negative", "shape-str", "name-list", "sha-none",
              "old-spec-fields", "missing-spec-field", "spec-type"],
     )
     def test_malformed_manifest_names_file_and_key(self, tmp_path, edit, needle):

@@ -1,6 +1,7 @@
 """Pairing, binning, splitting, and encoding, each against a simple oracle."""
 
 import json
+import re
 import tempfile
 from datetime import date, timedelta
 from itertools import combinations
@@ -221,6 +222,30 @@ class TestSplit:
         assert [set(f) for f in again.folds] == [set(f) for f in plan.folds]
         assert again.seed == plan.seed
 
+    @pytest.mark.parametrize(
+        "key, bad, message",
+        [
+            ("test_patients", "P0001", "split plan key 'test_patients' is not a list of strings"),
+            ("test_patients", ["P0001", 2], "split plan key 'test_patients' is not a list of strings"),
+            ("folds", 5, "split plan key 'folds' is not a list of lists of strings"),
+            ("folds", ["P0001"], "split plan key 'folds' is not a list of lists of strings"),
+            ("seed", True, "split plan key 'seed' is not an integer: True"),
+            ("ratio", "0.8", "split plan key 'ratio' is not a number: '0.8'"),
+        ],
+        ids=["patients-str", "patient-int", "folds-int", "fold-str", "seed-bool", "ratio-str"],
+    )
+    def test_value_of_wrong_type_names_key(self, key, bad, message):
+        d = split_patients([f"P{i:03d}" for i in range(40)], seed=7).to_json_dict()
+        d[key] = bad
+        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+            SplitPlan.from_json_dict(d)
+
+    def test_missing_key_or_non_object_names_key(self):
+        with pytest.raises(PipelineError, match="^split plan lacks key 'test_patients'$"):
+            SplitPlan.from_json_dict([])
+        with pytest.raises(PipelineError, match="^split plan lacks key 'seed'$"):
+            SplitPlan.from_json_dict({"test_patients": [], "folds": []})
+
 
 class TestFeatureCombo:
     def test_sixteen_distinct_combos(self):
@@ -268,8 +293,8 @@ class TestEncoding:
         grid = x[0]
         for cell in ((0, 0), (0, 8), (7, 0), (7, 8)):
             assert grid[cell] == 0.0
-        for cell in mask_cells():
-            assert grid[cell] == f.values[cell]
+        for cell, v in zip(mask_cells(), f.values, strict=True):
+            assert grid[cell] == v
 
     def test_gender_one_hot_faces(self):
         m = make_field(np.random.default_rng(10), gender="M")
@@ -386,7 +411,7 @@ class TestPairFileProperty:
             i = pick % len(lines)
             lines[i] = mutate(json.loads(lines[i]))
             path.write_text("\n".join(lines) + "\n")
-            with pytest.raises(PipelineError, match=f"^line {i + 1}: "):
+            with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: line {i + 1}: "):
                 read_pairs(path, fields)
 
     @pytest.mark.parametrize(
@@ -409,7 +434,7 @@ class TestPairFileProperty:
         lines = path.read_text().splitlines()
         lines[1] = mutate(json.loads(lines[1]))
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PipelineError, match=f"^line 2: {needle}"):
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: line 2: {needle}"):
             read_pairs(path, fields)
 
     def test_cross_patient_line_is_named(self, tmp_path):
@@ -420,5 +445,5 @@ class TestPairFileProperty:
         write_pairs(path, bin_pairs(make_pairs(fields))[0])
         obj = json.loads(path.read_text().splitlines()[0])
         path.write_text(_other_patient(obj) + "\n")
-        with pytest.raises(PipelineError, match="line 1: input_ref and target_ref are different patients"):
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: line 1: input_ref and target_ref are different patients"):
             read_pairs(path, fields)

@@ -48,7 +48,7 @@ class TestNormative:
 
     def test_surface_covers_mask(self):
         surf = normative_surface(60.0, RIGHT)
-        assert set(surf.expected) == set(mask_cells())
+        assert surf == tuple(normative_sensitivity(60.0, c, RIGHT) for c in mask_cells())
 
 
 class TestArchetypes:
@@ -77,6 +77,10 @@ def _expected(normal: float, loss: float) -> float:
     return float(np.round(np.clip(normal - loss, 0.0, 40.0), 2))
 
 
+# position of each cell in a field's values (mask_cells() order)
+_POS = {c: i for i, c in enumerate(mask_cells())}
+
+
 @functools.lru_cache(maxsize=1)
 def _noiseless_visits():
     """(field, archetype, rate, t_years, normative values) for every test of a
@@ -103,7 +107,7 @@ def _noiseless_visits():
         day = (f.test_date - cfg.start_date).days
         t = (day - first_day[(f.patient_id, f.eye)]) / synthsim.DAYS_PER_YEAR
         age = patient["baseline_age"] + day / synthsim.DAYS_PER_YEAR
-        normal = {c: normative_sensitivity(age, c, f.eye) for c in mask_cells()}
+        normal = tuple(normative_sensitivity(age, c, f.eye) for c in mask_cells())
         visits.append((f, ARCHETYPES[eye_truth["archetype"]], eye_truth["rate_db_per_year"], t, normal))
     assert {arch.name for _, arch, _, _, _ in visits} == set(ARCHETYPES)
     return visits
@@ -119,9 +123,9 @@ class TestProgression:
             if t != 0.0:
                 continue
             mults = dict(arch.affected(f.eye))
-            for c in mask_cells():
+            for c, v, n in zip(mask_cells(), f.values, normal):
                 loss = arch.depth_db if c in mults else 0.0
-                assert f.values[c] == _expected(normal[c], loss), (f.patient_id, f.eye, c)
+                assert v == _expected(n, loss), (f.patient_id, f.eye, c)
             n_checked += 1
         assert n_checked > 0
 
@@ -130,7 +134,7 @@ class TestProgression:
         for f, arch, rate, t, normal in _noiseless_visits():
             for c, mult in arch.affected(f.eye):
                 loss = arch.depth_db + rate * mult * t
-                assert f.values[c] == _expected(normal[c], loss), (f.patient_id, f.eye, f.test_index, c)
+                assert f.values[_POS[c]] == _expected(normal[_POS[c]], loss), (f.patient_id, f.eye, f.test_index, c)
             n_later += t > 0 and arch.name == "diffuse"
         assert n_later > 0
 
@@ -140,24 +144,24 @@ class TestProgression:
             if arch.name != "stable_hemianopia":
                 continue
             for c, _ in arch.affected(f.eye):
-                assert f.values[c] == _expected(normal[c], arch.depth_db), (f.patient_id, f.eye, c)
+                assert f.values[_POS[c]] == _expected(normal[_POS[c]], arch.depth_db), (f.patient_id, f.eye, c)
             n_later += t > 0
         assert n_later > 0
 
     def test_unaffected_cells_unchanged(self):
         for f, arch, _, _, normal in _noiseless_visits():
             affected = {c for c, _ in arch.affected(f.eye)}
-            for c in mask_cells():
+            for c, v, n in zip(mask_cells(), f.values, normal):
                 if c not in affected:
-                    assert f.values[c] == _expected(normal[c], 0.0), (f.patient_id, f.eye, c)
+                    assert v == _expected(n, 0.0), (f.patient_id, f.eye, c)
 
     def test_clamped_at_zero(self):
         n_clamped = 0
         for f, arch, rate, t, normal in _noiseless_visits():
-            assert min(f.values.values()) >= 0.0
+            assert min(f.values) >= 0.0
             for c, mult in arch.affected(f.eye):
-                if normal[c] - (arch.depth_db + rate * mult * t) <= 0.0:
-                    assert f.values[c] == 0.0, (f.patient_id, f.eye, c)
+                if normal[_POS[c]] - (arch.depth_db + rate * mult * t) <= 0.0:
+                    assert f.values[_POS[c]] == 0.0, (f.patient_id, f.eye, c)
                     n_clamped += 1
         assert n_clamped > 0
 
@@ -194,6 +198,7 @@ class TestGenerateCohort:
         _, fields, _ = small_cohort
         for f in fields:
             assert validate_field(f) == []
+            assert type(f.values) is tuple and all(type(v) is float for v in f.values)
 
     def test_noiseless_normal_eye_matches_normative(self):
         cfg = CohortConfig(
@@ -202,9 +207,9 @@ class TestGenerateCohort:
         fields, _ = generate_cohort(cfg)
         for f in fields:
             surf = normative_surface(f.age_years, f.eye)
-            for c in mask_cells():
-                assert f.values[c] == pytest.approx(surf.expected[c], abs=0.005 + 1e-12)
-            assert abs(mean_deviation(f, surf)) <= 0.01
+            for v, n in zip(f.values, surf, strict=True):
+                assert v == pytest.approx(n, abs=0.005 + 1e-12)
+            assert abs(mean_deviation(f.values, surf, f.eye)) <= 0.01
 
     def test_noiseless_progressive_series_monotone(self):
         cfg = CohortConfig(
@@ -221,8 +226,8 @@ class TestGenerateCohort:
         for series in by_eye.values():
             series.sort(key=lambda f: f.test_date)
             for a, b in zip(series, series[1:]):
-                for c in mask_cells():
-                    assert b.values[c] <= a.values[c] + 1e-9
+                for vb, va in zip(b.values, a.values, strict=True):
+                    assert vb <= va + 1e-9
 
     def test_test_index_strictly_increasing_with_date(self, small_cohort):
         _, fields, _ = small_cohort
