@@ -7,13 +7,16 @@ and a masked mean-absolute-error loss.
 
 Every op builds a `Tensor` node holding the forward value and a closure
 that scatters the upstream gradient into its parents' accumulators.
-`Tensor.backward()` walks the graph in reverse topological order.  All
-arithmetic is 64-bit, and every reduction is a plain numpy reduction with
-a fixed evaluation order, so repeated runs are bit-identical.
+`Tensor.backward()` walks the graph in reverse topological order and
+consumes it: each node drops its closure and parents once the closure has
+run, so a training step's graph is freed by reference counting when the
+step ends.  All arithmetic is 64-bit, and every reduction is a plain numpy
+reduction with a fixed evaluation order, so repeated runs are
+bit-identical.
 
 Inside `no_tape()` the same ops compute the same values but record no
-parents and no closure, so an inference graph is freed as soon as its last
-reference goes, not when the cyclic collector runs.
+parents and no closure; use it for forwards that are never
+backpropagated.
 """
 
 from __future__ import annotations
@@ -91,7 +94,12 @@ class Tensor:
         return _taped(out, (self,), backward)
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable node's .grad."""
+        """Accumulate d(self)/d(leaf) into every reachable node's .grad.
+
+        The graph is consumed: each node's closure and parents are dropped
+        once the closure has run.  A closure references its own output, so
+        this breaks the only reference cycle in the graph.
+        """
         if self.data.size != 1:
             raise EngineError("backward() requires a scalar output")
         order = _toposort(self)
@@ -99,6 +107,8 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
+                node._backward = None
+                node._parents = ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -113,9 +123,10 @@ def no_tape():
     """Run ops without recording a graph; the previous setting is restored
     on exit, also when the block raises.
 
-    Every taped op's closure references the op's own output, so a taped
-    graph is a reference cycle that lives until the cyclic collector runs.
-    Use it for forwards whose outputs are never backpropagated.
+    A taped graph holds every op's closure, and with it buffers such as
+    conv2d's `cols`, until `backward` consumes it.  Use this for forwards
+    that are never backpropagated, so that each buffer goes as soon as its
+    op returns.
     """
     global _taping
     saved = _taping

@@ -68,6 +68,7 @@ from .trainer import (
     TrainConfig,
     TrainerError,
     TrainingDiverged,
+    keep_freed_memory,
     load_interval_models,
     select_architecture,
     select_features,
@@ -110,8 +111,10 @@ def _resolve_seed(value: int | None) -> int:
     return int(env) if env else 0
 
 
-def _write_run_manifest(target, command: str, config: dict, inputs, outputs, started: str) -> None:
-    """`run_manifest.json` inside a directory target, else `<file>.run_manifest.json`."""
+def _write_run_manifest(target, command: str, config: dict, inputs, outputs, started: str,
+                        **facts) -> None:
+    """`run_manifest.json` inside a directory target, else `<file>.run_manifest.json`;
+    `facts` are further top-level keys."""
     target = Path(target)
     path = target / "run_manifest.json" if target.is_dir() else target.with_name(target.name + ".run_manifest.json")
     manifest = {
@@ -122,7 +125,7 @@ def _write_run_manifest(target, command: str, config: dict, inputs, outputs, sta
         "tool_version": __version__,
         "started_at": started,
         "finished_at": _utc_now(),
-    }
+    } | facts
     write_json(path, manifest)
 
 
@@ -300,6 +303,7 @@ def _cmd_train(args) -> int:
         runs_dir, f"train --phase {args.phase}",
         cfg.to_json_dict() | {"phase": args.phase, "workers": args.workers},
         [args.data, args.pairs, args.split], [runs_dir], started,
+        allocator=keep_freed_memory(),
     )
     if diverged:
         # chain_result.json is written: evaluate and predict serve the other cells
@@ -400,7 +404,10 @@ def _cmd_predict(args) -> int:
         except RecordError as e:
             raise RecordError(f"{args.field}: {e}") from None
     else:
-        if not (args.data and args.patient and args.eye and args.test_index):
+        if args.test_index is not None and args.test_index < 1:
+            print("error: --test-index must be >= 1", file=sys.stderr)
+            return EXIT_USAGE
+        if not (args.data and args.patient and args.eye and args.test_index is not None):
             print(
                 "error: provide --field FILE or all of --data/--patient/--eye/--test-index",
                 file=sys.stderr,

@@ -15,6 +15,7 @@ run sequentially or on a process pool.
 
 from __future__ import annotations
 
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamState, DivergenceError, Tensor, adam_step, masked_mae
+from .autodiff import AdamState, DivergenceError, Tensor, adam_step, masked_mae, no_tape
 from .domain import valid_mask_array
 from .models import (
     Model,
@@ -118,12 +119,13 @@ def evaluate_masked_mae(model: Model, xs: np.ndarray, ys: np.ndarray, batch_size
         raise TrainerError("cannot evaluate on an empty set")
     total = 0.0
     n_mask = int(mask.sum())
-    for start in range(0, n, batch_size):
-        xb = xs[start : start + batch_size]
-        yb = ys[start : start + batch_size]
-        out = model.forward(Tensor(xb), mode="infer")
-        loss = masked_mae(out, yb, mask)
-        total += float(loss.data) * xb.shape[0] * n_mask
+    with no_tape():
+        for start in range(0, n, batch_size):
+            xb = xs[start : start + batch_size]
+            yb = ys[start : start + batch_size]
+            out = model.forward(Tensor(xb), mode="infer")
+            loss = masked_mae(out, yb, mask)
+            total += float(loss.data) * xb.shape[0] * n_mask
     return total / (n * n_mask)
 
 
@@ -326,10 +328,42 @@ def _run_chain_job(job: _Job) -> dict:
     return {"fold": job.fold, "entries": entries}
 
 
+# glibc mallopt(3) parameters, and the values `keep_freed_memory` sets:
+# 32 MiB is the largest mmap threshold mallopt(3) documents on 64-bit
+_ALLOCATOR_SETTING = {"mmap_threshold": (-3, 32 << 20), "trim_threshold": (-1, 256 << 20)}
+
+
+@functools.cache
+def keep_freed_memory() -> dict | None:
+    """Raise glibc's mmap and trim thresholds, once per process; returns the
+    thresholds libc accepted, or None where it has no `mallopt` or accepts
+    neither.
+
+    A training step frees its im2col `cols`, activations and grads when its
+    backward ends.  Under glibc's dynamic thresholds those multi-MB buffers
+    go back to the kernel by munmap or heap trim, and the next step faults
+    the same pages in again; below these thresholds the process keeps them.
+    ctypes is imported here, not at module level, so that commands that
+    never train do not pay for it.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    accepted = {name: value for name, (param, value) in _ALLOCATOR_SETTING.items() if mallopt(param, value)}
+    return accepted or None
+
+
 def _run_jobs(jobs, worker, workers: int) -> list:
+    keep_freed_memory()
     if workers <= 1:
         return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # forked workers inherit the setting; spawned and forkserver ones set it
+    with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_memory) as pool:
         futures = [pool.submit(worker, job) for job in jobs]
         return [f.result() for f in futures]
 
@@ -556,13 +590,22 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
     wanted = set(bins)
     out: dict[float, list[Model]] = {}
     for i, e in enumerate(chain["entries"]):
+        # json gives exact types, so `type` also tells a bool from a number
         try:
-            if e["bin"] not in wanted or e["gap"]:
+            if type(e["bin"]) not in (int, float):
+                raise TrainerError(f"{path}: entry {i}: 'bin' must be a number, got {e['bin']!r}")
+            if e["bin"] not in wanted:
+                continue
+            if type(e["gap"]) is not bool:
+                raise TrainerError(f"{path}: entry {i}: 'gap' must be a bool, got {e['gap']!r}")
+            if e["gap"]:
                 continue
             checkpoint = e["checkpoint"]
         except KeyError as err:
             raise TrainerError(f"{path}: entry {i} lacks key {err}") from None
         except TypeError:
             raise TrainerError(f"{path}: entry {i} is not an object") from None
+        if type(checkpoint) is not str:
+            raise TrainerError(f"{path}: entry {i}: 'checkpoint' must be a string, got {checkpoint!r}")
         out.setdefault(e["bin"], []).append(load_weights(Path(runs_dir) / checkpoint))
     return FeatureCombo.parse(chain["combo"]), out

@@ -93,7 +93,7 @@ def bin1_ensemble_report(progressive_cohort, tmp_path_factory):
     combo = FeatureCombo(age=True)
     spec = spec_from_name("Cascade-1", widths=(8, 16, 24), in_channels=combo.channels())
     cfg = TrainConfig(epochs=130, widths=(8, 16, 24), seed=33)
-    train_interval_chain(spec, combo, only_bin1, plan, cfg, runs_dir=runs, workers=1)
+    train_interval_chain(spec, combo, only_bin1, plan, cfg, runs_dir=runs, workers=2)
     report = evaluate_testset(
         load_interval_models(runs)[1],
         {1.0: test_binned[1.0]},

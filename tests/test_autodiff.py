@@ -21,6 +21,7 @@ from hvfcast.autodiff import (
     masked_mae,
     no_tape,
     relu,
+    _toposort,
 )
 
 
@@ -534,3 +535,37 @@ class TestNoTape:
         x = Tensor(np.array([1.0, -2.0]))
         _sum_all(relu(x)).backward()
         np.testing.assert_array_equal(x.grad, [1.0, 0.0])
+
+
+def _small_net(rng) -> tuple[Tensor, list[Tensor]]:
+    """A scalar loss over every taped op, one input used twice, and its leaves."""
+    x = Tensor(rng.normal(size=(2, 2, 4, 5)))
+    w1, b1 = Tensor(rng.normal(size=(3, 2, 3, 3))), Tensor(rng.normal(size=3))
+    w2, b2 = Tensor(rng.normal(size=(1, 5, 1, 1))), Tensor(rng.normal(size=1))
+    wd, bd = Tensor(rng.normal(size=(20, 20))), Tensor(rng.normal(size=20))
+    state = BatchNormState.create(3)
+    h = relu(batch_norm(conv2d(x, w1, b1), state, train=True))
+    h = conv2d(concat_channels([h, x]), w2, b2)
+    h = dense((h + h).reshape(2, 20), wd, bd).reshape(2, 1, 4, 5)
+    loss = masked_mae(h, rng.normal(size=(2, 1, 4, 5)), rng.random((4, 5)) < 0.7)
+    return loss, [x, w1, b1, w2, b2, wd, bd, state.gamma, state.beta]
+
+
+class TestBackwardConsumesGraph:
+    def test_nodes_dropped_and_gradients_unchanged(self):
+        loss, leaves = _small_net(np.random.default_rng(5))
+        nodes = _toposort(loss)
+        loss.backward()
+        assert len(nodes) == 19
+        assert [(n._parents, n._backward) for n in nodes] == [((), None)] * len(nodes)
+
+        # the reference walk runs every closure and keeps the graph
+        kept, kept_leaves = _small_net(np.random.default_rng(5))
+        order = _toposort(kept)
+        kept.grad = np.ones_like(kept.data)
+        for node in reversed(order):
+            if node._backward is not None:
+                node._backward()
+        assert sum(n._backward is not None for n in order) == 10
+        for a, b in zip(leaves, kept_leaves):
+            np.testing.assert_array_equal(a.grad, b.grad)

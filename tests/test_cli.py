@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, manifests, and a mini end-to-end run."""
 
+import ctypes
 import json
 import shutil
 import subprocess
@@ -196,6 +197,13 @@ class TestTrainAndEvaluate:
         assert (runs / "intervals" / "chain_result.json").is_file()
         assert (runs / "intervals" / "bin-1.0" / "fold-0" / "weights.bin").is_file()
         assert (runs / "run_manifest.json").is_file()
+
+    def test_train_manifest_records_allocator_setting(self, trained):
+        manifest = json.loads((trained / "runs" / "run_manifest.json").read_text())
+        if hasattr(ctypes.CDLL(None), "mallopt"):
+            assert manifest["allocator"] == {"mmap_threshold": 32 << 20, "trim_threshold": 256 << 20}
+        else:
+            assert manifest["allocator"] is None
 
     def test_divergence_exits_3(self, workdir, capsys):
         import numpy as np
@@ -571,6 +579,17 @@ class TestRunTreeContract:
         assert _evaluate(trained, runs, tmp_path / "r.json") == 2
         assert f"{path}: entry {i} lacks key 'checkpoint'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("checkpoint", 5), ("bin", "x"), ("gap", "no")])
+    def test_chain_entry_of_wrong_type_exits_2(self, trained, tmp_path, capsys, key, value):
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        i = next(i for i, e in enumerate(chain["entries"]) if not e["gap"])
+        chain["entries"][i][key] = value
+        path.write_text(json.dumps(chain))
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
+        assert f"{path}: entry {i}: {key!r} must be a" in capsys.readouterr().err
+
     def test_phase_result_without_winner_exits_2(self, trained, tmp_path, capsys):
         runs = tmp_path / "runs"
         (runs / "arch").mkdir(parents=True)
@@ -823,6 +842,17 @@ class TestPredict:
         runs = self._corrupt_bin_copy(trained, tmp_path, "bin-1.0")
         assert self._predict_bin_1(trained, small_cohort[1][0], runs, tmp_path / "a.json") == 2
         assert "checksum mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("test_index", ["0", "-1"])
+    def test_test_index_below_one_exits_1(self, trained, capsys, test_index):
+        code = run_cli(
+            "predict", "--interval", "1.0",
+            "--data", str(trained / "d.jsonl"),
+            "--patient", "P0001", "--eye", "OD", "--test-index", test_index,
+            "--runs", str(trained / "runs"), "--out", str(trained / "f.json"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --test-index must be >= 1\n"
 
     def test_missing_record_exits_2(self, trained):
         code = run_cli(

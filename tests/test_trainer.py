@@ -1,11 +1,15 @@
 """Training-loop contracts, selection phases, and the transfer chain."""
 
+import ctypes
+import gc
 import json
+import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hvfcast.models import ModelSpec, build_model, weights_hash
+from hvfcast.models import ModelSpec, build_model, spec_from_name, weights_hash
 from hvfcast.pipeline import (
     BIN_CENTERS,
     FeatureCombo,
@@ -22,6 +26,7 @@ from hvfcast.trainer import (
     _pick_winner,
     evaluate_masked_mae,
     fold_split,
+    keep_freed_memory,
     load_interval_models,
     select_architecture,
     select_features,
@@ -117,6 +122,69 @@ class TestTrainModel:
         data = tiny_data(16, seed=12)
         hist = train_model(m, data, data, TrainConfig(epochs=500, batch_size=8, seed=13))
         assert hist.train_loss[-1] < 0.5
+
+    @pytest.mark.parametrize("name", ["Cascade-2", "FullBN-3", "Residual-3", "FullyConnected"])
+    def test_training_leaves_no_cyclic_garbage(self, name):
+        model = build_model(spec_from_name(name, widths=(2, 3, 4), fc_hidden=8))
+        cfg = TrainConfig(epochs=2, widths=(2, 3, 4), fc_hidden=8)
+        gc.collect()
+        gc.disable()
+        try:
+            train_model(model, tiny_data(), tiny_data(n=8, seed=1), cfg, shuffle_seed=0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestKeepFreedMemory:
+    SETTING = {"mmap_threshold": 32 << 20, "trim_threshold": 256 << 20}
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """Make `ctypes.CDLL` return (or raise) the given handle; records each
+        open.  The helper's once-per-process cache is cleared around the test."""
+        opened = []
+
+        def use(handle):
+            def cdll(name):
+                opened.append(name)
+                if isinstance(handle, Exception):
+                    raise handle
+                return handle
+
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+            return opened
+
+        keep_freed_memory.cache_clear()
+        yield use
+        keep_freed_memory.cache_clear()
+
+    def test_sets_both_thresholds_once(self, libc):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc(SimpleNamespace(mallopt=mallopt))
+        assert keep_freed_memory() == self.SETTING
+        assert keep_freed_memory() == self.SETTING
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_records_only_accepted_thresholds(self, libc):
+        libc(SimpleNamespace(mallopt=lambda param, value: int(param == -1)))
+        assert keep_freed_memory() == {"trim_threshold": 256 << 20}
+
+    def test_all_rejected_reads_none(self, libc):
+        libc(SimpleNamespace(mallopt=lambda param, value: 0))
+        assert keep_freed_memory() is None
+
+    @pytest.mark.parametrize("handle", [SimpleNamespace(), OSError("no C library")])
+    def test_without_mallopt_does_nothing(self, libc, handle):
+        opened = libc(handle)
+        assert keep_freed_memory() is None
+        assert keep_freed_memory() is None
+        assert opened == [None]
 
 
 class TestFoldSplit:
@@ -266,6 +334,22 @@ class TestIntervalChain:
         assert [weights_hash(m) for m in one_bin[some_bin]] == [
             weights_hash(m) for m in all_bins[some_bin]
         ]
+
+    def test_unrequested_entries_need_only_a_numeric_bin(self, chain_run, tmp_path):
+        runs, _, _, _ = chain_run
+        copy = tmp_path / "runs"
+        shutil.copytree(runs, copy)
+        path = copy / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        some_bin = max(e["bin"] for e in chain["entries"] if not e["gap"])
+        for e in chain["entries"]:
+            if e["bin"] != some_bin:
+                e["gap"], e["checkpoint"] = "no", 5
+        path.write_text(json.dumps(chain))
+        _, one_bin = load_interval_models(copy, bins=[some_bin])
+        assert list(one_bin) == [some_bin]
+        with pytest.raises(TrainerError, match="'gap' must be a bool, got 'no'"):
+            load_interval_models(copy)
 
     def test_chain_history_records_bin_and_transfer(self, chain_run):
         runs, result, _, _ = chain_run
