@@ -5,23 +5,19 @@ Small tape-based engine sized for this pipeline: 4-axis grids shaped
 per-channel batch normalization, dense layers, channel concatenation,
 and a masked mean-absolute-error loss.
 
-Every op builds a `Tensor` node holding the forward value and a closure
-that scatters the upstream gradient into its parents' accumulators.
-`Tensor.backward()` walks the graph in reverse topological order and
-consumes it: each node drops its closure and parents once the closure has
-run, so a training step's graph is freed by reference counting when the
-step ends.  All arithmetic is 64-bit, and every reduction is a plain numpy
-reduction with a fixed evaluation order, so repeated runs are
-bit-identical.
-
-Inside `no_tape()` the same ops compute the same values but record no
-parents and no closure; use it for forwards that are never
-backpropagated.
+Every op builds a `Tensor` node holding the forward value, its parents,
+and a closure `backward(g)` that scatters the upstream gradient `g` into
+the parents' accumulators.  A closure captures the arrays it needs and the
+parents, never its own output, so a graph has no reference cycle: it is
+freed by reference counting as soon as its output is dropped, whether or
+not it was backpropagated.  `Tensor.backward()` walks the graph in reverse
+topological order and drops each closure once it has run.  All arithmetic
+is 64-bit, and every reduction is a plain numpy reduction with a fixed
+evaluation order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -77,28 +73,26 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.data.shape != other.data.shape:
             raise ShapeError(f"add: {self.data.shape} vs {other.data.shape}")
-        out = Tensor(self.data + other.data)
 
-        def backward():
-            self.grad += out.grad
-            other.grad += out.grad
+        def backward(g):
+            self.grad += g
+            other.grad += g
 
-        return _taped(out, (self, other), backward)
+        return Tensor(self.data + other.data, (self, other), backward)
 
     def reshape(self, *shape) -> "Tensor":
-        out = Tensor(self.data.reshape(*shape))
+        def backward(g):
+            self.grad += g.reshape(self.data.shape)
 
-        def backward():
-            self.grad += out.grad.reshape(self.data.shape)
-
-        return _taped(out, (self,), backward)
+        return Tensor(self.data.reshape(*shape), (self,), backward)
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable node's .grad.
 
         The graph is consumed: each node's closure and parents are dropped
-        once the closure has run.  A closure references its own output, so
-        this breaks the only reference cycle in the graph.
+        once the closure has run, so buffers held only by a closure (such
+        as conv2d's `cols`) are released during the walk, not when the
+        caller drops the output.
         """
         if self.data.size != 1:
             raise EngineError("backward() requires a scalar output")
@@ -106,44 +100,12 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
                 node._backward = None
                 node._parents = ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
-
-
-# Whether ops record their parents and backward closure; see `no_tape`.
-_taping = True
-
-
-@contextmanager
-def no_tape():
-    """Run ops without recording a graph; the previous setting is restored
-    on exit, also when the block raises.
-
-    A taped graph holds every op's closure, and with it buffers such as
-    conv2d's `cols`, until `backward` consumes it.  Use this for forwards
-    that are never backpropagated, so that each buffer goes as soon as its
-    op returns.
-    """
-    global _taping
-    saved = _taping
-    _taping = False
-    try:
-        yield
-    finally:
-        _taping = saved
-
-
-def _taped(out: Tensor, parents: tuple, backward) -> Tensor:
-    """`out` with its parents and backward closure recorded, unless the
-    tape is off."""
-    if _taping:
-        out._parents = parents
-        out._backward = backward
-    return out
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -170,12 +132,12 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
+    y = np.maximum(x.data, 0.0)
 
-    def backward():
-        x.grad += out.grad * (out.data > 0.0)
+    def backward(g):
+        x.grad += g * (y > 0.0)
 
-    return _taped(out, (x,), backward)
+    return Tensor(y, (x,), backward)
 
 
 def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -200,30 +162,32 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     xpad = np.zeros((batch, c_in, height + 2 * pad, width + 2 * pad))
     xpad[:, :, pad : pad + height, pad : pad + width] = x.data
     # im2col: one GEMM per conv instead of one per kernel offset.  The cols
-    # buffer lives in the backward closure for the graph's lifetime; at the
-    # grid sizes this engine targets that is a few MB per layer.
+    # buffer lives in the backward closure until backward runs or the output
+    # is dropped; at the grid sizes this engine targets that is a few MB per
+    # layer.
     flat_pad = xpad.reshape(batch, c_in, -1)
     cols = np.take(flat_pad, _im2col_index(kh, height, width), axis=2).reshape(
         batch, c_in * kh * kw, height * width
     )
     w2d = weights.data.reshape(c_out, c_in * kh * kw)
     out_flat = np.matmul(w2d, cols)  # (B, C_out, H*W)
-    out = Tensor(out_flat.reshape(batch, c_out, height, width) + bias.data[None, :, None, None])
+    xpad_shape = xpad.shape
 
-    def backward():
-        g2 = out.grad.reshape(batch, c_out, height * width)
-        bias.grad += out.grad.sum(axis=(0, 2, 3))
+    def backward(g):
+        g2 = g.reshape(batch, c_out, height * width)
+        bias.grad += g.sum(axis=(0, 2, 3))
         weights.grad += (
             np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.data.shape)
         )
         dcols = np.matmul(w2d.T, g2).reshape(batch, c_in, kh, kw, height, width)
-        dxpad = np.zeros_like(xpad)
+        dxpad = np.zeros(xpad_shape)
         for di in range(kh):
             for dj in range(kw):
                 dxpad[:, :, di : di + height, dj : dj + width] += dcols[:, :, di, dj]
         x.grad += dxpad[:, :, pad : pad + height, pad : pad + width]
 
-    return _taped(out, (x, weights, bias), backward)
+    out = out_flat.reshape(batch, c_out, height, width) + bias.data[None, :, None, None]
+    return Tensor(out, (x, weights, bias), backward)
 
 
 @lru_cache(maxsize=None)
@@ -246,15 +210,13 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"dense dimension mismatch: input {x.data.shape} vs weights {weights.data.shape}"
         )
-    out = Tensor(x.data @ weights.data.T + bias.data)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         weights.grad += g.T @ x.data
         bias.grad += g.sum(axis=0)
         x.grad += g @ weights.data
 
-    return _taped(out, (x, weights, bias), backward)
+    return Tensor(x.data @ weights.data.T + bias.data, (x, weights, bias), backward)
 
 
 @dataclass
@@ -314,10 +276,7 @@ def batch_norm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
         inv = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = (x.data - state.running_mean[None, :, None, None]) * inv[None, :, None, None]
 
-    out = Tensor(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
-
-    def backward():
-        g = out.grad
+    def backward(g):
         gamma.grad += (g * xhat).sum(axis=(0, 2, 3))
         beta.grad += g.sum(axis=(0, 2, 3))
         g_xhat = g * gamma.data[None, :, None, None]
@@ -331,7 +290,8 @@ def batch_norm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
         else:
             x.grad += g_xhat * inv[None, :, None, None]
 
-    return _taped(out, (x, gamma, beta), backward)
+    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    return Tensor(out, (x, gamma, beta), backward)
 
 
 def concat_channels(xs: list[Tensor]) -> Tensor:
@@ -345,16 +305,15 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
         s = t.data.shape
         if s[0] != ref[0] or s[2:] != ref[2:]:
             raise ShapeError(f"concat_channels spatial mismatch: {ref} vs {s}")
-    out = Tensor(np.concatenate([t.data for t in xs], axis=1))
     sizes = [t.data.shape[1] for t in xs]
 
-    def backward():
+    def backward(g):
         offset = 0
         for t, size in zip(xs, sizes):
-            t.grad += out.grad[:, offset : offset + size]
+            t.grad += g[:, offset : offset + size]
             offset += size
 
-    return _taped(out, tuple(xs), backward)
+    return Tensor(np.concatenate([t.data for t in xs], axis=1), tuple(xs), backward)
 
 
 def masked_mae(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -376,12 +335,11 @@ def masked_mae(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     denom = batch * n_mask
     diff = pred.data - target
     m = mask[None, None, :, :]
-    out = Tensor(np.abs(diff * m).sum() / denom)
 
-    def backward():
-        pred.grad += out.grad * np.sign(diff) * m / denom
+    def backward(g):
+        pred.grad += g * np.sign(diff) * m / denom
 
-    return _taped(out, (pred,), backward)
+    return Tensor(np.abs(diff * m).sum() / denom, (pred,), backward)
 
 
 # ---------------------------------------------------------------------------

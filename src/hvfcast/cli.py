@@ -258,6 +258,9 @@ def _train_config(args, seed: int) -> TrainConfig:
 
 def _cmd_train(args) -> int:
     started = _utc_now()
+    if args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     seed = _resolve_seed(args.seed)
     cfg = _train_config(args, seed)
     fields = load_dataset(args.data)

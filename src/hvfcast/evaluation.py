@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import no_tape
 from .domain import Cell, VisualField, mask_cells, mean_deviation, valid_mask_array
 from .models import Model
 from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, encode_input, years_between
@@ -75,7 +74,7 @@ class EnsembleForecast:
 
 def ensemble_means(models: list[Model], xs: np.ndarray) -> np.ndarray:
     """(n, 8, 9) cell-wise means of the models' infer-mode outputs for a
-    batch of n encoded inputs: one forward per model, without a tape.
+    batch of n encoded inputs: one forward per model.
 
     Per-cell values are sorted before summation, so each mean is bit-exactly
     independent of model order.  Conv families give the same bits at any
@@ -94,8 +93,7 @@ def ensemble_means(models: list[Model], xs: np.ndarray) -> np.ndarray:
             raise EvaluationError(
                 f"ensemble models disagree on spec: {s.name} vs {ref.name}"
             )
-    with no_tape():
-        outputs = np.stack([m.forward(xs, "infer").data[:, 0] for m in models])
+    outputs = np.stack([m.forward(xs, "infer").data[:, 0] for m in models])
     return np.sort(outputs, axis=0).sum(axis=0) / len(models)
 
 
@@ -261,6 +259,8 @@ def evaluate_testset(
     repeats its (age, eye) key, and about two thirds of the lookups on a
     five-tests-per-eye cohort do.
     """
+    if n_bootstrap < 1:
+        raise EvaluationError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     mask = valid_mask_array()
     normative = lru_cache(maxsize=None)(synthsim.normative_surface)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import dataclasses
 from dataclasses import dataclass, asdict
 from operator import itemgetter
 from pathlib import Path
@@ -130,10 +131,7 @@ class ModelSpec:
             raise ModelError(f"bad spec value: {e}") from e
 
     def replace(self, **kwargs) -> "ModelSpec":
-        d = asdict(self)
-        d.update(kwargs)
-        d["widths"] = tuple(d["widths"])
-        return ModelSpec(**d)
+        return dataclasses.replace(self, **kwargs)
 
 
 def spec_from_name(

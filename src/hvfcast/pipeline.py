@@ -153,7 +153,10 @@ def _is_str_list(x) -> bool:
 
 def split_patients(patient_ids, ratio: float = 0.8, seed: int = 0) -> SplitPlan:
     """Seeded patient-level split of distinct ids: ~80% train+validation
-    (N_FOLDS folds), rest test."""
+    (N_FOLDS folds), rest test.  The test set must hold at least one
+    patient."""
+    if not 0.0 < ratio < 1.0:  # also rejects nan
+        raise PipelineError(f"split ratio must be in (0, 1), got {ratio}")
     patient_ids = sorted(set(patient_ids))
     n = len(patient_ids)
     if n < MIN_PATIENTS:
@@ -166,6 +169,8 @@ def split_patients(patient_ids, ratio: float = 0.8, seed: int = 0) -> SplitPlan:
         raise PipelineError(
             f"too few patients for {N_FOLDS} nonempty folds ({n_train} in train split)"
         )
+    if n_train == n:
+        raise PipelineError(f"split ratio {ratio} holds out no test patient of {n}")
     train, test = order[:n_train], order[n_train:]
     folds = tuple(tuple(train[i::N_FOLDS]) for i in range(N_FOLDS))
     return SplitPlan(test_patients=tuple(test), folds=folds, seed=seed, ratio=ratio)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamState, DivergenceError, Tensor, adam_step, masked_mae, no_tape
+from .autodiff import AdamState, DivergenceError, Tensor, adam_step, masked_mae
 from .domain import valid_mask_array
 from .models import (
     Model,
@@ -119,13 +119,12 @@ def evaluate_masked_mae(model: Model, xs: np.ndarray, ys: np.ndarray, batch_size
         raise TrainerError("cannot evaluate on an empty set")
     total = 0.0
     n_mask = int(mask.sum())
-    with no_tape():
-        for start in range(0, n, batch_size):
-            xb = xs[start : start + batch_size]
-            yb = ys[start : start + batch_size]
-            out = model.forward(Tensor(xb), mode="infer")
-            loss = masked_mae(out, yb, mask)
-            total += float(loss.data) * xb.shape[0] * n_mask
+    for start in range(0, n, batch_size):
+        xb = xs[start : start + batch_size]
+        yb = ys[start : start + batch_size]
+        out = model.forward(Tensor(xb), mode="infer")
+        loss = masked_mae(out, yb, mask)
+        total += float(loss.data) * xb.shape[0] * n_mask
     return total / (n * n_mask)
 
 

@@ -1,6 +1,8 @@
 """Engine tests: forward values against hand results, gradients against
 central finite differences, Adam against its closed form."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,12 @@ from hvfcast.autodiff import (
     dense,
     grad_check,
     masked_mae,
-    no_tape,
     relu,
     _toposort,
 )
+from hvfcast.evaluation import ensemble_means
+from hvfcast.models import build_model, spec_from_name
+from hvfcast.trainer import evaluate_masked_mae
 
 
 def fd_grad(f, tensor: Tensor, eps: float = 1e-6) -> np.ndarray:
@@ -118,27 +122,23 @@ class TestConv2d:
         x, w, b = Tensor(xd), Tensor(wd), Tensor(bd)
         out = conv2d(x, w, b)
         np.testing.assert_array_equal(out.data, expected)
-        out.grad = g
-        out._backward()
+        out._backward(g)
         np.testing.assert_array_equal(w.grad, expected_dw.reshape(wd.shape))
         np.testing.assert_array_equal(b.grad, g.sum(axis=(0, 2, 3)))
 
 
 def _dot(out: Tensor, probe: Tensor) -> Tensor:
     """Scalar projection sum(out * probe) built from engine ops."""
-    prod = Tensor(out.data * probe.data, parents=(out,))
 
-    def backward():
-        out.grad += prod.grad * probe.data
+    def backward(g):
+        out.grad += g * probe.data
 
-    prod._backward = backward
-    total = Tensor(prod.data.sum(), parents=(prod,))
+    prod = Tensor(out.data * probe.data, (out,), backward)
 
-    def backward_sum():
-        prod.grad += total.grad
+    def backward_sum(g):
+        prod.grad += g
 
-    total._backward = backward_sum
-    return total
+    return Tensor(prod.data.sum(), (prod,), backward_sum)
 
 
 class TestDense:
@@ -401,13 +401,10 @@ class TestGradCheck:
         theta = Tensor(np.array([3.0]))
 
         def f():
-            out = Tensor(theta.data**2, parents=(theta,))
+            def backward(g):
+                theta.grad += g * 2 * theta.data
 
-            def backward():
-                theta.grad += out.grad * 2 * theta.data
-
-            out._backward = backward
-            return out
+            return Tensor(theta.data**2, (theta,), backward)
 
         assert grad_check(f, [theta]) < 1e-8
 
@@ -415,7 +412,7 @@ class TestGradCheck:
         theta = Tensor(np.array([1.0, 2.0]))
 
         def f():
-            return Tensor(np.array(5.0), parents=(theta,), backward=lambda: None)
+            return Tensor(np.array(5.0), parents=(theta,), backward=lambda g: None)
 
         assert grad_check(f, [theta]) == 0.0
 
@@ -449,24 +446,19 @@ class TestGradCheck:
 
 
 def _sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum(), parents=(x,))
+    def backward(g):
+        x.grad += g
 
-    def backward():
-        x.grad += out.grad
-
-    out._backward = backward
-    return out
+    return Tensor(x.data.sum(), (x,), backward)
 
 
 def _reduce_channels(x: Tensor) -> Tensor:
     """(B, C, H, W) -> (B, 1, H, W) by channel sum, so shapes fit masked_mae."""
-    out = Tensor(x.data.sum(axis=1, keepdims=True), parents=(x,))
 
-    def backward():
-        x.grad += np.broadcast_to(out.grad, x.data.shape)
+    def backward(g):
+        x.grad += np.broadcast_to(g, x.data.shape)
 
-    out._backward = backward
-    return out
+    return Tensor(x.data.sum(axis=1, keepdims=True), (x,), backward)
 
 
 class TestTensor:
@@ -515,26 +507,34 @@ def _every_op(rng) -> list[Tensor]:
     ]
 
 
-class TestNoTape:
-    def test_same_values_without_parents_or_backward(self):
-        taped = _every_op(np.random.default_rng(1))
-        with no_tape():
-            untaped = _every_op(np.random.default_rng(1))
-        assert all(o._parents and o._backward for o in taped)
-        assert [(o._parents, o._backward) for o in untaped] == [((), None)] * len(untaped)
-        for a, b in zip(taped, untaped):
-            np.testing.assert_array_equal(b.data, a.data)
+def _cyclic_garbage_after(run) -> int:
+    """Objects the cyclic collector finds once `run()` has returned, with
+    automatic collection off while it runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
 
-    def test_tape_restored_after_exception_and_after_nesting(self):
-        with pytest.raises(ZeroDivisionError):
-            with no_tape():
-                with no_tape():
-                    pass
-                assert relu(Tensor(np.ones(2)))._backward is None
-                1 / 0
-        x = Tensor(np.array([1.0, -2.0]))
-        _sum_all(relu(x)).backward()
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0])
+
+class TestAcyclicGraph:
+    """No closure references its own output, so a dropped graph is freed by
+    reference counting, backpropagated or not."""
+
+    def test_every_op_output_leaves_no_cycle(self):
+        assert _cyclic_garbage_after(lambda: _every_op(np.random.default_rng(1))) == 0
+
+    @pytest.mark.parametrize("name", ["Cascade-2", "Residual-2"])
+    def test_inference_leaves_no_cycle(self, name):
+        rng = np.random.default_rng(2)
+        fold_models = [
+            build_model(spec_from_name(name, widths=(2, 3, 4), seed=seed)) for seed in (0, 1)
+        ]
+        xs, ys = rng.normal(size=(2, 7, 1, 8, 9)) * 4 + 20
+        assert _cyclic_garbage_after(lambda: ensemble_means(fold_models, xs)) == 0
+        assert _cyclic_garbage_after(lambda: evaluate_masked_mae(fold_models[0], xs, ys, 3)) == 0
 
 
 def _small_net(rng) -> tuple[Tensor, list[Tensor]]:
@@ -565,7 +565,7 @@ class TestBackwardConsumesGraph:
         kept.grad = np.ones_like(kept.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
         assert sum(n._backward is not None for n in order) == 10
         for a, b in zip(leaves, kept_leaves):
             np.testing.assert_array_equal(a.grad, b.grad)

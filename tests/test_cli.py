@@ -10,6 +10,7 @@ import pytest
 
 from hvfcast import cli
 from hvfcast.domain import save_dataset
+from hvfcast.models import Model
 
 
 def run_cli(*argv) -> int:
@@ -190,6 +191,14 @@ class TestSplitCommand:
         assert plan["seed"] == 17
         assert len(plan["folds"]) == 10
 
+    @pytest.mark.parametrize("ratio", ["nan", "0", "1", "1.5", "0.99"])
+    def test_ratio_without_train_and_test_patients_exits_2(self, workdir, tmp_path, capsys, ratio):
+        out = tmp_path / "split.json"
+        code = run_cli("split", "--data", str(workdir / "d.jsonl"), "--ratio", ratio, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: split ratio ")
+        assert not out.exists()
+
 
 class TestTrainAndEvaluate:
     def test_checkpoints_on_disk(self, trained):
@@ -204,6 +213,20 @@ class TestTrainAndEvaluate:
             assert manifest["allocator"] == {"mmap_threshold": 32 << 20, "trim_threshold": 256 << 20}
         else:
             assert manifest["allocator"] is None
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_1(self, workdir, tmp_path, capsys, workers):
+        code = run_cli(
+            "train", "--phase", "intervals",
+            "--data", str(workdir / "d.jsonl"),
+            "--pairs", str(workdir / "pairs.jsonl"),
+            "--split", str(workdir / "split.json"),
+            "--out", str(tmp_path / "runs"),
+            "--arch", "Cascade-1", "--combo", "age", "--workers", workers,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --workers must be >= 1\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_divergence_exits_3(self, workdir, capsys):
         import numpy as np
@@ -315,6 +338,15 @@ class TestTrainAndEvaluate:
             "--out", str(tmp_path / "r.json"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_bootstrap_n_below_one_exits_2_before_any_forward(self, trained, tmp_path, capsys, monkeypatch, n):
+        forwards = []
+        monkeypatch.setattr(Model, "forward", lambda *args: forwards.append(args))
+        out = tmp_path / "report.json"
+        assert _evaluate(trained, trained / "runs", out, "--bootstrap-n", n) == 2
+        assert capsys.readouterr().err == f"error: n_bootstrap must be >= 1, got {n}\n"
+        assert forwards == [] and not out.exists()
 
     def test_report_splits_csvs(self, trained, tmp_path):
         out_dir = tmp_path / "csv"

@@ -215,6 +215,15 @@ class TestSplit:
         with pytest.raises(PipelineError, match="at least 20"):
             split_patients([f"P{i}" for i in range(12)], seed=0)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), 0.0, 1.0, 1.5])
+    def test_ratio_outside_open_unit_interval(self, ratio):
+        with pytest.raises(PipelineError, match=r"^split ratio must be in \(0, 1\)"):
+            split_patients([f"P{i:03d}" for i in range(40)], ratio=ratio, seed=0)
+
+    def test_ratio_holding_out_no_patient(self):
+        with pytest.raises(PipelineError, match="^split ratio 0.99 holds out no test patient of 60$"):
+            split_patients([f"P{i:03d}" for i in range(60)], ratio=0.99, seed=0)
+
     def test_json_round_trip(self):
         plan = split_patients([f"P{i:03d}" for i in range(40)], seed=7)
         again = SplitPlan.from_json_dict(plan.to_json_dict())
