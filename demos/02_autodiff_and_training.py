@@ -11,7 +11,6 @@ import numpy as np
 from hvfcast.autodiff import (
     AdamState,
     BatchNormState,
-    ParamSet,
     Tensor,
     adam_step,
     batch_norm,
@@ -55,8 +54,8 @@ assert float(masked_mae(Tensor(vandalized), tgt, mask).data) == base
 print(f"loss {base:.4f} dB unchanged after writing 9999 into an off-mask cell")
 
 print("\n=== Adam on a scalar: the first step is the bias-corrected closed form ===")
-params = ParamSet()
-theta = params.add("theta", Tensor(np.array([0.0])))
+theta = Tensor(np.array([0.0]))
+params = {"theta": theta}
 theta.grad[:] = 1.0
 adam_step(params, AdamState(lr=1e-3))
 print(f"theta after one step: {theta.data[0]:+.12f}  (expected -lr/(1+eps))")

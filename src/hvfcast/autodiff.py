@@ -236,14 +236,12 @@ class BatchNormState:
     eps: float = 1e-5
 
     @classmethod
-    def create(cls, channels: int, momentum: float = 0.99, eps: float = 1e-5) -> "BatchNormState":
+    def create(cls, channels: int) -> "BatchNormState":
         return cls(
             gamma=Tensor(np.ones(channels)),
             beta=Tensor(np.zeros(channels)),
             running_mean=np.zeros(channels),
             running_var=np.zeros(channels),
-            momentum=momentum,
-            eps=eps,
         )
 
 
@@ -343,29 +341,7 @@ def masked_mae(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Parameters and optimizer
-
-
-class ParamSet:
-    """Ordered store of uniquely named trainable tensors."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._params:
-            raise EngineError(f"duplicate parameter name {name!r}")
-        self._params[name] = tensor
-        return tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def items(self):
-        return self._params.items()
-
-    def n_scalars(self) -> int:
-        return sum(p.data.size for p in self._params.values())
+# Optimizer
 
 
 @dataclass
@@ -381,7 +357,7 @@ class AdamState:
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(params: ParamSet, state: AdamState) -> None:
+def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One bias-corrected Adam update; gradients are zeroed afterwards."""
     state.step_count += 1
     t = state.step_count

@@ -29,15 +29,17 @@ from .domain import (
     RecordError,
     find_record,
     load_dataset,
-    mask_cells,
     parse_record,
     save_dataset,
+    valid_mask_array,
 )
 from .evaluation import EvaluationError, ensemble_predict, evaluate_testset
 from .models import (
+    PAPER_WIDTHS,
     ModelError,
     canonical_specs,
     load_weights,
+    read_json,
     spec_from_name,
     write_json,
 )
@@ -61,7 +63,6 @@ from .trainer import (
     DESK_EPOCHS,
     DESK_WIDTHS,
     PAPER_EPOCHS,
-    PAPER_WIDTHS,
     PHASE_ARCH,
     PHASE_FEATURES,
     PHASE_INTERVALS,
@@ -70,6 +71,7 @@ from .trainer import (
     TrainingDiverged,
     keep_freed_memory,
     load_interval_models,
+    read_result,
     select_architecture,
     select_features,
     train_interval_chain,
@@ -236,10 +238,7 @@ def _phase_winner(runs_dir: Path, phase: str, flag: str) -> str:
         raise TrainerError(
             f"no --{flag} given and {result_path} not found; run `train --phase {phase}` first"
         )
-    result = json.loads(result_path.read_text())
-    if not isinstance(result, dict) or "winner" not in result:
-        raise TrainerError(f"{result_path} records no winner; re-run `train --phase {phase}`")
-    return result["winner"]
+    return read_result(result_path, phase, {"winner": str})["winner"]
 
 
 def _train_config(args, seed: int) -> TrainConfig:
@@ -325,11 +324,13 @@ def _features_snapshots(runs_dir: Path, combo_name: str, n_folds: int) -> dict[i
             f"--chain-init features: {result_path} not found; run `train --phase features` "
             "to completion first"
         )
-    result = json.loads(result_path.read_text())
+    result = read_json(result_path, TrainerError)
     matrix = result.get("matrix") if isinstance(result, dict) else None
     row = matrix.get(combo_name) if isinstance(matrix, dict) else None
     if row is None:
         raise TrainerError(f"--chain-init features: combo {combo_name!r} is not in {result_path}")
+    if type(row) is not list:
+        raise TrainerError(f"{result_path}: matrix row {combo_name!r} must be a list, got {type(row).__name__}")
     missing = [fold for fold in range(n_folds) if fold >= len(row) or row[fold] is None]
     if missing:
         raise TrainerError(
@@ -430,7 +431,6 @@ def _cmd_predict(args) -> int:
         raise EvaluationError(f"no trained models for bin {center}")
 
     forecast = ensemble_predict(models, encode_input(field, combo), bin_center=center)
-    values = forecast.exported_values()
     payload = {
         "interval_years": args.interval,
         "bin": center,
@@ -441,7 +441,7 @@ def _cmd_predict(args) -> int:
             "eye": EYE_TO_WIRE[field.eye],
             "test_index": field.test_index,
         },
-        "values": [round(values[c], 2) for c in mask_cells()],
+        "values": [round(float(v), 2) for v in forecast.exported_grid()[valid_mask_array()]],
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -456,7 +456,17 @@ def _cmd_predict(args) -> int:
 
 def _cmd_report(args) -> int:
     started = _utc_now()
-    report = json.loads(Path(args.report).read_text())
+    report = read_json(args.report, EvaluationError)
+    if not isinstance(report, dict):
+        raise EvaluationError(f"{args.report}: report is not a JSON object")
+    rows = report["rows"] if isinstance(report.get("rows"), dict) else {}
+    for key, value in (
+        ("rows.md_scatter", rows.get("md_scatter")),
+        ("rows.bland_altman", rows.get("bland_altman")),
+        ("per_bin", report.get("per_bin")),
+    ):
+        if type(value) is not list:
+            raise EvaluationError(f"{args.report}: report lacks list {key!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -35,7 +35,6 @@ import numpy as np
 
 from .autodiff import (
     BatchNormState,
-    ParamSet,
     Tensor,
     batch_norm,
     concat_channels,
@@ -52,11 +51,13 @@ CASCADE = "Cascade"
 FAMILIES = (FULLY_CONNECTED, FULL_BN, RESIDUAL, CASCADE)
 
 GRID_SIZE = GRID_ROWS * GRID_COLS  # 72
+PAPER_WIDTHS = (64, 128, 256)
 
 # Layer and parameter counts reported for the original clinical-scale runs of
-# these nine architectures.  Our parameter counts differ (hidden widths,
-# kernel geometry and head design of that configuration are not public); the
-# comparison table in phase reports records both side by side.
+# the nine candidate architectures, in their fixed selection order.  Our
+# parameter counts differ (hidden widths, kernel geometry and head design of
+# that configuration are not public); the comparison table in phase reports
+# records both side by side.
 PUBLISHED_BENCHMARKS = {
     "FullyConnected": {"layers": 2, "parameters": 336_968},
     "FullBN-3": {"layers": 10, "parameters": 1_921_795},
@@ -84,7 +85,7 @@ class ModelSpec:
 
     family: str
     depth_k: int | None = None
-    widths: tuple[int, int, int] = (64, 128, 256)
+    widths: tuple[int, int, int] = PAPER_WIDTHS
     in_channels: int = 1
     seed: int = 0
     fc_hidden: int = 2048
@@ -134,35 +135,21 @@ class ModelSpec:
         return dataclasses.replace(self, **kwargs)
 
 
-def spec_from_name(
-    name: str,
-    widths: tuple[int, int, int] = (64, 128, 256),
-    in_channels: int = 1,
-    seed: int = 0,
-    fc_hidden: int = 2048,
-) -> ModelSpec:
-    """Parse a candidate name like "Cascade-5" or "FullyConnected"."""
-    common = dict(widths=widths, in_channels=in_channels, seed=seed, fc_hidden=fc_hidden)
+def spec_from_name(name: str, **fields) -> ModelSpec:
+    """Parse a candidate name like "Cascade-5" or "FullyConnected"; `fields`
+    are further `ModelSpec` fields."""
     if name == FULLY_CONNECTED:
-        return ModelSpec(family=FULLY_CONNECTED, **common)
+        return ModelSpec(family=FULLY_CONNECTED, **fields)
     family, _, depth = name.partition("-")
     if family not in FAMILIES or not depth.isdigit():
         raise ModelError(f"cannot parse architecture name {name!r}")
-    return ModelSpec(family=family, depth_k=int(depth), **common)
+    return ModelSpec(family=family, depth_k=int(depth), **fields)
 
 
-def canonical_specs(
-    widths: tuple[int, int, int] = (64, 128, 256),
-    fc_hidden: int = 2048,
-) -> list[ModelSpec]:
-    """The nine candidate architectures on the field-only input, in their
-    fixed selection order."""
-    common = dict(widths=widths, fc_hidden=fc_hidden)
-    specs = [ModelSpec(family=FULLY_CONNECTED, **common)]
-    for family, depths in ((FULL_BN, (3, 5, 7)), (RESIDUAL, (3, 5, 7)), (CASCADE, (3, 5))):
-        for k in depths:
-            specs.append(ModelSpec(family=family, depth_k=k, **common))
-    return specs
+def canonical_specs(**fields) -> list[ModelSpec]:
+    """The nine candidate architectures in their fixed selection order;
+    `fields` are further `ModelSpec` fields."""
+    return [spec_from_name(name, **fields) for name in PUBLISHED_BENCHMARKS]
 
 
 @dataclass(frozen=True)
@@ -237,14 +224,14 @@ def published_comparison() -> list[dict]:
     widths, next to the published clinical-scale ones."""
     rows = []
     for spec in canonical_specs():
-        ref = PUBLISHED_BENCHMARKS.get(spec.name, {})
+        ref = PUBLISHED_BENCHMARKS[spec.name]
         rows.append(
             {
                 "name": spec.name,
                 "layers": count_layers(spec),
                 "parameters": count_parameters_spec(spec),
-                "published_layers": ref.get("layers"),
-                "published_parameters": ref.get("parameters"),
+                "published_layers": ref["layers"],
+                "published_parameters": ref["parameters"],
             }
         )
     return rows
@@ -260,12 +247,11 @@ class Model:
         """He-uniform weights drawn from spec.seed; `_seeded=False` leaves
         the weights unset, for callers that overwrite every array."""
         self.spec = spec
-        self.layers = layer_plan(spec)
-        self._by_name = {layer.name: layer for layer in self.layers}
-        self.params = ParamSet()
+        self.layers = {layer.name: layer for layer in layer_plan(spec)}
+        self.params: dict[str, Tensor] = {}
         self.bn: dict[str, BatchNormState] = {}
         rng = np.random.default_rng(spec.seed) if _seeded else None
-        for layer in self.layers:
+        for layer in self.layers.values():
             if layer.kind == "dense":
                 shape = (layer.out_dim, layer.in_dim)
                 fan_in = layer.in_dim
@@ -277,12 +263,12 @@ class Model:
             else:
                 limit = np.sqrt(6.0 / fan_in)
                 w = rng.uniform(-limit, limit, size=shape)
-            self.params.add(f"{layer.name}.w", Tensor(w))
-            self.params.add(f"{layer.name}.b", Tensor(np.zeros(layer.out_dim)))
+            self.params[f"{layer.name}.w"] = Tensor(w)
+            self.params[f"{layer.name}.b"] = Tensor(np.zeros(layer.out_dim))
             if layer.bn:
                 state = BatchNormState.create(layer.out_dim)
-                self.params.add(f"{layer.name}.bn.gamma", state.gamma)
-                self.params.add(f"{layer.name}.bn.beta", state.beta)
+                self.params[f"{layer.name}.bn.gamma"] = state.gamma
+                self.params[f"{layer.name}.bn.beta"] = state.beta
                 self.bn[layer.name] = state
         # the order weights.bin lays the arrays out in
         self._entries = [(name, p.data, True) for name, p in self.params.items()]
@@ -295,7 +281,7 @@ class Model:
     def _unit(self, name: str, x: Tensor, train: bool) -> Tensor:
         """dense or conv -> batch norm -> relu (norm/relu only where the plan
         says); `train` selects batch or running statistics for the norm."""
-        layer = self._layer(name)
+        layer = self.layers[name]
         w = self.params[f"{name}.w"]
         b = self.params[f"{name}.b"]
         out = dense(x, w, b) if layer.kind == "dense" else conv2d(x, w, b)
@@ -304,12 +290,6 @@ class Model:
         if layer.activation == "relu":
             out = relu(out)
         return out
-
-    def _layer(self, name: str) -> LayerInfo:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ModelError(f"no layer named {name!r}") from None
 
     def forward(self, x, mode: str = "infer") -> Tensor:
         """Run the network; returns a (batch, 1, 8, 9) Tensor."""
@@ -514,6 +494,15 @@ def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def read_json(path, error: type[Exception]):
+    """The JSON value in the file at `path`; malformed JSON raises `error`
+    prefixed with the path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as e:
+        raise error(f"{path}: {e}") from None
 
 
 def write_json(path, obj) -> None:

@@ -158,6 +158,12 @@ class CohortConfig:
             raise SimError(f"bad tests_per_eye range {self.tests_per_eye}")
         if self.followup_years[0] <= 0 or self.followup_years[1] < self.followup_years[0]:
             raise SimError(f"bad followup_years range {self.followup_years}")
+        if self.followup_years[0] < 0.4 and self.tests_per_eye[1] > 2:
+            # interior visits are drawn from (0.2, span - 0.2)
+            raise SimError(
+                f"followup_years minimum {self.followup_years[0]} is under 0.4 years, too short "
+                f"for {self.tests_per_eye[1]} tests per eye"
+            )
         unknown = set(self.archetype_mix) - set(ARCHETYPE_NAMES)
         if unknown:
             raise SimError(f"unknown archetypes in mix: {sorted(unknown)}")

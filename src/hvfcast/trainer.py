@@ -16,7 +16,6 @@ run sequentially or on a process pool.
 from __future__ import annotations
 
 import functools
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -32,6 +31,7 @@ from .models import (
     count_parameters_spec,
     load_weights,
     published_comparison,
+    read_json,
     save_weights,
     snapshot_hash,
     weights_hash,
@@ -46,7 +46,6 @@ PHASE_INTERVALS = "intervals"
 CHAIN_RESULT = "chain_result.json"
 
 DESK_WIDTHS = (8, 16, 24)
-PAPER_WIDTHS = (64, 128, 256)
 DESK_EPOCHS = 60
 PAPER_EPOCHS = 1000
 
@@ -572,6 +571,20 @@ def train_interval_chain(
     return result
 
 
+def read_result(path: Path, phase: str, kinds: dict[str, type]) -> dict:
+    """The JSON that `train --phase <phase>` wrote at `path`, which must be
+    an object holding each key of `kinds` with a value of that type."""
+    result = read_json(path, TrainerError)
+    for key, kind in kinds.items():
+        if not isinstance(result, dict) or key not in result:
+            raise TrainerError(f"{path} records no {key}; re-run `train --phase {phase}`")
+        if type(result[key]) is not kind:
+            raise TrainerError(
+                f"{path}: {key!r} must be a {kind.__name__}, got {type(result[key]).__name__}"
+            )
+    return result
+
+
 def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict[float, list[Model]]]:
     """The combo and the frozen fold models per bin that a chain recorded.
 
@@ -582,10 +595,7 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
     path = Path(runs_dir) / PHASE_INTERVALS / CHAIN_RESULT
     if not path.is_file():
         raise TrainerError(f"{path} not found; run `train --phase intervals` to completion first")
-    chain = json.loads(path.read_text())
-    for key in ("combo", "entries"):
-        if not isinstance(chain, dict) or key not in chain:
-            raise TrainerError(f"{path} records no {key}; re-run `train --phase intervals`")
+    chain = read_result(path, PHASE_INTERVALS, {"combo": str, "entries": list})
     wanted = set(bins)
     out: dict[float, list[Model]] = {}
     for i, e in enumerate(chain["entries"]):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from hvfcast import cli, pipeline, synthsim
-from hvfcast.autodiff import AdamState, ParamSet, Tensor, adam_step, grad_check, masked_mae
+from hvfcast.autodiff import AdamState, Tensor, adam_step, grad_check, masked_mae
 from hvfcast.domain import (
     VisualField,
     mask_cells,
@@ -174,15 +174,15 @@ def test_criterion_layer_parity():
 
 def test_criterion_adam_oracle():
     """First step matches the closed form; quadratic reaches 1e-2 in 2000 steps."""
-    params = ParamSet()
-    theta = params.add("theta", Tensor(np.array([0.0])))
+    theta = Tensor(np.array([0.0]))
+    params = {"theta": theta}
     theta.grad[:] = 1.0
     adam_step(params, AdamState(lr=1e-3))
     closed_form = -1e-3 * 1.0 / (1.0 + 1e-8)
     assert abs(theta.data[0] - closed_form) < 1e-12
 
-    params2 = ParamSet()
-    p = params2.add("theta", Tensor(np.array([1.0])))
+    p = Tensor(np.array([1.0]))
+    params2 = {"theta": p}
     state = AdamState(lr=1e-3)
     first_pass = None
     for step in range(2000):

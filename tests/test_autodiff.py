@@ -11,7 +11,6 @@ from hvfcast.autodiff import (
     BatchNormState,
     DivergenceError,
     EngineError,
-    ParamSet,
     ShapeError,
     Tensor,
     adam_step,
@@ -222,7 +221,8 @@ class TestBatchNorm:
     def test_running_stats_ema(self):
         rng = np.random.default_rng(7)
         x = rng.normal(loc=5.0, size=(8, 1, 4, 4))
-        state = BatchNormState.create(1, momentum=0.9)
+        state = BatchNormState.create(1)
+        state.momentum = 0.9
         batch_norm(Tensor(x), state, True)
         np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(), atol=1e-12)
         np.testing.assert_allclose(state.running_var, 0.1 * x.var(), atol=1e-12)
@@ -231,7 +231,8 @@ class TestBatchNorm:
         """A model lists its running-statistic arrays once, at build time."""
         rng = np.random.default_rng(9)
         x = rng.normal(loc=2.0, size=(4, 2, 3, 3))
-        state = BatchNormState.create(2, momentum=0.5)
+        state = BatchNormState.create(2)
+        state.momentum = 0.5
         mean, var = state.running_mean, state.running_var
         batch_norm(Tensor(x), state, True)
         assert state.running_mean is mean and state.running_var is var
@@ -346,14 +347,14 @@ class TestMaskedMae:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
-        params = ParamSet()
-        p = params.add("p", Tensor(np.array([1.0, -2.0])))
+        p = Tensor(np.array([1.0, -2.0]))
+        params = {"p": p}
         adam_step(params, AdamState())
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_closed_form(self):
-        params = ParamSet()
-        p = params.add("theta", Tensor(np.array([0.0])))
+        p = Tensor(np.array([0.0]))
+        params = {"theta": p}
         p.grad[:] = 1.0
         state = AdamState(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
         adam_step(params, state)
@@ -365,8 +366,8 @@ class TestAdam:
     def test_quadratic_convergence(self):
         # matches torch.optim.Adam bit-for-bit on this trajectory; the slow
         # second-moment decay makes the first |theta| < 1e-2 land at step 2203
-        params = ParamSet()
-        p = params.add("theta", Tensor(np.array([1.0])))
+        p = Tensor(np.array([1.0]))
+        params = {"theta": p}
         state = AdamState(lr=1e-3)
         first_pass = None
         for step in range(2500):
@@ -378,8 +379,8 @@ class TestAdam:
 
     def test_determinism(self):
         def run():
-            params = ParamSet()
-            p = params.add("p", Tensor(np.array([0.3, -0.7])))
+            p = Tensor(np.array([0.3, -0.7]))
+            params = {"p": p}
             state = AdamState(lr=1e-2)
             for i in range(50):
                 p.grad[:] = np.sin(p.data + i)
@@ -389,8 +390,8 @@ class TestAdam:
         np.testing.assert_array_equal(run(), run())
 
     def test_nonfinite_gradient_names_parameter(self):
-        params = ParamSet()
-        p = params.add("bad_layer", Tensor(np.array([0.0])))
+        p = Tensor(np.array([0.0]))
+        params = {"bad_layer": p}
         p.grad[:] = np.nan
         with pytest.raises(DivergenceError, match="divergence.*bad_layer"):
             adam_step(params, AdamState())

@@ -184,6 +184,15 @@ class TestSimulate:
     def test_bad_archetype_weight_exits_1(self):
         assert run_cli("simulate", "--archetype", "normal", "--out", "x.jsonl") == 1
 
+    def test_follow_up_too_short_for_interior_visits_exits_2(self, tmp_path, capsys):
+        """Interior visits fall between 0.2 years and the span minus 0.2."""
+        args = ["simulate", "--patients", "5", "--span-min", "0.1", "--span-max", "0.3"]
+        assert run_cli(*args, "--out", str(tmp_path / "a.jsonl")) == 2
+        assert "followup_years minimum 0.1 is under 0.4 years, too short for 8 tests per eye" in (
+            capsys.readouterr().err
+        )
+        assert run_cli(*args, "--tests-min", "2", "--tests-max", "2", "--out", str(tmp_path / "b.jsonl")) == 0
+
 
 class TestSplitCommand:
     def test_seed_echoed(self, workdir):
@@ -353,6 +362,24 @@ class TestTrainAndEvaluate:
         assert run_cli("report", "--report", str(trained / "report.json"), "--out-dir", str(out_dir)) == 0
         for name in ("report_md_scatter.csv", "report_bland_altman.csv", "report_bin_mae.csv"):
             assert (out_dir / name).is_file()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "report is not a JSON object"),
+            ('{"rows": {"bland_altman": []}, "per_bin": []}', "report lacks list 'rows.md_scatter'"),
+            ('{"rows": {"md_scatter": []}, "per_bin": []}', "report lacks list 'rows.bland_altman'"),
+            ('{"rows": {"md_scatter": [], "bland_altman": []}}', "report lacks list 'per_bin'"),
+            ('{"rows": 5, "per_bin": []}', "report lacks list 'rows.md_scatter'"),
+            ("{", "Expecting property name enclosed in double quotes"),
+        ],
+        ids=["list", "no-md-scatter", "no-bland-altman", "no-per-bin", "rows-int", "bad-json"],
+    )
+    def test_malformed_report_exits_2_naming_it(self, tmp_path, capsys, text, message):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        assert run_cli("report", "--report", str(report), "--out-dir", str(tmp_path / "csv")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {report}: {message}")
 
 
 def _evaluate(workdir, runs, out, *extra, split=None):
@@ -634,6 +661,55 @@ class TestRunTreeContract:
         assert code == 2
         assert f"{runs / 'arch' / 'phase_result.json'} records no winner" in capsys.readouterr().err
 
+    def test_phase_result_winner_of_wrong_type_exits_2(self, trained, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        (runs / "arch").mkdir(parents=True)
+        (runs / "arch" / "phase_result.json").write_text('{"winner": 5}')
+        code = run_cli(
+            "train", "--phase", "features",
+            "--data", str(trained / "d.jsonl"), "--pairs", str(trained / "pairs.jsonl"),
+            "--split", str(trained / "split.json"), "--out", str(runs), "--epochs", "0",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {runs / 'arch' / 'phase_result.json'}: 'winner' must be a str, got int\n"
+        )
+
+    def test_unparseable_phase_result_names_it(self, trained, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        (runs / "arch").mkdir(parents=True)
+        (runs / "arch" / "phase_result.json").write_text("{winner")
+        code = run_cli(
+            "train", "--phase", "features",
+            "--data", str(trained / "d.jsonl"), "--pairs", str(trained / "pairs.jsonl"),
+            "--split", str(trained / "split.json"), "--out", str(runs), "--epochs", "0",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {runs / 'arch' / 'phase_result.json'}: Expecting property name"
+        )
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("entries", {"0": {}}, "list, got dict"), ("combo", ["age"], "str, got list")],
+        ids=["entries-dict", "combo-list"],
+    )
+    def test_chain_result_key_of_wrong_type_exits_2(self, trained, tmp_path, capsys, key, value, kind):
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        chain[key] = value
+        path.write_text(json.dumps(chain))
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
+        assert capsys.readouterr().err == f"error: {path}: {key!r} must be a {kind}\n"
+
+    def test_unparseable_chain_result_names_it(self, trained, tmp_path, capsys):
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        path.write_text(path.read_text()[:-20])
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_split_without_folds_exits_2(self, trained, tmp_path, capsys):
         plan = json.loads((trained / "split.json").read_text())
         del plan["folds"]
@@ -784,6 +860,22 @@ class TestChainInitFeatures:
         (runs / "features" / "phase_result.json").write_text(json.dumps(result))
         assert self._chain(workdir, runs) == 2
         assert "combo 'age' is not in" in capsys.readouterr().err
+
+    def test_features_row_of_wrong_type_exits_2(self, workdir, features_run, tmp_path, capsys):
+        runs = self._features_copy(features_run, tmp_path)
+        result_path = runs / "features" / "phase_result.json"
+        result = json.loads(result_path.read_text())
+        result["matrix"]["age"] = 5
+        result_path.write_text(json.dumps(result))
+        assert self._chain(workdir, runs) == 2
+        assert capsys.readouterr().err == f"error: {result_path}: matrix row 'age' must be a list, got int\n"
+
+    def test_unparseable_features_result_names_it(self, workdir, features_run, tmp_path, capsys):
+        runs = self._features_copy(features_run, tmp_path)
+        result_path = runs / "features" / "phase_result.json"
+        result_path.write_text("{")
+        assert self._chain(workdir, runs) == 2
+        assert capsys.readouterr().err.startswith(f"error: {result_path}: Expecting property name")
 
 
 class TestPredict:

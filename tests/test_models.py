@@ -64,7 +64,8 @@ class TestCounting:
 
     def test_built_model_matches_spec_count(self):
         for spec in ALL_TINY:
-            assert build_model(spec).params.n_scalars() == count_parameters_spec(spec)
+            params = build_model(spec).params.values()
+            assert sum(p.data.size for p in params) == count_parameters_spec(spec)
 
     def test_dense_72_to_72_with_bias(self):
         spec = ModelSpec(family="FullyConnected", fc_hidden=72)

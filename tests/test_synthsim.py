@@ -260,6 +260,10 @@ class TestGenerateCohort:
             CohortConfig(archetype_mix={"normal": 0.0}).validate()
         with pytest.raises(SimError):
             CohortConfig(tests_per_eye=(3, 2)).validate()
+        with pytest.raises(SimError, match="under 0.4 years"):
+            CohortConfig(tests_per_eye=(2, 3), followup_years=(0.39, 1.0)).validate()
+        CohortConfig(tests_per_eye=(1, 2), followup_years=(0.1, 0.3)).validate()
+        CohortConfig(tests_per_eye=(2, 3), followup_years=(0.4, 1.0)).validate()
 
 
 def serialize(fields) -> str:
