@@ -144,8 +144,12 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """Stride-1 same-padding 2-D convolution over (B, C, H, W) with square
     odd kernels.
 
-    Output spatial size equals input size.  Gradients are exact w.r.t. the
-    input, the kernel, and the bias.
+    Output spatial size equals input size.  The forward is one GEMM on the
+    im2col gather of the input.  The input gradient is the transposed
+    convolution: the same gather of the upstream gradient, times the
+    180-degree-rotated kernel with its channel axes swapped, so there is no
+    col2im scatter.  Gradients are exact w.r.t. the input, the kernel, and
+    the bias.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be 4-axis, got shape {x.data.shape}")
@@ -158,20 +162,11 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     if kh != kw or kh % 2 == 0:
         raise ShapeError(f"conv2d kernel must be square and odd, got {kh}x{kw}")
 
-    pad = kh // 2
-    xpad = np.zeros((batch, c_in, height + 2 * pad, width + 2 * pad))
-    xpad[:, :, pad : pad + height, pad : pad + width] = x.data
-    # im2col: one GEMM per conv instead of one per kernel offset.  The cols
-    # buffer lives in the backward closure until backward runs or the output
-    # is dropped; at the grid sizes this engine targets that is a few MB per
-    # layer.
-    flat_pad = xpad.reshape(batch, c_in, -1)
-    cols = np.take(flat_pad, _im2col_index(kh, height, width), axis=2).reshape(
-        batch, c_in * kh * kw, height * width
-    )
-    w2d = weights.data.reshape(c_out, c_in * kh * kw)
-    out_flat = np.matmul(w2d, cols)  # (B, C_out, H*W)
-    xpad_shape = xpad.shape
+    # The cols buffer lives in the backward closure until backward runs or
+    # the output is dropped; at the grid sizes this engine targets that is a
+    # few MB per layer.
+    cols = _im2col(x.data, kh)
+    out_flat = np.matmul(weights.data.reshape(c_out, c_in * kh * kw), cols)  # (B, C_out, H*W)
 
     def backward(g):
         g2 = g.reshape(batch, c_out, height * width)
@@ -179,15 +174,25 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         weights.grad += (
             np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.data.shape)
         )
-        dcols = np.matmul(w2d.T, g2).reshape(batch, c_in, kh, kw, height, width)
-        dxpad = np.zeros(xpad_shape)
-        for di in range(kh):
-            for dj in range(kw):
-                dxpad[:, :, di : di + height, dj : dj + width] += dcols[:, :, di, dj]
-        x.grad += dxpad[:, :, pad : pad + height, pad : pad + width]
+        flipped = weights.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dx = np.matmul(flipped.reshape(c_in, c_out * kh * kw), _im2col(g, kh))
+        x.grad += dx.reshape(x.data.shape)
 
     out = out_flat.reshape(batch, c_out, height, width) + bias.data[None, :, None, None]
     return Tensor(out, (x, weights, bias), backward)
+
+
+def _im2col(a: np.ndarray, k: int) -> np.ndarray:
+    """Zero-pad (B, C, H, W) by k//2 on each side and gather every k x k
+    window: (B, C*k*k, H*W), row c*k*k + di*k + dj holding pixel
+    (i+di, j+dj) of channel c's padded plane at column i*W+j."""
+    batch, channels, height, width = a.shape
+    pad = k // 2
+    padded = np.zeros((batch, channels, height + 2 * pad, width + 2 * pad))
+    padded[:, :, pad : pad + height, pad : pad + width] = a
+    return np.take(
+        padded.reshape(batch, channels, -1), _im2col_index(k, height, width), axis=2
+    ).reshape(batch, channels * k * k, height * width)
 
 
 @lru_cache(maxsize=None)
@@ -225,14 +230,18 @@ class BatchNormState:
 
     `gamma`/`beta` are trainable; the running mean/variance are inference
     statistics that training updates in place, by exponential moving
-    average, so each array keeps its identity for the state's life.
+    average, so each array keeps its identity for the state's life.  They
+    start at mean 0 and variance 1, the identity normalization, and each
+    train-mode call keeps `momentum` = 0.9 of the old value (PyTorch's
+    default), so that inference after a few steps divides by about the
+    data's spread, not by `sqrt(eps)`.
     """
 
     gamma: Tensor
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.99
+    momentum: float = 0.9
     eps: float = 1e-5
 
     @classmethod
@@ -241,7 +250,7 @@ class BatchNormState:
             gamma=Tensor(np.ones(channels)),
             beta=Tensor(np.zeros(channels)),
             running_mean=np.zeros(channels),
-            running_var=np.zeros(channels),
+            running_var=np.ones(channels),
         )
 
 

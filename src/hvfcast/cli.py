@@ -35,8 +35,10 @@ from .domain import (
 )
 from .evaluation import EvaluationError, ensemble_predict, evaluate_testset
 from .models import (
+    MANIFEST_NAME,
     PAPER_WIDTHS,
     ModelError,
+    ModelSpec,
     canonical_specs,
     load_weights,
     read_json,
@@ -232,13 +234,19 @@ def _load_plan(path, fields) -> SplitPlan:
     return plan
 
 
-def _phase_winner(runs_dir: Path, phase: str, flag: str) -> str:
+def _phase_winner(runs_dir: Path, phase: str, flag: str, parse):
+    """`parse` of the winner that `train --phase <phase>` recorded, for a
+    run given no `--<flag>`."""
     result_path = runs_dir / phase / "phase_result.json"
     if not result_path.is_file():
         raise TrainerError(
             f"no --{flag} given and {result_path} not found; run `train --phase {phase}` first"
         )
-    return read_result(result_path, phase, {"winner": str})["winner"]
+    winner = read_result(result_path, phase, {"winner": str})["winner"]
+    try:
+        return parse(winner)
+    except (ModelError, PipelineError) as e:
+        raise TrainerError(f"{result_path}: 'winner': {e}") from None
 
 
 def _train_config(args, seed: int) -> TrainConfig:
@@ -277,18 +285,16 @@ def _cmd_train(args) -> int:
         print(f"architecture winner: {result.winner}")
     elif args.phase == PHASE_FEATURES:
         bin1 = train_binned[BIN_CENTERS[0]]
-        arch = args.arch or _phase_winner(runs_dir, PHASE_ARCH, "arch")
-        arch_spec = spec_from_name(arch, widths=cfg.widths, fc_hidden=cfg.fc_hidden)
+        arch_spec = _arch_spec(args.arch, runs_dir, cfg)
         result = select_features(arch_spec, FeatureCombo.all_combos(), bin1, plan, cfg, runs_dir, args.workers)
         print(f"feature-combination winner: {result.winner}")
     else:  # intervals
-        arch = args.arch or _phase_winner(runs_dir, PHASE_ARCH, "arch")
-        combo_name = args.combo or _phase_winner(runs_dir, PHASE_FEATURES, "combo")
-        combo = FeatureCombo.parse(combo_name)
-        spec = spec_from_name(arch, widths=cfg.widths, fc_hidden=cfg.fc_hidden)
+        spec = _arch_spec(args.arch, runs_dir, cfg)
+        combo = (FeatureCombo.parse(args.combo) if args.combo
+                 else _phase_winner(runs_dir, PHASE_FEATURES, "combo", FeatureCombo.parse))
         init_snapshots = None
         if args.chain_init == "features":
-            init_snapshots = _features_snapshots(runs_dir, combo.name, len(plan.folds))
+            init_snapshots = _features_snapshots(runs_dir, combo, spec, len(plan.folds))
         result = train_interval_chain(
             spec, combo, train_binned, plan, cfg, runs_dir, args.workers, init_snapshots
         )
@@ -315,9 +321,23 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _features_snapshots(runs_dir: Path, combo_name: str, n_folds: int) -> dict[int, dict]:
-    """Fold -> weights of `combo_name`'s checkpoints from a complete features
-    phase: its `phase_result.json` must hold a result for every fold."""
+def _arch_spec(arch: str | None, runs_dir: Path, cfg: TrainConfig) -> ModelSpec:
+    """The spec of `--arch`, or else of the arch phase's winner, at `cfg`'s widths."""
+    def parse(name):
+        return spec_from_name(name, widths=cfg.widths, fc_hidden=cfg.fc_hidden)
+
+    return parse(arch) if arch else _phase_winner(runs_dir, PHASE_ARCH, "arch", parse)
+
+
+def _features_snapshots(
+    runs_dir: Path, combo: FeatureCombo, spec: ModelSpec, n_folds: int
+) -> dict[int, dict]:
+    """Fold -> weights of `combo`'s checkpoints from a complete features
+    phase: its `phase_result.json` must hold a result for every fold, and
+    each checkpoint must be the chain's `spec`, seed aside, with `combo`'s
+    input channels."""
+    combo_name = combo.name
+    spec = spec.replace(in_channels=combo.channels())
     result_path = runs_dir / PHASE_FEATURES / "phase_result.json"
     if not result_path.is_file():
         raise TrainerError(
@@ -337,8 +357,17 @@ def _features_snapshots(runs_dir: Path, combo_name: str, n_folds: int) -> dict[i
             f"--chain-init features: combo {combo_name!r} has no result for folds {missing} "
             f"in {result_path}"
         )
-    ckpt_dir = runs_dir / PHASE_FEATURES / combo_name
-    return {fold: load_weights(ckpt_dir / f"fold-{fold}").snapshot() for fold in range(n_folds)}
+    snapshots = {}
+    for fold in range(n_folds):
+        fold_dir = runs_dir / PHASE_FEATURES / combo_name / f"fold-{fold}"
+        model = load_weights(fold_dir)
+        if model.spec.replace(seed=spec.seed) != spec:
+            raise TrainerError(
+                f"--chain-init features: {fold_dir / MANIFEST_NAME} holds spec "
+                f"{model.spec.to_dict()}, not the chain's {spec.to_dict()} (seed aside)"
+            )
+        snapshots[fold] = model.snapshot()
+    return snapshots
 
 
 def _served_models(args, bins=BIN_CENTERS):

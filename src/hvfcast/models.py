@@ -367,7 +367,8 @@ def weights_hash(model: Model) -> str:
 
 
 def build_model(spec: ModelSpec) -> Model:
-    """Construct and seed-initialize a model (He-uniform weights, BN 1/0)."""
+    """Construct and seed-initialize a model: He-uniform weights, zero
+    biases, BN gamma 1 and beta 0, running mean 0 and running variance 1."""
     return Model(spec)
 
 

@@ -37,7 +37,7 @@ from .models import (
     weights_hash,
     write_json,
 )
-from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, SplitPlan, encode_pairs
+from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, PipelineError, SplitPlan, encode_pairs
 from .seeds import derive_seed
 
 PHASE_ARCH = "arch"
@@ -596,6 +596,10 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
     if not path.is_file():
         raise TrainerError(f"{path} not found; run `train --phase intervals` to completion first")
     chain = read_result(path, PHASE_INTERVALS, {"combo": str, "entries": list})
+    try:
+        combo = FeatureCombo.parse(chain["combo"])
+    except PipelineError as e:
+        raise TrainerError(f"{path}: 'combo': {e}") from None
     wanted = set(bins)
     out: dict[float, list[Model]] = {}
     for i, e in enumerate(chain["entries"]):
@@ -617,4 +621,4 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
         if type(checkpoint) is not str:
             raise TrainerError(f"{path}: entry {i}: 'checkpoint' must be a string, got {checkpoint!r}")
         out.setdefault(e["bin"], []).append(load_weights(Path(runs_dir) / checkpoint))
-    return FeatureCombo.parse(chain["combo"]), out
+    return combo, out

@@ -5,6 +5,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hvfcast.autodiff import (
     AdamState,
@@ -104,26 +106,84 @@ class TestConv2d:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_bit_identical_to_np_pad_im2col(self, k):
-        """Forward and gradients equal the np.pad + im2col formula exactly."""
+        """Forward and gradients equal the np.pad + im2col formulas exactly;
+        the input gradient is the transposed convolution of `g`."""
         rng = np.random.default_rng(4)
         xd = rng.normal(size=(3, 2, 8, 9))
         wd = rng.normal(size=(4, 2, k, k))
         bd = rng.normal(size=4)
         g = rng.normal(size=(3, 4, 8, 9))
-        pad = k // 2
-        xpad = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        windows = np.lib.stride_tricks.sliding_window_view(xpad, (k, k), axis=(2, 3))
-        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(3, 2 * k * k, 72)
-        w2d = wd.reshape(4, 2 * k * k)
-        expected = np.matmul(w2d, cols).reshape(3, 4, 8, 9) + bd[None, :, None, None]
-        expected_dw = np.matmul(g.reshape(3, 4, 72), cols.transpose(0, 2, 1)).sum(axis=0)
+        w_flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(2, 4 * k * k)
+        expected_dx = np.matmul(w_flipped, _np_pad_im2col(g, k)).reshape(xd.shape)
 
         x, w, b = Tensor(xd), Tensor(wd), Tensor(bd)
         out = conv2d(x, w, b)
+        expected, expected_dw, expected_db, _ = _reference_conv(xd, wd, bd, g)
         np.testing.assert_array_equal(out.data, expected)
         out._backward(g)
-        np.testing.assert_array_equal(w.grad, expected_dw.reshape(wd.shape))
-        np.testing.assert_array_equal(b.grad, g.sum(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(w.grad, expected_dw)
+        np.testing.assert_array_equal(b.grad, expected_db)
+        np.testing.assert_array_equal(x.grad, expected_dx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        c_in=st.integers(1, 5),
+        c_out=st.integers(1, 5),
+        k=st.sampled_from([1, 3]),
+        height=st.integers(1, 9),
+        width=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=32, c_in=26, c_out=1, k=3, height=8, width=9, seed=0)  # the Cascade head
+    def test_transposed_conv_matches_col2im(self, batch, c_in, c_out, k, height, width, seed):
+        """The input gradient equals the col2im scatter of W.T @ g within
+        1e-12 relative; the output and the kernel and bias gradients are
+        the im2col formulas bit for bit."""
+        rng = np.random.default_rng(seed)
+        xd = rng.normal(size=(batch, c_in, height, width))
+        wd = rng.normal(size=(c_out, c_in, k, k))
+        bd = rng.normal(size=c_out)
+        g = rng.normal(size=(batch, c_out, height, width))
+        x, w, b = Tensor(xd), Tensor(wd), Tensor(bd)
+        out = conv2d(x, w, b)
+        out._backward(g)
+        expected, expected_dw, expected_db, col2im_dx = _reference_conv(xd, wd, bd, g)
+        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(w.grad, expected_dw)
+        np.testing.assert_array_equal(b.grad, expected_db)
+        np.testing.assert_allclose(x.grad, col2im_dx, rtol=0, atol=1e-12 * np.abs(col2im_dx).max())
+
+
+def _np_pad_im2col(a: np.ndarray, k: int) -> np.ndarray:
+    """(B, C*k*k, H*W) windows of `a` zero-padded by k//2, via np.pad and
+    sliding_window_view, in a C-contiguous buffer like the engine's (matmul
+    may sum a strided operand in another order)."""
+    batch, channels, height, width = a.shape
+    pad = k // 2
+    apad = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(apad, (k, k), axis=(2, 3))
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(batch, channels * k * k, height * width)
+    return np.ascontiguousarray(cols)
+
+
+def _reference_conv(xd, wd, bd, g):
+    """Output, kernel and bias gradients by im2col, and the input gradient
+    by the col2im scatter of W.T @ g."""
+    batch, c_in, height, width = xd.shape
+    c_out, _, k, _ = wd.shape
+    pad = k // 2
+    cols = _np_pad_im2col(xd, k)
+    w2d = wd.reshape(c_out, c_in * k * k)
+    g2 = g.reshape(batch, c_out, height * width)
+    out = np.matmul(w2d, cols).reshape(g.shape) + bd[None, :, None, None]
+    dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
+    dcols = np.matmul(w2d.T, g2).reshape(batch, c_in, k, k, height, width)
+    dxpad = np.zeros((batch, c_in, height + 2 * pad, width + 2 * pad))
+    for di in range(k):
+        for dj in range(k):
+            dxpad[:, :, di : di + height, dj : dj + width] += dcols[:, :, di, dj]
+    return out, dw, g.sum(axis=(0, 2, 3)), dxpad[:, :, pad : pad + height, pad : pad + width]
 
 
 def _dot(out: Tensor, probe: Tensor) -> Tensor:
@@ -222,10 +282,10 @@ class TestBatchNorm:
         rng = np.random.default_rng(7)
         x = rng.normal(loc=5.0, size=(8, 1, 4, 4))
         state = BatchNormState.create(1)
-        state.momentum = 0.9
+        assert state.momentum == 0.9
         batch_norm(Tensor(x), state, True)
         np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(), atol=1e-12)
-        np.testing.assert_allclose(state.running_var, 0.1 * x.var(), atol=1e-12)
+        np.testing.assert_allclose(state.running_var, 0.9 + 0.1 * x.var(), atol=1e-12)
 
     def test_train_mode_writes_running_stats_in_place(self):
         """A model lists its running-statistic arrays once, at build time."""
@@ -237,7 +297,7 @@ class TestBatchNorm:
         batch_norm(Tensor(x), state, True)
         assert state.running_mean is mean and state.running_var is var
         np.testing.assert_array_equal(mean, 0.5 * x.mean(axis=(0, 2, 3)))
-        np.testing.assert_array_equal(var, 0.5 * x.var(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(var, 0.5 + 0.5 * x.var(axis=(0, 2, 3)))
 
     def test_batch_of_one_constant_channel_is_finite(self):
         state = BatchNormState.create(1)

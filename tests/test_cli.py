@@ -703,6 +703,41 @@ class TestRunTreeContract:
         assert _evaluate(trained, runs, tmp_path / "r.json") == 2
         assert capsys.readouterr().err == f"error: {path}: {key!r} must be a {kind}\n"
 
+    def test_chain_result_combo_that_does_not_parse_exits_2(self, trained, tmp_path, capsys):
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        chain["combo"] = "bogus"
+        path.write_text(json.dumps(chain))
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'combo': unknown feature flags ['bogus'] in combo 'bogus'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "phase, winner, message, extra",
+        [
+            ("arch", "Bogus-3", "cannot parse architecture name 'Bogus-3'", ["--phase", "features"]),
+            ("features", "bogus", "unknown feature flags ['bogus'] in combo 'bogus'",
+             ["--phase", "intervals", "--arch", "FullyConnected"]),
+        ],
+        ids=["arch", "features"],
+    )
+    def test_phase_result_winner_that_does_not_parse_exits_2(
+        self, trained, tmp_path, capsys, phase, winner, message, extra
+    ):
+        runs = tmp_path / "runs"
+        path = runs / phase / "phase_result.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({"winner": winner}))
+        code = run_cli(
+            "train", *extra,
+            "--data", str(trained / "d.jsonl"), "--pairs", str(trained / "pairs.jsonl"),
+            "--split", str(trained / "split.json"), "--out", str(runs), "--epochs", "0",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: 'winner': {message}\n"
+
     def test_unparseable_chain_result_names_it(self, trained, tmp_path, capsys):
         runs = self._runs_copy(trained, tmp_path)
         path = runs / "intervals" / "chain_result.json"
@@ -788,14 +823,14 @@ class TestChainInitFeatures:
         shutil.copytree(features_run / "features", runs / "features")
         return runs
 
-    def _chain(self, workdir, runs, combo="age"):
+    def _chain(self, workdir, runs, combo="age", arch="FullyConnected"):
         return run_cli(
             "train", "--phase", "intervals",
             "--data", str(workdir / "d.jsonl"),
             "--pairs", str(workdir / "pairs.jsonl"),
             "--split", str(workdir / "split.json"),
             "--out", str(runs),
-            "--arch", "FullyConnected", "--combo", combo, "--chain-init", "features",
+            "--arch", arch, "--combo", combo, "--chain-init", "features",
             "--epochs", "1", "--widths", "2,3,4", "--fc-hidden", "8", "--seed", "3",
         )
 
@@ -808,6 +843,15 @@ class TestChainInitFeatures:
         first_bin = [e for e in entries if e["bin"] == 1.0]
         assert len(first_bin) == 10
         assert all(e["transferred_from"] == "seed" and not e["gap"] for e in first_bin)
+
+    def test_features_run_of_another_architecture_exits_2(self, workdir, features_run, tmp_path, capsys):
+        runs = self._features_copy(features_run, tmp_path)
+        assert self._chain(workdir, runs, arch="Cascade-1") == 2
+        err = capsys.readouterr().err
+        manifest = runs / "features" / "age" / "fold-0" / "manifest.json"
+        assert err.startswith(f"error: --chain-init features: {manifest} holds spec {{'family': 'FullyConnected'")
+        assert "not the chain's {'family': 'Cascade', 'depth_k': 1" in err
+        assert not (runs / "intervals").exists()
 
     def test_features_tree_without_phase_result_exits_2(self, workdir, features_run, tmp_path, capsys):
         """Fold checkpoints with no phase_result.json: what a features run

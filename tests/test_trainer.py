@@ -9,6 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hvfcast.autodiff import Tensor, masked_mae
+from hvfcast.domain import valid_mask_array
 from hvfcast.models import ModelSpec, build_model, spec_from_name, weights_hash
 from hvfcast.pipeline import (
     BIN_CENTERS,
@@ -134,6 +136,22 @@ class TestTrainModel:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestBatchNormRunningStats:
+    @pytest.mark.parametrize("name", ["Cascade-5", "FullBN-3"])
+    def test_epoch0_infer_mae_near_batch_statistics(self, name):
+        """After one epoch the running statistics serve about as well as the
+        validation batch's own: the selection phases rank on this number."""
+        model = build_model(spec_from_name(name, widths=(8, 16, 24), seed=3))
+        val_x, val_y = tiny_data(64, seed=1)
+        hist = train_model(model, tiny_data(256), (val_x, val_y), TrainConfig(epochs=1, seed=3))
+        trained = model.snapshot()
+        out = model.forward(Tensor(val_x), mode="train")  # updates the running statistics
+        batch_mae = float(masked_mae(out, val_y, valid_mask_array()).data)
+        model.restore(trained)
+        assert evaluate_masked_mae(model, val_x, val_y) == hist.val_mae[0]
+        assert hist.val_mae[0] < 2.0 * batch_mae
 
 
 class TestKeepFreedMemory:
