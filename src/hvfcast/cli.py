@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from collections import Counter
@@ -26,12 +25,15 @@ from .domain import (
     DomainError,
     EYE_FROM_WIRE,
     EYE_TO_WIRE,
-    RecordError,
+    NUMBER,
+    expect,
     find_record,
     load_dataset,
     parse_record,
+    read_json,
     save_dataset,
     valid_mask_array,
+    write_json,
 )
 from .evaluation import EvaluationError, ensemble_predict, evaluate_testset
 from .models import (
@@ -41,9 +43,7 @@ from .models import (
     ModelSpec,
     canonical_specs,
     load_weights,
-    read_json,
     spec_from_name,
-    write_json,
 )
 from .pipeline import (
     BIN_CENTERS,
@@ -73,7 +73,6 @@ from .trainer import (
     TrainingDiverged,
     keep_freed_memory,
     load_interval_models,
-    read_result,
     select_architecture,
     select_features,
     train_interval_chain,
@@ -92,7 +91,6 @@ _DATA_ERRORS = (
     ModelError,
     TrainerError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -218,10 +216,7 @@ def _cmd_split(args) -> int:
 def _load_plan(path, fields) -> SplitPlan:
     """The split plan at `path`, which must plan each patient once and only
     patients of the loaded dataset `fields`."""
-    try:
-        plan = SplitPlan.from_json_dict(json.loads(Path(path).read_text()))
-    except ValueError as e:  # malformed JSON, or a PipelineError naming the key
-        raise PipelineError(f"{path}: {e}") from None
+    plan = SplitPlan.from_json_dict(read_json(path, PipelineError), str(path))
     planned = Counter([*plan.train_patients(), *plan.test_patients])
     repeated = sorted(pid for pid, n in planned.items() if n > 1)
     if repeated:
@@ -234,6 +229,14 @@ def _load_plan(path, fields) -> SplitPlan:
     return plan
 
 
+# What a run given no --arch or --combo reads of that phase's phase_result.json
+PHASE_WINNER_SCHEMA = {"winner": str}
+# What --chain-init features reads of the features phase_result.json: the
+# matrix, and in it the chain combo's row
+FEATURES_RESULT_SCHEMA = {"matrix": dict}
+_MATRIX_ROW = [(*NUMBER, None)]
+
+
 def _phase_winner(runs_dir: Path, phase: str, flag: str, parse):
     """`parse` of the winner that `train --phase <phase>` recorded, for a
     run given no `--<flag>`."""
@@ -242,7 +245,7 @@ def _phase_winner(runs_dir: Path, phase: str, flag: str, parse):
         raise TrainerError(
             f"no --{flag} given and {result_path} not found; run `train --phase {phase}` first"
         )
-    winner = read_result(result_path, phase, {"winner": str})["winner"]
+    winner = read_json(result_path, TrainerError, PHASE_WINNER_SCHEMA)["winner"]
     try:
         return parse(winner)
     except (ModelError, PipelineError) as e:
@@ -344,13 +347,10 @@ def _features_snapshots(
             f"--chain-init features: {result_path} not found; run `train --phase features` "
             "to completion first"
         )
-    result = read_json(result_path, TrainerError)
-    matrix = result.get("matrix") if isinstance(result, dict) else None
-    row = matrix.get(combo_name) if isinstance(matrix, dict) else None
+    row = read_json(result_path, TrainerError, FEATURES_RESULT_SCHEMA)["matrix"].get(combo_name)
     if row is None:
         raise TrainerError(f"--chain-init features: combo {combo_name!r} is not in {result_path}")
-    if type(row) is not list:
-        raise TrainerError(f"{result_path}: matrix row {combo_name!r} must be a list, got {type(row).__name__}")
+    expect(row, _MATRIX_ROW, result_path, TrainerError, ("matrix", combo_name))
     missing = [fold for fold in range(n_folds) if fold >= len(row) or row[fold] is None]
     if missing:
         raise TrainerError(
@@ -431,11 +431,8 @@ def _cmd_predict(args) -> int:
     if args.field:
         lines = [l for l in Path(args.field).read_text().splitlines() if l.strip()]
         if len(lines) != 1:
-            raise DomainError(f"--field file must hold exactly one record, got {len(lines)}")
-        try:
-            field = parse_record(lines[0])
-        except RecordError as e:
-            raise RecordError(f"{args.field}: {e}") from None
+            raise DomainError(f"{args.field}: --field file must hold exactly one record, got {len(lines)}")
+        field = parse_record(lines[0], str(args.field))
     else:
         if args.test_index is not None and args.test_index < 1:
             print("error: --test-index must be >= 1", file=sys.stderr)
@@ -483,29 +480,27 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
+# What `report` reads of report.json; each row's keys are its CSV's columns
+_MD_ROW = dict.fromkeys(["predicted_md", "actual_md", "input_md", "bin", "delta_years"], NUMBER)
+_BA_ROW = dict.fromkeys(["mean_md", "difference_md", "bin"], NUMBER)
+REPORT_SCHEMA = {
+    "rows": {"md_scatter": [_MD_ROW], "bland_altman": [_BA_ROW]},
+    "per_bin": [{"bin": NUMBER, "n_pairs": int, "mae": (*NUMBER, None), "mae_ci": ([NUMBER, NUMBER], None)}],
+}
+
+
 def _cmd_report(args) -> int:
     started = _utc_now()
-    report = read_json(args.report, EvaluationError)
-    if not isinstance(report, dict):
-        raise EvaluationError(f"{args.report}: report is not a JSON object")
-    rows = report["rows"] if isinstance(report.get("rows"), dict) else {}
-    for key, value in (
-        ("rows.md_scatter", rows.get("md_scatter")),
-        ("rows.bland_altman", rows.get("bland_altman")),
-        ("per_bin", report.get("per_bin")),
-    ):
-        if type(value) is not list:
-            raise EvaluationError(f"{args.report}: report lacks list {key!r}")
+    report = read_json(args.report, EvaluationError, REPORT_SCHEMA)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tables = [
-        ("report_md_scatter.csv", ["predicted_md", "actual_md", "input_md", "bin", "delta_years"],
-         report["rows"]["md_scatter"]),
-        ("report_bland_altman.csv", ["mean_md", "difference_md", "bin"], report["rows"]["bland_altman"]),
+        ("report_md_scatter.csv", list(_MD_ROW), report["rows"]["md_scatter"]),
+        ("report_bland_altman.csv", list(_BA_ROW), report["rows"]["bland_altman"]),
         ("report_bin_mae.csv", ["bin", "n_pairs", "mae", "mae_ci_low", "mae_ci_high"],
          [e | {"mae_ci_low": e["mae_ci"][0], "mae_ci_high": e["mae_ci"][1]}
-          for e in report["per_bin"] if e["mae"] is not None]),
+          for e in report["per_bin"] if e["mae_ci"] is not None]),
     ]
     paths = []
     for name, header, records in tables:

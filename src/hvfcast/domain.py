@@ -1,4 +1,5 @@
-"""24-2 visual field grid: layout masks, field records, and mean deviation.
+"""24-2 visual field grid: layout masks, field records, and mean deviation,
+plus the JSON file reader, writer and schema checker every module uses.
 
 A single 24-2 test measures 54 sensitivity values (in dB) laid out on an
 8-row by 9-column grid; the remaining 18 grid cells are never measured.
@@ -14,10 +15,15 @@ blind-spot column mirrors (column 7 for right eyes, column 1 for left).
 from __future__ import annotations
 
 import json
+import os
+import reprlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
+from itertools import product, repeat
+from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -43,9 +49,6 @@ ROW_SPANS = ((2, 5), (1, 6), (0, 7), (0, 8), (0, 8), (0, 7), (1, 6), (2, 5))
 BLIND_SPOT = {RIGHT: ((3, 7), (4, 7)), LEFT: ((3, 1), (4, 1))}
 
 Cell = tuple[int, int]
-
-# The types json.loads gives a JSON number (never bool, str or None).
-_JSON_NUMBER = frozenset((int, float))
 
 # Every value a field may hold: the two-decimal dB values k/100 in
 # [DB_MIN, DB_MAX].  k / 100 is the double nearest k/100, which is exactly
@@ -147,7 +150,7 @@ def validate_field(f: VisualField) -> list[str]:
         violations.append(f"gender {f.gender!r} not in {GENDERS}")
     if not (isinstance(f.age_years, (int, float)) and f.age_years >= 0):
         violations.append(f"age_years {f.age_years!r} must be >= 0")
-    if not (_is_int(f.test_index) and f.test_index >= 1):
+    if not (type(f.test_index) is int and f.test_index >= 1):  # a bool is no int
         violations.append(f"test_index {f.test_index!r} must be an integer >= 1")
 
     if len(f.values) != NUM_VALID_CELLS:
@@ -160,11 +163,6 @@ def validate_field(f: VisualField) -> list[str]:
         elif round(v, 2) != v:
             violations.append(f"value {v!r} at {cell} not stored to two decimals")
     return violations
-
-
-def _is_int(x) -> bool:
-    """An integer that is not a bool (bool subclasses int)."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def mean_deviation(values, expected, eye: str) -> float:
@@ -181,53 +179,169 @@ def mean_deviation(values, expected, eye: str) -> float:
     return float(total / NUM_MD_CELLS)
 
 
-def parse_record(line: str) -> VisualField:
-    """Parse one JSON-line dataset record into a validated VisualField."""
+# ---------------------------------------------------------------------------
+# JSON files: one reader, one writer, and the schema checker of every reader
+
+
+# A JSON number: json.loads gives exact types, and a bool is neither
+NUMBER = (int, float)
+
+_TYPE_NAMES = {bool: "a bool", int: "an int", float: "a float", str: "a str",
+               type(None): "null", list: "a list", dict: "an object"}
+
+
+def _compile(schema):
+    """(types, check, contents, rows): the exact types of `schema`'s values; a
+    function giving None for a match, else the key path below the value and
+    the problem; that function without the type test, for a list or object
+    schema; and for an object schema, a test of a list of objects."""
+    alts = [type(None) if alt is None else alt for alt in (schema if type(schema) is tuple else (schema,))]
+    types = frozenset(alt if isinstance(alt, type) else type(alt) for alt in alts)
+    expected = " or ".join(f"a list of {len(alt)} items" if type(alt) is list and len(alt) > 1
+                           else _TYPE_NAMES[alt if isinstance(alt, type) else type(alt)] for alt in alts)
+    inner = {type(alt): (_fields if type(alt) is dict else _items)(alt)
+             for alt in alts if not isinstance(alt, type)}
+    if not inner:
+        contents, rows = None, None
+    elif len(types) == 1:  # a list or an object, and nothing else
+        contents, rows = inner.popitem()[1]
+    else:
+        contents, rows = lambda v: inner[type(v)][0](v) if type(v) in inner else None, None
+
+    def check(v):
+        if type(v) not in types:
+            return (), f"must be {expected}, got {reprlib.repr(v)}"
+        return contents(v) if contents else None
+
+    return types, check, contents, rows
+
+
+def _fields(schema: dict):
+    """(contents, rows) of an object schema.  One itemgetter fetches an
+    object's fields and one set lookup takes their types; a list of objects
+    is checked a field at a time, each field in one C-level pass."""
+    keys = tuple(schema)
+    parts = [_compile(s) for s in schema.values()]
+    get = itemgetter(*keys) if len(keys) > 1 else lambda d: (d[keys[0]],)
+    allowed = frozenset(product(*(types for types, _, _, _ in parts)))
+    nested = [(key, contents) for key, (_, _, contents, _) in zip(keys, parts) if contents]
+    columns = [(itemgetter(key), types, contents) for key, (types, _, contents, _) in zip(keys, parts)]
+
+    def fields(v):
+        try:
+            valid = tuple(map(type, get(v))) in allowed
+        except KeyError:
+            return (next(key for key in keys if key not in v),), "is missing"
+        for key, check in nested if valid else zip(keys, (check for _, check, _, _ in parts)):
+            if found := check(v[key]):
+                return (key, *found[0]), found[1]
+
+    def rows(vs):
+        try:
+            return all(types.issuperset(map(type, map(column, vs))) and (
+                contents is None or not any(map(contents, map(column, vs)))) for column, types, contents in columns)
+        except KeyError:
+            return False
+
+    return fields, rows
+
+
+def _items(schema: list):
+    """(contents, None) of `[item]`, or of `[a, b, ...]`: exactly those items."""
+    parts = [_compile(s) for s in schema]
+    (item_types, _, item_contents, item_rows), checks = parts[0], [check for _, check, _, _ in parts]
+
+    def items(v):
+        if len(checks) == 1 and item_types.issuperset(map(type, v)) and (
+                item_rows(v) if item_rows else item_contents is None or not any(map(item_contents, v))):
+            return None  # a valid list of one schema, in C-level passes
+        if len(checks) > 1 and len(v) != len(checks):
+            return (), f"must be a list of {len(checks)} items, got {reprlib.repr(v)}"
+        for i, (x, check) in enumerate(zip(v, checks if len(checks) > 1 else repeat(checks[0]))):
+            if found := check(x):
+                return (i, *found[0]), found[1]
+
+    return items, None
+
+
+_COMPILED: dict[int, tuple] = {}
+
+
+def expect(value, schema, where, error: type[Exception], at: tuple = ()):
+    """`value` if it matches `schema`, else raises `error` naming `where` (the
+    file), the key path below `at`, what was expected and what was found:
+    `PATH: entries[3]: 'gap' must be a bool, got 'no'`.  A schema is a type,
+    a tuple of types (None for null), `[item]`, `[a, b, ...]` (exactly those
+    items) or `{key: schema}` (at least those keys); a bool is no int.
+    Schemas are module constants, compiled once and kept (so ids stay theirs).
+    """
+    compiled = _COMPILED.get(id(schema)) or _COMPILED.setdefault(id(schema), (schema, _compile(schema)[1]))
+    found = compiled[1](value)
+    if found is None:
+        return value
+    path = (*at, *found[0])
+    keys = path[:-1] if path and type(path[-1]) is str else path  # a key is named by itself
+    subject = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in keys).lstrip(".")
+    if keys is not path:
+        subject = f"{subject}: {path[-1]!r}" if subject else repr(path[-1])
+    raise error(f"{where}: {subject} {found[1]}" if subject else f"{where}: {found[1]}")
+
+
+def read_json(path, error: type[Exception], schema=None):
+    """The JSON value in the file at `path`, checked against `schema` if
+    given; malformed JSON or a mismatch raises `error` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = json.load(fh)
+    except (ValueError, RecursionError) as e:  # RecursionError: arrays nested past the parser's depth
+        raise error(f"{path}: {e}") from None
+    return value if schema is None else expect(value, schema, path, error)
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file and a rename."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+def write_json(path, obj) -> None:
+    """Atomically write `obj` as sorted, 2-space-indented JSON plus a newline."""
+    atomic_write(Path(path), (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
+
+
+# One line of a dataset file
+RECORD_SCHEMA = {"patient_id": str, "eye": str, "gender": str, "age": NUMBER, "test_date": str,
+                 "test_index": int, "values": [NUMBER]}
+
+
+def parse_record(line: str, where: str = "record") -> VisualField:
+    """Parse one JSON-line dataset record, which must match RECORD_SCHEMA,
+    into a validated VisualField; `where` prefixes the errors."""
     try:
         obj = json.loads(line)
-    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
-        raise RecordError(f"malformed JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise RecordError("record is not a JSON object")
-
-    for key in ("patient_id", "eye", "gender", "age", "test_date", "test_index", "values"):
-        if key not in obj:
-            raise RecordError(f"missing key {key!r}")
-
-    eye_wire = obj["eye"]
-    if eye_wire not in EYE_FROM_WIRE:
-        raise RecordError(f"bad value for key 'eye': {eye_wire!r} (expected OD or OS)")
-    vals = obj["values"]
-    if not isinstance(vals, list) or len(vals) != NUM_VALID_CELLS:
-        n = len(vals) if isinstance(vals, list) else "non-list"
-        raise RecordError(f"values length {n} != {NUM_VALID_CELLS}")
-    try:
-        test_date = date.fromisoformat(obj["test_date"])
-    except (TypeError, ValueError) as e:
-        raise RecordError(f"bad value for key 'test_date': {obj['test_date']!r}") from e
-    if not _is_int(obj["test_index"]):
-        raise RecordError(f"bad value for key 'test_index': {obj['test_index']!r}")
-    if type(obj["age"]) not in _JSON_NUMBER:
-        raise RecordError(f"bad value for key 'age': {obj['age']!r} (expected a number)")
-    if not _JSON_NUMBER.issuperset(map(type, vals)):
-        bad = next(v for v in vals if type(v) not in _JSON_NUMBER)
-        raise RecordError(f"bad value in 'values': {bad!r} (expected a number)")
-
+    except (ValueError, RecursionError) as e:  # as in read_json; or an integer past the digit limit
+        raise RecordError(f"{where}: malformed JSON: {e}") from e
+    expect(obj, RECORD_SCHEMA, where, RecordError)
+    if obj["eye"] not in EYE_FROM_WIRE:
+        raise RecordError(f"{where}: bad value for key 'eye': {obj['eye']!r} (expected OD or OS)")
     try:
         field = VisualField(
             patient_id=obj["patient_id"],
-            eye=EYE_FROM_WIRE[eye_wire],
+            eye=EYE_FROM_WIRE[obj["eye"]],
             gender=obj["gender"],
             age_years=float(obj["age"]),
-            test_date=test_date,
+            test_date=date.fromisoformat(obj["test_date"]),
             test_index=obj["test_index"],
-            values=tuple(map(float, vals)),
+            values=tuple(map(float, obj["values"])),
         )
     except OverflowError as e:  # an integer beyond the float range
-        raise RecordError(f"number out of range: {e}") from e
+        raise RecordError(f"{where}: number out of range: {e}") from e
+    except ValueError as e:  # not an ISO date
+        raise RecordError(f"{where}: bad value for key 'test_date': {obj['test_date']!r}") from e
     violations = validate_field(field)
     if violations:
-        raise RecordError("invalid record: " + "; ".join(violations))
+        raise RecordError(f"{where}: invalid record: " + "; ".join(violations))
     return field
 
 
@@ -267,10 +381,7 @@ def _read_records(path, needle: str | None = None) -> Iterator[VisualField]:
             if not line or (needle is not None and needle not in line and "\\" not in line):
                 continue
             where = f"{path}: line {lineno}"
-            try:
-                field = parse_record(line)
-            except RecordError as e:
-                raise RecordError(f"{where}: {e}") from e
+            field = parse_record(line, where)
             key = (field.patient_id, field.eye, field.test_index)
             if key in first_line:
                 raise RecordError(
@@ -311,6 +422,4 @@ def find_record(path, patient_id: str, eye: str, test_index: int) -> VisualField
 
 
 def save_dataset(fields, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields:
-            fh.write(serialize_record(f) + "\n")
+    Path(path).write_text("".join(serialize_record(f) + "\n" for f in fields), encoding="utf-8")

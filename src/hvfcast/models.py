@@ -24,11 +24,8 @@ head); batch norm and activations belong to their conv unit.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import dataclasses
 from dataclasses import dataclass, asdict
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +39,7 @@ from .autodiff import (
     dense,
     relu,
 )
-from .domain import GRID_COLS, GRID_ROWS
+from .domain import GRID_COLS, GRID_ROWS, atomic_write, read_json, write_json
 
 FULLY_CONNECTED = "FullyConnected"
 FULL_BN = "FullBN"
@@ -119,20 +116,20 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        """Inverse of `to_dict`; every field must be present, and no other."""
-        if not isinstance(d, dict):
-            raise ModelError("spec is not an object")
-        fields = cls.__dataclass_fields__.keys()
-        if d.keys() != fields:
-            unknown, missing = sorted(d.keys() - fields), sorted(fields - d.keys())
-            raise ModelError(f"spec fields: unknown {unknown}, missing {missing}")
-        try:
-            return cls(**d | {"widths": tuple(d["widths"])})
-        except TypeError as e:  # a field of the wrong type
-            raise ModelError(f"bad spec value: {e}") from e
+        """Inverse of `to_dict`, for a `d` that matches SPEC_SCHEMA; a field
+        the spec does not have raises ModelError."""
+        unknown = sorted(d.keys() - SPEC_SCHEMA.keys())
+        if unknown:
+            raise ModelError(f"spec: unknown fields {unknown}")
+        return cls(**d | {"widths": tuple(d["widths"])})
 
     def replace(self, **kwargs) -> "ModelSpec":
         return dataclasses.replace(self, **kwargs)
+
+
+# A spec's fields as a manifest stores them
+SPEC_SCHEMA = {"family": str, "depth_k": (int, None), "widths": [int], "in_channels": int,
+               "seed": int, "fc_hidden": int}
 
 
 def spec_from_name(name: str, **fields) -> ModelSpec:
@@ -391,17 +388,8 @@ def save_weights(model: Model, dir_path, provenance: dict | None = None) -> Path
     offset = 0
     for name, arr, trainable in model.all_entries():
         raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "dtype": "f64le",
-                "offset": offset,
-                "length": len(raw),
-                "sha256": hashlib.sha256(raw).hexdigest(),
-                "trainable": trainable,
-            }
-        )
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": "f64le", "offset": offset,
+                        "length": len(raw), "sha256": hashlib.sha256(raw).hexdigest(), "trainable": trainable})
         blobs.append(raw)
         offset += len(raw)
 
@@ -412,35 +400,26 @@ def save_weights(model: Model, dir_path, provenance: dict | None = None) -> Path
         "entries": entries,
         "total_length": offset,
     }
-    _atomic_write(dir_path / WEIGHTS_NAME, b"".join(blobs))
+    atomic_write(dir_path / WEIGHTS_NAME, b"".join(blobs))
     write_json(dir_path / MANIFEST_NAME, manifest)
     return dir_path
 
 
-_MANIFEST_KEYS = ("format_version", "spec", "entries", "total_length")
-_ENTRY_FIELDS = itemgetter("name", "shape", "offset", "length", "sha256")
+# What `load_weights` reads of a manifest
+MANIFEST_SCHEMA = {"format_version": str, "spec": SPEC_SCHEMA, "total_length": int,
+                   "entries": [{"name": str, "shape": list, "offset": int, "length": int, "sha256": str}]}
 
 
 def load_weights(dir_path) -> Model:
     """Rebuild a model from a manifest/blob pair; bit-exact round trip.
 
-    Raises WeightsError, naming the manifest, for a manifest that is not
-    an object, lacks a key, holds a spec with unknown or missing fields, a
-    non-string entry name or an entry offset or length that is not a
-    non-negative integer, or disagrees with the blob (a wrong-typed shape
-    or sha256 fails its comparison with the model or the blob).
+    Raises WeightsError, naming the manifest, for one that breaks
+    MANIFEST_SCHEMA, has an unknown spec field, or disagrees with the blob
+    or the model (version, shape, offset, length or sha256).
     """
     dir_path = Path(dir_path)
     path = dir_path / MANIFEST_NAME
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, ValueError) as e:
-        raise WeightsError(f"{path}: cannot read manifest: {e}") from e
-    if not isinstance(manifest, dict):
-        raise WeightsError(f"{path}: manifest is not a JSON object")
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise WeightsError(f"{path}: manifest lacks key {missing[0]!r}")
+    manifest = read_json(path, WeightsError, MANIFEST_SCHEMA)
     if manifest["format_version"] != FORMAT_VERSION:
         raise WeightsError(f"{path}: unsupported version {manifest['format_version']!r}")
     try:
@@ -460,52 +439,21 @@ def load_weights(dir_path) -> Model:
     model = Model(spec, _seeded=False)
     arrays = dict((name, arr) for name, arr, _ in model.all_entries())
     seen = set()
-    if type(manifest["entries"]) is not list:
-        raise WeightsError(f"{path}: manifest key 'entries' is not a list")
-    for i, entry in enumerate(manifest["entries"]):
-        try:
-            name, shape, offset, length, sha256 = _ENTRY_FIELDS(entry)
-        except KeyError as e:
-            raise WeightsError(f"{path}: entry {i} lacks key {e}") from None
-        except TypeError:
-            raise WeightsError(f"{path}: entry {i} is not an object") from None
-        if type(name) is not str:
-            raise WeightsError(f"{path}: entry {i} key 'name' is not a string: {name!r}")
-        for key, value in (("offset", offset), ("length", length)):
-            if type(value) is not int or value < 0:
-                raise WeightsError(f"{path}: entry {i} key {key!r} is not a non-negative integer: {value!r}")
+    for entry in manifest["entries"]:
+        name, offset = entry["name"], entry["offset"]
         if name not in arrays:
             raise WeightsError(f"{path}: unknown layer entry {name!r}")
-        if shape != list(arrays[name].shape):
-            raise WeightsError(f"{path}: shape mismatch in {name!r}: {shape} vs {list(arrays[name].shape)}")
-        raw = blob[offset : offset + length]
-        if len(raw) != arrays[name].nbytes:
+        arr = arrays[name]
+        if entry["shape"] != list(arr.shape):
+            raise WeightsError(f"{path}: shape mismatch in {name!r}: {entry['shape']} vs {list(arr.shape)}")
+        raw = blob[offset : offset + entry["length"]]
+        if offset < 0 or len(raw) != arr.nbytes:
             raise WeightsError(f"{path}: length mismatch in {name!r}")
-        if hashlib.sha256(raw).hexdigest() != sha256:
+        if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise WeightsError(f"{path}: checksum mismatch in {name!r}")
-        arrays[name][...] = np.frombuffer(raw, dtype="<f8").reshape(arrays[name].shape)
+        arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
         seen.add(name)
     missing = set(arrays) - seen
     if missing:
         raise WeightsError(f"{path}: manifest missing entries for {sorted(missing)}")
     return model
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
-def read_json(path, error: type[Exception]):
-    """The JSON value in the file at `path`; malformed JSON raises `error`
-    prefixed with the path."""
-    try:
-        return json.loads(Path(path).read_text())
-    except ValueError as e:
-        raise error(f"{path}: {e}") from None
-
-
-def write_json(path, obj) -> None:
-    """Atomically write `obj` as sorted, 2-space-indented JSON plus a newline."""
-    _atomic_write(Path(path), (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from datetime import date
 from itertools import combinations, product
-from operator import itemgetter
 
 import numpy as np
 
@@ -24,8 +23,10 @@ from .domain import (
     GRID_COLS,
     GRID_ROWS,
     LEFT,
+    NUMBER,
     RIGHT,
     VisualField,
+    expect,
 )
 
 BIN_CENTERS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5)
@@ -124,31 +125,19 @@ class SplitPlan:
         }
 
     @classmethod
-    def from_json_dict(cls, d) -> "SplitPlan":
-        """The plan `to_json_dict` wrote.  Raises PipelineError naming the
-        key for a missing key or a value of the wrong type."""
-        for key in ("test_patients", "folds", "seed"):
-            if not isinstance(d, dict) or key not in d:
-                raise PipelineError(f"split plan lacks key {key!r}")
-        if not _is_str_list(d["test_patients"]):
-            raise PipelineError("split plan key 'test_patients' is not a list of strings")
-        if not (isinstance(d["folds"], list) and all(map(_is_str_list, d["folds"]))):
-            raise PipelineError("split plan key 'folds' is not a list of lists of strings")
-        if type(d["seed"]) is not int:
-            raise PipelineError(f"split plan key 'seed' is not an integer: {d['seed']!r}")
-        ratio = d.get("ratio", 0.8)
-        if type(ratio) not in (int, float):
-            raise PipelineError(f"split plan key 'ratio' is not a number: {ratio!r}")
+    def from_json_dict(cls, d, where="split plan") -> "SplitPlan":
+        """The plan `to_json_dict` wrote.  Raises PipelineError naming `where`
+        and the key for a value that does not match PLAN_SCHEMA."""
+        expect(d, PLAN_SCHEMA, where, PipelineError)
         return cls(
             test_patients=tuple(d["test_patients"]),
             folds=tuple(tuple(fold) for fold in d["folds"]),
             seed=d["seed"],
-            ratio=ratio,
+            ratio=d["ratio"],
         )
 
 
-def _is_str_list(x) -> bool:
-    return isinstance(x, list) and all(type(v) is str for v in x)
+PLAN_SCHEMA = {"test_patients": [str], "folds": [[str]], "seed": int, "ratio": NUMBER}
 
 
 def split_patients(patient_ids, ratio: float = 0.8, seed: int = 0) -> SplitPlan:
@@ -269,46 +258,31 @@ def _ref(f: VisualField) -> dict:
 
 
 def write_pairs(path, binned: dict[float, list[FieldPair]]) -> int:
-    """One line per binned pair; returns the number of lines written."""
-    n = 0
+    """One PAIR_SCHEMA line per binned pair; returns the number of lines written."""
+    lines = [
+        json.dumps({"bin": center, "input_ref": _ref(p.input), "target_ref": _ref(p.target),
+                    "delta": round(p.delta_years, 6)}, sort_keys=True) + "\n"
+        for center in BIN_CENTERS for p in binned.get(center, [])
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        for center in BIN_CENTERS:
-            for p in binned.get(center, []):
-                fh.write(
-                    json.dumps(
-                        {
-                            "bin": center,
-                            "input_ref": _ref(p.input),
-                            "target_ref": _ref(p.target),
-                            "delta": round(p.delta_years, 6),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                n += 1
-    return n
+        fh.writelines(lines)
+    return len(lines)
 
 
-_REF_FIELDS = itemgetter("patient_id", "eye", "test_index")
-_WIRE_EYES = tuple(EYE_FROM_WIRE)
+# One line of a pair file
+_REF = {"patient_id": str, "eye": str, "test_index": int}
+PAIR_SCHEMA = {"bin": NUMBER, "input_ref": _REF, "target_ref": _REF}
 
 
 def _resolve_ref(obj: dict, key: str, index: dict, where: str) -> VisualField:
     """The dataset field that the pair-file line's `key` ref names; `where`
     (`PATH: line N`) prefixes the errors."""
-    ref = obj.get(key)
-    if not isinstance(ref, dict):
-        raise PipelineError(f"{where}: {key} is missing or not an object")
-    try:
-        patient_id, eye, test_index = _REF_FIELDS(ref)
-    except KeyError as e:
-        raise PipelineError(f"{where}: {key} lacks key {e}") from None
-    if eye not in _WIRE_EYES:
-        raise PipelineError(f"{where}: {key} eye {eye!r} is not OD or OS")
-    k = (patient_id, EYE_FROM_WIRE[eye], test_index)
-    # the type checks keep an unhashable value out of the lookup
-    if type(patient_id) is not str or type(test_index) is not int or k not in index:
+    ref = obj[key]
+    eye = EYE_FROM_WIRE.get(ref["eye"])
+    if eye is None:
+        raise PipelineError(f"{where}: {key} eye {ref['eye']!r} is not OD or OS")
+    k = (ref["patient_id"], eye, ref["test_index"])
+    if k not in index:
         raise PipelineError(f"{where}: {key} {ref} not in dataset")
     return index[k]
 
@@ -316,10 +290,9 @@ def _resolve_ref(obj: dict, key: str, index: dict, where: str) -> VisualField:
 def read_pairs(path, fields: list[VisualField]) -> dict[float, list[FieldPair]]:
     """Resolve a pair file against its dataset.
 
-    Raises PipelineError, prefixed `PATH: line N: `, on a line that is not a JSON
-    object holding `bin` and two refs of `patient_id`, `eye` (OD or OS) and
-    `test_index`; on a dangling ref, on refs to two patients or eyes, on an
-    input test not strictly before its target, and on a stored bin other
+    Raises PipelineError, prefixed `PATH: line N: `, on a line that breaks
+    PAIR_SCHEMA, holds an eye other than OD or OS or a dangling ref, refs two
+    patients or eyes, an input test not before its target, or a bin other
     than `assign_bin` of the pair's gap.
     """
     index = {(f.patient_id, f.eye, f.test_index): f for f in fields}
@@ -332,14 +305,11 @@ def read_pairs(path, fields: list[VisualField]) -> dict[float, list[FieldPair]]:
             where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:  # as in read_json
                 raise PipelineError(f"{where}: malformed JSON: {e}") from e
-            if not isinstance(obj, dict):
-                raise PipelineError(f"{where}: not a JSON object")
+            expect(obj, PAIR_SCHEMA, where, PipelineError)
             a = _resolve_ref(obj, "input_ref", index, where)
             b = _resolve_ref(obj, "target_ref", index, where)
-            if "bin" not in obj:
-                raise PipelineError(f"{where}: lacks key 'bin'")
             if (a.patient_id, a.eye) != (b.patient_id, b.eye):
                 raise PipelineError(f"{where}: input_ref and target_ref are different patients or eyes")
             if not a.test_date < b.test_date:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import AdamState, DivergenceError, Tensor, adam_step, masked_mae
-from .domain import valid_mask_array
+from .domain import NUMBER, expect, read_json, valid_mask_array, write_json
 from .models import (
     Model,
     ModelSpec,
@@ -31,11 +31,9 @@ from .models import (
     count_parameters_spec,
     load_weights,
     published_comparison,
-    read_json,
     save_weights,
     snapshot_hash,
     weights_hash,
-    write_json,
 )
 from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, PipelineError, SplitPlan, encode_pairs
 from .seeds import derive_seed
@@ -571,18 +569,11 @@ def train_interval_chain(
     return result
 
 
-def read_result(path: Path, phase: str, kinds: dict[str, type]) -> dict:
-    """The JSON that `train --phase <phase>` wrote at `path`, which must be
-    an object holding each key of `kinds` with a value of that type."""
-    result = read_json(path, TrainerError)
-    for key, kind in kinds.items():
-        if not isinstance(result, dict) or key not in result:
-            raise TrainerError(f"{path} records no {key}; re-run `train --phase {phase}`")
-        if type(result[key]) is not kind:
-            raise TrainerError(
-                f"{path}: {key!r} must be a {kind.__name__}, got {type(result[key]).__name__}"
-            )
-    return result
+# What `load_interval_models` reads: an entry of a requested bin also needs
+# SERVED_ENTRY_SCHEMA, and one that is no gap CHECKPOINT_SCHEMA
+CHAIN_SCHEMA = {"combo": str, "entries": [{"bin": NUMBER}]}
+SERVED_ENTRY_SCHEMA = {"gap": bool}
+CHECKPOINT_SCHEMA = {"checkpoint": str}
 
 
 def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict[float, list[Model]]]:
@@ -595,7 +586,7 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
     path = Path(runs_dir) / PHASE_INTERVALS / CHAIN_RESULT
     if not path.is_file():
         raise TrainerError(f"{path} not found; run `train --phase intervals` to completion first")
-    chain = read_result(path, PHASE_INTERVALS, {"combo": str, "entries": list})
+    chain = read_json(path, TrainerError, CHAIN_SCHEMA)
     try:
         combo = FeatureCombo.parse(chain["combo"])
     except PipelineError as e:
@@ -603,22 +594,7 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
     wanted = set(bins)
     out: dict[float, list[Model]] = {}
     for i, e in enumerate(chain["entries"]):
-        # json gives exact types, so `type` also tells a bool from a number
-        try:
-            if type(e["bin"]) not in (int, float):
-                raise TrainerError(f"{path}: entry {i}: 'bin' must be a number, got {e['bin']!r}")
-            if e["bin"] not in wanted:
-                continue
-            if type(e["gap"]) is not bool:
-                raise TrainerError(f"{path}: entry {i}: 'gap' must be a bool, got {e['gap']!r}")
-            if e["gap"]:
-                continue
-            checkpoint = e["checkpoint"]
-        except KeyError as err:
-            raise TrainerError(f"{path}: entry {i} lacks key {err}") from None
-        except TypeError:
-            raise TrainerError(f"{path}: entry {i} is not an object") from None
-        if type(checkpoint) is not str:
-            raise TrainerError(f"{path}: entry {i}: 'checkpoint' must be a string, got {checkpoint!r}")
-        out.setdefault(e["bin"], []).append(load_weights(Path(runs_dir) / checkpoint))
+        if e["bin"] in wanted and not expect(e, SERVED_ENTRY_SCHEMA, path, TrainerError, ("entries", i))["gap"]:
+            checkpoint = expect(e, CHECKPOINT_SCHEMA, path, TrainerError, ("entries", i))["checkpoint"]
+            out.setdefault(e["bin"], []).append(load_weights(Path(runs_dir) / checkpoint))
     return combo, out

@@ -46,6 +46,14 @@ def trained(workdir):
 
 
 @pytest.fixture(scope="module")
+def report_json(trained, tmp_path_factory):
+    """The report.json of the `trained` chain."""
+    out = tmp_path_factory.mktemp("report") / "report.json"
+    assert _evaluate(trained, trained / "runs", out) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def features_run(workdir):
     """A complete one-epoch features phase (FullyConnected, 16 combos x 10 folds)."""
     runs = workdir / "runs-features"
@@ -106,7 +114,10 @@ class TestBasics:
         data.write_text("\n".join(lines) + "\n")
         code = run_cli("pairs", "--data", str(data), "--out", str(tmp_path / "p.jsonl"))
         assert code == 2
-        assert f"error: {data}: line 2: bad value" in capsys.readouterr().err
+        subject = "'age'" if key == "age" else "values[0]"
+        assert f"error: {data}: line 2: {subject} must be an int or a float, got {json.loads(bad)!r}" in (
+            capsys.readouterr().err
+        )
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         code = run_cli("pairs", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "p.jsonl"))
@@ -366,20 +377,40 @@ class TestTrainAndEvaluate:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("[]", "report is not a JSON object"),
-            ('{"rows": {"bland_altman": []}, "per_bin": []}', "report lacks list 'rows.md_scatter'"),
-            ('{"rows": {"md_scatter": []}, "per_bin": []}', "report lacks list 'rows.bland_altman'"),
-            ('{"rows": {"md_scatter": [], "bland_altman": []}}', "report lacks list 'per_bin'"),
-            ('{"rows": 5, "per_bin": []}', "report lacks list 'rows.md_scatter'"),
+            ("[]", "must be an object, got []"),
+            ('{"rows": {"bland_altman": []}, "per_bin": []}', "rows: 'md_scatter' is missing"),
+            ('{"rows": {"md_scatter": []}, "per_bin": []}', "rows: 'bland_altman' is missing"),
+            ('{"rows": {"md_scatter": [], "bland_altman": []}}', "'per_bin' is missing"),
+            ('{"rows": 5, "per_bin": []}', "'rows' must be an object, got 5"),
             ("{", "Expecting property name enclosed in double quotes"),
+            ("[" * 100_000, "maximum recursion depth exceeded"),
         ],
-        ids=["list", "no-md-scatter", "no-bland-altman", "no-per-bin", "rows-int", "bad-json"],
+        ids=["list", "no-md-scatter", "no-bland-altman", "no-per-bin", "rows-int", "bad-json", "too-deep"],
     )
     def test_malformed_report_exits_2_naming_it(self, tmp_path, capsys, text, message):
         report = tmp_path / "report.json"
         report.write_text(text)
         assert run_cli("report", "--report", str(report), "--out-dir", str(tmp_path / "csv")) == 2
         assert capsys.readouterr().err.startswith(f"error: {report}: {message}")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.update(per_bin=[{}]), "per_bin[0]: 'bin' is missing"),
+            (lambda r: r.update(per_bin=[5]), "per_bin[0] must be an object, got 5"),
+            (lambda r: r["rows"].update(md_scatter=[{}]), "rows.md_scatter[0]: 'predicted_md' is missing"),
+            (lambda r: r["per_bin"][0].update(mae_ci="x"),
+             "per_bin[0]: 'mae_ci' must be a list of 2 items or null, got 'x'"),
+        ],
+        ids=["per-bin-empty-row", "per-bin-int-row", "md-scatter-empty-row", "mae-ci-str"],
+    )
+    def test_malformed_report_row_exits_2_naming_it(self, report_json, tmp_path, capsys, edit, message):
+        report = json.loads(report_json.read_text())
+        edit(report)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert run_cli("report", "--report", str(path), "--out-dir", str(tmp_path / "csv")) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def _evaluate(workdir, runs, out, *extra, split=None):
@@ -626,7 +657,7 @@ class TestRunTreeContract:
         manifest["spec"] |= {"batch_size": 32, "lr": 0.001}
         path.write_text(json.dumps(manifest))
         assert _evaluate(trained, runs, tmp_path / "r.json") == 2
-        assert f"{path}: spec fields: unknown ['batch_size', 'lr'], missing []" in capsys.readouterr().err
+        assert f"{path}: spec: unknown fields ['batch_size', 'lr']" in capsys.readouterr().err
 
     def test_chain_entry_without_checkpoint_exits_2(self, trained, tmp_path, capsys):
         runs = self._runs_copy(trained, tmp_path)
@@ -636,7 +667,7 @@ class TestRunTreeContract:
         del chain["entries"][i]["checkpoint"]
         path.write_text(json.dumps(chain))
         assert _evaluate(trained, runs, tmp_path / "r.json") == 2
-        assert f"{path}: entry {i} lacks key 'checkpoint'" in capsys.readouterr().err
+        assert f"{path}: entries[{i}]: 'checkpoint' is missing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("checkpoint", 5), ("bin", "x"), ("gap", "no")])
     def test_chain_entry_of_wrong_type_exits_2(self, trained, tmp_path, capsys, key, value):
@@ -647,7 +678,7 @@ class TestRunTreeContract:
         chain["entries"][i][key] = value
         path.write_text(json.dumps(chain))
         assert _evaluate(trained, runs, tmp_path / "r.json") == 2
-        assert f"{path}: entry {i}: {key!r} must be a" in capsys.readouterr().err
+        assert f"{path}: entries[{i}]: {key!r} must be a" in capsys.readouterr().err
 
     def test_phase_result_without_winner_exits_2(self, trained, tmp_path, capsys):
         runs = tmp_path / "runs"
@@ -659,7 +690,7 @@ class TestRunTreeContract:
             "--split", str(trained / "split.json"), "--out", str(runs), "--epochs", "0",
         )
         assert code == 2
-        assert f"{runs / 'arch' / 'phase_result.json'} records no winner" in capsys.readouterr().err
+        assert f"{runs / 'arch' / 'phase_result.json'}: 'winner' is missing" in capsys.readouterr().err
 
     def test_phase_result_winner_of_wrong_type_exits_2(self, trained, tmp_path, capsys):
         runs = tmp_path / "runs"
@@ -672,7 +703,7 @@ class TestRunTreeContract:
         )
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {runs / 'arch' / 'phase_result.json'}: 'winner' must be a str, got int\n"
+            f"error: {runs / 'arch' / 'phase_result.json'}: 'winner' must be a str, got 5\n"
         )
 
     def test_unparseable_phase_result_names_it(self, trained, tmp_path, capsys):
@@ -691,7 +722,7 @@ class TestRunTreeContract:
 
     @pytest.mark.parametrize(
         "key, value, kind",
-        [("entries", {"0": {}}, "list, got dict"), ("combo", ["age"], "str, got list")],
+        [("entries", {"0": {}}, "list, got {'0': {}}"), ("combo", ["age"], "str, got ['age']")],
         ids=["entries-dict", "combo-list"],
     )
     def test_chain_result_key_of_wrong_type_exits_2(self, trained, tmp_path, capsys, key, value, kind):
@@ -751,15 +782,15 @@ class TestRunTreeContract:
         split = tmp_path / "split.json"
         split.write_text(json.dumps(plan))
         assert _evaluate(trained, trained / "runs", tmp_path / "r.json", split=split) == 2
-        assert f"{split}: split plan lacks key 'folds'" in capsys.readouterr().err
+        assert f"{split}: 'folds' is missing" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, bad, message",
         [
-            ("folds", 5, "split plan key 'folds' is not a list of lists of strings"),
-            ("folds", [["P0001"], 7], "split plan key 'folds' is not a list of lists of strings"),
-            ("test_patients", "P0001", "split plan key 'test_patients' is not a list of strings"),
-            ("seed", "17", "split plan key 'seed' is not an integer: '17'"),
+            ("folds", 5, "'folds' must be a list, got 5"),
+            ("folds", [["P0001"], 7], "folds[1] must be a list, got 7"),
+            ("test_patients", "P0001", "'test_patients' must be a list, got 'P0001'"),
+            ("seed", "17", "'seed' must be an int, got '17'"),
         ],
         ids=["folds-int", "fold-int", "test-patients-str", "seed-str"],
     )
@@ -784,7 +815,7 @@ class TestRunTreeContract:
             "--test-index", str(field.test_index), "--runs", str(runs), "--out", str(tmp_path / "f.json"),
         )
         assert code == 2
-        assert capsys.readouterr().err == f"error: {path}: entry 0 key 'offset' is not a non-negative integer: 'a'\n"
+        assert capsys.readouterr().err == f"error: {path}: entries[0]: 'offset' must be an int, got 'a'\n"
 
     def test_pair_line_without_input_ref_exits_2(self, trained, tmp_path, capsys):
         lines = (trained / "pairs.jsonl").read_text().splitlines()
@@ -798,7 +829,7 @@ class TestRunTreeContract:
             "--out", str(tmp_path / "r.json"),
         )
         assert code == 2
-        assert f"error: {pairs}: line 3: input_ref is missing or not an object" in capsys.readouterr().err
+        assert f"error: {pairs}: line 3: 'input_ref' is missing" in capsys.readouterr().err
 
     def test_patient_with_two_genders_exits_2(self, trained, tmp_path, capsys):
         lines = (trained / "d.jsonl").read_text().splitlines()
@@ -898,12 +929,17 @@ class TestChainInitFeatures:
         assert self._chain(workdir, runs) == 2
         assert "combo 'age' is not in" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("result", [[], {"matrix": []}], ids=["list", "list-matrix"])
-    def test_features_result_not_an_object_exits_2(self, workdir, features_run, tmp_path, capsys, result):
+    @pytest.mark.parametrize(
+        "result, message",
+        [([], "must be an object, got []"), ({"matrix": []}, "'matrix' must be an object, got []")],
+        ids=["list", "list-matrix"],
+    )
+    def test_features_result_not_an_object_exits_2(self, workdir, features_run, tmp_path, capsys, result, message):
         runs = self._features_copy(features_run, tmp_path)
-        (runs / "features" / "phase_result.json").write_text(json.dumps(result))
+        result_path = runs / "features" / "phase_result.json"
+        result_path.write_text(json.dumps(result))
         assert self._chain(workdir, runs) == 2
-        assert "combo 'age' is not in" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {result_path}: {message}\n"
 
     def test_features_row_of_wrong_type_exits_2(self, workdir, features_run, tmp_path, capsys):
         runs = self._features_copy(features_run, tmp_path)
@@ -912,7 +948,7 @@ class TestChainInitFeatures:
         result["matrix"]["age"] = 5
         result_path.write_text(json.dumps(result))
         assert self._chain(workdir, runs) == 2
-        assert capsys.readouterr().err == f"error: {result_path}: matrix row 'age' must be a list, got int\n"
+        assert capsys.readouterr().err == f"error: {result_path}: matrix: 'age' must be a list, got 5\n"
 
     def test_unparseable_features_result_names_it(self, workdir, features_run, tmp_path, capsys):
         runs = self._features_copy(features_run, tmp_path)

@@ -330,7 +330,7 @@ class TestCodec:
     def test_bool_test_index_rejected(self):
         line = serialize_record(make_field(np.random.default_rng(13)))
         line = line.replace('"test_index": 1', '"test_index": true')
-        with pytest.raises(RecordError, match="bad value for key 'test_index': True"):
+        with pytest.raises(RecordError, match="^record: 'test_index' must be an int, got True$"):
             parse_record(line)
 
     @pytest.mark.parametrize("bad", [None, "old", "12.5", True, 10**400])
@@ -344,7 +344,7 @@ class TestCodec:
     def test_non_number_db_value_rejected(self, bad):
         obj = json.loads(serialize_record(make_field(np.random.default_rng(18))))
         obj["values"][7] = bad
-        with pytest.raises(RecordError, match="'values'|out of range"):
+        with pytest.raises(RecordError, match=r"values\[7\]|out of range"):
             parse_record(json.dumps(obj))
 
     def test_integer_numbers_parse_as_floats(self):
@@ -361,7 +361,7 @@ class TestCodec:
         good = serialize_record(make_field(np.random.default_rng(14)))
         path = tmp_path / "d.jsonl"
         path.write_text(good + "\n" + good.replace('"test_index": 1', '"test_index": true') + "\n")
-        with pytest.raises(RecordError, match=rf"^{re.escape(str(path))}: line 2: bad value for key 'test_index'"):
+        with pytest.raises(RecordError, match=rf"^{re.escape(str(path))}: line 2: 'test_index' must be an int"):
             load_dataset(path)
 
     def test_load_dataset_rejects_duplicate_key(self, tmp_path):

@@ -156,6 +156,28 @@ class TestPearson:
         assert abs(adj - 0.84) < 0.01
         assert p < 2.2e-16
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-40, 40), st.floats(-40, 40)), min_size=3, max_size=80))
+    def test_p_value_is_twice_the_student_t_tail(self, pairs):
+        try:
+            r, _, p = pearson_adj_r2(pairs)
+        except DegenerateDataError:
+            return
+        n = len(pairs)
+        if r * r >= 1.0:
+            assert p == 0.0
+        else:
+            t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
+            assert p == 2.0 * float(sstats.t.sf(t, df=n - 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 60.0), st.integers(1, 2000))
+    def test_stdtr_lower_tail_equals_t_sf(self, t, df):
+        """The identity `pearson_adj_r2` rests on, over the degrees of freedom a report meets."""
+        from scipy.special import stdtr
+
+        assert stdtr(df, -t) == sstats.t.sf(t, df)
+
     def test_needs_three_points(self):
         with pytest.raises(EvaluationError, match="n >= 3"):
             pearson_adj_r2([(0, 0), (1, 1)])

@@ -85,3 +85,55 @@ def test_no_dead_definitions():
         if (found := dead_definitions(path.read_text(encoding="utf-8"), corpus))
     }
     assert dead == {}
+
+
+# The functions that may parse JSON: the one file reader and the two line
+# readers, each checking what it parsed; the archetype table is package data.
+JSON_READERS = {"read_json", "parse_record", "read_pairs"}
+JSON_EXEMPT = {"_load_archetypes"}
+
+
+def json_parses(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function or `<module>`) of every `json.load`/`json.loads`
+    call, and of every call of a `load`/`loads` imported from json."""
+    tree = ast.parse(source)
+    imported = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "json" for a in node.names if a.name in ("load", "loads")}
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            f = getattr(child, "func", None)
+            if (isinstance(f, ast.Attribute) and f.attr in ("load", "loads")
+                    and isinstance(f.value, ast.Name) and f.value.id == "json") or (
+                    isinstance(f, ast.Name) and f.id in imported):
+                found.append((child.lineno, owner))
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_json_scanner_finds_every_parse():
+    source = (
+        "import json\n"
+        "from json import loads as parse\n"
+        "def read_json(p):\n    return json.loads(p)\n"
+        "def other(fh):\n    def inner():\n        return parse('1')\n    return json.load(fh)\n"
+        "TABLE = json.loads('{}')\n"
+        "json.dumps(1)\n"
+    )
+    assert json_parses(source) == [(4, "read_json"), (7, "inner"), (8, "other"), (9, "<module>")]
+
+
+def test_json_is_parsed_only_by_the_readers():
+    stray = {
+        str(path.relative_to(ROOT)): found
+        for path in PACKAGE
+        if (found := [c for c in json_parses(path.read_text(encoding="utf-8"))
+                      if c[1] not in JSON_READERS | JSON_EXEMPT])
+    }
+    assert stray == {}

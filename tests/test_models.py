@@ -335,27 +335,34 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "edit,needle",
         [
-            (lambda m: m.clear(), "manifest lacks key 'format_version'"),
-            (lambda m: m.pop("spec"), "manifest lacks key 'spec'"),
-            (lambda m: m.pop("entries"), "manifest lacks key 'entries'"),
-            (lambda m: m.pop("total_length"), "manifest lacks key 'total_length'"),
-            (lambda m: m["entries"][2].pop("sha256"), "entry 2 lacks key 'sha256'"),
-            (lambda m: m["entries"].__setitem__(1, []), "entry 1 is not an object"),
-            (lambda m: m.update(entries=5), "manifest key 'entries' is not a list"),
-            (lambda m: m["entries"][0].update(offset="a"), "entry 0 key 'offset' is not a non-negative integer: 'a'"),
-            (lambda m: m["entries"][1].update(length=-8), "entry 1 key 'length' is not a non-negative integer: -8"),
-            (lambda m: m["entries"][0].update(shape="x"), "shape mismatch in '.*': x vs \\["),
-            (lambda m: m["entries"][0].update(name=["w"]), r"entry 0 key 'name' is not a string: \['w'\]"),
-            (lambda m: m["entries"][0].update(sha256=None), "checksum mismatch in '"),
+            (lambda m: m.clear(), "'format_version' is missing"),
+            (lambda m: m.pop("spec"), "'spec' is missing"),
+            (lambda m: m.pop("entries"), "'entries' is missing"),
+            (lambda m: m.pop("total_length"), "'total_length' is missing"),
+            (lambda m: m["entries"][2].pop("sha256"), r"entries\[2\]: 'sha256' is missing"),
+            (lambda m: m["entries"].__setitem__(1, []), r"entries\[1\] must be an object, got \[\]"),
+            (lambda m: m.update(entries=5), "'entries' must be a list, got 5"),
+            (lambda m: m["entries"][0].update(offset="a"), r"entries\[0\]: 'offset' must be an int, got 'a'"),
+            (lambda m: m["entries"][1].update(length=-8), "length mismatch in '"),
+            (lambda m: m["entries"][0].update(shape="x"), r"entries\[0\]: 'shape' must be a list, got 'x'"),
+            (lambda m: m["entries"][0].update(name=["w"]), r"entries\[0\]: 'name' must be a str, got \['w'\]"),
+            (lambda m: m["entries"][0].update(sha256=None), r"entries\[0\]: 'sha256' must be a str, got None"),
             # the spec of a checkpoint written before the two training fields left it
             (lambda m: m["spec"].update(batch_size=32, lr=0.001),
-             r"unknown \['batch_size', 'lr'\], missing \[\]"),
-            (lambda m: m["spec"].pop("seed"), r"unknown \[\], missing \['seed'\]"),
-            (lambda m: m["spec"].update(widths=4), "bad spec value"),
+             r"spec: unknown fields \['batch_size', 'lr'\]"),
+            (lambda m: m["spec"].pop("seed"), "spec: 'seed' is missing"),
+            (lambda m: m["spec"].update(widths=4), "spec: 'widths' must be a list, got 4"),
+            (lambda m: m["spec"].update(depth_k=1.5), "spec: 'depth_k' must be an int or null, got 1.5"),
+            (lambda m: m["spec"].update(in_channels=2.0), "spec: 'in_channels' must be an int, got 2.0"),
+            (lambda m: m["spec"].update(widths=[4, 8, 12.0]), r"spec.widths\[2\] must be an int, got 12.0"),
+            (lambda m: m["spec"].update(depth_k=True), "spec: 'depth_k' must be an int or null, got True"),
+            (lambda m: m["spec"].update(seed="a"), "spec: 'seed' must be an int, got 'a'"),
+            (lambda m: m["spec"].update(fc_hidden=None), "spec: 'fc_hidden' must be an int, got None"),
         ],
         ids=["empty", "no-spec", "no-entries", "no-total-length", "entry-key", "entry-not-object",
              "entries-int", "offset-str", "length-negative", "shape-str", "name-list", "sha-none",
-             "old-spec-fields", "missing-spec-field", "spec-type"],
+             "old-spec-fields", "missing-spec-field", "spec-type", "depth-float", "in-channels-float",
+             "width-float", "depth-bool", "seed-str", "fc-hidden-null"],
     )
     def test_malformed_manifest_names_file_and_key(self, tmp_path, edit, needle):
         save_weights(self._trained_tiny(), tmp_path / "ck")
@@ -370,7 +377,7 @@ class TestSerialization:
         save_weights(self._trained_tiny(), tmp_path / "ck")
         path = tmp_path / "ck" / "manifest.json"
         path.write_text("[]")
-        with pytest.raises(WeightsError, match=f"^{re.escape(str(path))}: manifest is not a JSON object"):
+        with pytest.raises(WeightsError, match=f"^{re.escape(str(path))}: must be an object, got \\[\\]$"):
             load_weights(tmp_path / "ck")
 
     def test_write_json_is_sorted_indented_and_atomic(self, tmp_path):

@@ -234,12 +234,12 @@ class TestSplit:
     @pytest.mark.parametrize(
         "key, bad, message",
         [
-            ("test_patients", "P0001", "split plan key 'test_patients' is not a list of strings"),
-            ("test_patients", ["P0001", 2], "split plan key 'test_patients' is not a list of strings"),
-            ("folds", 5, "split plan key 'folds' is not a list of lists of strings"),
-            ("folds", ["P0001"], "split plan key 'folds' is not a list of lists of strings"),
-            ("seed", True, "split plan key 'seed' is not an integer: True"),
-            ("ratio", "0.8", "split plan key 'ratio' is not a number: '0.8'"),
+            ("test_patients", "P0001", "split plan: 'test_patients' must be a list, got 'P0001'"),
+            ("test_patients", ["P0001", 2], "split plan: test_patients[1] must be a str, got 2"),
+            ("folds", 5, "split plan: 'folds' must be a list, got 5"),
+            ("folds", ["P0001"], "split plan: folds[0] must be a list, got 'P0001'"),
+            ("seed", True, "split plan: 'seed' must be an int, got True"),
+            ("ratio", "0.8", "split plan: 'ratio' must be an int or a float, got '0.8'"),
         ],
         ids=["patients-str", "patient-int", "folds-int", "fold-str", "seed-bool", "ratio-str"],
     )
@@ -250,9 +250,9 @@ class TestSplit:
             SplitPlan.from_json_dict(d)
 
     def test_missing_key_or_non_object_names_key(self):
-        with pytest.raises(PipelineError, match="^split plan lacks key 'test_patients'$"):
+        with pytest.raises(PipelineError, match=r"^split plan: must be an object, got \[\]$"):
             SplitPlan.from_json_dict([])
-        with pytest.raises(PipelineError, match="^split plan lacks key 'seed'$"):
+        with pytest.raises(PipelineError, match="^split plan: 'seed' is missing$"):
             SplitPlan.from_json_dict({"test_patients": [], "folds": []})
 
 
@@ -427,10 +427,10 @@ class TestPairFileProperty:
         "mutate,needle",
         [
             (_truncated, "malformed JSON: "),
-            (_not_an_object, "not a JSON object"),
-            (_without("bin"), "lacks key 'bin'"),
-            (_without("input_ref"), "input_ref is missing or not an object"),
-            (_without("test_index", "target_ref"), "target_ref lacks key 'test_index'"),
+            (_not_an_object, "must be an object"),
+            (_without("bin"), "'bin' is missing"),
+            (_without("input_ref"), "'input_ref' is missing"),
+            (_without("test_index", "target_ref"), "target_ref: 'test_index' is missing"),
             (_unknown_eye, "input_ref eye 'right' is not OD or OS"),
         ],
         ids=lambda v: getattr(v, "__name__", None),
