@@ -15,6 +15,7 @@ from hvfcast.models import (
     ModelSpec,
     build_model,
     canonical_specs,
+    layer_plan,
     load_weights,
     published_comparison,
     save_weights,
@@ -29,13 +30,13 @@ for row in published_comparison():
         f"{row['parameters']:18,d} {row['published_parameters']:11,d}"
     )
 
-print("\n=== cascade wiring at a glance ===")
-spec = ModelSpec(family="Cascade", depth_k=3, widths=(64, 128, 256), in_channels=2)
-from hvfcast.models import layer_plan
-
-for layer in layer_plan(spec):
-    tag = " <- raw input + all earlier blocks" if layer.name.endswith("conv1") or layer.name == "head" else ""
-    print(f"  {layer.name:14s} {layer.in_dim:4d} -> {layer.out_dim:<4d}{tag}")
+print("\n=== wiring at a glance: each unit's inputs (concatenated) and skip (added) ===")
+for spec in (ModelSpec(family="Cascade", depth_k=3, widths=(64, 128, 256), in_channels=2),
+             ModelSpec(family="Residual", depth_k=2, widths=(64, 128, 256), in_channels=2)):
+    print(f"  {spec.name}")
+    for layer in layer_plan(spec):
+        skip = f" + {layer.add}" if layer.add else ""
+        print(f"    {layer.name:14s} {layer.in_dim:4d} -> {layer.out_dim:<4d} <- {' | '.join(layer.inputs)}{skip}")
 
 print("\n=== every family produces a (B, 1, 8, 9) forecast ===")
 x = np.random.default_rng(0).normal(size=(2, 1, 8, 9)) * 4 + 22

@@ -35,7 +35,7 @@ from .domain import (
     valid_mask_array,
     write_json,
 )
-from .evaluation import EvaluationError, ensemble_predict, evaluate_testset
+from .evaluation import N_BOOTSTRAP, EvaluationError, ensemble_predict, evaluate_testset
 from .models import (
     MANIFEST_NAME,
     PAPER_WIDTHS,
@@ -49,6 +49,7 @@ from .pipeline import (
     BIN_CENTERS,
     FeatureCombo,
     PipelineError,
+    SPLIT_RATIO,
     SplitPlan,
     bin_pairs,
     assign_bin,
@@ -59,11 +60,12 @@ from .pipeline import (
     split_patients,
     write_pairs,
 )
-from .synthsim import DEFAULT_MIX, CohortConfig, SimError, generate_cohort
+from .synthsim import CohortConfig, SimError, generate_cohort
 from .trainer import (
     CHAIN_RESULT,
     DESK_EPOCHS,
     DESK_WIDTHS,
+    FREEZE_MODES,
     PAPER_EPOCHS,
     PHASE_ARCH,
     PHASE_FEATURES,
@@ -138,9 +140,7 @@ def _parse_widths(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
-def _parse_mix(entries: list[str] | None) -> dict:
-    if not entries:
-        return dict(DEFAULT_MIX)
+def _parse_mix(entries: list[str]) -> dict:
     mix = {}
     for entry in entries:
         name, _, weight = entry.partition("=")
@@ -161,10 +161,10 @@ def _cmd_simulate(args) -> int:
         patients=args.patients,
         tests_per_eye=(args.tests_min, args.tests_max),
         followup_years=(args.span_min, args.span_max),
-        archetype_mix=_parse_mix(args.archetype),
         rate_range=(args.rate_min, args.rate_max),
         noise=args.noise,
         seed=seed,
+        **({"archetype_mix": _parse_mix(args.archetype)} if args.archetype else {}),
     )
     fields, meta = generate_cohort(cfg)
     out = Path(args.out)
@@ -533,16 +533,16 @@ def _simulate_parser(sub) -> None:
         help="generate a synthetic longitudinal cohort",
         epilog=f"writes the {_DATASET_SCHEMA}; plus a cohort_meta.json ground-truth sidecar",
     )
-    p.add_argument("--patients", type=int, default=200)
-    p.add_argument("--tests-min", type=int, default=3)
-    p.add_argument("--tests-max", type=int, default=8)
-    p.add_argument("--span-min", type=float, default=4.0)
-    p.add_argument("--span-max", type=float, default=6.0)
-    p.add_argument("--rate-min", type=float, default=0.3)
-    p.add_argument("--rate-max", type=float, default=1.5)
+    p.add_argument("--patients", type=int, default=CohortConfig.patients)
+    p.add_argument("--tests-min", type=int, default=CohortConfig.tests_per_eye[0])
+    p.add_argument("--tests-max", type=int, default=CohortConfig.tests_per_eye[1])
+    p.add_argument("--span-min", type=float, default=CohortConfig.followup_years[0])
+    p.add_argument("--span-max", type=float, default=CohortConfig.followup_years[1])
+    p.add_argument("--rate-min", type=float, default=CohortConfig.rate_range[0])
+    p.add_argument("--rate-max", type=float, default=CohortConfig.rate_range[1])
     p.add_argument("--archetype", action="append", metavar="NAME=WEIGHT",
                    help="override the archetype mix (repeatable)")
-    p.add_argument("--noise", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--noise", action=argparse.BooleanOptionalAction, default=CohortConfig.noise)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="dataset JSONL path")
     p.set_defaults(func=_cmd_simulate)
@@ -568,7 +568,7 @@ def _split_parser(sub) -> None:
         epilog='writes JSON {"seed", "ratio", "test_patients": [...], "folds": [10 lists]}',
     )
     p.add_argument("--data", required=True)
-    p.add_argument("--ratio", type=float, default=0.8)
+    p.add_argument("--ratio", type=float, default=SPLIT_RATIO)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="split-plan JSON path")
     p.set_defaults(func=_cmd_split)
@@ -588,11 +588,11 @@ def _train_parser(sub) -> None:
     p.add_argument("--split", required=True)
     p.add_argument("--out", required=True, help="runs directory")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--widths", type=_parse_widths, default=None, metavar="W0,W1,W2")
-    p.add_argument("--fc-hidden", type=int, default=2048)
-    p.add_argument("--freeze", choices=["best", "last"], default="best")
+    p.add_argument("--fc-hidden", type=int, default=TrainConfig.fc_hidden)
+    p.add_argument("--freeze", choices=FREEZE_MODES, default=TrainConfig.freeze)
     p.add_argument("--paper-scale", action="store_true",
                    help=f"{PAPER_EPOCHS} epochs and widths {','.join(map(str, PAPER_WIDTHS))}")
     p.add_argument("--seed", type=int, default=None)
@@ -619,7 +619,7 @@ def _evaluate_parser(sub) -> None:
     p.add_argument("--runs", required=True)
     p.add_argument("--combo", default=None, help=_SERVED_COMBO)
     p.add_argument("--bootstrap-seed", type=int, default=None)
-    p.add_argument("--bootstrap-n", type=int, default=1000)
+    p.add_argument("--bootstrap-n", type=int, default=N_BOOTSTRAP)
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -33,6 +33,7 @@ NUM_VALID_CELLS = 54
 NUM_MD_CELLS = 52  # valid cells minus the two blind-spot cells
 DB_MIN = 0.0
 DB_MAX = 50.0
+DAYS_PER_YEAR = 365.25
 
 RIGHT = "right"
 LEFT = "left"

@@ -17,13 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import Cell, VisualField, mask_cells, mean_deviation, valid_mask_array
+from .domain import DB_MAX, DB_MIN, Cell, VisualField, mask_cells, mean_deviation, valid_mask_array
 from .models import Model
 from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, encode_input, years_between
 from . import synthsim
 
-EXPORT_MIN_DB = 0.0
-EXPORT_MAX_DB = 50.0
+N_BOOTSTRAP = 1000  # bootstrap resamples behind each confidence interval
 
 # Benchmarks from the original clinical-cohort runs of this pipeline
 # (32,443 fields over 20 years).  Recorded in every report for context;
@@ -64,7 +63,7 @@ class EnsembleForecast:
 
     def exported_grid(self) -> np.ndarray:
         """Clamped to the dB range; off-mask cells zeroed."""
-        grid = np.clip(self.raw, EXPORT_MIN_DB, EXPORT_MAX_DB) * valid_mask_array()
+        grid = np.clip(self.raw, DB_MIN, DB_MAX) * valid_mask_array()
         return grid
 
     def exported_values(self) -> dict[Cell, float]:
@@ -86,13 +85,8 @@ def ensemble_means(models: list[Model], xs: np.ndarray) -> np.ndarray:
         raise EvaluationError("ensemble needs at least one model")
     ref = models[0].spec
     for m in models[1:]:
-        s = m.spec
-        if (s.family, s.depth_k, s.widths, s.in_channels, s.fc_hidden) != (
-            ref.family, ref.depth_k, ref.widths, ref.in_channels, ref.fc_hidden,
-        ):
-            raise EvaluationError(
-                f"ensemble models disagree on spec: {s.name} vs {ref.name}"
-            )
+        if m.spec.replace(seed=ref.seed) != ref:
+            raise EvaluationError(f"ensemble models disagree on spec: {m.spec.name} vs {ref.name}")
     outputs = np.stack([m.forward(xs, "infer").data[:, 0] for m in models])
     return np.sort(outputs, axis=0).sum(axis=0) / len(models)
 
@@ -196,7 +190,7 @@ def baseline_forecast(method: str, history: list[VisualField], horizon_years: fl
     pred = intercept + slope * t_target
     if method == "pointwise_exp":
         pred = np.exp(pred) - 1.0
-    return np.clip(pred, EXPORT_MIN_DB, EXPORT_MAX_DB)
+    return np.clip(pred, DB_MIN, DB_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +238,7 @@ def evaluate_testset(
     combo: FeatureCombo,
     fields: list[VisualField] | None = None,
     bootstrap_seed: int = 0,
-    n_bootstrap: int = 1000,
+    n_bootstrap: int = N_BOOTSTRAP,
 ) -> MetricsReport:
     """Score fold-ensembled forecasts of every binned test pair.
 

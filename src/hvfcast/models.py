@@ -18,7 +18,9 @@ with a linear final activation:
                      the full concatenation.  Layer count 3k+1.
 
 "Layers" counts convolution/dense units (including projections and the
-head); batch norm and activations belong to their conv unit.
+head); batch norm and activations belong to their conv unit.  `layer_plan`
+is the one statement of each family's wiring: every unit's inputs and skip,
+from which its input width follows; `Model.forward` runs the plan.
 """
 
 from __future__ import annotations
@@ -149,9 +151,16 @@ def canonical_specs(**fields) -> list[ModelSpec]:
     return [spec_from_name(name, **fields) for name in PUBLISHED_BENCHMARKS]
 
 
+# The model input, as a unit's input or skip names it
+INPUT = "input"
+
+
 @dataclass(frozen=True)
 class LayerInfo:
-    """One counted layer: a convolution or dense unit."""
+    """One counted layer: a convolution or dense unit.  It reads the channel
+    concatenation of `inputs` (earlier units, or INPUT), flattened for a
+    dense unit; with `add`, the output of that earlier unit is added to its
+    own, and later units read the sum."""
 
     name: str
     kind: str  # "conv" | "dense"
@@ -160,42 +169,43 @@ class LayerInfo:
     out_dim: int
     bn: bool
     activation: str
+    inputs: tuple[str, ...]
+    add: str | None = None
 
 
 def layer_plan(spec: ModelSpec) -> list[LayerInfo]:
-    """Ordered layer list for a spec; len(plan) is the model's layer count."""
+    """Ordered layer list for a spec, and its only wiring: len(plan) is the
+    model's layer count, the order is the order weights.bin stores the
+    units' arrays in, and the last unit gives the forecast."""
     w0, w1, w2 = spec.widths
-    cin = spec.in_channels
-    plan: list[LayerInfo] = []
+    plan: dict[str, LayerInfo] = {}
+
+    def unit(name, kind, kernel, inputs, out_dim, bn=False, activation="linear", add=None) -> str:
+        # a dense unit reading the input grid sees GRID_SIZE values per channel
+        in_dim = sum(spec.in_channels * (GRID_SIZE if kind == "dense" else 1) if n == INPUT
+                     else plan[n].out_dim for n in inputs)
+        plan[name] = LayerInfo(name, kind, kernel, in_dim, out_dim, bn, activation, tuple(inputs), add)
+        return name
 
     if spec.family == FULLY_CONNECTED:
-        plan.append(LayerInfo("fc1", "dense", 0, cin * GRID_SIZE, spec.fc_hidden, False, "relu"))
-        plan.append(LayerInfo("fc2", "dense", 0, spec.fc_hidden, GRID_SIZE, False, "linear"))
-        return plan
+        hidden = unit("fc1", "dense", 0, [INPUT], spec.fc_hidden, activation="relu")
+        unit("fc2", "dense", 0, [hidden], GRID_SIZE)
+        return list(plan.values())
 
-    k = spec.depth_k
-    if spec.family in (FULL_BN, RESIDUAL):
-        block_in = cin
-        for j in range(1, k + 1):
-            plan.append(LayerInfo(f"block{j}.conv1", "conv", 3, block_in, w0, True, "relu"))
-            plan.append(LayerInfo(f"block{j}.conv2", "conv", 3, w0, w1, True, "relu"))
-            plan.append(LayerInfo(f"block{j}.conv3", "conv", 3, w1, w2, True, "relu"))
-            if spec.family == RESIDUAL and j == 1:
-                plan.append(LayerInfo("block1.skip", "conv", 1, block_in, w2, False, "linear"))
-            block_in = w2
-        plan.append(LayerInfo("head", "conv", 3, w2, 1, False, "linear"))
-        if spec.family == RESIDUAL:
-            plan.append(LayerInfo("input_skip", "conv", 1, cin, 1, False, "linear"))
-        return plan
-
-    # Cascade: block j sees the raw input plus every earlier block output.
-    for j in range(1, k + 1):
-        block_in = cin + (j - 1) * w2
-        plan.append(LayerInfo(f"block{j}.conv1", "conv", 3, block_in, w0, True, "relu"))
-        plan.append(LayerInfo(f"block{j}.conv2", "conv", 3, w0, w1, True, "relu"))
-        plan.append(LayerInfo(f"block{j}.conv3", "conv", 3, w1, w2, True, "relu"))
-    plan.append(LayerInfo("head", "conv", 3, cin + k * w2, 1, False, "linear"))
-    return plan
+    cascade, residual = spec.family == CASCADE, spec.family == RESIDUAL
+    outputs = [INPUT]  # the input and every block's output
+    for j in range(1, spec.depth_k + 1):
+        h = unit(f"block{j}.conv1", "conv", 3, outputs if cascade else outputs[-1:], w0, True, "relu")
+        h = unit(f"block{j}.conv2", "conv", 3, [h], w1, True, "relu")
+        h = unit(f"block{j}.conv3", "conv", 3, [h], w2, True, "relu",
+                 add=outputs[-1] if residual and j > 1 else None)
+        if residual and j == 1:  # the first block's skip projects the input to w2 channels
+            h = unit("block1.skip", "conv", 1, [INPUT], w2, add=h)
+        outputs.append(h)
+    head = unit("head", "conv", 3, outputs if cascade else outputs[-1:], 1)
+    if residual:
+        unit("input_skip", "conv", 1, [INPUT], 1, add=head)
+    return list(plan.values())
 
 
 def count_layers(spec: ModelSpec) -> int:
@@ -299,40 +309,16 @@ class Model:
                 f"{self.spec.in_channels}"
             )
         train = mode == "train"
-        family = self.spec.family
-        if family == FULLY_CONNECTED:
-            batch = x.data.shape[0]
-            h = x.reshape(batch, self.spec.in_channels * GRID_SIZE)
-            h = self._unit("fc1", h, train)
-            h = self._unit("fc2", h, train)
-            return h.reshape(batch, 1, GRID_ROWS, GRID_COLS)
-
-        k = self.spec.depth_k
-        if family == FULL_BN:
-            h = x
-            for j in range(1, k + 1):
-                for c in (1, 2, 3):
-                    h = self._unit(f"block{j}.conv{c}", h, train)
-            return self._unit("head", h, train)
-
-        if family == RESIDUAL:
-            h = x
-            for j in range(1, k + 1):
-                block_in = h
-                for c in (1, 2, 3):
-                    h = self._unit(f"block{j}.conv{c}", h, train)
-                skip = self._unit("block1.skip", block_in, train) if j == 1 else block_in
-                h = h + skip
-            return self._unit("head", h, train) + self._unit("input_skip", x, train)
-
-        # Cascade
-        feats = [x]
-        for j in range(1, k + 1):
-            h = concat_channels(list(feats))
-            for c in (1, 2, 3):
-                h = self._unit(f"block{j}.conv{c}", h, train)
-            feats.append(h)
-        return self._unit("head", concat_channels(feats), train)
+        outputs = {INPUT: x}
+        for layer in self.layers.values():
+            h = concat_channels([outputs[name] for name in layer.inputs])
+            if layer.kind == "dense" and h.data.ndim == 4:
+                h = h.reshape(h.data.shape[0], layer.in_dim)
+            h = self._unit(layer.name, h, train)
+            if layer.add is not None:
+                h = h + outputs[layer.add]
+            outputs[layer.name] = h
+        return h.reshape(h.data.shape[0], 1, GRID_ROWS, GRID_COLS) if h.data.ndim == 2 else h
 
     # -- state ------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .domain import (
+    DAYS_PER_YEAR,
     EYE_FROM_WIRE,
     EYE_TO_WIRE,
     GRID_COLS,
@@ -33,9 +34,9 @@ BIN_CENTERS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5)
 BIN_HALF_WIDTH = 0.25
 DELTA_MIN = 0.75  # inclusive lower edge of the first bin
 DELTA_MAX = 5.5  # inclusive upper edge of the last bin
-DAYS_PER_YEAR = 365.25
 
 N_FOLDS = 10
+SPLIT_RATIO = 0.8  # the train+validation share of the patients
 MIN_PATIENTS = 20
 
 TEST_INDEX_CAP = 20  # test_index feature saturates here
@@ -111,7 +112,7 @@ class SplitPlan:
     test_patients: tuple[str, ...]
     folds: tuple[tuple[str, ...], ...]
     seed: int
-    ratio: float = 0.8
+    ratio: float
 
     def train_patients(self) -> tuple[str, ...]:
         return tuple(pid for fold in self.folds for pid in fold)
@@ -140,7 +141,7 @@ class SplitPlan:
 PLAN_SCHEMA = {"test_patients": [str], "folds": [[str]], "seed": int, "ratio": NUMBER}
 
 
-def split_patients(patient_ids, ratio: float = 0.8, seed: int = 0) -> SplitPlan:
+def split_patients(patient_ids, ratio: float = SPLIT_RATIO, seed: int = 0) -> SplitPlan:
     """Seeded patient-level split of distinct ids: ~80% train+validation
     (N_FOLDS folds), rest test.  The test set must hold at least one
     patient."""

@@ -27,6 +27,9 @@ from importlib import resources
 import numpy as np
 
 from .domain import (
+    DAYS_PER_YEAR,
+    DB_MAX,
+    DB_MIN,
     EYES,
     LEFT,
     RIGHT,
@@ -66,8 +69,6 @@ DEFAULT_MIX = {
     "paracentral": 0.10,
     "stable_hemianopia": 0.05,
 }
-
-DAYS_PER_YEAR = 365.25
 
 
 class SimError(ValueError):
@@ -133,7 +134,7 @@ def add_noise(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Gaussian test-retest noise, clamped to [0, 50] and rounded to 2 dp."""
     arr = np.asarray(values, dtype=np.float64)
     noisy = arr + rng.normal(0.0, 1.0, size=arr.shape) * noise_sd(arr)
-    return np.round(np.clip(noisy, 0.0, 50.0), 2)
+    return np.round(np.clip(noisy, DB_MIN, DB_MAX), 2)
 
 
 @dataclass

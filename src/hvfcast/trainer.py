@@ -45,6 +45,7 @@ CHAIN_RESULT = "chain_result.json"
 
 DESK_WIDTHS = (8, 16, 24)
 DESK_EPOCHS = 60
+FREEZE_MODES = ("best", "last")  # snapshot at the best validation epoch, or the final one
 PAPER_EPOCHS = 1000
 
 
@@ -71,14 +72,14 @@ class TrainConfig:
     seed: int = 0
     widths: tuple[int, int, int] = DESK_WIDTHS
     fc_hidden: int = 2048
-    freeze: str = "best"  # snapshot at best validation epoch ("last" for final epoch)
+    freeze: str = "best"  # one of FREEZE_MODES
 
     def validate(self) -> None:
         if self.epochs < 0:
             raise TrainerError("epochs must be >= 0")
         if self.batch_size < 1:
             raise TrainerError("batch_size must be >= 1")
-        if self.freeze not in ("best", "last"):
+        if self.freeze not in FREEZE_MODES:
             raise TrainerError(f"freeze must be 'best' or 'last', got {self.freeze!r}")
 
     def to_json_dict(self) -> dict:
@@ -572,7 +573,7 @@ def train_interval_chain(
 # What `load_interval_models` reads: an entry of a requested bin also needs
 # SERVED_ENTRY_SCHEMA, and one that is no gap CHECKPOINT_SCHEMA
 CHAIN_SCHEMA = {"combo": str, "entries": [{"bin": NUMBER}]}
-SERVED_ENTRY_SCHEMA = {"gap": bool}
+SERVED_ENTRY_SCHEMA = {"gap": bool, "fold": int}
 CHECKPOINT_SCHEMA = {"checkpoint": str}
 
 
@@ -581,7 +582,8 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
 
     Exactly the checkpoints of the non-gap entries of `bins` (default: every
     bin) in `chain_result.json` are read, in its (bin, fold) order; no other
-    file under the runs dir counts.
+    file under the runs dir counts.  Every entry's bin must be one of
+    BIN_CENTERS, and a (bin, fold) pair of `bins` may be listed once.
     """
     path = Path(runs_dir) / PHASE_INTERVALS / CHAIN_RESULT
     if not path.is_file():
@@ -592,9 +594,19 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
     except PipelineError as e:
         raise TrainerError(f"{path}: 'combo': {e}") from None
     wanted = set(bins)
+    listed: dict[tuple, int] = {}  # (bin, fold) -> index of its entry
     out: dict[float, list[Model]] = {}
     for i, e in enumerate(chain["entries"]):
-        if e["bin"] in wanted and not expect(e, SERVED_ENTRY_SCHEMA, path, TrainerError, ("entries", i))["gap"]:
+        if e["bin"] not in BIN_CENTERS:
+            raise TrainerError(f"{path}: entries[{i}]: 'bin' must be one of {BIN_CENTERS}, got {e['bin']!r}")
+        if e["bin"] not in wanted:
+            continue
+        expect(e, SERVED_ENTRY_SCHEMA, path, TrainerError, ("entries", i))
+        first = listed.setdefault((e["bin"], e["fold"]), i)
+        if first != i:
+            raise TrainerError(f"{path}: entries[{i}]: bin {e['bin']} fold {e['fold']} is listed twice, "
+                               f"first at entries[{first}]")
+        if not e["gap"]:
             checkpoint = expect(e, CHECKPOINT_SCHEMA, path, TrainerError, ("entries", i))["checkpoint"]
             out.setdefault(e["bin"], []).append(load_weights(Path(runs_dir) / checkpoint))
     return combo, out

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, manifests, and a mini end-to-end run."""
 
 import ctypes
+import inspect
 import json
 import shutil
 import subprocess
@@ -10,7 +11,11 @@ import pytest
 
 from hvfcast import cli
 from hvfcast.domain import save_dataset
+from hvfcast.evaluation import evaluate_testset
 from hvfcast.models import Model
+from hvfcast.pipeline import BIN_CENTERS, split_patients
+from hvfcast.synthsim import CohortConfig
+from hvfcast.trainer import TrainConfig
 
 
 def run_cli(*argv) -> int:
@@ -169,6 +174,27 @@ class TestParser:
         run_cli("predict", "--help")
         run_cli("--version")
         assert built == [["predict"], list(cli._SUBCOMMANDS)]
+
+    def test_defaults_are_their_owners(self):
+        """A flag left out means what the library call left without that
+        argument means."""
+        def parsed(*argv):
+            return cli.build_parser().parse_args(list(argv))
+
+        sim = parsed("simulate", "--out", "d")
+        cohort = CohortConfig()
+        assert ((sim.patients, (sim.tests_min, sim.tests_max), (sim.span_min, sim.span_max),
+                 (sim.rate_min, sim.rate_max), sim.noise, sim.archetype)
+                == (cohort.patients, cohort.tests_per_eye, cohort.followup_years, cohort.rate_range,
+                    cohort.noise, None))
+        train = parsed("train", "--phase", "arch", "--data", "d", "--pairs", "p", "--split", "s", "--out", "r")
+        cfg = TrainConfig()
+        assert ((train.batch_size, train.lr, train.fc_hidden, train.freeze)
+                == (cfg.batch_size, cfg.lr, cfg.fc_hidden, cfg.freeze))
+        split = parsed("split", "--data", "d", "--out", "s")
+        assert split.ratio == inspect.signature(split_patients).parameters["ratio"].default
+        evaluate = parsed("evaluate", "--data", "d", "--pairs", "p", "--split", "s", "--runs", "r", "--out", "o")
+        assert evaluate.bootstrap_n == inspect.signature(evaluate_testset).parameters["n_bootstrap"].default
 
 
 class TestSimulate:
@@ -679,6 +705,39 @@ class TestRunTreeContract:
         path.write_text(json.dumps(chain))
         assert _evaluate(trained, runs, tmp_path / "r.json") == 2
         assert f"{path}: entries[{i}]: {key!r} must be a" in capsys.readouterr().err
+
+    def test_chain_entry_of_unknown_bin_exits_2(self, trained, small_cohort, tmp_path, capsys):
+        """An entry whose bin is no bin center is not silently left out."""
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        i = next(i for i, e in enumerate(chain["entries"]) if e["bin"] == 1.0 and not e["gap"])
+        chain["entries"][i]["bin"] = 7
+        path.write_text(json.dumps(chain))
+        assert _predict(trained, small_cohort[1][0], runs, tmp_path / "f.json", "1.0") == 2
+        assert f"{path}: entries[{i}]: 'bin' must be one of {BIN_CENTERS}, got 7" in capsys.readouterr().err
+
+    def test_chain_entry_listed_twice_exits_2(self, trained, small_cohort, tmp_path, capsys):
+        """A repeated (bin, fold) would serve one fold's model twice."""
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        i = next(i for i, e in enumerate(chain["entries"]) if e["bin"] == 1.0 and not e["gap"])
+        chain["entries"].append(chain["entries"][i])
+        path.write_text(json.dumps(chain))
+        assert _predict(trained, small_cohort[1][0], runs, tmp_path / "f.json", "1.0") == 2
+        j, fold = len(chain["entries"]) - 1, chain["entries"][i]["fold"]
+        assert (f"{path}: entries[{j}]: bin 1.0 fold {fold} is listed twice, first at entries[{i}]"
+                in capsys.readouterr().err)
+
+    def test_served_chain_entry_without_int_fold_exits_2(self, trained, tmp_path, capsys):
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        chain["entries"][0]["fold"] = "0"
+        path.write_text(json.dumps(chain))
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
+        assert f"{path}: entries[0]: 'fold' must be an int, got '0'" in capsys.readouterr().err
 
     def test_phase_result_without_winner_exits_2(self, trained, tmp_path, capsys):
         runs = tmp_path / "runs"

@@ -472,3 +472,45 @@ class TestFindRecordProperty:
                     for n in (1, 2, 3):
                         want = [f for f in every if (f.patient_id, f.eye, f.test_index) == (pid, eye, n)]
                         assert find_record(path, pid, eye, n) == (want[0] if want else None)
+
+
+class TestExpect:
+    """The message `expect` gives for each schema form: the file, the key
+    path below `at`, what was expected and what was found."""
+
+    @pytest.mark.parametrize(
+        "value,schema,at,message",
+        [
+            (5, str, (), "F: must be a str, got 5"),
+            (1.5, int, (), "F: must be an int, got 1.5"),
+            (True, int, (), "F: must be an int, got True"),  # a bool is no int
+            ([True], [domain.NUMBER], (), "F: [0] must be an int or a float, got True"),
+            ("x", (int, None), (), "F: must be an int or null, got 'x'"),
+            ([1, "a"], [int], (), "F: [1] must be an int, got 'a'"),
+            (5, [int], (), "F: must be a list, got 5"),
+            ([1], [int, str], (), "F: must be a list of 2 items, got [1]"),
+            ([1, 2, 3], [int, str], (), "F: must be a list of 2 items, got [1, 2, 3]"),
+            ([1, 2], [int, str], (), "F: [1] must be a str, got 2"),
+            ([], {"a": int}, (), "F: must be an object, got []"),
+            ({"a": "x", "b": 1}, {"a": int, "b": int}, (), "F: 'a' must be an int, got 'x'"),
+            # a missing key is reported before a wrong type at an earlier key
+            ({"a": "x"}, {"a": int, "b": int}, (), "F: 'b' is missing"),
+            ({"a": {"b": [1, "z"]}}, {"a": {"b": [int]}}, (), "F: a.b[1] must be an int, got 'z'"),
+            ([{"a": 1}, {"a": "q"}], [{"a": int}], (), "F: [1]: 'a' must be an int, got 'q'"),
+            ({"a": 1}, {"a": str}, ("entries", 3), "F: entries[3]: 'a' must be a str, got 1"),
+            (5, str, ("entries", 3), "F: entries[3] must be a str, got 5"),
+            ({"b": [True]}, {"b": [int]}, ("x",), "F: x.b[0] must be an int, got True"),
+        ],
+    )
+    def test_message_names_the_file_the_key_path_and_the_mismatch(self, value, schema, at, message):
+        with pytest.raises(DomainError) as info:
+            domain.expect(value, schema, "F", DomainError, at)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "value,schema",
+        [(None, (int, None)), (3, int), (2.5, domain.NUMBER), ([1, "a"], [int, str]),
+         ({"a": 1, "extra": "kept"}, {"a": int}), ([{"a": [1]}], [{"a": [int]}])],
+    )
+    def test_a_match_returns_the_value(self, value, schema):
+        assert domain.expect(value, schema, "F", DomainError) is value

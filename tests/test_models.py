@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvfcast import models
 from hvfcast.autodiff import Tensor, concat_channels, masked_mae
@@ -425,3 +427,80 @@ class TestTransfer:
         b.restore(a.snapshot())  # B "trained" for 0 epochs keeps A's weights
         c.restore(b.snapshot())
         assert weights_hash(c) == weights_hash(a)
+
+
+def _block_forward(m, x, train: bool) -> Tensor:
+    """FullBN-k or Residual-k wired by hand from the model's units, as the
+    module docstring describes them: three convs per block; for Residual an
+    additive skip around each block (a 1x1 projection around the first) and
+    a 1x1 input projection added to the head."""
+    residual = m.spec.family == "Residual"
+    h = x
+    for j in range(1, m.spec.depth_k + 1):
+        block_in = h
+        for c in (1, 2, 3):
+            h = m._unit(f"block{j}.conv{c}", h, train)
+        if residual:
+            h = h + (m._unit("block1.skip", block_in, train) if j == 1 else block_in)
+    out = m._unit("head", h, train)
+    return out + m._unit("input_skip", x, train) if residual else out
+
+
+class TestWiring:
+    @pytest.mark.parametrize("family", ["FullBN", "Residual"])
+    def test_forward_equals_hand_wired_reference_bit_for_bit(self, family):
+        """Outputs, parameter gradients and batch-norm statistics after a
+        train step, then the infer output, match a reference built from
+        `_unit` on a twin model."""
+        spec = tiny_spec(family, 2, in_channels=2, seed=12)
+        model, twin = build_model(spec), build_model(spec)
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(3, 2, 8, 9)) * 4 + 20
+        y = rng.normal(size=(3, 1, 8, 9)) * 4 + 20
+        mask = valid_mask_array()
+
+        out = model.forward(x, mode="train")
+        ref = _block_forward(twin, Tensor(x), True)
+        np.testing.assert_array_equal(out.data, ref.data)
+        masked_mae(out, y, mask).backward()
+        masked_mae(ref, y, mask).backward()
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.grad, twin.params[name].grad, err_msg=name)
+        assert weights_hash(model) == weights_hash(twin)
+
+        x2 = rng.normal(size=(2, 2, 8, 9)) * 4 + 20
+        np.testing.assert_array_equal(model.forward(x2, mode="infer").data,
+                                      _block_forward(twin, Tensor(x2), False).data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(list(models.PUBLISHED_BENCHMARKS)),
+        widths=st.tuples(*[st.integers(1, 6)] * 3),
+        in_channels=st.integers(1, 7),
+        fc_hidden=st.integers(1, 9),
+    )
+    def test_plan_states_every_input_and_skip(self, name, widths, in_channels, fc_hidden):
+        """Every input and `add` is an earlier unit or the model input; a
+        unit's in_dim is its inputs' widths summed (a dense unit flattens
+        a grid input, GRID_SIZE values per channel); an `add` has the
+        unit's shape; and the plan order is the order of the stored arrays."""
+        spec = spec_from_name(name, widths=widths, in_channels=in_channels, fc_hidden=fc_hidden)
+        plan = layer_plan(spec)
+        width, grid = {"input": in_channels}, {"input": True}
+        for layer in plan:
+            assert layer.inputs and set(layer.inputs) <= width.keys(), layer
+            assert layer.add is None or layer.add in width, layer
+            flatten = models.GRID_SIZE if layer.kind == "dense" and grid[layer.inputs[0]] else 1
+            assert all(grid[n] == grid[layer.inputs[0]] for n in layer.inputs), layer
+            assert layer.in_dim == flatten * sum(width[n] for n in layer.inputs), layer
+            if layer.add is not None:
+                assert (width[layer.add], grid[layer.add]) == (layer.out_dim, layer.kind == "conv"), layer
+            width[layer.name], grid[layer.name] = layer.out_dim, layer.kind == "conv"
+        assert (width[plan[-1].name], grid[plan[-1].name]) in {(1, True), (models.GRID_SIZE, False)}
+
+        units = []
+        for entry, _, trainable in build_model(spec).all_entries():
+            unit = entry.split(".bn.")[0] if ".bn." in entry else entry.rsplit(".", 1)[0]
+            if trainable and unit not in units:
+                units.append(unit)
+        assert units == [layer.name for layer in plan]

@@ -36,3 +36,35 @@ def test_tracer_installs_on_every_patch_target(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+PROBE_FAMILIES = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+from hvfcast import models
+
+tracer = Tracer(sys.argv[2])
+tracer.install()
+try:
+    for name in ("FullyConnected", "FullBN-1", "Residual-1", "Cascade-2"):
+        spec = models.spec_from_name(name, widths=(2, 2, 2), fc_hidden=4)
+        models.build_model(spec).forward(np.zeros((1, 1, 8, 9)), "train")
+finally:
+    tracer.uninstall()
+names = {span[3] for span in tracer.spans}
+expected = {"models.forward.train", "autodiff.conv2d", "autodiff.batch_norm", "autodiff.relu",
+            "autodiff.concat_channels", "autodiff.dense"}
+assert expected <= names, sorted(expected - names)
+"""
+
+
+def test_tracer_sees_the_ops_of_every_family(tmp_path):
+    """The forward calls its ops through the names the tracer patches in
+    `hvfcast.models`, for each of the four families."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE_FAMILIES, str(PERFBENCH), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
