@@ -108,11 +108,21 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _parse_seed(text: str) -> int:
+    """The one rule for `--seed`, `--bootstrap-seed` and `HVFCAST_SEED`: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"a seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("HVFCAST_SEED")
-    return int(env) if env else 0
+    try:
+        return _parse_seed(env) if env else 0
+    except argparse.ArgumentTypeError as e:
+        raise argparse.ArgumentTypeError(f"HVFCAST_SEED: {e}") from None
 
 
 def _write_run_manifest(target, command: str, config: dict, inputs, outputs, started: str,
@@ -144,9 +154,10 @@ def _parse_mix(entries: list[str]) -> dict:
     mix = {}
     for entry in entries:
         name, _, weight = entry.partition("=")
-        if not weight:
-            raise argparse.ArgumentTypeError(f"expected NAME=WEIGHT, got {entry!r}")
-        mix[name] = float(weight)
+        try:
+            mix[name] = float(weight)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected NAME=WEIGHT, got {entry!r}") from None
     return mix
 
 
@@ -273,6 +284,7 @@ def _cmd_train(args) -> int:
         return EXIT_USAGE
     seed = _resolve_seed(args.seed)
     cfg = _train_config(args, seed)
+    cfg.validate()
     fields = load_dataset(args.data)
     binned = read_pairs(args.pairs, fields)
     plan = _load_plan(args.split, fields)
@@ -383,6 +395,7 @@ def _served_models(args, bins=BIN_CENTERS):
 
 def _cmd_evaluate(args) -> int:
     started = _utc_now()
+    bootstrap_seed = _resolve_seed(args.bootstrap_seed)
     fields = load_dataset(args.data)
     binned = read_pairs(args.pairs, fields)
     plan = _load_plan(args.split, fields)
@@ -399,7 +412,7 @@ def _cmd_evaluate(args) -> int:
         test_binned,
         combo,
         fields=fields,
-        bootstrap_seed=_resolve_seed(args.bootstrap_seed),
+        bootstrap_seed=bootstrap_seed,
         n_bootstrap=args.bootstrap_n,
     )
     out = Path(args.out)
@@ -407,8 +420,7 @@ def _cmd_evaluate(args) -> int:
     write_json(out, report.to_json_dict())
     _write_run_manifest(
         out, "evaluate",
-        {"combo": combo.name, "bootstrap_seed": _resolve_seed(args.bootstrap_seed),
-         "bootstrap_n": args.bootstrap_n},
+        {"combo": combo.name, "bootstrap_seed": bootstrap_seed, "bootstrap_n": args.bootstrap_n},
         [args.data, args.pairs, args.split, args.runs], [out], started,
     )
     print(
@@ -543,7 +555,7 @@ def _simulate_parser(sub) -> None:
     p.add_argument("--archetype", action="append", metavar="NAME=WEIGHT",
                    help="override the archetype mix (repeatable)")
     p.add_argument("--noise", action=argparse.BooleanOptionalAction, default=CohortConfig.noise)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_parse_seed, default=None)
     p.add_argument("--out", required=True, help="dataset JSONL path")
     p.set_defaults(func=_cmd_simulate)
 
@@ -569,7 +581,7 @@ def _split_parser(sub) -> None:
     )
     p.add_argument("--data", required=True)
     p.add_argument("--ratio", type=float, default=SPLIT_RATIO)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_parse_seed, default=None)
     p.add_argument("--out", required=True, help="split-plan JSON path")
     p.set_defaults(func=_cmd_split)
 
@@ -595,7 +607,7 @@ def _train_parser(sub) -> None:
     p.add_argument("--freeze", choices=FREEZE_MODES, default=TrainConfig.freeze)
     p.add_argument("--paper-scale", action="store_true",
                    help=f"{PAPER_EPOCHS} epochs and widths {','.join(map(str, PAPER_WIDTHS))}")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_parse_seed, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--arch", default=None, help="architecture name (default: arch-phase winner)")
     p.add_argument("--combo", default=None, help="feature combo (default: features-phase winner)")
@@ -618,7 +630,7 @@ def _evaluate_parser(sub) -> None:
     p.add_argument("--split", required=True)
     p.add_argument("--runs", required=True)
     p.add_argument("--combo", default=None, help=_SERVED_COMBO)
-    p.add_argument("--bootstrap-seed", type=int, default=None)
+    p.add_argument("--bootstrap-seed", type=_parse_seed, default=None)
     p.add_argument("--bootstrap-n", type=int, default=N_BOOTSTRAP)
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=_cmd_evaluate)

@@ -63,8 +63,7 @@ class EnsembleForecast:
 
     def exported_grid(self) -> np.ndarray:
         """Clamped to the dB range; off-mask cells zeroed."""
-        grid = np.clip(self.raw, DB_MIN, DB_MAX) * valid_mask_array()
-        return grid
+        return np.clip(self.raw, DB_MIN, DB_MAX) * valid_mask_array()
 
     def exported_values(self) -> dict[Cell, float]:
         grid = self.exported_grid()
@@ -232,6 +231,21 @@ def _bootstrap_ci(
     return [float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))]
 
 
+def _columns(rows: list[tuple[float, float, float]]) -> np.ndarray:
+    """One forecaster's (bin, mean |err|, mean err^2) rows as three
+    contiguous columns."""
+    return np.array(rows, dtype=np.float64).reshape(-1, 3).T.copy()
+
+
+def _statistic(stat, pairs, keys: tuple[str, ...]) -> dict:
+    """`stat(pairs)` under `keys`, or every key None and `undefined_because`
+    when the statistic is undefined on these pairs."""
+    try:
+        return dict(zip(keys, stat(pairs), strict=True))
+    except EvaluationError as e:
+        return dict.fromkeys(keys) | {"undefined_because": str(e)}
+
+
 def evaluate_testset(
     models_by_bin: dict[float, list[Model]],
     test_binned: dict[float, list[FieldPair]],
@@ -240,14 +254,18 @@ def evaluate_testset(
     bootstrap_seed: int = 0,
     n_bootstrap: int = N_BOOTSTRAP,
 ) -> MetricsReport:
-    """Score fold-ensembled forecasts of every binned test pair.
+    """Score fold-ensembled forecasts of every binned test pair, and the
+    baselines' forecasts of the same pairs.
 
     Each fold model of a bin forwards all of that bin's pairs in one batch
-    (`ensemble_means`); pairs are then scored one by one in bin order.
-    Pairs whose bin has no trained model are skipped but counted.  When the
-    full dataset is supplied, the least-squares/exponential baselines use
-    each pair's input-side history (tests up to the input date), so they
-    never see information the model could not.
+    (`ensemble_means`).  Then, pair by pair in bin order, the ensemble's
+    export, copy-forward and (where the input has two distinct earlier test
+    dates) the least-squares/exponential baselines are scored by one rule
+    into one error table, and every report section is read off it.  Pairs
+    whose bin has no trained model are skipped but counted.  When the full
+    dataset is supplied, the least-squares/exponential baselines use each
+    pair's input-side history (tests up to the input date), so they never
+    see information the model could not.
 
     Mean deviation is taken against `synthsim.normative_surface`, each
     surface computed once per call: a field paired with several others
@@ -264,13 +282,12 @@ def evaluate_testset(
         for f in sorted(fields, key=lambda f: f.test_date):
             history_index.setdefault((f.patient_id, f.eye), []).append(f)
 
-    pair_mae: list[float] = []
-    pair_sq: list[float] = []
-    pair_bin: list[float] = []
+    # forecaster -> one (bin, mean |err|, mean err^2) row per pair it forecast
+    errors: dict[str, list[tuple[float, float, float]]] = {
+        name: [] for name in ("ensemble", *BASELINE_METHODS)
+    }
     md_rows: list[dict] = []
-    n_skipped = 0
     skipped_by_bin: dict[float, int] = {}
-    baseline_acc = {m: {"abs": [], "sq": []} for m in BASELINE_METHODS}
 
     for center in BIN_CENTERS:
         pairs = test_binned.get(center, [])
@@ -278,105 +295,89 @@ def evaluate_testset(
             continue
         models = models_by_bin.get(center, [])
         if not models:
-            n_skipped += len(pairs)
             skipped_by_bin[center] = len(pairs)
             continue
         means = ensemble_means(models, np.stack([encode_input(pair.input, combo) for pair in pairs]))
         for pair, mean in zip(pairs, means):
             pred = EnsembleForecast(raw=mean, n_models=len(models)).exported_grid()[mask]
+            forecasts = {
+                "ensemble": pred,
+                "copy": baseline_forecast("copy", [pair.input], pair.delta_years),
+            }
+            series = history_index.get((pair.input.patient_id, pair.input.eye), [])
+            history = [f for f in series if f.test_date <= pair.input.test_date]
+            if len({f.test_date for f in history}) >= 2:
+                horizon = years_between(history[-1].test_date, pair.target.test_date)
+                for method in ("pointwise_ols", "pointwise_exp"):
+                    forecasts[method] = baseline_forecast(method, history, horizon)
             target = np.array(pair.target.values)
-            err = pred - target
-            pair_mae.append(float(np.abs(err).mean()))
-            pair_sq.append(float((err * err).mean()))
-            pair_bin.append(center)
+            for name, forecast in forecasts.items():
+                err = forecast - target
+                errors[name].append((center, float(np.abs(err).mean()), float((err * err).mean())))
 
             surface = normative(pair.target.age_years, pair.target.eye)
-            pred_md = mean_deviation(pred, surface, pair.target.eye)
-            actual_md = mean_deviation(pair.target.values, surface, pair.target.eye)
             input_surface = normative(pair.input.age_years, pair.input.eye)
-            input_md = mean_deviation(pair.input.values, input_surface, pair.input.eye)
             md_rows.append(
                 {
                     "bin": center,
-                    "predicted_md": pred_md,
-                    "actual_md": actual_md,
-                    "input_md": input_md,
+                    "predicted_md": mean_deviation(pred, surface, pair.target.eye),
+                    "actual_md": mean_deviation(pair.target.values, surface, pair.target.eye),
+                    "input_md": mean_deviation(pair.input.values, input_surface, pair.input.eye),
                     "delta_years": pair.delta_years,
                 }
             )
 
-            _accumulate_baselines(baseline_acc, pair, target, history_index)
-
-    if not pair_mae:
+    if not errors["ensemble"]:
         raise EvaluationError("no test pairs could be evaluated")
 
-    mae_arr = np.array(pair_mae)
-    sq_arr = np.array(pair_sq)
-    bin_arr = np.array(pair_bin)
+    bins, mae, sq = _columns(errors["ensemble"])
     rng = np.random.default_rng(bootstrap_seed)
     overall = {
-        "mae": float(mae_arr.mean()),
-        "mae_ci": _bootstrap_ci(mae_arr, rng, n_bootstrap),
-        "rmse": float(np.sqrt(sq_arr.mean())),
-        "rmse_ci": _bootstrap_ci(sq_arr, rng, n_bootstrap, np.sqrt),
+        "mae": float(mae.mean()),
+        "mae_ci": _bootstrap_ci(mae, rng, n_bootstrap),
+        "rmse": float(np.sqrt(sq.mean())),
+        "rmse_ci": _bootstrap_ci(sq, rng, n_bootstrap, np.sqrt),
     }
     if not overall["rmse"] >= overall["mae"] - 1e-12:
         raise EvaluationError(f"rmse {overall['rmse']!r} < mae {overall['mae']!r}")
 
-    md_pairs = [(row["predicted_md"], row["actual_md"]) for row in md_rows]
-    md_scatter: dict = {"n": len(md_pairs)}
-    try:
-        r, adj, p = pearson_adj_r2(md_pairs)
-        md_scatter.update({"pearson_r": r, "adjusted_r2": adj, "p_two_sided": p})
-    except EvaluationError as e:
-        md_scatter.update({"pearson_r": None, "adjusted_r2": None, "p_two_sided": None,
-                           "undefined_because": str(e)})
-    ba: dict = {}
-    try:
-        mean_diff, lo, hi = bland_altman(md_pairs)
-        ba = {"mean_difference": mean_diff, "loa_lower": lo, "loa_upper": hi}
-    except EvaluationError as e:
-        ba = {"mean_difference": None, "loa_lower": None, "loa_upper": None,
-              "undefined_because": str(e)}
-
     per_bin = []
     for center in BIN_CENTERS:
-        sel = bin_arr == center
-        n_bin = int(sel.sum())
-        entry = {"bin": center, "n_pairs": n_bin, "n_skipped": skipped_by_bin.get(center, 0)}
-        if n_bin:
-            entry["mae"] = float(mae_arr[sel].mean())
-            entry["mae_ci"] = _bootstrap_ci(mae_arr[sel], rng, n_bootstrap)
-        else:
-            entry["mae"] = None
-            entry["mae_ci"] = None
-        per_bin.append(entry)
+        bin_mae = mae[bins == center]
+        per_bin.append(
+            {
+                "bin": center,
+                "n_pairs": bin_mae.size,
+                "n_skipped": skipped_by_bin.get(center, 0),
+                "mae": float(bin_mae.mean()) if bin_mae.size else None,
+                "mae_ci": _bootstrap_ci(bin_mae, rng, n_bootstrap) if bin_mae.size else None,
+            }
+        )
     n_binned = sum(e["n_pairs"] for e in per_bin)
-    if n_binned != len(pair_mae):
-        raise EvaluationError(f"per-bin counts sum to {n_binned}, not {len(pair_mae)} pairs")
+    if n_binned != mae.size:
+        raise EvaluationError(f"per-bin counts sum to {n_binned}, not {mae.size} pairs")
 
     baselines = []
     for method in BASELINE_METHODS:
-        acc = baseline_acc[method]
-        if acc["abs"]:
-            abs_arr = np.array(acc["abs"])
-            baselines.append(
-                {
-                    "method": method,
-                    "n_pairs": int(abs_arr.size),
-                    "mae": float(abs_arr.mean()),
-                    "rmse": float(np.sqrt(np.array(acc["sq"]).mean())),
-                }
-            )
-        else:
-            baselines.append({"method": method, "n_pairs": 0, "mae": None, "rmse": None})
+        _, method_mae, method_sq = _columns(errors[method])
+        n = method_mae.size
+        baselines.append(
+            {
+                "method": method,
+                "n_pairs": n,
+                "mae": float(method_mae.mean()) if n else None,
+                "rmse": float(np.sqrt(method_sq.mean())) if n else None,
+            }
+        )
 
-    report = MetricsReport(
-        n_pairs=len(pair_mae),
-        n_skipped=n_skipped,
+    md_pairs = [(row["predicted_md"], row["actual_md"]) for row in md_rows]
+    return MetricsReport(
+        n_pairs=mae.size,
+        n_skipped=sum(skipped_by_bin.values()),
         overall=overall,
-        md_scatter=md_scatter,
-        bland_altman=ba,
+        md_scatter={"n": len(md_pairs)}
+        | _statistic(pearson_adj_r2, md_pairs, ("pearson_r", "adjusted_r2", "p_two_sided")),
+        bland_altman=_statistic(bland_altman, md_pairs, ("mean_difference", "loa_lower", "loa_upper")),
         per_bin=per_bin,
         baselines=baselines,
         rows={
@@ -392,25 +393,3 @@ def evaluate_testset(
         },
         bootstrap={"n_resamples": n_bootstrap, "seed": bootstrap_seed},
     )
-    return report
-
-
-def _accumulate_baselines(acc, pair: FieldPair, target: np.ndarray, history_index) -> None:
-    """Score the baselines' forecasts for `pair` against its (54,) `target`."""
-
-    def score(pred: np.ndarray, method: str) -> None:
-        err = pred - target
-        acc[method]["abs"].append(float(np.abs(err).mean()))
-        acc[method]["sq"].append(float((err * err).mean()))
-
-    score(baseline_forecast("copy", [pair.input], pair.delta_years), "copy")
-
-    if not history_index:
-        return
-    series = history_index.get((pair.input.patient_id, pair.input.eye), [])
-    history = [f for f in series if f.test_date <= pair.input.test_date]
-    if len(history) >= 2 and len({f.test_date for f in history}) >= 2:
-        horizon = years_between(history[-1].test_date, pair.target.test_date)
-        for method in ("pointwise_ols", "pointwise_exp"):
-            score(baseline_forecast(method, history, horizon), method)
-

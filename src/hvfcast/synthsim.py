@@ -153,6 +153,10 @@ class CohortConfig:
     start_date: date = date(2010, 1, 4)
 
     def validate(self) -> None:
+        for name in ("followup_years", "rate_range", "baseline_age_range", "second_eye_prob", "archetype_mix"):
+            value = getattr(self, name)
+            if not np.isfinite(list(value.values()) if isinstance(value, dict) else value).all():
+                raise SimError(f"{name} must be finite, got {value!r}")
         if self.patients < 1:
             raise SimError("patients must be >= 1")
         if self.tests_per_eye[0] < 1 or self.tests_per_eye[1] < self.tests_per_eye[0]:

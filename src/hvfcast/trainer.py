@@ -79,6 +79,8 @@ class TrainConfig:
             raise TrainerError("epochs must be >= 0")
         if self.batch_size < 1:
             raise TrainerError("batch_size must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise TrainerError(f"lr must be finite and > 0, got {self.lr!r}")
         if self.freeze not in FREEZE_MODES:
             raise TrainerError(f"freeze must be 'best' or 'last', got {self.freeze!r}")
 

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import os
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hvfcast.domain import GENDERS, RIGHT, VisualField, mask_cells
 from hvfcast import synthsim
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment with the package's `src` first on
+    PYTHONPATH, so a child Python imports the hvfcast under test."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
 
 
 def random_values(rng: np.random.Generator) -> tuple[float, ...]:

@@ -17,6 +17,8 @@ from hvfcast.pipeline import BIN_CENTERS, split_patients
 from hvfcast.synthsim import CohortConfig
 from hvfcast.trainer import TrainConfig
 
+from conftest import child_env
+
 
 def run_cli(*argv) -> int:
     return cli.main(list(argv))
@@ -81,7 +83,7 @@ class TestBasics:
         makes runpy warn that `hvfcast.cli` is already in sys.modules."""
         out = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "hvfcast.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert out.returncode == 0
         assert "hvfcast" in out.stdout
@@ -89,7 +91,7 @@ class TestBasics:
     def test_start_up_does_not_import_scipy(self):
         """scipy.stats is about a second of start-up; only `evaluate` needs it."""
         code = "import sys, hvfcast.cli; sys.exit('scipy' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+        assert subprocess.run([sys.executable, "-c", code], env=child_env()).returncode == 0
 
     def test_unknown_flag_exits_1(self, capsys):
         assert run_cli("simulate", "--bogus") == 1
@@ -229,6 +231,78 @@ class TestSimulate:
             capsys.readouterr().err
         )
         assert run_cli(*args, "--tests-min", "2", "--tests-max", "2", "--out", str(tmp_path / "b.jsonl")) == 0
+
+
+def _seeded_command(command: str, root) -> tuple[list[str], str]:
+    """A command line of `command` whose input files do not exist, and its
+    seed flag: a seed that is checked first exits 1, not 2."""
+    missing = str(root / "missing")
+    inputs = ["--data", missing, "--pairs", missing, "--split", missing]
+    return {
+        "simulate": (["simulate", "--patients", "2", "--out", str(root / "d.jsonl")], "--seed"),
+        "split": (["split", "--data", missing, "--out", str(root / "s.json")], "--seed"),
+        "train": (["train", "--phase", "arch", *inputs, "--out", str(root / "runs")], "--seed"),
+        "evaluate": (["evaluate", *inputs, "--runs", missing, "--out", str(root / "r.json")], "--bootstrap-seed"),
+    }[command]
+
+
+class TestSettings:
+    """Every seed takes one rule, and a non-numeric or non-finite setting
+    fails with a message before any work, not with a traceback."""
+
+    @pytest.mark.parametrize("via", ["flag", "environment"])
+    @pytest.mark.parametrize("bad", ["-1", "abc", "2.5", "+7"])
+    @pytest.mark.parametrize("command", ["simulate", "split", "train", "evaluate"])
+    def test_bad_seed_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch, command, bad, via):
+        argv, flag = _seeded_command(command, tmp_path)
+        if via == "flag":
+            argv += [flag, bad]
+            message = f"argument {flag}: a seed must be a non-negative integer, got {bad!r}"
+        else:
+            monkeypatch.setenv("HVFCAST_SEED", bad)
+            message = f"HVFCAST_SEED: a seed must be a non-negative integer, got {bad!r}"
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.startswith("usage: ") == (via == "flag")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_numeric_archetype_weight_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        assert run_cli("simulate", "--patients", "2", "--archetype", "normal=x", "--out", str(out)) == 1
+        assert "expected NAME=WEIGHT, got 'normal=x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--archetype", "normal=nan", "archetype_mix"),
+            ("--archetype", "normal=inf", "archetype_mix"),
+            ("--span-min", "nan", "followup_years"),
+            ("--span-max", "inf", "followup_years"),
+            ("--rate-min", "nan", "rate_range"),
+            ("--rate-max", "inf", "rate_range"),
+        ],
+    )
+    def test_non_finite_cohort_setting_exits_2(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "d.jsonl"
+        assert run_cli("simulate", "--patients", "2", flag, value, "--out", str(out)) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1e-3"])
+    def test_lr_not_finite_and_positive_exits_2_before_any_work(self, workdir, tmp_path, capsys, lr):
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "train", "--phase", "arch",
+            "--data", str(workdir / "d.jsonl"),
+            "--pairs", str(workdir / "pairs.jsonl"),
+            "--split", str(workdir / "split.json"),
+            "--out", str(runs), f"--lr={lr}",
+        )
+        assert code == 2
+        assert "lr must be finite and > 0" in capsys.readouterr().err
+        assert not runs.exists()
 
 
 class TestSplitCommand:

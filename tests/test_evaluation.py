@@ -329,6 +329,12 @@ class TestEvaluateTestset:
         assert report.overall["rmse"] == pytest.approx(math.sqrt((0 + 36) / 2), abs=1e-12)
         assert report.n_pairs == 2 and report.n_skipped == 0
 
+    def test_scored_on_the_clamped_export(self):
+        pairs = self._two_pair_fixture()
+        report = evaluate_testset({1.0: [constant_model(60.0)]}, {1.0: pairs}, FeatureCombo(), n_bootstrap=10)
+        # exported at 50 dB, so per-pair MAE 25 and 19, not 35 and 29
+        assert report.overall["mae"] == 22.0
+
     def test_perfect_forecast_zeroes_everything(self):
         pairs = self._two_pair_fixture()
         pairs = [pairs[0]]
@@ -394,13 +400,15 @@ class TestEvaluateTestset:
         assert rows["pointwise_ols"]["n_pairs"] <= 6
 
     def test_rows_match_cell_keyed_reference(self, small_cohort):
-        # the MD rows and the copy baseline, recomputed over cell-keyed
-        # dicts one cell at a time, agree bit for bit
+        # the MD rows, the per-bin MAEs and the baselines, recomputed over
+        # cell-keyed dicts one pair and one cell at a time, agree bit for bit
         _, fields, _ = small_cohort
         binned, _ = bin_pairs(make_pairs(fields))
-        pairs = binned[1.0][:6]
+        test_binned = {1.0: binned[1.0][:6], 2.0: binned[2.0][:5]}
+        pairs = [*test_binned[1.0], *test_binned[2.0]]
         model = constant_model(23.5)
-        report = evaluate_testset({1.0: [model]}, {1.0: pairs}, FeatureCombo(), n_bootstrap=10)
+        report = evaluate_testset({c: [model] for c in test_binned}, test_binned, FeatureCombo(),
+                                  fields=fields, n_bootstrap=10)
         predicted = ensemble_predict([model], encode_input(pairs[0].input, FeatureCombo())).exported_values()
 
         def md(values: dict, f) -> float:
@@ -421,6 +429,52 @@ class TestEvaluateTestset:
             copy_mae.append(np.mean([abs(source[c] - target[c]) for c in mask_cells()]))
         rows = {r["method"]: r for r in report.baselines}
         assert rows["copy"]["mae"] == float(np.mean(copy_mae))
+
+        def errors(forecast: dict, target: dict) -> tuple[float, float]:
+            diffs = [forecast[c] - target[c] for c in mask_cells()]
+            return np.mean([abs(d) for d in diffs]), np.mean([d * d for d in diffs])
+
+        for center, center_pairs in test_binned.items():
+            maes = [errors(predicted, dict(zip(mask_cells(), p.target.values)))[0] for p in center_pairs]
+            entry = next(e for e in report.per_bin if e["bin"] == center)
+            assert (entry["n_pairs"], entry["mae"]) == (len(center_pairs), float(np.mean(maes)))
+        for method in ("pointwise_ols", "pointwise_exp"):
+            scored = []
+            for pair in pairs:
+                history = sorted(
+                    (f for f in fields if (f.patient_id, f.eye) == (pair.input.patient_id, pair.input.eye)
+                     and f.test_date <= pair.input.test_date),
+                    key=lambda f: f.test_date,
+                )
+                if len({f.test_date for f in history}) < 2:
+                    continue
+                horizon = years_between(history[-1].test_date, pair.target.test_date)
+                forecast = dict(zip(mask_cells(), baseline_forecast(method, history, horizon)))
+                scored.append(errors(forecast, dict(zip(mask_cells(), pair.target.values))))
+            assert 0 < len(scored) < len(pairs)
+            assert rows[method]["n_pairs"] == len(scored)
+            assert rows[method]["mae"] == float(np.mean([mae for mae, _ in scored]))
+            assert rows[method]["rmse"] == float(np.sqrt(np.mean([sq for _, sq in scored])))
+
+    def test_input_forwarding_ensemble_scores_as_copy_forward(self, small_cohort):
+        """A Residual-1 whose only nonzero array is the 1x1 input skip (weight
+        1) forwards its dB grid, so the ensemble's errors are copy-forward's."""
+        _, fields, _ = small_cohort
+        binned, _ = bin_pairs(make_pairs(fields))
+        model = build_model(spec_from_name("Residual-1", widths=(2, 3, 4)))
+        for name, p in model.params.items():
+            p.data[...] = 1.0 if name == "input_skip.w" else 0.0
+        test_binned = {center: pairs[:8] for center, pairs in binned.items() if pairs}
+        report = evaluate_testset({c: [model, model] for c in test_binned}, test_binned, FeatureCombo(),
+                                  fields=fields, n_bootstrap=10)
+        copy = next(r for r in report.baselines if r["method"] == "copy")
+        assert report.n_pairs == copy["n_pairs"] == sum(map(len, test_binned.values()))
+        assert (report.overall["mae"], report.overall["rmse"]) == (copy["mae"], copy["rmse"])
+        assert len(test_binned) > 1
+        for entry in report.per_bin:
+            pairs = test_binned.get(entry["bin"], [])
+            copy_mae = [np.abs(np.array(p.input.values) - np.array(p.target.values)).mean() for p in pairs]
+            assert entry["mae"] == (float(np.mean(copy_mae)) if pairs else None)
 
     def test_one_forward_per_bin_and_fold_model(self, small_cohort, monkeypatch):
         _, fields, _ = small_cohort

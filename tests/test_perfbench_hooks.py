@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import child_env
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PROBE = """
@@ -33,7 +35,7 @@ assert tracer.counters["autodiff.tensor.grad_bytes"] > 0
 def test_tracer_installs_on_every_patch_target(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, str(PERFBENCH), str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
 
@@ -65,6 +67,6 @@ def test_tracer_sees_the_ops_of_every_family(tmp_path):
     `hvfcast.models`, for each of the four families."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE_FAMILIES, str(PERFBENCH), str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr[-3000:]

@@ -1,11 +1,14 @@
 """Simulator tests: normative surface, archetypes, noise, reproducibility."""
 
+import dataclasses
 import functools
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hvfcast import synthsim
 from hvfcast.domain import (
@@ -17,6 +20,7 @@ from hvfcast.domain import (
     validate_field,
 )
 from hvfcast.synthsim import (
+    ARCHETYPE_NAMES,
     ARCHETYPES,
     CohortConfig,
     SimError,
@@ -264,6 +268,27 @@ class TestGenerateCohort:
             CohortConfig(tests_per_eye=(2, 3), followup_years=(0.39, 1.0)).validate()
         CohortConfig(tests_per_eye=(1, 2), followup_years=(0.1, 0.3)).validate()
         CohortConfig(tests_per_eye=(2, 3), followup_years=(0.4, 1.0)).validate()
+
+    @given(
+        name=st.sampled_from(["followup_years", "rate_range", "baseline_age_range", "second_eye_prob",
+                              "archetype_mix"]),
+        index=st.integers(0, 1),
+        archetype=st.sampled_from(ARCHETYPE_NAMES),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_non_finite_float_setting_rejected(self, name, index, archetype, bad):
+        """One float setting (a range bound, the second-eye probability or a
+        mix weight) set to nan or +-inf fails validation, before any draw."""
+        value = getattr(CohortConfig(), name)
+        if isinstance(value, tuple):
+            value = tuple(bad if i == index else v for i, v in enumerate(value))
+        elif isinstance(value, dict):
+            value = value | {archetype: bad}
+        else:
+            value = bad
+        cfg = dataclasses.replace(CohortConfig(), **{name: value})
+        with pytest.raises(SimError, match=f"{name} must be finite"):
+            cfg.validate()
 
 
 def serialize(fields) -> str:
