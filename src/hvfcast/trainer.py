@@ -54,7 +54,8 @@ class TrainerError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or gradients became non-finite; carries the partial history."""
+    """Loss, gradients or validation MAE became non-finite; carries the
+    partial history."""
 
     def __init__(self, message: str, history: "TrainHistory | None" = None):
         super().__init__(message)
@@ -141,7 +142,8 @@ def train_model(
     weights of the best epoch are snapshotted and restored into the model
     before returning (`cfg.freeze == "last"` keeps the final epoch instead).
     With epochs=0 the model is left untouched and the snapshot is the
-    initial state.  Deterministic for a fixed (model seed, shuffle seed).
+    initial state.  A non-finite loss, gradient or validation MAE raises
+    TrainingDiverged.  Deterministic for a fixed (model seed, shuffle seed).
     """
     cfg.validate()
     train_x, train_y = train_data
@@ -153,19 +155,14 @@ def train_model(
     n = train_x.shape[0]
 
     initial_hash = weights_hash(model)
-    if cfg.epochs == 0:
-        snap = model.snapshot()
-        return TrainHistory([], [], None, None, snap, initial_hash, snapshot_hash(snap))
-
     rng = np.random.default_rng(cfg.seed if shuffle_seed is None else shuffle_seed)
     adam = AdamState(lr=cfg.lr)
     train_losses: list[float] = []
     val_maes: list[float] = []
     best_epoch: int | None = None
-    best_val = np.inf
     best_snap = model.snapshot()
 
-    def partial_history() -> TrainHistory:
+    def history() -> TrainHistory:
         best_val_mae = None if best_epoch is None else val_maes[best_epoch]
         return TrainHistory(train_losses, val_maes, best_epoch, best_val_mae,
                             best_snap, initial_hash, snapshot_hash(best_snap))
@@ -179,38 +176,25 @@ def train_model(
             loss = masked_mae(out, train_y[idx], mask)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
-                raise TrainingDiverged(f"divergence: non-finite loss at epoch {epoch}", partial_history())
+                raise TrainingDiverged(f"divergence: non-finite loss at epoch {epoch}", history())
             loss.backward()
             try:
                 adam_step(model.params, adam)
             except DivergenceError as e:
-                raise TrainingDiverged(str(e), partial_history()) from e
+                raise TrainingDiverged(str(e), history()) from e
             epoch_abs += loss_val * idx.shape[0] * n_mask
 
         train_losses.append(epoch_abs / (n * n_mask))
         val_mae = evaluate_masked_mae(model, val_x, val_y, cfg.batch_size)
         val_maes.append(val_mae)
-        if val_mae < best_val:
-            best_val = val_mae
+        if not np.isfinite(val_mae):
+            raise TrainingDiverged(f"divergence: non-finite validation MAE at epoch {epoch}", history())
+        if cfg.freeze == "last" or best_epoch is None or val_mae < val_maes[best_epoch]:
             best_epoch = epoch
             best_snap = model.snapshot()
 
-    if cfg.freeze == "last":
-        best_epoch = cfg.epochs - 1
-        best_snap = model.snapshot()
-        best_val = val_maes[-1]
-    else:
-        model.restore(best_snap)
-
-    return TrainHistory(
-        train_loss=train_losses,
-        val_mae=val_maes,
-        best_epoch=best_epoch,
-        best_val_mae=float(best_val),
-        best_weights=best_snap,
-        initial_hash=initial_hash,
-        best_hash=snapshot_hash(best_snap),
-    )
+    model.restore(best_snap)
+    return history()
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +214,14 @@ def bin_dir_name(center: float) -> str:
     return f"bin-{center:.1f}"
 
 
+def _step(label: str, center: float | None, split: tuple[list[FieldPair], list[FieldPair]],
+          combo: FeatureCombo) -> tuple:
+    """One training step of a job from a fold's (train, validation) split:
+    (label, bin center or None, train_x, train_y, val_x, val_y)."""
+    train, val = split
+    return (label, center, *encode_pairs(train, combo), *encode_pairs(val, combo))
+
+
 # ---------------------------------------------------------------------------
 # Jobs (top-level and picklable so a process pool can run them)
 
@@ -237,10 +229,8 @@ def bin_dir_name(center: float) -> str:
 @dataclass
 class _Job:
     """One fold of one candidate: a selection job has a single step labelled
-    with the candidate, a chain job one step per bin labelled `bin-X.X`.
-
-    Each step is (label, bin center or None, train_x, train_y, val_x, val_y).
-    """
+    with the candidate, a chain job one step per bin labelled `bin-X.X`
+    (see `_step`)."""
 
     phase: str
     candidate: str
@@ -253,12 +243,13 @@ class _Job:
 
 
 def _fit(job: _Job, step: tuple, init: dict | None = None,
-         extra: dict | None = None) -> tuple[TrainHistory, str]:
+         extra: dict | None = None) -> tuple[TrainHistory | None, dict]:
     """Train one step of `job`, starting from the `init` snapshot when given.
 
     Seeds derive from (cfg.seed, phase, label, fold).  The frozen model and
-    its history go under `phase/label/fold-N`, whose runs-relative path is
-    returned.  Raises TrainingDiverged.
+    its history go under `phase/label/fold-N`.  Returns the history and the
+    step's record: its best validation MAE, weight hashes and runs-relative
+    checkpoint; or, when training diverged, no history and the error.
     """
     label, center, train_x, train_y, val_x, val_y = step
     cfg = job.cfg
@@ -267,7 +258,10 @@ def _fit(job: _Job, step: tuple, init: dict | None = None,
     model = build_model(job.spec.replace(seed=init_seed))
     if init is not None:
         model.restore(init)
-    history = train_model(model, (train_x, train_y), (val_x, val_y), cfg, shuffle_seed)
+    try:
+        history = train_model(model, (train_x, train_y), (val_x, val_y), cfg, shuffle_seed)
+    except TrainingDiverged as e:
+        return None, {"error": str(e), "initial_weights_sha256": e.history.initial_hash}
     # relative to the runs dir so output trees are location-independent
     rel = Path(job.phase) / label / f"fold-{job.fold}"
     out_dir = Path(job.out_dir) / rel
@@ -282,22 +276,17 @@ def _fit(job: _Job, step: tuple, init: dict | None = None,
             "n_val_pairs": int(val_x.shape[0]),
         } | (extra or {}),
     )
-    return history, str(rel)
+    return history, {"gap": False, "best_val_mae": history.best_val_mae,
+                     "initial_weights_sha256": history.initial_hash,
+                     "best_weights_sha256": history.best_hash, "checkpoint": str(rel)}
 
 
 def _run_phase_job(job: _Job) -> dict:
     (step,) = job.steps
-    result = {"candidate": job.candidate, "fold": job.fold, "best_val_mae": None, "error": None}
-    try:
-        history, _ = _fit(job, step)
-    except TrainingDiverged as e:
-        result["error"] = str(e)
-        return result
-    result["best_val_mae"] = history.best_val_mae
-    return result
+    return _fit(job, step)[1]
 
 
-def _run_chain_job(job: _Job) -> dict:
+def _run_chain_job(job: _Job) -> list[dict]:
     prev_snapshot = job.init_snapshot
     prev_label = "seed" if job.init_snapshot is not None else None
     entries = []
@@ -309,22 +298,11 @@ def _run_chain_job(job: _Job) -> dict:
         if train_x.shape[0] == 0 or val_x.shape[0] == 0:
             continue
         entry["transferred_from"] = prev_label
-        try:
-            history, checkpoint = _fit(job, step, prev_snapshot, {"transferred_from": prev_label})
-        except TrainingDiverged as e:
-            entry["error"] = str(e)
-            entry["initial_weights_sha256"] = e.history.initial_hash
-            continue
-        entry.update(
-            gap=False,
-            best_val_mae=history.best_val_mae,
-            initial_weights_sha256=history.initial_hash,
-            best_weights_sha256=history.best_hash,
-            checkpoint=checkpoint,
-        )
-        prev_snapshot = history.best_weights
-        prev_label = label
-    return {"fold": job.fold, "entries": entries}
+        history, record = _fit(job, step, prev_snapshot, {"transferred_from": prev_label})
+        entry.update(record)
+        if history is not None:
+            prev_snapshot, prev_label = history.best_weights, label
+    return entries
 
 
 # glibc mallopt(3) parameters, and the values `keep_freed_memory` sets:
@@ -365,6 +343,20 @@ def _run_jobs(jobs, worker, workers: int) -> list:
     with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_memory) as pool:
         futures = [pool.submit(worker, job) for job in jobs]
         return [f.result() for f in futures]
+
+
+def _run_phase(jobs, worker, workers: int, result_path: Path) -> list:
+    """Run a phase's jobs with its result file deleted first, and make the
+    file's directory for the caller to write the result into.
+
+    The jobs overwrite checkpoints in place, and later commands load the
+    checkpoints a result file names, so a result from an earlier run into
+    the same directory must not outlive them.
+    """
+    result_path.unlink(missing_ok=True)
+    results = _run_jobs(jobs, worker, workers)
+    result_path.parent.mkdir(parents=True, exist_ok=True)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -410,40 +402,23 @@ def _run_selection_phase(
     `phase_result.json`: the fold matrix, the config echo, and `extra`."""
     cfg.validate()
     n_folds = len(plan.folds)
-    fold_pairs = [fold_split(pairs, plan, fold) for fold in range(n_folds)]
-
-    jobs = []
-    for name, spec, combo in candidates:
-        for fold in range(n_folds):
-            train, val = fold_pairs[fold]
-            if not train or not val:
-                raise TrainerError(f"fold {fold} has no pairs for phase {phase!r}")
-            step = (name, None, *encode_pairs(train, combo), *encode_pairs(val, combo))
-            jobs.append(
-                _Job(
-                    phase=phase,
-                    candidate=name,
-                    fold=fold,
-                    spec=spec,
-                    cfg=cfg,
-                    out_dir=str(runs_dir),
-                    steps=[step],
-                )
-            )
-
-    # The jobs overwrite checkpoints in place; a result from an earlier run
-    # into the same directory must not outlive them.
-    phase_dir = Path(runs_dir) / phase
-    (phase_dir / "phase_result.json").unlink(missing_ok=True)
-    results = _run_jobs(jobs, _run_phase_job, workers)
+    splits = [fold_split(pairs, plan, fold) for fold in range(n_folds)]
+    for fold, (train, val) in enumerate(splits):
+        if not train or not val:
+            raise TrainerError(f"fold {fold} has no pairs for phase {phase!r}")
+    jobs = [
+        _Job(phase, name, fold, spec, cfg, str(runs_dir), [_step(name, None, splits[fold], combo)])
+        for name, spec, combo in candidates
+        for fold in range(n_folds)
+    ]
+    result_path = Path(runs_dir) / phase / "phase_result.json"
+    records = _run_phase(jobs, _run_phase_job, workers, result_path)
     matrix = {name: [None] * n_folds for name, _, _ in candidates}
     errors: dict[str, list[str]] = {}
-    for res in results:
-        matrix[res["candidate"]][res["fold"]] = res["best_val_mae"]
-        if res["error"]:
-            errors.setdefault(res["candidate"], []).append(
-                f"fold {res['fold']}: {res['error']}"
-            )
+    for job, record in zip(jobs, records):
+        matrix[job.candidate][job.fold] = record.get("best_val_mae")
+        if "error" in record:
+            errors.setdefault(job.candidate, []).append(f"fold {job.fold}: {record['error']}")
     try:
         winner = _pick_winner(matrix)
     except TrainerError:
@@ -460,9 +435,8 @@ def _run_selection_phase(
         winner=winner,
         errors=errors,
     )
-    phase_dir.mkdir(parents=True, exist_ok=True)
     config = cfg.to_json_dict() | {"phase": phase}
-    write_json(phase_dir / "phase_result.json", result.to_json_dict() | {"config": config} | extra)
+    write_json(result_path, result.to_json_dict() | {"config": config} | extra)
     return result
 
 
@@ -540,34 +514,18 @@ def train_interval_chain(
     spec = spec.replace(in_channels=combo.channels())
     n_folds = len(plan.folds)
 
-    jobs = []
-    for fold in range(n_folds):
-        steps = []
-        for center in BIN_CENTERS:
-            train, val = fold_split(binned_pairs.get(center, []), plan, fold)
-            steps.append((bin_dir_name(center), center, *encode_pairs(train, combo), *encode_pairs(val, combo)))
-        jobs.append(
-            _Job(
-                phase=PHASE_INTERVALS,
-                candidate=combo.name,
-                fold=fold,
-                spec=spec,
-                cfg=cfg,
-                out_dir=str(runs_dir),
-                steps=steps,
-                init_snapshot=None if init_snapshots is None else init_snapshots.get(fold),
-            )
-        )
-
-    # `load_interval_models` serves what this file lists, so a result from
-    # an earlier run into the same directory must not outlive its jobs
+    jobs = [
+        _Job(PHASE_INTERVALS, combo.name, fold, spec, cfg, str(runs_dir),
+             [_step(bin_dir_name(center), center, fold_split(binned_pairs.get(center, []), plan, fold), combo)
+              for center in BIN_CENTERS],
+             None if init_snapshots is None else init_snapshots.get(fold))
+        for fold in range(n_folds)
+    ]
     result_path = Path(runs_dir) / PHASE_INTERVALS / CHAIN_RESULT
-    result_path.unlink(missing_ok=True)
-    results = _run_jobs(jobs, _run_chain_job, workers)
-    entries = [entry for res in results for entry in res["entries"]]
+    entries = [entry for job_entries in _run_phase(jobs, _run_chain_job, workers, result_path)
+               for entry in job_entries]
     entries.sort(key=lambda e: (e["bin"], e["fold"]))
     result = ChainResult(combo=combo.name, entries=entries)
-    result_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(result_path, result.to_json_dict())
     return result
 

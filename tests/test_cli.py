@@ -11,7 +11,7 @@ import pytest
 
 from hvfcast import cli
 from hvfcast.domain import save_dataset
-from hvfcast.evaluation import evaluate_testset
+from hvfcast.evaluation import _MAX_BOOTSTRAP, evaluate_testset
 from hvfcast.models import Model
 from hvfcast.pipeline import BIN_CENTERS, split_patients
 from hvfcast.synthsim import CohortConfig
@@ -468,6 +468,15 @@ class TestTrainAndEvaluate:
         assert capsys.readouterr().err == f"error: n_bootstrap must be >= 1, got {n}\n"
         assert forwards == [] and not out.exists()
 
+    def test_bootstrap_n_above_maximum_exits_2_before_any_forward(self, trained, tmp_path, capsys, monkeypatch):
+        """A count whose indices, drawn at once, would not fit in memory."""
+        forwards = []
+        monkeypatch.setattr(Model, "forward", lambda *args: forwards.append(args))
+        out = tmp_path / "report.json"
+        assert _evaluate(trained, trained / "runs", out, "--bootstrap-n", "99999999999") == 2
+        assert capsys.readouterr().err == f"error: n_bootstrap must be <= {_MAX_BOOTSTRAP}, got 99999999999\n"
+        assert forwards == [] and not out.exists()
+
     def test_report_splits_csvs(self, trained, tmp_path):
         out_dir = tmp_path / "csv"
         assert run_cli("report", "--report", str(trained / "report.json"), "--out-dir", str(out_dir)) == 0
@@ -534,24 +543,26 @@ def _predict(workdir, field, runs, out, interval="1.0", *extra):
 
 
 @pytest.fixture(scope="module")
-def diverged_rerun(trained, tmp_path_factory):
-    """The `trained` chain re-run with `--lr 1e300` into a copy of its tree:
-    the old checkpoints stay on disk wherever the new run gapped."""
-    import numpy as np
-
-    runs = tmp_path_factory.mktemp("rerun") / "runs"
+def gapped_rerun(trained, tmp_path_factory):
+    """The `trained` chain re-run into a copy of its tree from a pairs file
+    that holds only the first five bins: the old checkpoints of the other
+    bins stay on disk, where the new chain records gaps."""
+    root = tmp_path_factory.mktemp("rerun")
+    runs = root / "runs"
     shutil.copytree(trained / "runs", runs)
-    with np.errstate(all="ignore"):
-        code = run_cli(
-            "train", "--phase", "intervals",
-            "--data", str(trained / "d.jsonl"),
-            "--pairs", str(trained / "pairs.jsonl"),
-            "--split", str(trained / "split.json"),
-            "--out", str(runs),
-            "--arch", "Cascade-1", "--combo", "age", "--lr", "1e300",
-            "--epochs", "1", "--widths", "2,3,4", "--seed", "3", "--workers", "2",
-        )
-    assert code == 3
+    lines = (trained / "pairs.jsonl").read_text().splitlines()
+    (root / "pairs.jsonl").write_text("".join(
+        f"{line}\n" for line in lines if json.loads(line)["bin"] in BIN_CENTERS[:5]))
+    code = run_cli(
+        "train", "--phase", "intervals",
+        "--data", str(trained / "d.jsonl"),
+        "--pairs", str(root / "pairs.jsonl"),
+        "--split", str(trained / "split.json"),
+        "--out", str(runs),
+        "--arch", "Cascade-1", "--combo", "age",
+        "--epochs", "1", "--widths", "2,3,4", "--seed", "3", "--workers", "2",
+    )
+    assert code == 0
     return runs
 
 
@@ -559,32 +570,32 @@ class TestServeWhatTheChainRecorded:
     """evaluate and predict take their combo and checkpoints from
     `intervals/chain_result.json`; `--combo` only checks the combo."""
 
-    def test_rerun_serves_only_listed_checkpoints(self, trained, diverged_rerun, tmp_path):
+    def test_rerun_serves_only_listed_checkpoints(self, trained, gapped_rerun, tmp_path):
         from hvfcast.trainer import load_interval_models
 
-        chain = json.loads((diverged_rerun / "intervals" / "chain_result.json").read_text())
+        chain = json.loads((gapped_rerun / "intervals" / "chain_result.json").read_text())
         listed = {}
         for e in chain["entries"]:
             if not e["gap"]:
                 listed.setdefault(e["bin"], []).append(e["fold"])
-        on_disk = len(list((diverged_rerun / "intervals").glob("bin-*/fold-*/weights.bin")))
+        on_disk = len(list((gapped_rerun / "intervals").glob("bin-*/fold-*/weights.bin")))
         assert 0 < chain["n_checkpoints"] < on_disk
-        _, models = load_interval_models(diverged_rerun)
+        _, models = load_interval_models(gapped_rerun)
         assert {c: len(m) for c, m in models.items()} == {c: len(f) for c, f in listed.items()}
 
-        assert _evaluate(trained, diverged_rerun, tmp_path / "r.json") == 0
+        assert _evaluate(trained, gapped_rerun, tmp_path / "r.json") == 0
         report = json.loads((tmp_path / "r.json").read_text())
         gapped = [e for e in report["per_bin"] if e["bin"] not in listed]
         # the parent ensembled the stale checkpoints here and skipped nothing
         assert report["n_skipped"] == sum(e["n_skipped"] for e in gapped) > 0
         assert all(e["n_pairs"] == 0 for e in gapped)
 
-    def test_predict_into_fully_gapped_bin_exits_2(self, trained, diverged_rerun, small_cohort, tmp_path, capsys):
-        chain = json.loads((diverged_rerun / "intervals" / "chain_result.json").read_text())
+    def test_predict_into_fully_gapped_bin_exits_2(self, trained, gapped_rerun, small_cohort, tmp_path, capsys):
+        chain = json.loads((gapped_rerun / "intervals" / "chain_result.json").read_text())
         gapped = sorted({e["bin"] for e in chain["entries"]} - {e["bin"] for e in chain["entries"] if not e["gap"]})
-        assert gapped and (diverged_rerun / "intervals" / f"bin-{gapped[0]:.1f}" / "fold-0").is_dir()
+        assert gapped and (gapped_rerun / "intervals" / f"bin-{gapped[0]:.1f}" / "fold-0").is_dir()
         field = small_cohort[1][0]
-        assert _predict(trained, field, diverged_rerun, tmp_path / "f.json", str(gapped[0])) == 2
+        assert _predict(trained, field, gapped_rerun, tmp_path / "f.json", str(gapped[0])) == 2
         assert f"no trained models for bin {gapped[0]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])

@@ -13,6 +13,7 @@ from hvfcast.domain import BLIND_SPOT, RIGHT, mask_cells, valid_mask_array
 from hvfcast.evaluation import (
     DegenerateDataError,
     EvaluationError,
+    _BOOTSTRAP_DRAW,
     _bootstrap_ci,
     baseline_forecast,
     bland_altman,
@@ -379,6 +380,17 @@ class TestEvaluateTestset:
         expected = [float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))]
         assert _bootstrap_ci(values, rng, 150, transform) == expected
         # the generator is left where the loop leaves it, so later draws agree
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [7, 141])
+    def test_blockwise_draws_match_one_draw(self, n):
+        """A count that spans three blocks gives the CI of one draw of every index."""
+        values = np.random.default_rng(n).gamma(2.0, 1.5, size=n)
+        count = 2 * (_BOOTSTRAP_DRAW // n) + 3
+        ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
+        stats = values[ref_rng.integers(0, n, size=(count, n))].mean(axis=1)
+        expected = [float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))]
+        assert _bootstrap_ci(values, rng, count) == expected
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_copy_baseline_rows(self, small_cohort):

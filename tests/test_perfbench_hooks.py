@@ -70,3 +70,41 @@ def test_tracer_sees_the_ops_of_every_family(tmp_path):
         capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+PROBE_POOL = """
+import os
+import sys
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+from hvfcast import synthsim, trainer
+from hvfcast.models import spec_from_name
+from hvfcast.pipeline import FeatureCombo, bin_pairs, make_pairs, split_patients
+
+fields, _ = synthsim.generate_cohort(synthsim.CohortConfig(patients=24, tests_per_eye=(5, 5), seed=3))
+binned, _ = bin_pairs(make_pairs(fields))
+plan = split_patients({f.patient_id for f in fields}, seed=3)
+cfg = trainer.TrainConfig(epochs=1, widths=(2, 3, 4), seed=3)
+spec = spec_from_name("Cascade-1", widths=cfg.widths)
+runs = sys.argv[2] + "/runs"
+tracer = Tracer(sys.argv[2])
+tracer.install()
+try:
+    trainer.select_architecture([spec], binned[1.0], plan, cfg, runs, workers=2)
+    trainer.train_interval_chain(spec, FeatureCombo(), binned, plan, cfg, runs, workers=2)
+finally:
+    tracer.uninstall()
+pids = [span[0].partition(".")[0] for span in tracer.spans if span[3] == "trainer.job"]
+assert len(pids) == 2 * len(plan.folds), len(pids)
+assert str(os.getpid()) not in pids, pids
+"""
+
+
+def test_tracer_spans_pooled_jobs_in_their_workers(tmp_path):
+    """Both selection and chain jobs reach the pool as the patched workers,
+    pickled by name, and their spans come back from the worker processes."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE_POOL, str(PERFBENCH), str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]

@@ -94,6 +94,20 @@ def test_every_written_file_passes_its_readers_schema(tree):
     SplitPlan.from_json_dict(read_json(tree / "split.json", PipelineError), "split.json")
 
 
+def test_every_written_file_is_strict_json(tree):
+    """No writer emits `NaN` or `Infinity`, the diverging runs included."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    files = sorted(tree.rglob("*.json")) + sorted(tree.rglob("*.jsonl"))
+    diverging = {tree / "lr-chain" / "intervals" / "chain_result.json", tree / "partial" / "arch" / "phase_result.json"}
+    assert diverging <= set(files)
+    for path in files:
+        text = path.read_text()
+        for line in text.splitlines() if path.suffix == ".jsonl" else [text]:
+            json.loads(line, parse_constant=reject)
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: one mutation of one file, then the command that reads it
 
