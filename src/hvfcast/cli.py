@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from collections import Counter
@@ -26,10 +27,10 @@ from .domain import (
     EYE_FROM_WIRE,
     EYE_TO_WIRE,
     NUMBER,
+    atomic_write,
     expect,
     find_record,
     load_dataset,
-    parse_record,
     read_json,
     save_dataset,
     valid_mask_array,
@@ -70,9 +71,11 @@ from .trainer import (
     PHASE_ARCH,
     PHASE_FEATURES,
     PHASE_INTERVALS,
+    PHASE_RESULT,
     TrainConfig,
     TrainerError,
     TrainingDiverged,
+    checkpoint_dir,
     keep_freed_memory,
     load_interval_models,
     select_architecture,
@@ -85,15 +88,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
-_DATA_ERRORS = (
-    DomainError,
-    PipelineError,
-    SimError,
-    EvaluationError,
-    ModelError,
-    TrainerError,
-    OSError,
-)
+# Bad input, a run that cannot go on, or a file that cannot be read or written: exit 2
+_DATA_ERRORS = (DomainError, PipelineError, SimError, EvaluationError, ModelError, TrainerError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +161,7 @@ def _parse_mix(entries: list[str]) -> dict:
 # Subcommands
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     started = _utc_now()
     seed = _resolve_seed(args.seed)
     cfg = CohortConfig(
@@ -179,22 +175,19 @@ def _cmd_simulate(args) -> int:
     )
     fields, meta = generate_cohort(cfg)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(fields, out)
     meta_path = out.parent / "cohort_meta.json"
     write_json(meta_path, meta)
     _write_run_manifest(out, "simulate", cfg.to_json_dict(), [], [out, meta_path], started)
     print(f"wrote {len(fields)} fields for {cfg.patients} patients to {out}")
-    return EXIT_OK
 
 
-def _cmd_pairs(args) -> int:
+def _cmd_pairs(args) -> None:
     started = _utc_now()
     fields = load_dataset(args.data)
     pairs = make_pairs(fields)
     binned, excluded = bin_pairs(pairs)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     n = write_pairs(out, binned)
     _write_run_manifest(
         out,
@@ -205,23 +198,20 @@ def _cmd_pairs(args) -> int:
         started,
     )
     print(f"{len(pairs)} pairs, {n} binned, {len(excluded)} excluded -> {out}")
-    return EXIT_OK
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> None:
     started = _utc_now()
     seed = _resolve_seed(args.seed)
     fields = load_dataset(args.data)
     plan = split_patients({f.patient_id for f in fields}, ratio=args.ratio, seed=seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, plan.to_json_dict())
     _write_run_manifest(out, "split", {"ratio": args.ratio, "seed": seed}, [args.data], [out], started)
     print(
         f"{len(plan.train_patients())} train+validation patients in {len(plan.folds)} folds, "
         f"{len(plan.test_patients)} test -> {out}"
     )
-    return EXIT_OK
 
 
 def _load_plan(path, fields) -> SplitPlan:
@@ -251,7 +241,7 @@ _MATRIX_ROW = [(*NUMBER, None)]
 def _phase_winner(runs_dir: Path, phase: str, flag: str, parse):
     """`parse` of the winner that `train --phase <phase>` recorded, for a
     run given no `--<flag>`."""
-    result_path = runs_dir / phase / "phase_result.json"
+    result_path = runs_dir / phase / PHASE_RESULT
     if not result_path.is_file():
         raise TrainerError(
             f"no --{flag} given and {result_path} not found; run `train --phase {phase}` first"
@@ -277,11 +267,10 @@ def _train_config(args, seed: int) -> TrainConfig:
     )
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     started = _utc_now()
     if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise argparse.ArgumentTypeError("--workers must be >= 1")
     seed = _resolve_seed(args.seed)
     cfg = _train_config(args, seed)
     cfg.validate()
@@ -289,7 +278,6 @@ def _cmd_train(args) -> int:
     binned = read_pairs(args.pairs, fields)
     plan = _load_plan(args.split, fields)
     runs_dir = Path(args.out)
-    runs_dir.mkdir(parents=True, exist_ok=True)
     train_binned = pairs_for_patients(binned, plan.train_patients())
 
     diverged = 0
@@ -330,10 +318,8 @@ def _cmd_train(args) -> int:
     )
     if diverged:
         # chain_result.json is written: evaluate and predict serve the other cells
-        print(f"error: divergence in {diverged} interval chain cells; see the `error` fields of "
-              f"{runs_dir / PHASE_INTERVALS / CHAIN_RESULT}", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+        raise TrainingDiverged(f"divergence in {diverged} interval chain cells; see the `error` fields of "
+                               f"{runs_dir / PHASE_INTERVALS / CHAIN_RESULT}")
 
 
 def _arch_spec(arch: str | None, runs_dir: Path, cfg: TrainConfig) -> ModelSpec:
@@ -353,7 +339,7 @@ def _features_snapshots(
     input channels."""
     combo_name = combo.name
     spec = spec.replace(in_channels=combo.channels())
-    result_path = runs_dir / PHASE_FEATURES / "phase_result.json"
+    result_path = runs_dir / PHASE_FEATURES / PHASE_RESULT
     if not result_path.is_file():
         raise TrainerError(
             f"--chain-init features: {result_path} not found; run `train --phase features` "
@@ -371,7 +357,7 @@ def _features_snapshots(
         )
     snapshots = {}
     for fold in range(n_folds):
-        fold_dir = runs_dir / PHASE_FEATURES / combo_name / f"fold-{fold}"
+        fold_dir = runs_dir / checkpoint_dir(PHASE_FEATURES, combo_name, fold)
         model = load_weights(fold_dir)
         if model.spec.replace(seed=spec.seed) != spec:
             raise TrainerError(
@@ -393,7 +379,7 @@ def _served_models(args, bins=BIN_CENTERS):
     return combo, models_by_bin
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     started = _utc_now()
     bootstrap_seed = _resolve_seed(args.bootstrap_seed)
     fields = load_dataset(args.data)
@@ -416,7 +402,6 @@ def _cmd_evaluate(args) -> int:
         n_bootstrap=args.bootstrap_n,
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, report.to_json_dict())
     _write_run_manifest(
         out, "evaluate",
@@ -427,34 +412,24 @@ def _cmd_evaluate(args) -> int:
         f"evaluated {report.n_pairs} pairs ({report.n_skipped} skipped): "
         f"MAE {report.overall['mae']:.3f} dB, RMSE {report.overall['rmse']:.3f} dB -> {out}"
     )
-    return EXIT_OK
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> None:
     started = _utc_now()
     if not (BIN_CENTERS[0] <= args.interval <= BIN_CENTERS[-1]):
-        print(
-            f"error: interval outside [{BIN_CENTERS[0]}, {BIN_CENTERS[-1]}]",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise argparse.ArgumentTypeError(f"interval outside [{BIN_CENTERS[0]}, {BIN_CENTERS[-1]}]")
     center = assign_bin(args.interval)
 
     if args.field:
-        lines = [l for l in Path(args.field).read_text().splitlines() if l.strip()]
-        if len(lines) != 1:
-            raise DomainError(f"{args.field}: --field file must hold exactly one record, got {len(lines)}")
-        field = parse_record(lines[0], str(args.field))
+        fields = load_dataset(args.field)
+        if len(fields) != 1:
+            raise DomainError(f"{args.field}: --field file must hold exactly one record, got {len(fields)}")
+        field = fields[0]
     else:
         if args.test_index is not None and args.test_index < 1:
-            print("error: --test-index must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
+            raise argparse.ArgumentTypeError("--test-index must be >= 1")
         if not (args.data and args.patient and args.eye and args.test_index is not None):
-            print(
-                "error: provide --field FILE or all of --data/--patient/--eye/--test-index",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise argparse.ArgumentTypeError("provide --field FILE or all of --data/--patient/--eye/--test-index")
         eye = EYE_FROM_WIRE.get(args.eye, args.eye)
         field = find_record(args.data, args.patient, eye, args.test_index)
         if field is None:
@@ -482,14 +457,12 @@ def _cmd_predict(args) -> int:
         "values": [round(float(v), 2) for v in forecast.exported_grid()[valid_mask_array()]],
     }
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_json(out, payload)
     _write_run_manifest(
         out, "predict", {"interval": args.interval, "combo": combo.name},
         [args.field or args.data, args.runs], [out], started,
     )
     print(f"forecast at +{args.interval} y (bin {center}, {forecast.n_models} models) -> {out}")
-    return EXIT_OK
 
 
 # What `report` reads of report.json; each row's keys are its CSV's columns
@@ -501,11 +474,10 @@ REPORT_SCHEMA = {
 }
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     started = _utc_now()
     report = read_json(args.report, EvaluationError, REPORT_SCHEMA)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     tables = [
         ("report_md_scatter.csv", list(_MD_ROW), report["rows"]["md_scatter"]),
@@ -516,15 +488,15 @@ def _cmd_report(args) -> int:
     ]
     paths = []
     for name, header, records in tables:
+        text = io.StringIO()
+        csv.writer(text).writerows([header] + [[r[k] for k in header] for r in records])
         paths.append(out_dir / name)
-        with open(paths[-1], "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([header] + [[r[k] for k in header] for r in records])
+        atomic_write(paths[-1], text.getvalue().encode())
 
     _write_run_manifest(
         out_dir, "report", {"report": str(args.report)}, [args.report], paths, started,
     )
     print(f"wrote {', '.join(p.name for p in paths)} under {out_dir}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +658,7 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place a failure is printed and given its exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
@@ -693,16 +666,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_OK
     try:
-        return args.func(args)
-    except argparse.ArgumentTypeError as e:
+        args.func(args)
+    except (argparse.ArgumentTypeError, TrainingDiverged, *_DATA_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except TrainingDiverged as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except _DATA_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        return (EXIT_USAGE if isinstance(e, argparse.ArgumentTypeError)
+                else EXIT_DIVERGED if isinstance(e, TrainingDiverged) else EXIT_DATA)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """24-2 visual field grid: layout masks, field records, and mean deviation,
-plus the JSON file reader, writer and schema checker every module uses.
+plus the file readers, the file writer and the schema checker every module uses.
 
 A single 24-2 test measures 54 sensitivity values (in dB) laid out on an
 8-row by 9-column grid; the remaining 18 grid cells are never measured.
@@ -299,16 +299,58 @@ def read_json(path, error: type[Exception], schema=None):
     return value if schema is None else expect(value, schema, path, error)
 
 
-def atomic_write(path: Path, data: bytes) -> None:
-    """Write `data` to `path` through a temporary file and a rename."""
+def _parse_line(line: str, where: str, error: type[Exception], schema):
+    """The JSON value of one line of a JSON-lines file, checked against
+    `schema`; malformed JSON or a mismatch raises `error` naming `where`."""
+    try:
+        value = json.loads(line)
+    except (ValueError, RecursionError) as e:  # as in read_json; or an integer past the digit limit
+        raise error(f"{where}: malformed JSON: {e}") from e
+    return expect(value, schema, where, error)
+
+
+def read_json_lines(path, error: type[Exception], schema,
+                    needle: str | None = None) -> Iterator[tuple[str, object]]:
+    """(`PATH: line N`, value checked against `schema`) for each nonblank line
+    of a JSON-lines file, read as UTF-8 whatever the locale; a line that is
+    not UTF-8, is malformed or breaks `schema` raises `error` with that prefix.
+
+    With `needle`, a line that contains neither the needle nor a backslash
+    is skipped unparsed: without an escape a JSON string holds its text
+    verbatim, so such a line cannot carry a string equal to the needle.
+    """
+    # a byte that is not UTF-8 reads as a lone surrogate: only a parsed line fails for it
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or (needle is not None and needle not in line and "\\" not in line):
+                continue
+            where = f"{path}: line {lineno}"
+            if not line.isascii():
+                try:
+                    raw.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise error(f"{where}: {e}") from None
+            yield where, _parse_line(line, where, error, schema)
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write `data` to `path`, making its directory, through a sibling
+    temporary file renamed into place: an interrupted write leaves the
+    previous file or none.  The one way hvfcast writes a file."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    try:
+        tmp.write_bytes(data)
+    except FileNotFoundError:  # only then, as a mkdir before every write is slow on a busy disk
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
 def write_json(path, obj) -> None:
     """Atomically write `obj` as sorted, 2-space-indented JSON plus a newline."""
-    atomic_write(Path(path), (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
+    atomic_write(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
 
 
 # One line of a dataset file
@@ -317,13 +359,13 @@ RECORD_SCHEMA = {"patient_id": str, "eye": str, "gender": str, "age": NUMBER, "t
 
 
 def parse_record(line: str, where: str = "record") -> VisualField:
-    """Parse one JSON-line dataset record, which must match RECORD_SCHEMA,
-    into a validated VisualField; `where` prefixes the errors."""
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as e:  # as in read_json; or an integer past the digit limit
-        raise RecordError(f"{where}: malformed JSON: {e}") from e
-    expect(obj, RECORD_SCHEMA, where, RecordError)
+    """Parse one JSON-line dataset record into a validated VisualField;
+    `where` prefixes the errors."""
+    return _record(_parse_line(line, where, RecordError, RECORD_SCHEMA), where)
+
+
+def _record(obj: dict, where: str) -> VisualField:
+    """The validated VisualField of a record that matches RECORD_SCHEMA."""
     if obj["eye"] not in EYE_FROM_WIRE:
         raise RecordError(f"{where}: bad value for key 'eye': {obj['eye']!r} (expected OD or OS)")
     try:
@@ -365,39 +407,32 @@ def serialize_record(f: VisualField) -> str:
 
 
 def _read_records(path, needle: str | None = None) -> Iterator[VisualField]:
-    """Parse the records of a JSON-lines dataset file, in file order.
+    """Parse the records of a JSON-lines dataset file, in file order, reading
+    with `needle` only the lines that may hold it (see `read_json_lines`).
 
-    With `needle`, a line that contains neither the needle nor a backslash
-    is skipped unparsed: without an escape a JSON string holds its text
-    verbatim, so such a line cannot carry a string equal to the needle.
     Raises RecordError, prefixed `PATH: line N: `, for a bad parsed line,
     for a (patient_id, eye, test_index) key on a second parsed line, and for
     a parsed line whose gender differs from its patient's first parsed line.
     """
-    first_line: dict[tuple[str, str, int], int] = {}
-    gender_line: dict[str, tuple[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or (needle is not None and needle not in line and "\\" not in line):
-                continue
-            where = f"{path}: line {lineno}"
-            field = parse_record(line, where)
-            key = (field.patient_id, field.eye, field.test_index)
-            if key in first_line:
-                raise RecordError(
-                    f"{where}: duplicate record for patient {field.patient_id!r}, "
-                    f"eye {EYE_TO_WIRE[field.eye]}, test_index {field.test_index} "
-                    f"(first at line {first_line[key]})"
-                )
-            first_line[key] = lineno
-            gender, first = gender_line.setdefault(field.patient_id, (field.gender, lineno))
-            if field.gender != gender:
-                raise RecordError(
-                    f"{where}: gender {field.gender!r} of patient {field.patient_id!r} "
-                    f"differs from {gender!r} at line {first}"
-                )
-            yield field
+    first_line: dict[tuple[str, str, int], str] = {}
+    gender_line: dict[str, tuple[str, str]] = {}
+    for where, obj in read_json_lines(path, RecordError, RECORD_SCHEMA, needle):
+        field = _record(obj, where)
+        key = (field.patient_id, field.eye, field.test_index)
+        if key in first_line:
+            raise RecordError(
+                f"{where}: duplicate record for patient {field.patient_id!r}, "
+                f"eye {EYE_TO_WIRE[field.eye]}, test_index {field.test_index} "
+                f"(first at {first_line[key]})"
+            )
+        first_line[key] = where.removeprefix(f"{path}: ")
+        gender, first = gender_line.setdefault(field.patient_id, (field.gender, first_line[key]))
+        if field.gender != gender:
+            raise RecordError(
+                f"{where}: gender {field.gender!r} of patient {field.patient_id!r} "
+                f"differs from {gender!r} at {first}"
+            )
+        yield field
 
 
 def load_dataset(path) -> list[VisualField]:
@@ -423,4 +458,4 @@ def find_record(path, patient_id: str, eye: str, test_index: int) -> VisualField
 
 
 def save_dataset(fields, path) -> None:
-    Path(path).write_text("".join(serialize_record(f) + "\n" for f in fields), encoding="utf-8")
+    atomic_write(path, "".join(serialize_record(f) + "\n" for f in fields).encode())

@@ -367,8 +367,6 @@ FORMAT_VERSION = "1"
 def save_weights(model: Model, dir_path, provenance: dict | None = None) -> Path:
     """Write manifest.json + weights.bin into dir_path (atomic rename)."""
     dir_path = Path(dir_path)
-    dir_path.mkdir(parents=True, exist_ok=True)
-
     blobs = []
     entries = []
     offset = 0

@@ -27,7 +27,9 @@ from .domain import (
     NUMBER,
     RIGHT,
     VisualField,
+    atomic_write,
     expect,
+    read_json_lines,
 )
 
 BIN_CENTERS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5)
@@ -265,8 +267,7 @@ def write_pairs(path, binned: dict[float, list[FieldPair]]) -> int:
                     "delta": round(p.delta_years, 6)}, sort_keys=True) + "\n"
         for center in BIN_CENTERS for p in binned.get(center, [])
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    atomic_write(path, "".join(lines).encode())
     return len(lines)
 
 
@@ -298,32 +299,22 @@ def read_pairs(path, fields: list[VisualField]) -> dict[float, list[FieldPair]]:
     """
     index = {(f.patient_id, f.eye, f.test_index): f for f in fields}
     binned: dict[float, list[FieldPair]] = {c: [] for c in BIN_CENTERS}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as e:  # as in read_json
-                raise PipelineError(f"{where}: malformed JSON: {e}") from e
-            expect(obj, PAIR_SCHEMA, where, PipelineError)
-            a = _resolve_ref(obj, "input_ref", index, where)
-            b = _resolve_ref(obj, "target_ref", index, where)
-            if (a.patient_id, a.eye) != (b.patient_id, b.eye):
-                raise PipelineError(f"{where}: input_ref and target_ref are different patients or eyes")
-            if not a.test_date < b.test_date:
-                raise PipelineError(
-                    f"{where}: input test of {a.test_date} is not before target test of {b.test_date}"
-                )
-            delta = years_between(a.test_date, b.test_date)
-            center = assign_bin(delta)
-            if center is None or obj["bin"] != center:
-                raise PipelineError(
-                    f"{where}: stored bin {obj['bin']!r} != {center!r}, the bin of its {delta:.6f}-year gap"
-                )
-            binned[center].append(FieldPair(input=a, target=b, delta_years=delta))
+    for where, obj in read_json_lines(path, PipelineError, PAIR_SCHEMA):
+        a = _resolve_ref(obj, "input_ref", index, where)
+        b = _resolve_ref(obj, "target_ref", index, where)
+        if (a.patient_id, a.eye) != (b.patient_id, b.eye):
+            raise PipelineError(f"{where}: input_ref and target_ref are different patients or eyes")
+        if not a.test_date < b.test_date:
+            raise PipelineError(
+                f"{where}: input test of {a.test_date} is not before target test of {b.test_date}"
+            )
+        delta = years_between(a.test_date, b.test_date)
+        center = assign_bin(delta)
+        if center is None or obj["bin"] != center:
+            raise PipelineError(
+                f"{where}: stored bin {obj['bin']!r} != {center!r}, the bin of its {delta:.6f}-year gap"
+            )
+        binned[center].append(FieldPair(input=a, target=b, delta_years=delta))
     return binned
 
 

@@ -41,6 +41,7 @@ from .seeds import derive_seed
 PHASE_ARCH = "arch"
 PHASE_FEATURES = "features"
 PHASE_INTERVALS = "intervals"
+PHASE_RESULT = "phase_result.json"
 CHAIN_RESULT = "chain_result.json"
 
 DESK_WIDTHS = (8, 16, 24)
@@ -214,6 +215,11 @@ def bin_dir_name(center: float) -> str:
     return f"bin-{center:.1f}"
 
 
+def checkpoint_dir(phase: str, label: str, fold: int) -> Path:
+    """Where a step's checkpoint and history go, relative to the runs dir."""
+    return Path(phase) / label / f"fold-{fold}"
+
+
 def _step(label: str, center: float | None, split: tuple[list[FieldPair], list[FieldPair]],
           combo: FeatureCombo) -> tuple:
     """One training step of a job from a fold's (train, validation) split:
@@ -247,7 +253,7 @@ def _fit(job: _Job, step: tuple, init: dict | None = None,
     """Train one step of `job`, starting from the `init` snapshot when given.
 
     Seeds derive from (cfg.seed, phase, label, fold).  The frozen model and
-    its history go under `phase/label/fold-N`.  Returns the history and the
+    its history go under its `checkpoint_dir`.  Returns the history and the
     step's record: its best validation MAE, weight hashes and runs-relative
     checkpoint; or, when training diverged, no history and the error.
     """
@@ -263,7 +269,7 @@ def _fit(job: _Job, step: tuple, init: dict | None = None,
     except TrainingDiverged as e:
         return None, {"error": str(e), "initial_weights_sha256": e.history.initial_hash}
     # relative to the runs dir so output trees are location-independent
-    rel = Path(job.phase) / label / f"fold-{job.fold}"
+    rel = checkpoint_dir(job.phase, label, job.fold)
     out_dir = Path(job.out_dir) / rel
     provenance = {"phase": job.phase, "candidate": job.candidate, "fold": job.fold, "bin": center}
     save_weights(model, out_dir, provenance=provenance | {"epoch": history.best_epoch})
@@ -346,17 +352,14 @@ def _run_jobs(jobs, worker, workers: int) -> list:
 
 
 def _run_phase(jobs, worker, workers: int, result_path: Path) -> list:
-    """Run a phase's jobs with its result file deleted first, and make the
-    file's directory for the caller to write the result into.
+    """Run a phase's jobs with its result file deleted first.
 
     The jobs overwrite checkpoints in place, and later commands load the
     checkpoints a result file names, so a result from an earlier run into
     the same directory must not outlive them.
     """
     result_path.unlink(missing_ok=True)
-    results = _run_jobs(jobs, worker, workers)
-    result_path.parent.mkdir(parents=True, exist_ok=True)
-    return results
+    return _run_jobs(jobs, worker, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +414,7 @@ def _run_selection_phase(
         for name, spec, combo in candidates
         for fold in range(n_folds)
     ]
-    result_path = Path(runs_dir) / phase / "phase_result.json"
+    result_path = Path(runs_dir) / phase / PHASE_RESULT
     records = _run_phase(jobs, _run_phase_job, workers, result_path)
     matrix = {name: [None] * n_folds for name, _, _ in candidates}
     errors: dict[str, list[str]] = {}

@@ -130,6 +130,16 @@ class TestBasics:
         code = run_cli("pairs", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "p.jsonl"))
         assert code == 2
 
+    def test_undecodable_dataset_byte_exits_2_with_line(self, workdir, tmp_path, capsys):
+        text = (workdir / "d.jsonl").read_bytes()
+        data = tmp_path / "d.jsonl"
+        data.write_bytes(text + b"\xff")
+        lineno = text.count(b"\n") + 1
+        assert run_cli("pairs", "--data", str(data), "--out", str(tmp_path / "p.jsonl")) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: line {lineno}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
 
 def _full_parser_outcome(argv, capsys) -> tuple:
     try:
@@ -975,6 +985,21 @@ class TestRunTreeContract:
         assert code == 2
         assert f"error: {pairs}: line 3: 'input_ref' is missing" in capsys.readouterr().err
 
+    def test_undecodable_pair_byte_exits_2_with_line(self, trained, tmp_path, capsys):
+        text = (trained / "pairs.jsonl").read_bytes()
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_bytes(text + b"\xff")
+        lineno = text.count(b"\n") + 1
+        code = run_cli(
+            "evaluate", "--data", str(trained / "d.jsonl"), "--pairs", str(pairs),
+            "--split", str(trained / "split.json"), "--runs", str(trained / "runs"),
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {pairs}: line {lineno}: 'utf-8' codec can't decode byte 0xff"
+        )
+
     def test_patient_with_two_genders_exits_2(self, trained, tmp_path, capsys):
         lines = (trained / "d.jsonl").read_text().splitlines()
         first = json.loads(lines[0])
@@ -1156,7 +1181,25 @@ class TestPredict:
             "--runs", str(trained / "runs"), "--out", str(tmp_path / "f.json"),
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {field_file}: bad value for key 'eye': 'X")
+        assert capsys.readouterr().err.startswith(f"error: {field_file}: line 1: bad value for key 'eye': 'X")
+
+    def test_field_file_is_read_as_utf8_under_the_c_locale(self, trained, small_cohort, tmp_path):
+        """`--field` decodes as `--data` does, whatever the locale's encoding."""
+        from dataclasses import replace
+        from hvfcast.domain import serialize_record
+
+        line = serialize_record(replace(small_cohort[1][0], patient_id="P\u00e9001")).replace("\\u00e9", "\u00e9")
+        field_file = tmp_path / "one.jsonl"
+        field_file.write_bytes(line.encode("utf-8") + b"\n")
+        assert "P\u00e9001".encode("utf-8") in field_file.read_bytes()
+        out = tmp_path / "f.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hvfcast.cli", "predict", "--interval", "1.0", "--field", str(field_file),
+             "--runs", str(trained / "runs"), "--out", str(out)],
+            capture_output=True, text=True, env=child_env(LC_ALL="C", PYTHONUTF8="0"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text(encoding="utf-8"))["input"]["patient_id"] == "P\u00e9001"
 
     def _corrupt_bin_copy(self, trained, tmp_path, bin_name):
         """A copy of the runs tree with one byte of one fold's weights.bin flipped."""
@@ -1245,3 +1288,53 @@ class TestPredict:
         assert self._predict_bin_1(trained, field, trained / "runs", tmp_path / "b.json") == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert run_cli("pairs", "--data", str(data), "--out", str(tmp_path / "p.jsonl")) == 2
+
+    def test_other_patients_undecodable_line_is_not_read(self, trained, small_cohort, tmp_path, capsys):
+        field = small_cohort[1][0]
+        data = tmp_path / "extra.jsonl"
+        data.write_bytes((trained / "d.jsonl").read_bytes() + b'{"patient_id": "OTHER\xff"}\n')
+        assert self._predict_bin_1(trained, field, trained / "runs", tmp_path / "a.json", data) == 0
+        assert self._predict_bin_1(trained, field, trained / "runs", tmp_path / "b.json") == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert run_cli("pairs", "--data", str(data), "--out", str(tmp_path / "p.jsonl")) == 2
+        assert "'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
+class TestInterruptedWrite:
+    """A command whose final rename fails leaves every file it was replacing
+    as it was: outputs are written aside and renamed into place."""
+
+    def _report_of_first_rows(self, report_json, path):
+        """`report_json` cut to its first row of each table, so each CSV differs."""
+        report = json.loads(report_json.read_text())
+        for key in ("md_scatter", "bland_altman"):
+            report["rows"][key] = report["rows"][key][:1]
+        report["per_bin"] = [e for e in report["per_bin"] if e["mae_ci"] is not None][:1]
+        path.write_text(json.dumps(report))
+        return path
+
+    def test_failed_rename_keeps_previous_outputs(self, workdir, report_json, tmp_path, monkeypatch, capsys):
+        d, p, csv_dir = tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "csv"
+        other_report = self._report_of_first_rows(report_json, tmp_path / "other.json")
+        simulate = ["simulate", "--patients", "21", "--out"]
+        assert run_cli(*simulate, str(d), "--seed", "1") == 0
+        assert run_cli("pairs", "--data", str(d), "--out", str(p)) == 0
+        assert run_cli("report", "--report", str(report_json), "--out-dir", str(csv_dir)) == 0
+        before = {path: path.read_bytes() for path in [d, p, *sorted(csv_dir.glob("*.csv"))]}
+        assert len(before) == 5
+        # the re-runs below would write other bytes
+        assert run_cli(*simulate, str(tmp_path / "new" / d.name), "--seed", "2") == 0
+        assert run_cli("pairs", "--data", str(workdir / "d.jsonl"), "--out", str(tmp_path / "new" / p.name)) == 0
+        assert run_cli("report", "--report", str(other_report), "--out-dir", str(tmp_path / "new")) == 0
+        assert all((tmp_path / "new" / path.name).read_bytes() != data for path, data in before.items())
+        capsys.readouterr()
+
+        def refuse(src, dst):
+            raise OSError(f"cannot rename {src} to {dst}")
+
+        monkeypatch.setattr("hvfcast.domain.os.replace", refuse)
+        assert run_cli(*simulate, str(d), "--seed", "2") == 2
+        assert run_cli("pairs", "--data", str(workdir / "d.jsonl"), "--out", str(p)) == 2
+        assert run_cli("report", "--report", str(other_report), "--out-dir", str(csv_dir)) == 2
+        assert capsys.readouterr().err.count("error: cannot rename ") == 3
+        assert {path: path.read_bytes() for path in before} == before

@@ -1,5 +1,6 @@
 """Source hygiene without a lint tool: no file imports a name it never uses,
-and the package defines no function, class or method that nothing names."""
+the package defines no function, class or method that nothing names, and
+it parses JSON, writes files and chooses exit codes each in one place."""
 
 import ast
 import re
@@ -87,9 +88,10 @@ def test_no_dead_definitions():
     assert dead == {}
 
 
-# The functions that may parse JSON: the one file reader and the two line
-# readers, each checking what it parsed; the archetype table is package data.
-JSON_READERS = {"read_json", "parse_record", "read_pairs"}
+# The functions that may parse JSON: the file reader and the line parser under
+# `read_json_lines` and `parse_record`, each checking what it parsed; the
+# archetype table is package data.
+JSON_READERS = {"read_json", "_parse_line"}
 JSON_EXEMPT = {"_load_archetypes"}
 
 
@@ -137,3 +139,110 @@ def test_json_is_parsed_only_by_the_readers():
                       if c[1] not in JSON_READERS | JSON_EXEMPT])
     }
     assert stray == {}
+
+
+def owned_nodes(source: str) -> list[tuple[ast.AST, str]]:
+    """(node, owner) for every node of `source`: the owner is the dotted name
+    of the innermost enclosing function or class (`_Parser.error`), or
+    `<module>`."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            found.append((child, owner))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# The one function that writes files and makes directories
+WRITER = ("src/hvfcast/domain.py", "atomic_write")
+WRITE_METHODS = {"write_text", "write_bytes", "writelines", "mkdir"}
+_MODE = re.compile(r"[rwxabt+]+")
+
+
+def file_writes(source: str) -> list[tuple[int, str]]:
+    """(line, owner) of every `write_text`, `write_bytes`, `writelines` or
+    `mkdir` call, and of every `open` call given a literal mode that writes
+    (`w`, `a`, `x` or `+`) or a `mode=` that is not a literal."""
+    found = []
+    for node, owner in owned_nodes(source):
+        f = getattr(node, "func", None)
+        name = f.attr if isinstance(f, ast.Attribute) else f.id if isinstance(f, ast.Name) else None
+        if name in WRITE_METHODS and isinstance(f, ast.Attribute):
+            found.append((node.lineno, owner))
+        elif name == "open":
+            keyword = [k.value for k in node.keywords if k.arg == "mode"]
+            literals = [a.value for a in (*node.args, *keyword) if isinstance(a, ast.Constant)]
+            if any(not isinstance(k, ast.Constant) for k in keyword) or any(
+                    isinstance(s, str) and _MODE.fullmatch(s) and set(s) & set("wax+") for s in literals):
+                found.append((node.lineno, owner))
+    return found
+
+
+def test_write_scanner_finds_every_write():
+    source = (
+        "from pathlib import Path\n"
+        "def atomic_write(p, data):\n    Path(p).write_bytes(data)\n"
+        "def save(p, lines, m):\n"
+        "    with open(p, 'w', encoding='utf-8') as fh:\n        fh.writelines(lines)\n"
+        "    with open(p) as fh, open(p, 'rb') as raw, Path(p).open('r') as text:\n        fh.read()\n"
+        "    open(p, mode='ab')\n"
+        "    Path(p).open('r+')\n"
+        "    Path(p).parent.mkdir(parents=True)\n"
+        "class Store:\n    def put(self, p):\n        p.write_text('x')\n"
+        "    def load(self, p, m):\n        return open(p, mode=m), open('w.txt')\n"
+    )
+    assert file_writes(source) == [(3, "atomic_write"), (5, "save"), (6, "save"), (9, "save"), (10, "save"),
+                                   (11, "save"), (14, "Store.put"), (16, "Store.load")]
+
+
+def test_files_are_written_only_by_the_writer():
+    stray = {
+        str(path.relative_to(ROOT)): found
+        for path in PACKAGE
+        if (found := [c for c in file_writes(path.read_text(encoding="utf-8"))
+                      if (str(path.relative_to(ROOT)), c[1]) != WRITER])
+    }
+    assert stray == {}
+
+
+# In cli.py only these choose an exit code or write to stderr: commands raise
+EXIT_OWNERS = {"main", "_Parser.error"}
+EXIT_NAMES = {"EXIT_USAGE", "EXIT_DATA", "EXIT_DIVERGED"}
+
+
+def exit_uses(source: str) -> list[tuple[int, str]]:
+    """(line, owner) of every read of EXIT_USAGE, EXIT_DATA or EXIT_DIVERGED,
+    and of every `sys.stderr` (or `stderr` imported from sys)."""
+    stderr = {a.asname or a.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+              and node.module == "sys" for a in node.names if a.name == "stderr"}
+    return [
+        (node.lineno, owner) for node, owner in owned_nodes(source)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in EXIT_NAMES | stderr)
+        or (isinstance(node, ast.Attribute) and node.attr == "stderr"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+    ]
+
+
+def test_exit_scanner_finds_every_use():
+    source = (
+        "import sys\n"
+        "from sys import stderr as err\n"
+        "EXIT_DATA = 2\n"
+        "class _Parser:\n    def error(self, m):\n        print(m, file=sys.stderr)\n"
+        "def main():\n    return EXIT_DATA\n"
+        "def _cmd_x(args):\n    sys.stderr.write('x')\n    print(file=err)\n    return EXIT_USAGE\n"
+        "CODES = {1: EXIT_DIVERGED, 0: EXIT_OK}\n"
+    )
+    assert exit_uses(source) == [(6, "_Parser.error"), (8, "main"), (10, "_cmd_x"), (11, "_cmd_x"),
+                                 (12, "_cmd_x"), (13, "<module>")]
+
+
+def test_only_main_chooses_exit_codes():
+    source = (ROOT / "src" / "hvfcast" / "cli.py").read_text(encoding="utf-8")
+    assert {owner for _, owner in exit_uses(source)} - EXIT_OWNERS == set()
