@@ -337,15 +337,21 @@ def read_json_lines(path, error: type[Exception], schema,
 def atomic_write(path, data: bytes) -> None:
     """Write `data` to `path`, making its directory, through a sibling
     temporary file renamed into place: an interrupted write leaves the
-    previous file or none.  The one way hvfcast writes a file."""
+    previous file or none.  The temporary name holds the process id, so
+    two processes writing one path never share it, and a failed write or
+    rename removes it.  The one way hvfcast writes a file."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
-    except FileNotFoundError:  # only then, as a mkdir before every write is slow on a busy disk
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(data)
-    os.replace(tmp, path)
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:  # only then, as a mkdir before every write is slow on a busy disk
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path, obj) -> None:

@@ -299,10 +299,11 @@ class Model:
         return out
 
     def forward(self, x, mode: str = "infer") -> Tensor:
-        """Run the network; returns a (batch, 1, 8, 9) Tensor."""
+        """Run the network; returns a (batch, 1, 8, 9) Tensor.  An array `x`
+        is wrapped as a constant, so no gradient is computed for it."""
         if mode not in ("train", "infer"):
             raise ModelError(f"unknown mode {mode!r}")
-        x = x if isinstance(x, Tensor) else Tensor(x)
+        x = x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
         if x.data.ndim != 4 or x.data.shape[1] != self.spec.in_channels:
             raise ModelError(
                 f"input shape {x.data.shape} does not match in_channels="

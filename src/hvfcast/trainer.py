@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamState, DivergenceError, Tensor, adam_step, masked_mae
+from .autodiff import AdamState, DivergenceError, adam_step, masked_mae
 from .domain import NUMBER, expect, read_json, valid_mask_array, write_json
 from .models import (
     Model,
@@ -48,6 +48,10 @@ DESK_WIDTHS = (8, 16, 24)
 DESK_EPOCHS = 60
 FREEZE_MODES = ("best", "last")  # snapshot at the best validation epoch, or the final one
 PAPER_EPOCHS = 1000
+# numpy's error state for training: the first overflow, invalid operation
+# or division by zero raises, so a diverging job stops there and numpy
+# prints no warning
+RAISE_FLOAT_ERRORS = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 class TrainerError(ValueError):
@@ -124,7 +128,7 @@ def evaluate_masked_mae(model: Model, xs: np.ndarray, ys: np.ndarray, batch_size
     for start in range(0, n, batch_size):
         xb = xs[start : start + batch_size]
         yb = ys[start : start + batch_size]
-        out = model.forward(Tensor(xb), mode="infer")
+        out = model.forward(xb, mode="infer")
         loss = masked_mae(out, yb, mask)
         total += float(loss.data) * xb.shape[0] * n_mask
     return total / (n * n_mask)
@@ -143,8 +147,11 @@ def train_model(
     weights of the best epoch are snapshotted and restored into the model
     before returning (`cfg.freeze == "last"` keeps the final epoch instead).
     With epochs=0 the model is left untouched and the snapshot is the
-    initial state.  A non-finite loss, gradient or validation MAE raises
-    TrainingDiverged.  Deterministic for a fixed (model seed, shuffle seed).
+    initial state.  A float overflow, invalid operation or division by zero
+    in a step or a validation forward, or a non-finite loss, gradient or
+    validation MAE, raises TrainingDiverged naming the epoch (and batch).
+    Numpy's error state is set here, inside the job, so that pool workers
+    run under it too.  Deterministic for a fixed (model seed, shuffle seed).
     """
     cfg.validate()
     train_x, train_y = train_data
@@ -171,22 +178,30 @@ def train_model(
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_abs = 0.0
-        for start in range(0, n, cfg.batch_size):
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            out = model.forward(Tensor(train_x[idx]), mode="train")
-            loss = masked_mae(out, train_y[idx], mask)
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise TrainingDiverged(f"divergence: non-finite loss at epoch {epoch}", history())
-            loss.backward()
+            where = f"epoch {epoch}, batch {batch}"
             try:
-                adam_step(model.params, adam)
+                with np.errstate(**RAISE_FLOAT_ERRORS):
+                    out = model.forward(train_x[idx], mode="train")
+                    loss = masked_mae(out, train_y[idx], mask)
+                    loss_val = float(loss.data)
+                    if not np.isfinite(loss_val):
+                        raise TrainingDiverged(f"divergence: non-finite loss at {where}", history())
+                    loss.backward()
+                    adam_step(model.params, adam)
+            except FloatingPointError as e:
+                raise TrainingDiverged(f"divergence: {e} at {where}", history()) from e
             except DivergenceError as e:
-                raise TrainingDiverged(str(e), history()) from e
+                raise TrainingDiverged(f"{e} at {where}", history()) from e
             epoch_abs += loss_val * idx.shape[0] * n_mask
 
         train_losses.append(epoch_abs / (n * n_mask))
-        val_mae = evaluate_masked_mae(model, val_x, val_y, cfg.batch_size)
+        try:
+            with np.errstate(**RAISE_FLOAT_ERRORS):
+                val_mae = evaluate_masked_mae(model, val_x, val_y, cfg.batch_size)
+        except FloatingPointError as e:
+            raise TrainingDiverged(f"divergence: {e} at epoch {epoch}, validation", history()) from e
         val_maes.append(val_mae)
         if not np.isfinite(val_mae):
             raise TrainingDiverged(f"divergence: non-finite validation MAE at epoch {epoch}", history())

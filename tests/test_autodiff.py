@@ -25,6 +25,7 @@ from hvfcast.autodiff import (
     relu,
     _toposort,
 )
+from hvfcast.domain import valid_mask_array
 from hvfcast.evaluation import ensemble_means
 from hvfcast.models import build_model, spec_from_name
 from hvfcast.trainer import evaluate_masked_mae
@@ -139,7 +140,9 @@ class TestConv2d:
     def test_transposed_conv_matches_col2im(self, batch, c_in, c_out, k, height, width, seed):
         """The input gradient equals the col2im scatter of W.T @ g within
         1e-12 relative; the output and the kernel and bias gradients are
-        the im2col formulas bit for bit."""
+        the im2col formulas bit for bit, except on the kn2row path, which
+        sums the output and the kernel gradient in another order (within
+        1e-12 relative)."""
         rng = np.random.default_rng(seed)
         xd = rng.normal(size=(batch, c_in, height, width))
         wd = rng.normal(size=(c_out, c_in, k, k))
@@ -149,10 +152,102 @@ class TestConv2d:
         out = conv2d(x, w, b)
         out._backward(g)
         expected, expected_dw, expected_db, col2im_dx = _reference_conv(xd, wd, bd, g)
+        if _conv_path(c_in, c_out, k) == "kn2row":
+            _assert_close(out.data, expected)
+            _assert_close(w.grad, expected_dw)
+        else:
+            np.testing.assert_array_equal(out.data, expected)
+            np.testing.assert_array_equal(w.grad, expected_dw)
+        np.testing.assert_array_equal(b.grad, expected_db)
+        _assert_close(x.grad, col2im_dx)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        c_in=st.integers(1, 16),
+        c_out=st.integers(1, 6),
+        k=st.sampled_from([1, 3, 5]),
+        height=st.integers(1, 9),
+        width=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=32, c_in=26, c_out=1, k=3, height=8, width=9, seed=1)  # Cascade-1 desk head
+    @example(batch=4, c_in=50, c_out=8, k=3, height=8, width=9, seed=2)  # Cascade-3 block entry
+    @example(batch=1, c_in=14, c_out=1, k=3, height=8, width=9, seed=3)  # a head at batch 1
+    @example(batch=3, c_in=24, c_out=4, k=1, height=8, width=9, seed=4)  # a Residual projection
+    def test_each_path_matches_its_reference(self, batch, c_in, c_out, k, height, width, seed):
+        """Each forward path (1x1 matmul, kn2row, im2col) gives its own
+        np.pad reference's output and gradients bit for bit; kn2row is also
+        the im2col formula within 1e-12 relative."""
+        rng = np.random.default_rng(seed)
+        xd = rng.normal(size=(batch, c_in, height, width))
+        wd = rng.normal(size=(c_out, c_in, k, k))
+        bd = rng.normal(size=c_out)
+        g = rng.normal(size=(batch, c_out, height, width))
+        x, w, b = Tensor(xd), Tensor(wd), Tensor(bd)
+        out = conv2d(x, w, b)
+        out._backward(g)
+        im2col_out, im2col_dw, expected_db, _ = _reference_conv(xd, wd, bd, g)
+        w_flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * k * k)
+        expected_dx = np.matmul(w_flipped, _np_pad_im2col(g, k)).reshape(xd.shape)
+        if _conv_path(c_in, c_out, k) == "kn2row":
+            expected, expected_dw = _reference_kn2row(xd, wd, bd, g)
+            _assert_close(out.data, im2col_out)
+            _assert_close(w.grad, im2col_dw)
+        else:
+            expected, expected_dw = im2col_out, im2col_dw
         np.testing.assert_array_equal(out.data, expected)
         np.testing.assert_array_equal(w.grad, expected_dw)
         np.testing.assert_array_equal(b.grad, expected_db)
-        np.testing.assert_allclose(x.grad, col2im_dx, rtol=0, atol=1e-12 * np.abs(col2im_dx).max())
+        np.testing.assert_array_equal(x.grad, expected_dx)
+
+    def test_constant_input_gets_no_gradient(self):
+        """A constant input is given no gradient, and the kernel and bias
+        gradients are those of an input that requires one."""
+        rng = np.random.default_rng(5)
+        xd, wd, bd = rng.normal(size=(2, 6, 8, 9)), rng.normal(size=(2, 6, 3, 3)), rng.normal(size=2)
+        g = rng.normal(size=(2, 2, 8, 9))
+        grads = []
+        for requires_grad in (True, False):
+            x, w, b = Tensor(xd, requires_grad=requires_grad), Tensor(wd), Tensor(bd)
+            conv2d(x, w, b)._backward(g)
+            assert (x._grad is None) is not requires_grad
+            grads.append((w.grad, b.grad))
+        for a, b in zip(*grads):
+            np.testing.assert_array_equal(a, b)
+
+
+def _conv_path(c_in: int, c_out: int, k: int) -> str:
+    """The forward conv2d takes for a layer shape: 1x1 kernels are one
+    matmul, and an input at least 3 times wider than the output is kn2row."""
+    if k == 1:
+        return "matmul"
+    return "kn2row" if c_in >= 3 * c_out else "im2col"
+
+
+def _assert_close(actual, expected):
+    """Equal within 1e-12 of the expected array's largest magnitude."""
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+def _reference_kn2row(xd, wd, bd, g):
+    """kn2row output and kernel gradient: per-tap GEMMs of the kernel rows
+    on the input, summed over np.pad-shifted taps in row-major order; the
+    kernel gradient from the np.pad gather of `g` against the input."""
+    batch, c_in, height, width = xd.shape
+    c_out, _, k, _ = wd.shape
+    pad = k // 2
+    x_flat = xd.reshape(batch, c_in, height * width)
+    rows = wd.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
+    taps = np.matmul(rows, x_flat).reshape(batch, k, k, c_out, height, width)
+    out = np.zeros((batch, c_out, height, width))
+    for di in range(k):
+        for dj in range(k):
+            shifted = np.pad(taps[:, di, dj], ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+            out += shifted[:, :, di : di + height, dj : dj + width]
+    dw = np.matmul(_np_pad_im2col(g, k), x_flat.transpose(0, 2, 1)).sum(axis=0)
+    dw = dw.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    return out + bd[None, :, None, None], dw
 
 
 def _np_pad_im2col(a: np.ndarray, k: int) -> np.ndarray:
@@ -455,6 +550,71 @@ class TestAdam:
         p.grad[:] = np.nan
         with pytest.raises(DivergenceError, match="divergence.*bad_layer"):
             adam_step(params, AdamState())
+
+    def test_nonfinite_gradient_moves_no_parameter(self):
+        first, bad = Tensor(np.array([1.0])), Tensor(np.array([2.0]))
+        first.grad[:] = 1.0
+        bad.grad[:] = np.inf
+        with pytest.raises(DivergenceError, match="'bad'"):
+            adam_step({"first": first, "bad": bad}, AdamState())
+        assert first.data[0] == 1.0 and bad.data[0] == 2.0
+
+    def test_concatenated_update_equals_per_parameter_update(self):
+        """50 steps of a Cascade-2 model give the parameters of Adam run
+        separately on each parameter, bit for bit."""
+        spec = spec_from_name("Cascade-2", widths=(3, 4, 5), in_channels=2, seed=8)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(4, 2, 8, 9)) * 4 + 20
+        y = rng.normal(size=(4, 1, 8, 9)) * 4 + 20
+        mask = valid_mask_array()
+        models = [build_model(spec), build_model(spec)]
+        states = [AdamState(lr=1e-2), AdamState(lr=1e-2)]
+        moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for _ in range(50):
+            for m in models:
+                masked_mae(m.forward(x, mode="train"), y, mask).backward()
+            adam_step(models[0].params, states[0])
+            _per_parameter_adam(models[1].params, states[1], moments)
+            for (name, a), b in zip(models[0].params.items(), models[1].params.values()):
+                np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+def _per_parameter_adam(params: dict[str, Tensor], state: AdamState, moments: dict) -> None:
+    """Bias-corrected Adam, one parameter at a time."""
+    state.step_count += 1
+    bias1 = 1.0 - state.beta1**state.step_count
+    bias2 = 1.0 - state.beta2**state.step_count
+    for name, p in params.items():
+        g = p.grad
+        m, v = moments.setdefault(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
+        v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
+        p.data -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        p.grad[...] = 0.0
+
+
+class TestRequiresGrad:
+    def test_outputs_inherit_from_any_parent(self):
+        const, var = Tensor(np.ones(3), requires_grad=False), Tensor(np.ones(3))
+        assert (const + var).requires_grad and (var + const).requires_grad
+        both = const + Tensor(np.ones(3), requires_grad=False)
+        assert not both.requires_grad
+        assert (both._parents, both._backward) == ((), None)  # no graph behind a constant
+
+    def test_dense_and_concat_skip_constant_inputs(self):
+        rng = np.random.default_rng(3)
+        const = Tensor(rng.normal(size=(2, 1, 2, 3)), requires_grad=False)
+        var = Tensor(rng.normal(size=(2, 2, 2, 3)))
+        joined = concat_channels([const, var])
+        w, b = Tensor(rng.normal(size=(4, 18))), Tensor(np.zeros(4))
+        out = dense(joined.reshape(2, 18), w, b)
+        _dot(out, Tensor(rng.normal(size=(2, 4)))).backward()
+        assert const._grad is None
+        assert np.any(var.grad != 0.0) and np.any(w.grad != 0.0)
+
+        flat = Tensor(rng.normal(size=(2, 18)), requires_grad=False)
+        _dot(dense(flat, w, b), Tensor(np.ones((2, 4)))).backward()
+        assert flat._grad is None
 
 
 class TestGradCheck:

@@ -359,18 +359,15 @@ class TestTrainAndEvaluate:
         assert not (tmp_path / "runs").exists()
 
     def test_divergence_exits_3(self, workdir, capsys):
-        import numpy as np
-
-        with np.errstate(all="ignore"):
-            code = run_cli(
-                "train", "--phase", "arch",
-                "--data", str(workdir / "d.jsonl"),
-                "--pairs", str(workdir / "pairs.jsonl"),
-                "--split", str(workdir / "split.json"),
-                "--out", str(workdir / "runs-diverged"),
-                "--epochs", "2", "--widths", "2,3,4", "--fc-hidden", "8",
-                "--lr", "1e300", "--seed", "3",
-            )
+        code = run_cli(
+            "train", "--phase", "arch",
+            "--data", str(workdir / "d.jsonl"),
+            "--pairs", str(workdir / "pairs.jsonl"),
+            "--split", str(workdir / "split.json"),
+            "--out", str(workdir / "runs-diverged"),
+            "--epochs", "2", "--widths", "2,3,4", "--fc-hidden", "8",
+            "--lr", "1e300", "--seed", "3",
+        )
         assert code == 3
         assert "divergence" in capsys.readouterr().err
 
@@ -378,19 +375,16 @@ class TestTrainAndEvaluate:
     def test_chain_exit_code_counts_diverged_cells_not_empty_bins(self, workdir, tmp_path, capsys, lr, code):
         """Empty bins leave gaps at any rate; only a diverged cell fails the
         chain, and its chain_result.json is still written."""
-        import numpy as np
-
         runs = tmp_path / "runs"
-        with np.errstate(all="ignore"):
-            got = run_cli(
-                "train", "--phase", "intervals",
-                "--data", str(workdir / "d.jsonl"),
-                "--pairs", str(workdir / "pairs.jsonl"),
-                "--split", str(workdir / "split.json"),
-                "--out", str(runs),
-                "--arch", "Cascade-1", "--combo", "age", "--lr", lr,
-                "--epochs", "1", "--widths", "2,3,4", "--seed", "3",
-            )
+        got = run_cli(
+            "train", "--phase", "intervals",
+            "--data", str(workdir / "d.jsonl"),
+            "--pairs", str(workdir / "pairs.jsonl"),
+            "--split", str(workdir / "split.json"),
+            "--out", str(runs),
+            "--arch", "Cascade-1", "--combo", "age", "--lr", lr,
+            "--epochs", "1", "--widths", "2,3,4", "--seed", "3",
+        )
         entries = json.loads((runs / "intervals" / "chain_result.json").read_text())["entries"]
         diverged = sum(1 for e in entries if e["error"])
         empty = sum(1 for e in entries if e["gap"]) - diverged
@@ -399,6 +393,21 @@ class TestTrainAndEvaluate:
         assert empty > 0 and (diverged > 0) == (code == 3)
         assert f"({empty} empty-bin gaps, {diverged} diverged)" in out
         assert (f"divergence in {diverged} interval chain cells" in err) == (code == 3)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_diverging_chain_writes_only_its_error_line(self, workdir, tmp_path, workers):
+        """Numpy's floating-point warnings end the job, in the main process
+        and in pool workers, instead of reaching stderr."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "hvfcast.cli", "train", "--phase", "intervals",
+             "--data", str(workdir / "d.jsonl"), "--pairs", str(workdir / "pairs.jsonl"),
+             "--split", str(workdir / "split.json"), "--out", str(tmp_path / "runs"),
+             "--arch", "Cascade-1", "--combo", "age", "--lr", "1e300",
+             "--epochs", "1", "--widths", "2,3,4", "--seed", "3", "--workers", workers],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_arch_phase_result_written_once_and_complete(self, workdir, monkeypatch):
         from hvfcast import models, trainer
@@ -1338,3 +1347,4 @@ class TestInterruptedWrite:
         assert run_cli("report", "--report", str(other_report), "--out-dir", str(csv_dir)) == 2
         assert capsys.readouterr().err.count("error: cannot rename ") == 3
         assert {path: path.read_bytes() for path in before} == before
+        assert not list(tmp_path.rglob("*.tmp"))

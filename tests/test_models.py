@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvfcast import models
-from hvfcast.autodiff import Tensor, concat_channels, masked_mae
+from hvfcast.autodiff import Tensor, _toposort, concat_channels, masked_mae
 from hvfcast.domain import valid_mask_array
 from hvfcast.models import (
     ModelError,
@@ -239,6 +240,27 @@ class TestForward:
             np.testing.assert_array_equal(grads[1][name], grads[0][name])
 
 
+    @pytest.mark.parametrize("spec", ALL_TINY, ids=lambda s: s.name)
+    def test_constant_input_leaves_parameter_gradients_unchanged(self, spec):
+        """A training step gives a constant input no gradient and the
+        parameters the gradients they get from an input that requires one;
+        an array input is wrapped as a constant."""
+        rng = np.random.default_rng(13)
+        x, y = rng.normal(size=(2, 3, 1, 8, 9)) * 4 + 20
+        grads = []
+        for requires_grad in (True, False):
+            m = build_model(spec)
+            inp = Tensor(x, requires_grad=requires_grad)
+            masked_mae(m.forward(inp, mode="train"), y, valid_mask_array()).backward()
+            assert (inp._grad is None) is not requires_grad
+            grads.append({name: p.grad for name, p in m.params.items()})
+        for name in grads[0]:
+            np.testing.assert_array_equal(grads[1][name], grads[0][name])
+        out = build_model(spec).forward(x, mode="train")
+        (constant,) = [n for n in _toposort(out) if not n.requires_grad]
+        assert np.shares_memory(constant.data, x)
+
+
 class TestSerialization:
     def _trained_tiny(self):
         m = build_model(tiny_spec("Cascade", 2, seed=12))
@@ -388,6 +410,21 @@ class TestSerialization:
         models.write_json(path, {"b": [1, 2.5], "a": None})
         assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        path.write_text("stale")
+        write_bytes = Path.write_bytes
+
+        def write_part(self, data):
+            write_bytes(self, data[:3])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_part)
+        with pytest.raises(OSError, match="No space"):
+            models.write_json(path, {"a": 1})
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert path.read_text() == "stale"
 
 
 class TestTransfer:

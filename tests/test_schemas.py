@@ -10,7 +10,6 @@ import shutil
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +28,7 @@ TINY = ("--epochs", "1", "--widths", "2,3,4", "--fc-hidden", "8", "--seed", "3",
 def run(*argv) -> tuple[int, str]:
     """Exit code and stderr of one CLI command, run in this process."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
     return code, err.getvalue()
 

@@ -107,9 +107,8 @@ class TestTrainModel:
     def test_divergence_raises_with_checkpoint(self):
         m = build_model(TINY_SPEC.replace(seed=16))
         cfg = TrainConfig(epochs=10, seed=9, lr=1e300)  # deliberately explodes
-        with np.errstate(all="ignore"):
-            with pytest.raises(TrainingDiverged, match="divergence") as exc:
-                train_model(m, tiny_data(seed=10), tiny_data(8, seed=11), cfg)
+        with pytest.raises(TrainingDiverged, match="divergence") as exc:
+            train_model(m, tiny_data(seed=10), tiny_data(8, seed=11), cfg)
         assert exc.value.history is not None
 
     def test_empty_sets_rejected(self):
@@ -270,9 +269,8 @@ class TestSelectionPhases:
     def test_all_candidates_diverging_surfaces_divergence(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
         cfg = TrainConfig(epochs=2, widths=(2, 3, 4), seed=6, lr=1e300)
-        with np.errstate(all="ignore"):
-            with pytest.raises(TrainingDiverged, match="every candidate"):
-                select_architecture([TINY_SPEC], binned[1.0], plan, cfg, runs_dir=tmp_path)
+        with pytest.raises(TrainingDiverged, match="every candidate"):
+            select_architecture([TINY_SPEC], binned[1.0], plan, cfg, runs_dir=tmp_path)
 
     def test_feature_combos_and_channels(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
@@ -384,8 +382,7 @@ class TestIntervalChain:
     def test_diverging_chain_records_gaps_without_checkpoints(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
         cfg = TrainConfig(epochs=2, widths=(2, 3, 4), seed=12, lr=1e300)
-        with np.errstate(all="ignore"):
-            result = train_interval_chain(TINY_SPEC, FeatureCombo(), binned, plan, cfg, runs_dir=tmp_path)
+        result = train_interval_chain(TINY_SPEC, FeatureCombo(), binned, plan, cfg, runs_dir=tmp_path)
         diverged = [e for e in result.entries if e["error"]]
         assert diverged
         for e in diverged:
