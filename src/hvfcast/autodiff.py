@@ -42,10 +42,6 @@ class ShapeError(EngineError):
     """Operand shapes are incompatible."""
 
 
-class DivergenceError(RuntimeError):
-    """A gradient or loss became non-finite."""
-
-
 class Tensor:
     """An array node in the autodiff graph with a gradient accumulator.
 
@@ -463,8 +459,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
 
     The update runs once over the concatenation of all gradients.  It is
     elementwise, so each parameter moves exactly as under its own update.
-    A non-finite gradient raises DivergenceError naming its parameter,
-    before any parameter moves.
+    A non-finite gradient raises FloatingPointError naming its parameter,
+    before any parameter moves (see `train_model` for why it is checked).
     """
     state.step_count += 1
     t = state.step_count
@@ -474,7 +470,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     g = np.concatenate(grads)
     if not np.all(np.isfinite(g)):
         name = next(name for name, gp in zip(params, grads) if not np.all(np.isfinite(gp)))
-        raise DivergenceError(f"divergence: non-finite gradient in {name!r}")
+        raise FloatingPointError(f"non-finite gradient in {name!r}")
     if state.first_moment is None:
         state.first_moment, state.second_moment = np.zeros_like(g), np.zeros_like(g)
     m, v = state.first_moment, state.second_moment

@@ -48,6 +48,8 @@ from .models import (
 )
 from .pipeline import (
     BIN_CENTERS,
+    DELTA_MAX,
+    DELTA_MIN,
     FeatureCombo,
     PipelineError,
     SPLIT_RATIO,
@@ -273,7 +275,6 @@ def _cmd_train(args) -> None:
         raise argparse.ArgumentTypeError("--workers must be >= 1")
     seed = _resolve_seed(args.seed)
     cfg = _train_config(args, seed)
-    cfg.validate()
     fields = load_dataset(args.data)
     binned = read_pairs(args.pairs, fields)
     plan = _load_plan(args.split, fields)
@@ -416,9 +417,9 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_predict(args) -> None:
     started = _utc_now()
-    if not (BIN_CENTERS[0] <= args.interval <= BIN_CENTERS[-1]):
-        raise argparse.ArgumentTypeError(f"interval outside [{BIN_CENTERS[0]}, {BIN_CENTERS[-1]}]")
     center = assign_bin(args.interval)
+    if center is None:
+        raise argparse.ArgumentTypeError(f"interval outside [{DELTA_MIN}, {DELTA_MAX}]")
 
     if args.field:
         fields = load_dataset(args.field)

@@ -355,8 +355,12 @@ def atomic_write(path, data: bytes) -> None:
 
 
 def write_json(path, obj) -> None:
-    """Atomically write `obj` as sorted, 2-space-indented JSON plus a newline."""
-    atomic_write(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
+    """Atomically write `obj` as sorted, 2-space-indented JSON plus a newline; NaN and infinity raise."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise DomainError(f"{path}: {e}") from None
+    atomic_write(path, (text + "\n").encode())
 
 
 # One line of a dataset file

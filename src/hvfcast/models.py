@@ -400,7 +400,8 @@ def load_weights(dir_path) -> Model:
 
     Raises WeightsError, naming the manifest, for one that breaks
     MANIFEST_SCHEMA, has an unknown spec field, or disagrees with the blob
-    or the model (version, shape, offset, length or sha256).
+    or the model (version, shape, offset, length or sha256), and, naming
+    the entry too, for an entry that holds a NaN or infinity.
     """
     dir_path = Path(dir_path)
     path = dir_path / MANIFEST_NAME
@@ -437,6 +438,8 @@ def load_weights(dir_path) -> Model:
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise WeightsError(f"{path}: checksum mismatch in {name!r}")
         arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
+        if not np.isfinite(arr).all():
+            raise WeightsError(f"{path}: non-finite values in {name!r}")
         seen.add(name)
     missing = set(arrays) - seen
     if missing:

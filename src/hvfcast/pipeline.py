@@ -80,9 +80,9 @@ def assign_bin(delta: float) -> float | None:
     """Horizon bin center for a time gap in years, or None when excluded.
 
     Bin c covers [c - 0.25, c + 0.25) except the last bin, which closes at
-    5.5; gaps below 0.75 or above 5.5 years belong to no bin.
+    5.5; gaps below 0.75 or above 5.5 years, and NaN, belong to no bin.
     """
-    if delta < DELTA_MIN or delta > DELTA_MAX:
+    if not DELTA_MIN <= delta <= DELTA_MAX:
         return None
     if delta >= DELTA_MAX - BIN_HALF_WIDTH:
         return BIN_CENTERS[-1]

@@ -137,9 +137,9 @@ def add_noise(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.round(np.clip(noisy, DB_MIN, DB_MAX), 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CohortConfig:
-    """Knobs of the simulated cohort; all draws derive from `seed`."""
+    """Knobs of the simulated cohort, checked when built; all draws derive from `seed`."""
 
     patients: int = 200
     tests_per_eye: tuple[int, int] = (3, 8)
@@ -152,7 +152,7 @@ class CohortConfig:
     second_eye_prob: float = 0.55
     start_date: date = date(2010, 1, 4)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("followup_years", "rate_range", "baseline_age_range", "second_eye_prob", "archetype_mix"):
             value = getattr(self, name)
             if not np.isfinite(list(value.values()) if isinstance(value, dict) else value).all():
@@ -200,7 +200,6 @@ def _visit_offsets(rng: np.random.Generator, n_tests: int, span: float) -> list[
 
 def generate_cohort(cfg: CohortConfig) -> tuple[list[VisualField], dict]:
     """Simulate a cohort; returns (fields, ground-truth metadata)."""
-    cfg.validate()
     cell_index = {c: i for i, c in enumerate(mask_cells())}
     probs = np.array([cfg.archetype_mix.get(n, 0.0) for n in ARCHETYPE_NAMES])
     probs = probs / probs.sum()

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamState, DivergenceError, adam_step, masked_mae
+from .autodiff import AdamState, adam_step, masked_mae
 from .domain import NUMBER, expect, read_json, valid_mask_array, write_json
 from .models import (
     Model,
@@ -48,10 +48,6 @@ DESK_WIDTHS = (8, 16, 24)
 DESK_EPOCHS = 60
 FREEZE_MODES = ("best", "last")  # snapshot at the best validation epoch, or the final one
 PAPER_EPOCHS = 1000
-# numpy's error state for training: the first overflow, invalid operation
-# or division by zero raises, so a diverging job stops there and numpy
-# prints no warning
-RAISE_FLOAT_ERRORS = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 class TrainerError(ValueError):
@@ -59,18 +55,18 @@ class TrainerError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss, gradients or validation MAE became non-finite; carries the
-    partial history."""
+    """A job hit a float fault (see `train_model`) and carries the hash of
+    its initial weights, or a phase lost every candidate to one."""
 
-    def __init__(self, message: str, history: "TrainHistory | None" = None):
+    def __init__(self, message: str, initial_hash: str | None = None):
         super().__init__(message)
-        self.history = history
+        self.initial_hash = initial_hash
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Desk-scale defaults; paper-scale (1000 epochs, widths 64/128/256)
-    stays behind an explicit flag so routine runs never trigger it."""
+    """Desk-scale defaults, checked when built; paper-scale (1000 epochs,
+    widths 64/128/256) stays behind an explicit flag."""
 
     epochs: int = DESK_EPOCHS
     batch_size: int = 32
@@ -80,7 +76,7 @@ class TrainConfig:
     fc_hidden: int = 2048
     freeze: str = "best"  # one of FREEZE_MODES
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.epochs < 0:
             raise TrainerError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -147,13 +143,15 @@ def train_model(
     weights of the best epoch are snapshotted and restored into the model
     before returning (`cfg.freeze == "last"` keeps the final epoch instead).
     With epochs=0 the model is left untouched and the snapshot is the
-    initial state.  A float overflow, invalid operation or division by zero
-    in a step or a validation forward, or a non-finite loss, gradient or
-    validation MAE, raises TrainingDiverged naming the epoch (and batch).
-    Numpy's error state is set here, inside the job, so that pool workers
-    run under it too.  Deterministic for a fixed (model seed, shuffle seed).
+    initial state.  Deterministic for a fixed (model seed, shuffle seed).
+
+    Every float fault is a FloatingPointError, caught here once and raised
+    as TrainingDiverged naming `epoch E, batch B` or `epoch E, validation`:
+    numpy's own, under the error state set here inside the job so that pool
+    workers have it too, and those of the finite checks of the epoch's loss
+    sum, the gradients (`adam_step`) and the validation MAE, which a BLAS
+    call on worker threads can make non-finite without any signal.
     """
-    cfg.validate()
     train_x, train_y = train_data
     val_x, val_y = val_data
     if cfg.epochs > 0 and (train_x.shape[0] == 0 or val_x.shape[0] == 0):
@@ -170,47 +168,40 @@ def train_model(
     best_epoch: int | None = None
     best_snap = model.snapshot()
 
-    def history() -> TrainHistory:
-        best_val_mae = None if best_epoch is None else val_maes[best_epoch]
-        return TrainHistory(train_losses, val_maes, best_epoch, best_val_mae,
-                            best_snap, initial_hash, snapshot_hash(best_snap))
-
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_abs = 0.0
-        for batch, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            where = f"epoch {epoch}, batch {batch}"
-            try:
-                with np.errstate(**RAISE_FLOAT_ERRORS):
+    try:  # a diverging job stops at its first float fault, and numpy prints no warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for epoch in range(cfg.epochs):
+                order = rng.permutation(n)
+                epoch_abs = 0.0
+                for batch, start in enumerate(range(0, n, cfg.batch_size)):
+                    idx = order[start : start + cfg.batch_size]
+                    where = f"epoch {epoch}, batch {batch}"
                     out = model.forward(train_x[idx], mode="train")
                     loss = masked_mae(out, train_y[idx], mask)
-                    loss_val = float(loss.data)
-                    if not np.isfinite(loss_val):
-                        raise TrainingDiverged(f"divergence: non-finite loss at {where}", history())
+                    # Python floats, so the sum overflows without a signal: checking
+                    # it checks this batch's loss and the epoch's loss in one
+                    epoch_abs += float(loss.data) * idx.shape[0] * n_mask
+                    if not np.isfinite(epoch_abs):
+                        raise FloatingPointError("non-finite loss")
                     loss.backward()
                     adam_step(model.params, adam)
-            except FloatingPointError as e:
-                raise TrainingDiverged(f"divergence: {e} at {where}", history()) from e
-            except DivergenceError as e:
-                raise TrainingDiverged(f"{e} at {where}", history()) from e
-            epoch_abs += loss_val * idx.shape[0] * n_mask
+                train_losses.append(epoch_abs / (n * n_mask))
 
-        train_losses.append(epoch_abs / (n * n_mask))
-        try:
-            with np.errstate(**RAISE_FLOAT_ERRORS):
+                where = f"epoch {epoch}, validation"
                 val_mae = evaluate_masked_mae(model, val_x, val_y, cfg.batch_size)
-        except FloatingPointError as e:
-            raise TrainingDiverged(f"divergence: {e} at epoch {epoch}, validation", history()) from e
-        val_maes.append(val_mae)
-        if not np.isfinite(val_mae):
-            raise TrainingDiverged(f"divergence: non-finite validation MAE at epoch {epoch}", history())
-        if cfg.freeze == "last" or best_epoch is None or val_mae < val_maes[best_epoch]:
-            best_epoch = epoch
-            best_snap = model.snapshot()
+                if not np.isfinite(val_mae):
+                    raise FloatingPointError("non-finite validation MAE")
+                val_maes.append(val_mae)
+                if cfg.freeze == "last" or best_epoch is None or val_mae < val_maes[best_epoch]:
+                    best_epoch = epoch
+                    best_snap = model.snapshot()
+    except FloatingPointError as e:
+        raise TrainingDiverged(f"divergence: {e} at {where}", initial_hash) from e
 
     model.restore(best_snap)
-    return history()
+    best_val_mae = None if best_epoch is None else val_maes[best_epoch]
+    return TrainHistory(train_losses, val_maes, best_epoch, best_val_mae,
+                        best_snap, initial_hash, snapshot_hash(best_snap))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +273,7 @@ def _fit(job: _Job, step: tuple, init: dict | None = None,
     try:
         history = train_model(model, (train_x, train_y), (val_x, val_y), cfg, shuffle_seed)
     except TrainingDiverged as e:
-        return None, {"error": str(e), "initial_weights_sha256": e.history.initial_hash}
+        return None, {"error": str(e), "initial_weights_sha256": e.initial_hash}
     # relative to the runs dir so output trees are location-independent
     rel = checkpoint_dir(job.phase, label, job.fold)
     out_dir = Path(job.out_dir) / rel
@@ -358,6 +349,8 @@ def keep_freed_memory() -> dict | None:
 
 def _run_jobs(jobs, worker, workers: int) -> list:
     keep_freed_memory()
+    # a fork-started pool forks all `max_workers` children at the first submit
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [worker(job) for job in jobs]
     # forked workers inherit the setting; spawned and forkserver ones set it
@@ -418,7 +411,6 @@ def _run_selection_phase(
 ) -> PhaseResult:
     """Train every (candidate, fold) job, pick the winner, and write
     `phase_result.json`: the fold matrix, the config echo, and `extra`."""
-    cfg.validate()
     n_folds = len(plan.folds)
     splits = [fold_split(pairs, plan, fold) for fold in range(n_folds)]
     for fold, (train, val) in enumerate(splits):
@@ -528,7 +520,6 @@ def train_interval_chain(
     `init_snapshots` (fold -> weight snapshot) a fold's first bin starts
     from those weights instead of a fresh initialization.
     """
-    cfg.validate()
     spec = spec.replace(in_channels=combo.channels())
     n_folds = len(plan.folds)
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, manifests, and a mini end-to-end run."""
 
 import ctypes
+import hashlib
 import inspect
 import json
 import shutil
@@ -1146,7 +1147,21 @@ class TestPredict:
             "--out", str(trained / "f.json"),
         )
         assert code == 1
-        assert "interval outside [1.0, 5.5]" in capsys.readouterr().err
+        assert "interval outside [0.75, 5.5]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", ["0.74", "5.51", "nan"])
+    def test_interval_in_no_bin_exits_1(self, trained, small_cohort, tmp_path, capsys, interval):
+        assert _predict(trained, small_cohort[1][0], trained / "runs", tmp_path / "f.json", interval) == 1
+        assert capsys.readouterr().err == "error: interval outside [0.75, 5.5]\n"
+
+    def test_interval_below_first_center_is_served_by_its_bin(self, trained, small_cohort, tmp_path):
+        """`pairs` bins a gap of 0.75 to 1.0 years with 1.0, so predict serves it from there."""
+        field = small_cohort[1][0]
+        assert _predict(trained, field, trained / "runs", tmp_path / "a.json", "0.8") == 0
+        assert _predict(trained, field, trained / "runs", tmp_path / "b.json", "1.0") == 0
+        low, center = (json.loads((tmp_path / name).read_text()) for name in ("a.json", "b.json"))
+        assert low["bin"] == center["bin"] == 1.0
+        assert low["values"] == center["values"]
 
     def test_forecast_from_dataset_record(self, trained, small_cohort):
         _, fields, _ = small_cohort
@@ -1242,6 +1257,31 @@ class TestPredict:
         runs = self._corrupt_bin_copy(trained, tmp_path, "bin-1.0")
         assert self._predict_bin_1(trained, small_cohort[1][0], runs, tmp_path / "a.json") == 2
         assert "checksum mismatch" in capsys.readouterr().err
+
+    def _non_finite_copy(self, trained, tmp_path):
+        """A copy of the runs tree with a NaN in the first entry of bin 1.0
+        fold 0, its sha256 matching; returns it, the manifest and the entry."""
+        runs = tmp_path / "runs"
+        shutil.copytree(trained / "runs", runs)
+        ck = runs / "intervals" / "bin-1.0" / "fold-0"
+        manifest = json.loads((ck / "manifest.json").read_text())
+        entry = manifest["entries"][0]
+        blob = bytearray((ck / "weights.bin").read_bytes())
+        start = entry["offset"]
+        blob[start : start + 8] = b"\x00\x00\x00\x00\x00\x00\xf8\x7f"  # little-endian NaN
+        entry["sha256"] = hashlib.sha256(blob[start : start + entry["length"]]).hexdigest()
+        (ck / "weights.bin").write_bytes(bytes(blob))
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        return runs, ck / "manifest.json", entry["name"]
+
+    def test_non_finite_checkpoint_exits_2_naming_it(self, trained, small_cohort, tmp_path, capsys):
+        runs, manifest, name = self._non_finite_copy(trained, tmp_path)
+        assert self._predict_bin_1(trained, small_cohort[1][0], runs, tmp_path / "a.json") == 2
+        assert capsys.readouterr().err == f"error: {manifest}: non-finite values in {name!r}\n"
+        assert not (tmp_path / "a.json").exists()
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
+        assert capsys.readouterr().err == f"error: {manifest}: non-finite values in {name!r}\n"
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("test_index", ["0", "-1"])
     def test_test_index_below_one_exits_1(self, trained, capsys, test_index):

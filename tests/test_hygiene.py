@@ -1,6 +1,7 @@
 """Source hygiene without a lint tool: no file imports a name it never uses,
 the package defines no function, class or method that nothing names, and
-it parses JSON, writes files and chooses exit codes each in one place."""
+it parses JSON, writes files, chooses exit codes and catches float faults
+each in one place."""
 
 import ast
 import re
@@ -246,3 +247,53 @@ def test_exit_scanner_finds_every_use():
 def test_only_main_chooses_exit_codes():
     source = (ROOT / "src" / "hvfcast" / "cli.py").read_text(encoding="utf-8")
     assert {owner for _, owner in exit_uses(source)} - EXIT_OWNERS == set()
+
+
+# The one place a float fault is caught: `train_model` turns it into
+# TrainingDiverged, the one divergence exception
+FLOAT_FAULT_CATCHER = ("src/hvfcast/trainer.py", "train_model")
+FLOAT_FAULTS = {"FloatingPointError", "ArithmeticError"}
+
+
+def float_fault_handlers(source: str) -> list[tuple[int, str]]:
+    """(line, owner) of every `except` clause that names FloatingPointError
+    or its base ArithmeticError, alone or in a tuple."""
+    found = []
+    for node, owner in owned_nodes(source):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if {t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", None) for t in types} & FLOAT_FAULTS:
+                found.append((node.lineno, owner))
+    return found
+
+
+def divergence_classes(source: str) -> list[str]:
+    """The name of every class defined in `source`, at any depth, that names divergence."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and "diverg" in node.name.lower()]
+
+
+def test_float_fault_scanners_find_every_catch_and_class():
+    source = (
+        "import builtins\n"
+        "class DivergenceError(RuntimeError):\n    pass\n"
+        "def train_model():\n"
+        "    try:\n        pass\n    except FloatingPointError:\n        pass\n"
+        "def other():\n"
+        "    try:\n        pass\n    except (ValueError, builtins.ArithmeticError) as e:\n        pass\n"
+        "    except (OSError, *ERRORS):\n        pass\n"
+        "class Step:\n    class TrainingDiverged(Exception):\n        pass\n"
+    )
+    assert float_fault_handlers(source) == [(7, "train_model"), (12, "other")]
+    assert divergence_classes(source) == ["DivergenceError", "TrainingDiverged"]
+
+
+def test_only_train_model_catches_float_faults():
+    caught = {(str(path.relative_to(ROOT)), owner) for path in PACKAGE
+              for _, owner in float_fault_handlers(path.read_text(encoding="utf-8"))}
+    assert caught == {FLOAT_FAULT_CATCHER}
+
+
+def test_training_diverged_is_the_one_divergence_exception():
+    assert [name for path in PACKAGE for name in divergence_classes(path.read_text(encoding="utf-8"))] == [
+        "TrainingDiverged"]

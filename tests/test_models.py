@@ -1,5 +1,6 @@
 """Architecture construction, counting, wiring, and weight serialization."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from hvfcast import models
 from hvfcast.autodiff import Tensor, _toposort, concat_channels, masked_mae
-from hvfcast.domain import valid_mask_array
+from hvfcast.domain import DomainError, valid_mask_array
 from hvfcast.models import (
     ModelError,
     ModelSpec,
@@ -341,6 +342,26 @@ class TestSerialization:
         with pytest.raises(WeightsError, match=entry["name"].replace(".", r"\.")):
             load_weights(tmp_path / "ck")
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1.5], ids=["nan", "inf", "finite"])
+    def test_non_finite_entry_names_file_and_entry(self, tmp_path, value):
+        """A value written into an entry, its sha256 matching: only a finite one loads."""
+        save_weights(self._trained_tiny(), tmp_path / "ck")
+        path, blob_path = tmp_path / "ck" / "manifest.json", tmp_path / "ck" / "weights.bin"
+        manifest = json.loads(path.read_text())
+        entry = manifest["entries"][2]
+        start, blob = entry["offset"], bytearray(blob_path.read_bytes())
+        blob[start + 8 : start + 16] = np.array([value], dtype="<f8").tobytes()
+        entry["sha256"] = hashlib.sha256(blob[start : start + entry["length"]]).hexdigest()
+        blob_path.write_bytes(bytes(blob))
+        path.write_text(json.dumps(manifest))
+        if np.isfinite(value):
+            loaded = {name: arr for name, arr, _ in load_weights(tmp_path / "ck").all_entries()}
+            assert loaded[entry["name"]].reshape(-1)[1] == value
+        else:
+            with pytest.raises(WeightsError, match=f"^{re.escape(str(path))}: non-finite values in "
+                                                   f"{re.escape(repr(entry['name']))}$"):
+                load_weights(tmp_path / "ck")
+
     def test_manifest_offsets_contiguous(self, tmp_path):
         m = self._trained_tiny()
         save_weights(m, tmp_path / "ck")
@@ -410,6 +431,16 @@ class TestSerialization:
         models.write_json(path, {"b": [1, 2.5], "a": None})
         assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_write_json_refuses_non_finite_numbers(self, tmp_path, value):
+        """JSON has no NaN or Infinity, so no result file may hold one."""
+        path = tmp_path / "out.json"
+        path.write_text("stale")
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: Out of range float values"):
+            models.write_json(path, {"a": [1.0, value]})
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert path.read_text() == "stale"
 
     def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         path = tmp_path / "out.json"

@@ -257,17 +257,17 @@ class TestGenerateCohort:
 
     def test_bad_config_rejected(self):
         with pytest.raises(SimError):
-            CohortConfig(patients=0).validate()
+            CohortConfig(patients=0)
         with pytest.raises(SimError):
-            CohortConfig(archetype_mix={"unknown": 1.0}).validate()
+            CohortConfig(archetype_mix={"unknown": 1.0})
         with pytest.raises(SimError):
-            CohortConfig(archetype_mix={"normal": 0.0}).validate()
+            CohortConfig(archetype_mix={"normal": 0.0})
         with pytest.raises(SimError):
-            CohortConfig(tests_per_eye=(3, 2)).validate()
+            CohortConfig(tests_per_eye=(3, 2))
         with pytest.raises(SimError, match="under 0.4 years"):
-            CohortConfig(tests_per_eye=(2, 3), followup_years=(0.39, 1.0)).validate()
-        CohortConfig(tests_per_eye=(1, 2), followup_years=(0.1, 0.3)).validate()
-        CohortConfig(tests_per_eye=(2, 3), followup_years=(0.4, 1.0)).validate()
+            CohortConfig(tests_per_eye=(2, 3), followup_years=(0.39, 1.0))
+        CohortConfig(tests_per_eye=(1, 2), followup_years=(0.1, 0.3))
+        CohortConfig(tests_per_eye=(2, 3), followup_years=(0.4, 1.0))
 
     @given(
         name=st.sampled_from(["followup_years", "rate_range", "baseline_age_range", "second_eye_prob",
@@ -278,7 +278,7 @@ class TestGenerateCohort:
     )
     def test_non_finite_float_setting_rejected(self, name, index, archetype, bad):
         """One float setting (a range bound, the second-eye probability or a
-        mix weight) set to nan or +-inf fails validation, before any draw."""
+        mix weight) set to nan or +-inf fails when the config is built."""
         value = getattr(CohortConfig(), name)
         if isinstance(value, tuple):
             value = tuple(bad if i == index else v for i, v in enumerate(value))
@@ -286,9 +286,8 @@ class TestGenerateCohort:
             value = value | {archetype: bad}
         else:
             value = bad
-        cfg = dataclasses.replace(CohortConfig(), **{name: value})
         with pytest.raises(SimError, match=f"{name} must be finite"):
-            cfg.validate()
+            dataclasses.replace(CohortConfig(), **{name: value})
 
 
 def serialize(fields) -> str:

@@ -4,12 +4,14 @@ import ctypes
 import gc
 import json
 import shutil
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hvfcast.autodiff import Tensor, masked_mae
+from hvfcast import trainer
+from hvfcast.autodiff import Tensor, adam_step, masked_mae
 from hvfcast.domain import valid_mask_array
 from hvfcast.models import ModelSpec, build_model, spec_from_name, weights_hash
 from hvfcast.pipeline import (
@@ -107,9 +109,42 @@ class TestTrainModel:
     def test_divergence_raises_with_checkpoint(self):
         m = build_model(TINY_SPEC.replace(seed=16))
         cfg = TrainConfig(epochs=10, seed=9, lr=1e300)  # deliberately explodes
+        before = weights_hash(m)
         with pytest.raises(TrainingDiverged, match="divergence") as exc:
             train_model(m, tiny_data(seed=10), tiny_data(8, seed=11), cfg)
-        assert exc.value.history is not None
+        assert exc.value.initial_hash == before
+
+    def _diverge(self, monkeypatch, name, replacement) -> str:
+        """The TrainingDiverged text of a run with trainer's `name` replaced."""
+        monkeypatch.setattr(trainer, name, replacement)
+        m = build_model(TINY_SPEC.replace(seed=17))
+        with pytest.raises(TrainingDiverged) as exc:
+            train_model(m, tiny_data(seed=10), tiny_data(8, seed=11), TrainConfig(epochs=2, seed=9))
+        return str(exc.value)
+
+    # Each finite check on its own: a value turns non-finite without a float
+    # signal, as a GEMM on BLAS worker threads can return one
+    def test_non_finite_loss_diverges(self, monkeypatch):
+        text = self._diverge(monkeypatch, "masked_mae", lambda out, target, mask: Tensor(np.array(np.inf)))
+        assert text == "divergence: non-finite loss at epoch 0, batch 0"
+
+    def test_overflowing_epoch_loss_diverges(self, monkeypatch):
+        # a finite batch loss whose share of the epoch's sum overflows
+        text = self._diverge(monkeypatch, "masked_mae", lambda out, target, mask: Tensor(np.array(1e306)))
+        assert text == "divergence: non-finite loss at epoch 0, batch 0"
+
+    def test_non_finite_gradient_diverges(self, monkeypatch):
+        def inf_gradient_step(params, state):
+            next(iter(params.values())).grad[...] = np.inf
+            adam_step(params, state)
+
+        first = next(iter(build_model(TINY_SPEC).params))
+        text = self._diverge(monkeypatch, "adam_step", inf_gradient_step)
+        assert text == f"divergence: non-finite gradient in {first!r} at epoch 0, batch 0"
+
+    def test_non_finite_validation_mae_diverges(self, monkeypatch):
+        text = self._diverge(monkeypatch, "evaluate_masked_mae", lambda *args: float("nan"))
+        assert text == "divergence: non-finite validation MAE at epoch 0, validation"
 
     def test_empty_sets_rejected(self):
         m = build_model(TINY_SPEC)
@@ -394,6 +429,34 @@ class TestIntervalChain:
         assert not list((tmp_path / "intervals").glob("bin-*"))
         on_disk = json.loads((tmp_path / "intervals" / "chain_result.json").read_text())
         assert on_disk["entries"] == json.loads(json.dumps(result.entries))
+
+    @pytest.mark.parametrize("workers, sizes", [(64, [10]), (3, [3]), (1, [])])
+    def test_pool_has_no_more_workers_than_jobs(self, cohort_pairs, tmp_path, monkeypatch, workers, sizes):
+        """A fork-started pool forks all `max_workers` children at its first
+        submit, so a phase asks for at most one worker per job."""
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer=None):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(trainer, "ProcessPoolExecutor", InProcessPool)
+        _, binned, plan = cohort_pairs
+        cfg = TrainConfig(epochs=0, widths=(2, 3, 4), seed=11)
+        result = train_interval_chain(TINY_SPEC, FeatureCombo(), binned, plan, cfg, tmp_path, workers=workers)
+        assert asked == sizes and len(plan.folds) == 10
+        assert result.n_checkpoints > 0
 
     def test_gap_recorded_for_empty_bins(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
