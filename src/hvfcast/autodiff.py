@@ -35,11 +35,8 @@ import numpy as np
 
 
 class EngineError(ValueError):
-    """Misuse of the engine (empty mask or concat, non-scalar backward)."""
-
-
-class ShapeError(EngineError):
-    """Operand shapes are incompatible."""
+    """Misuse of the engine: incompatible operand shapes, an empty mask or
+    concat, a non-scalar backward.  A bug, not bad input."""
 
 
 class Tensor:
@@ -93,7 +90,7 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.data.shape != other.data.shape:
-            raise ShapeError(f"add: {self.data.shape} vs {other.data.shape}")
+            raise EngineError(f"add: {self.data.shape} vs {other.data.shape}")
 
         def backward(g):
             self.grad += g
@@ -196,15 +193,15 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     are exact w.r.t. the input, the kernel, and the bias.
     """
     if x.data.ndim != 4:
-        raise ShapeError(f"conv2d input must be 4-axis, got shape {x.data.shape}")
+        raise EngineError(f"conv2d input must be 4-axis, got shape {x.data.shape}")
     batch, c_in, height, width = x.data.shape
     c_out, c_in_w, kh, kw = weights.data.shape
     if c_in != c_in_w:
-        raise ShapeError(
+        raise EngineError(
             f"conv2d channel mismatch: input {x.data.shape} vs kernel {weights.data.shape}"
         )
     if kh != kw or kh % 2 == 0:
-        raise ShapeError(f"conv2d kernel must be square and odd, got {kh}x{kw}")
+        raise EngineError(f"conv2d kernel must be square and odd, got {kh}x{kw}")
 
     x_flat = x.data.reshape(batch, c_in, height * width)
     kn2row = kh > 1 and c_in >= KN2ROW_MIN_RATIO * c_out
@@ -285,9 +282,9 @@ def _im2col_index(k: int, height: int, width: int) -> np.ndarray:
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """y = x @ W.T + b for x shaped (B, in_dim), W shaped (out_dim, in_dim)."""
     if x.data.ndim != 2:
-        raise ShapeError(f"dense input must be 2-axis, got shape {x.data.shape}")
+        raise EngineError(f"dense input must be 2-axis, got shape {x.data.shape}")
     if x.data.shape[1] != weights.data.shape[1]:
-        raise ShapeError(
+        raise EngineError(
             f"dense dimension mismatch: input {x.data.shape} vs weights {weights.data.shape}"
         )
 
@@ -339,10 +336,10 @@ def batch_norm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
     function of its input.
     """
     if x.data.ndim != 4:
-        raise ShapeError(f"batch_norm input must be 4-axis, got shape {x.data.shape}")
+        raise EngineError(f"batch_norm input must be 4-axis, got shape {x.data.shape}")
     channels = x.data.shape[1]
     if channels != state.gamma.data.shape[0]:
-        raise ShapeError(
+        raise EngineError(
             f"batch_norm channel mismatch: input has {channels}, state has "
             f"{state.gamma.data.shape[0]}"
         )
@@ -397,7 +394,7 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
     for t in xs[1:]:
         s = t.data.shape
         if s[0] != ref[0] or s[2:] != ref[2:]:
-            raise ShapeError(f"concat_channels spatial mismatch: {ref} vs {s}")
+            raise EngineError(f"concat_channels spatial mismatch: {ref} vs {s}")
     sizes = [t.data.shape[1] for t in xs]
 
     def backward(g):
@@ -423,7 +420,7 @@ def masked_mae(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
         raise EngineError("masked_mae: empty mask")
     target = np.asarray(target, dtype=np.float64)
     if pred.data.shape != target.shape:
-        raise ShapeError(f"masked_mae: pred {pred.data.shape} vs target {target.shape}")
+        raise EngineError(f"masked_mae: pred {pred.data.shape} vs target {target.shape}")
 
     batch = pred.data.shape[0]
     denom = batch * n_mask

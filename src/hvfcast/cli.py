@@ -6,8 +6,9 @@ manifest (`run_manifest.json` or `<output>.run_manifest.json`) beside its
 outputs; manifests carry timestamps, everything else is byte-reproducible
 for a fixed seed.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 training
-divergence.  `HVFCAST_SEED` provides a global fallback seed.
+Exit codes: 0 success, 1 usage error, 2 bad input or an unreadable or
+unwritable file (DataError, OSError), 3 training divergence
+(TrainingDiverged).  `HVFCAST_SEED` provides a global fallback seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .domain import (
-    DomainError,
+    DataError,
     EYE_FROM_WIRE,
     EYE_TO_WIRE,
     NUMBER,
@@ -36,11 +37,10 @@ from .domain import (
     valid_mask_array,
     write_json,
 )
-from .evaluation import N_BOOTSTRAP, EvaluationError, ensemble_predict, evaluate_testset
+from .evaluation import N_BOOTSTRAP, ensemble_predict, evaluate_testset
 from .models import (
     MANIFEST_NAME,
     PAPER_WIDTHS,
-    ModelError,
     ModelSpec,
     canonical_specs,
     load_weights,
@@ -51,7 +51,6 @@ from .pipeline import (
     DELTA_MAX,
     DELTA_MIN,
     FeatureCombo,
-    PipelineError,
     SPLIT_RATIO,
     SplitPlan,
     bin_pairs,
@@ -63,7 +62,7 @@ from .pipeline import (
     split_patients,
     write_pairs,
 )
-from .synthsim import CohortConfig, SimError, generate_cohort
+from .synthsim import CohortConfig, generate_cohort
 from .trainer import (
     CHAIN_RESULT,
     DESK_EPOCHS,
@@ -75,7 +74,6 @@ from .trainer import (
     PHASE_INTERVALS,
     PHASE_RESULT,
     TrainConfig,
-    TrainerError,
     TrainingDiverged,
     checkpoint_dir,
     keep_freed_memory,
@@ -89,9 +87,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
-
-# Bad input, a run that cannot go on, or a file that cannot be read or written: exit 2
-_DATA_ERRORS = (DomainError, PipelineError, SimError, EvaluationError, ModelError, TrainerError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,7 +138,7 @@ def _write_run_manifest(target, command: str, config: dict, inputs, outputs, sta
 
 def _parse_widths(text: str) -> tuple[int, int, int]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3 or not all(p.isdigit() for p in parts):
+    if len(parts) != 3 or not all(p.isdecimal() for p in parts):
         raise argparse.ArgumentTypeError(f"widths must be three integers, got {text!r}")
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
@@ -219,16 +214,16 @@ def _cmd_split(args) -> None:
 def _load_plan(path, fields) -> SplitPlan:
     """The split plan at `path`, which must plan each patient once and only
     patients of the loaded dataset `fields`."""
-    plan = SplitPlan.from_json_dict(read_json(path, PipelineError), str(path))
+    plan = SplitPlan.from_json_dict(read_json(path), str(path))
     planned = Counter([*plan.train_patients(), *plan.test_patients])
     repeated = sorted(pid for pid, n in planned.items() if n > 1)
     if repeated:
-        raise PipelineError(
+        raise DataError(
             f"{path}: patients planned more than once (folds and test set must be disjoint): {repeated}"
         )
     absent = sorted(planned.keys() - {f.patient_id for f in fields})
     if absent:
-        raise PipelineError(f"{path}: planned patients absent from the dataset: {absent}")
+        raise DataError(f"{path}: planned patients absent from the dataset: {absent}")
     return plan
 
 
@@ -245,14 +240,14 @@ def _phase_winner(runs_dir: Path, phase: str, flag: str, parse):
     run given no `--<flag>`."""
     result_path = runs_dir / phase / PHASE_RESULT
     if not result_path.is_file():
-        raise TrainerError(
+        raise DataError(
             f"no --{flag} given and {result_path} not found; run `train --phase {phase}` first"
         )
-    winner = read_json(result_path, TrainerError, PHASE_WINNER_SCHEMA)["winner"]
+    winner = read_json(result_path, PHASE_WINNER_SCHEMA)["winner"]
     try:
         return parse(winner)
-    except (ModelError, PipelineError) as e:
-        raise TrainerError(f"{result_path}: 'winner': {e}") from None
+    except DataError as e:
+        raise DataError(f"{result_path}: 'winner': {e}") from None
 
 
 def _train_config(args, seed: int) -> TrainConfig:
@@ -342,17 +337,17 @@ def _features_snapshots(
     spec = spec.replace(in_channels=combo.channels())
     result_path = runs_dir / PHASE_FEATURES / PHASE_RESULT
     if not result_path.is_file():
-        raise TrainerError(
+        raise DataError(
             f"--chain-init features: {result_path} not found; run `train --phase features` "
             "to completion first"
         )
-    row = read_json(result_path, TrainerError, FEATURES_RESULT_SCHEMA)["matrix"].get(combo_name)
+    row = read_json(result_path, FEATURES_RESULT_SCHEMA)["matrix"].get(combo_name)
     if row is None:
-        raise TrainerError(f"--chain-init features: combo {combo_name!r} is not in {result_path}")
-    expect(row, _MATRIX_ROW, result_path, TrainerError, ("matrix", combo_name))
+        raise DataError(f"--chain-init features: combo {combo_name!r} is not in {result_path}")
+    expect(row, _MATRIX_ROW, result_path, ("matrix", combo_name))
     missing = [fold for fold in range(n_folds) if fold >= len(row) or row[fold] is None]
     if missing:
-        raise TrainerError(
+        raise DataError(
             f"--chain-init features: combo {combo_name!r} has no result for folds {missing} "
             f"in {result_path}"
         )
@@ -361,7 +356,7 @@ def _features_snapshots(
         fold_dir = runs_dir / checkpoint_dir(PHASE_FEATURES, combo_name, fold)
         model = load_weights(fold_dir)
         if model.spec.replace(seed=spec.seed) != spec:
-            raise TrainerError(
+            raise DataError(
                 f"--chain-init features: {fold_dir / MANIFEST_NAME} holds spec "
                 f"{model.spec.to_dict()}, not the chain's {spec.to_dict()} (seed aside)"
             )
@@ -374,7 +369,7 @@ def _served_models(args, bins=BIN_CENTERS):
     recorded; `--combo`, when given, must name the same combo."""
     combo, models_by_bin = load_interval_models(args.runs, bins)
     if args.combo is not None and FeatureCombo.parse(args.combo) != combo:
-        raise TrainerError(
+        raise DataError(
             f"--combo {args.combo!r} is not {combo.name!r}, the combo the chain under {args.runs} was trained on"
         )
     return combo, models_by_bin
@@ -389,10 +384,10 @@ def _cmd_evaluate(args) -> None:
 
     test_binned = pairs_for_patients(binned, plan.test_patients)
     if not any(test_binned.values()):
-        raise EvaluationError("no binned pairs for the held-out test patients")
+        raise DataError("no binned pairs for the held-out test patients")
     combo, models_by_bin = _served_models(args)
     if not models_by_bin:
-        raise EvaluationError(f"no interval checkpoints listed under {Path(args.runs) / PHASE_INTERVALS}")
+        raise DataError(f"no interval checkpoints listed under {Path(args.runs) / PHASE_INTERVALS}")
 
     report = evaluate_testset(
         models_by_bin,
@@ -424,7 +419,7 @@ def _cmd_predict(args) -> None:
     if args.field:
         fields = load_dataset(args.field)
         if len(fields) != 1:
-            raise DomainError(f"{args.field}: --field file must hold exactly one record, got {len(fields)}")
+            raise DataError(f"{args.field}: --field file must hold exactly one record, got {len(fields)}")
         field = fields[0]
     else:
         if args.test_index is not None and args.test_index < 1:
@@ -434,7 +429,7 @@ def _cmd_predict(args) -> None:
         eye = EYE_FROM_WIRE.get(args.eye, args.eye)
         field = find_record(args.data, args.patient, eye, args.test_index)
         if field is None:
-            raise DomainError(
+            raise DataError(
                 f"no record for patient {args.patient!r}, eye {args.eye!r}, "
                 f"test_index {args.test_index}"
             )
@@ -442,7 +437,7 @@ def _cmd_predict(args) -> None:
     combo, models_by_bin = _served_models(args, bins=[center])
     models = models_by_bin.get(center, [])
     if not models:
-        raise EvaluationError(f"no trained models for bin {center}")
+        raise DataError(f"no trained models for bin {center}")
 
     forecast = ensemble_predict(models, encode_input(field, combo), bin_center=center)
     payload = {
@@ -477,7 +472,7 @@ REPORT_SCHEMA = {
 
 def _cmd_report(args) -> None:
     started = _utc_now()
-    report = read_json(args.report, EvaluationError, REPORT_SCHEMA)
+    report = read_json(args.report, REPORT_SCHEMA)
     out_dir = Path(args.out_dir)
 
     tables = [
@@ -659,7 +654,8 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Run one command; the one place a failure is printed and given its exit code."""
+    """Run one command; the one place a failure is printed and given its exit
+    code.  Any other exception, such as an EngineError, is a bug: a traceback."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
@@ -668,7 +664,7 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else EXIT_OK
     try:
         args.func(args)
-    except (argparse.ArgumentTypeError, TrainingDiverged, *_DATA_ERRORS) as e:
+    except (argparse.ArgumentTypeError, TrainingDiverged, DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return (EXIT_USAGE if isinstance(e, argparse.ArgumentTypeError)
                 else EXIT_DIVERGED if isinstance(e, TrainingDiverged) else EXIT_DATA)

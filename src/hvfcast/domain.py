@@ -1,5 +1,6 @@
 """24-2 visual field grid: layout masks, field records, and mean deviation,
-plus the file readers, the file writer and the schema checker every module uses.
+plus the file readers, the file writer, the schema checker and DataError,
+the one exception for bad input, that every module uses.
 
 A single 24-2 test measures 54 sensitivity values (in dB) laid out on an
 8-row by 9-column grid; the remaining 18 grid cells are never measured.
@@ -57,12 +58,9 @@ Cell = tuple[int, int]
 _VALID_DB = frozenset(k / 100 for k in range(round(DB_MIN * 100), round(DB_MAX * 100) + 1))
 
 
-class DomainError(ValueError):
-    """A visual-field value or record violates a domain rule."""
-
-
-class RecordError(DomainError):
-    """A serialized record cannot be parsed into a valid field."""
+class DataError(ValueError):
+    """Input that breaks the data contract: a bad value, record, file, config
+    or run tree.  `cli.main` exits 2 on it."""
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +88,7 @@ def md_positions(eye: str) -> tuple[int, ...]:
     """Positions in `mask_cells()` order of the 52 cells outside the eye's
     blind spot, ascending (so row-major)."""
     if eye not in EYES:
-        raise DomainError(f"unknown eye {eye!r}; expected one of {EYES}")
+        raise DataError(f"unknown eye {eye!r}; expected one of {EYES}")
     return tuple(i for i, c in enumerate(mask_cells()) if c not in BLIND_SPOT[eye])
 
 
@@ -107,7 +105,7 @@ def cell_degrees(cell: Cell, eye: str) -> tuple[float, float]:
     elif eye == LEFT:
         x = 6.0 * col - 21.0
     else:
-        raise DomainError(f"unknown eye {eye!r}")
+        raise DataError(f"unknown eye {eye!r}")
     return x, y
 
 
@@ -268,8 +266,8 @@ def _items(schema: list):
 _COMPILED: dict[int, tuple] = {}
 
 
-def expect(value, schema, where, error: type[Exception], at: tuple = ()):
-    """`value` if it matches `schema`, else raises `error` naming `where` (the
+def expect(value, schema, where, at: tuple = ()):
+    """`value` if it matches `schema`, else raises DataError naming `where` (the
     file), the key path below `at`, what was expected and what was found:
     `PATH: entries[3]: 'gap' must be a bool, got 'no'`.  A schema is a type,
     a tuple of types (None for null), `[item]`, `[a, b, ...]` (exactly those
@@ -285,35 +283,34 @@ def expect(value, schema, where, error: type[Exception], at: tuple = ()):
     subject = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in keys).lstrip(".")
     if keys is not path:
         subject = f"{subject}: {path[-1]!r}" if subject else repr(path[-1])
-    raise error(f"{where}: {subject} {found[1]}" if subject else f"{where}: {found[1]}")
+    raise DataError(f"{where}: {subject} {found[1]}" if subject else f"{where}: {found[1]}")
 
 
-def read_json(path, error: type[Exception], schema=None):
+def read_json(path, schema=None):
     """The JSON value in the file at `path`, checked against `schema` if
-    given; malformed JSON or a mismatch raises `error` naming the path."""
+    given; malformed JSON or a mismatch raises DataError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             value = json.load(fh)
     except (ValueError, RecursionError) as e:  # RecursionError: arrays nested past the parser's depth
-        raise error(f"{path}: {e}") from None
-    return value if schema is None else expect(value, schema, path, error)
+        raise DataError(f"{path}: {e}") from None
+    return value if schema is None else expect(value, schema, path)
 
 
-def _parse_line(line: str, where: str, error: type[Exception], schema):
+def _parse_line(line: str, where: str, schema):
     """The JSON value of one line of a JSON-lines file, checked against
-    `schema`; malformed JSON or a mismatch raises `error` naming `where`."""
+    `schema`; malformed JSON or a mismatch raises DataError naming `where`."""
     try:
         value = json.loads(line)
     except (ValueError, RecursionError) as e:  # as in read_json; or an integer past the digit limit
-        raise error(f"{where}: malformed JSON: {e}") from e
-    return expect(value, schema, where, error)
+        raise DataError(f"{where}: malformed JSON: {e}") from e
+    return expect(value, schema, where)
 
 
-def read_json_lines(path, error: type[Exception], schema,
-                    needle: str | None = None) -> Iterator[tuple[str, object]]:
+def read_json_lines(path, schema, needle: str | None = None) -> Iterator[tuple[str, object]]:
     """(`PATH: line N`, value checked against `schema`) for each nonblank line
     of a JSON-lines file, read as UTF-8 whatever the locale; a line that is
-    not UTF-8, is malformed or breaks `schema` raises `error` with that prefix.
+    not UTF-8, is malformed or breaks `schema` raises DataError with that prefix.
 
     With `needle`, a line that contains neither the needle nor a backslash
     is skipped unparsed: without an escape a JSON string holds its text
@@ -330,8 +327,8 @@ def read_json_lines(path, error: type[Exception], schema,
                 try:
                     raw.encode("utf-8", "surrogateescape").decode("utf-8")
                 except UnicodeDecodeError as e:
-                    raise error(f"{where}: {e}") from None
-            yield where, _parse_line(line, where, error, schema)
+                    raise DataError(f"{where}: {e}") from None
+            yield where, _parse_line(line, where, schema)
 
 
 def atomic_write(path, data: bytes) -> None:
@@ -359,7 +356,7 @@ def write_json(path, obj) -> None:
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as e:
-        raise DomainError(f"{path}: {e}") from None
+        raise DataError(f"{path}: {e}") from None
     atomic_write(path, (text + "\n").encode())
 
 
@@ -371,13 +368,13 @@ RECORD_SCHEMA = {"patient_id": str, "eye": str, "gender": str, "age": NUMBER, "t
 def parse_record(line: str, where: str = "record") -> VisualField:
     """Parse one JSON-line dataset record into a validated VisualField;
     `where` prefixes the errors."""
-    return _record(_parse_line(line, where, RecordError, RECORD_SCHEMA), where)
+    return _record(_parse_line(line, where, RECORD_SCHEMA), where)
 
 
 def _record(obj: dict, where: str) -> VisualField:
     """The validated VisualField of a record that matches RECORD_SCHEMA."""
     if obj["eye"] not in EYE_FROM_WIRE:
-        raise RecordError(f"{where}: bad value for key 'eye': {obj['eye']!r} (expected OD or OS)")
+        raise DataError(f"{where}: bad value for key 'eye': {obj['eye']!r} (expected OD or OS)")
     try:
         field = VisualField(
             patient_id=obj["patient_id"],
@@ -389,12 +386,12 @@ def _record(obj: dict, where: str) -> VisualField:
             values=tuple(map(float, obj["values"])),
         )
     except OverflowError as e:  # an integer beyond the float range
-        raise RecordError(f"{where}: number out of range: {e}") from e
+        raise DataError(f"{where}: number out of range: {e}") from e
     except ValueError as e:  # not an ISO date
-        raise RecordError(f"{where}: bad value for key 'test_date': {obj['test_date']!r}") from e
+        raise DataError(f"{where}: bad value for key 'test_date': {obj['test_date']!r}") from e
     violations = validate_field(field)
     if violations:
-        raise RecordError(f"{where}: invalid record: " + "; ".join(violations))
+        raise DataError(f"{where}: invalid record: " + "; ".join(violations))
     return field
 
 
@@ -402,7 +399,7 @@ def serialize_record(f: VisualField) -> str:
     """One JSON line per the dataset schema; dB values printed with 2 decimals."""
     violations = validate_field(f)
     if violations:
-        raise DomainError("refusing to serialize invalid field: " + "; ".join(violations))
+        raise DataError("refusing to serialize invalid field: " + "; ".join(violations))
     values = ", ".join(f"{v:.2f}" for v in f.values)
     parts = [
         f'"patient_id": {json.dumps(f.patient_id)}',
@@ -420,17 +417,17 @@ def _read_records(path, needle: str | None = None) -> Iterator[VisualField]:
     """Parse the records of a JSON-lines dataset file, in file order, reading
     with `needle` only the lines that may hold it (see `read_json_lines`).
 
-    Raises RecordError, prefixed `PATH: line N: `, for a bad parsed line,
+    Raises DataError, prefixed `PATH: line N: `, for a bad parsed line,
     for a (patient_id, eye, test_index) key on a second parsed line, and for
     a parsed line whose gender differs from its patient's first parsed line.
     """
     first_line: dict[tuple[str, str, int], str] = {}
     gender_line: dict[str, tuple[str, str]] = {}
-    for where, obj in read_json_lines(path, RecordError, RECORD_SCHEMA, needle):
+    for where, obj in read_json_lines(path, RECORD_SCHEMA, needle):
         field = _record(obj, where)
         key = (field.patient_id, field.eye, field.test_index)
         if key in first_line:
-            raise RecordError(
+            raise DataError(
                 f"{where}: duplicate record for patient {field.patient_id!r}, "
                 f"eye {EYE_TO_WIRE[field.eye]}, test_index {field.test_index} "
                 f"(first at {first_line[key]})"
@@ -438,7 +435,7 @@ def _read_records(path, needle: str | None = None) -> Iterator[VisualField]:
         first_line[key] = where.removeprefix(f"{path}: ")
         gender, first = gender_line.setdefault(field.patient_id, (field.gender, first_line[key]))
         if field.gender != gender:
-            raise RecordError(
+            raise DataError(
                 f"{where}: gender {field.gender!r} of patient {field.patient_id!r} "
                 f"differs from {gender!r} at {first}"
             )
@@ -446,7 +443,7 @@ def _read_records(path, needle: str | None = None) -> Iterator[VisualField]:
 
 
 def load_dataset(path) -> list[VisualField]:
-    """Read a JSON-lines dataset file. Raises RecordError naming the file
+    """Read a JSON-lines dataset file. Raises DataError naming the file
     and line.
 
     Each (patient_id, eye, test_index) key may appear on one line only, and

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import DB_MAX, DB_MIN, Cell, VisualField, mask_cells, mean_deviation, valid_mask_array
+from .domain import DB_MAX, DB_MIN, Cell, DataError, VisualField, mask_cells, mean_deviation, valid_mask_array
 from .models import Model
 from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, encode_input, years_between
 from . import synthsim
@@ -43,14 +43,6 @@ CLINICAL_REFERENCE = {
     "bland_altman_mean_difference_db": 0.41,
     "note": "clinical-cohort benchmarks; not attainable on synthetic data",
 }
-
-
-class EvaluationError(ValueError):
-    pass
-
-
-class DegenerateDataError(EvaluationError):
-    """Statistics are undefined on this input (e.g. zero variance)."""
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +77,11 @@ def ensemble_means(models: list[Model], xs: np.ndarray) -> np.ndarray:
     last bit.
     """
     if not models:
-        raise EvaluationError("ensemble needs at least one model")
+        raise DataError("ensemble needs at least one model")
     ref = models[0].spec
     for m in models[1:]:
         if m.spec.replace(seed=ref.seed) != ref:
-            raise EvaluationError(f"ensemble models disagree on spec: {m.spec.name} vs {ref.name}")
+            raise DataError(f"ensemble models disagree on spec: {m.spec.to_dict()} vs {ref.to_dict()} (seed aside)")
     outputs = np.stack([m.forward(xs, "infer").data[:, 0] for m in models])
     return np.sort(outputs, axis=0).sum(axis=0) / len(models)
 
@@ -110,7 +102,7 @@ def ensemble_predict(models: list[Model], x: np.ndarray, bin_center: float | Non
 def _split_xy(pairs) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(pairs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise EvaluationError("expected a sequence of (predicted, actual) pairs")
+        raise DataError("expected a sequence of (predicted, actual) pairs")
     return arr[:, 0], arr[:, 1]
 
 
@@ -119,13 +111,13 @@ def pearson_adj_r2(pairs) -> tuple[float, float, float]:
     x, y = _split_xy(pairs)
     n = x.size
     if n < 3:
-        raise EvaluationError(f"pearson_adj_r2 needs n >= 3, got {n}")
+        raise DataError(f"pearson_adj_r2 needs n >= 3, got {n}")
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.sqrt((xc * xc).sum()))
     sy = float(np.sqrt((yc * yc).sum()))
     if sx == 0.0 or sy == 0.0:
-        raise DegenerateDataError("degenerate: zero variance in a coordinate")
+        raise DataError("degenerate: zero variance in a coordinate")
     r = float((xc * yc).sum() / (sx * sy))
     r2 = r * r
     adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
@@ -146,7 +138,7 @@ def bland_altman(pairs) -> tuple[float, float, float]:
     """(mean difference, lower, upper limit of agreement) of predicted-actual."""
     x, y = _split_xy(pairs)
     if x.size < 2:
-        raise EvaluationError(f"bland_altman needs n >= 2, got {x.size}")
+        raise DataError(f"bland_altman needs n >= 2, got {x.size}")
     d = x - y
     mean = float(d.mean())
     sd = float(d.std(ddof=1))
@@ -170,17 +162,17 @@ def baseline_forecast(method: str, history: list[VisualField], horizon_years: fl
     log(dB + 1) and back-transforms.  Predictions clamp to [0, 50] dB.
     """
     if method not in BASELINE_METHODS:
-        raise EvaluationError(f"unknown baseline method {method!r}")
+        raise DataError(f"unknown baseline method {method!r}")
     need = _BASELINE_MIN_FIELDS[method]
     if len(history) < need:
-        raise EvaluationError(f"{method} needs at least {need} field(s), got {len(history)}")
+        raise DataError(f"{method} needs at least {need} field(s), got {len(history)}")
     history = sorted(history, key=lambda f: f.test_date)
     if method == "copy":
         return np.array(history[-1].values)
 
     times = np.array([years_between(history[0].test_date, f.test_date) for f in history])
     if np.unique(times).size < 2:
-        raise EvaluationError(f"{method} needs at least 2 distinct test dates")
+        raise DataError(f"{method} needs at least 2 distinct test dates")
     ys = np.array([f.values for f in history])  # (n, 54)
     if method == "pointwise_exp":
         ys = np.log(ys + 1.0)
@@ -251,7 +243,7 @@ def _statistic(stat, pairs, keys: tuple[str, ...]) -> dict:
     when the statistic is undefined on these pairs."""
     try:
         return dict(zip(keys, stat(pairs), strict=True))
-    except EvaluationError as e:
+    except DataError as e:
         return dict.fromkeys(keys) | {"undefined_because": str(e)}
 
 
@@ -282,9 +274,9 @@ def evaluate_testset(
     five-tests-per-eye cohort do.
     """
     if n_bootstrap < 1:
-        raise EvaluationError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
+        raise DataError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     if n_bootstrap > _MAX_BOOTSTRAP:
-        raise EvaluationError(f"n_bootstrap must be <= {_MAX_BOOTSTRAP}, got {n_bootstrap}")
+        raise DataError(f"n_bootstrap must be <= {_MAX_BOOTSTRAP}, got {n_bootstrap}")
     mask = valid_mask_array()
     normative = lru_cache(maxsize=None)(synthsim.normative_surface)
 
@@ -339,7 +331,7 @@ def evaluate_testset(
             )
 
     if not errors["ensemble"]:
-        raise EvaluationError("no test pairs could be evaluated")
+        raise DataError("no test pairs could be evaluated")
 
     bins, mae, sq = _columns(errors["ensemble"])
     rng = np.random.default_rng(bootstrap_seed)
@@ -350,7 +342,7 @@ def evaluate_testset(
         "rmse_ci": _bootstrap_ci(sq, rng, n_bootstrap, np.sqrt),
     }
     if not overall["rmse"] >= overall["mae"] - 1e-12:
-        raise EvaluationError(f"rmse {overall['rmse']!r} < mae {overall['mae']!r}")
+        raise DataError(f"rmse {overall['rmse']!r} < mae {overall['mae']!r}")
 
     per_bin = []
     for center in BIN_CENTERS:
@@ -366,7 +358,7 @@ def evaluate_testset(
         )
     n_binned = sum(e["n_pairs"] for e in per_bin)
     if n_binned != mae.size:
-        raise EvaluationError(f"per-bin counts sum to {n_binned}, not {mae.size} pairs")
+        raise DataError(f"per-bin counts sum to {n_binned}, not {mae.size} pairs")
 
     baselines = []
     for method in BASELINE_METHODS:

@@ -41,7 +41,7 @@ from .autodiff import (
     dense,
     relu,
 )
-from .domain import GRID_COLS, GRID_ROWS, atomic_write, read_json, write_json
+from .domain import GRID_COLS, GRID_ROWS, DataError, atomic_write, read_json, write_json
 
 FULLY_CONNECTED = "FullyConnected"
 FULL_BN = "FullBN"
@@ -70,14 +70,6 @@ PUBLISHED_BENCHMARKS = {
 }
 
 
-class ModelError(ValueError):
-    pass
-
-
-class WeightsError(ModelError):
-    """A weights manifest/blob pair is malformed or inconsistent."""
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture family, depth, channel widths, and training seed."""
@@ -91,19 +83,19 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ModelError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+            raise DataError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.family == FULLY_CONNECTED:
             if self.depth_k is not None:
-                raise ModelError("FullyConnected takes no depth_k")
+                raise DataError("FullyConnected takes no depth_k")
             if self.fc_hidden < 1:
-                raise ModelError("fc_hidden must be >= 1")
+                raise DataError("fc_hidden must be >= 1")
         else:
             if self.depth_k is None or self.depth_k < 1:
-                raise ModelError(f"{self.family} requires depth_k >= 1")
+                raise DataError(f"{self.family} requires depth_k >= 1")
         if len(self.widths) != 3 or any(w < 1 for w in self.widths):
-            raise ModelError(f"widths must be three positive integers, got {self.widths}")
+            raise DataError(f"widths must be three positive integers, got {self.widths}")
         if self.in_channels < 1:
-            raise ModelError("in_channels must be >= 1")
+            raise DataError("in_channels must be >= 1")
 
     @property
     def name(self) -> str:
@@ -119,10 +111,10 @@ class ModelSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         """Inverse of `to_dict`, for a `d` that matches SPEC_SCHEMA; a field
-        the spec does not have raises ModelError."""
+        the spec does not have raises DataError."""
         unknown = sorted(d.keys() - SPEC_SCHEMA.keys())
         if unknown:
-            raise ModelError(f"spec: unknown fields {unknown}")
+            raise DataError(f"spec: unknown fields {unknown}")
         return cls(**d | {"widths": tuple(d["widths"])})
 
     def replace(self, **kwargs) -> "ModelSpec":
@@ -141,7 +133,7 @@ def spec_from_name(name: str, **fields) -> ModelSpec:
         return ModelSpec(family=FULLY_CONNECTED, **fields)
     family, _, depth = name.partition("-")
     if family not in FAMILIES or not depth.isdigit():
-        raise ModelError(f"cannot parse architecture name {name!r}")
+        raise DataError(f"cannot parse architecture name {name!r}")
     return ModelSpec(family=family, depth_k=int(depth), **fields)
 
 
@@ -302,10 +294,10 @@ class Model:
         """Run the network; returns a (batch, 1, 8, 9) Tensor.  An array `x`
         is wrapped as a constant, so no gradient is computed for it."""
         if mode not in ("train", "infer"):
-            raise ModelError(f"unknown mode {mode!r}")
+            raise DataError(f"unknown mode {mode!r}")
         x = x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
         if x.data.ndim != 4 or x.data.shape[1] != self.spec.in_channels:
-            raise ModelError(
+            raise DataError(
                 f"input shape {x.data.shape} does not match in_channels="
                 f"{self.spec.in_channels}"
             )
@@ -398,24 +390,24 @@ MANIFEST_SCHEMA = {"format_version": str, "spec": SPEC_SCHEMA, "total_length": i
 def load_weights(dir_path) -> Model:
     """Rebuild a model from a manifest/blob pair; bit-exact round trip.
 
-    Raises WeightsError, naming the manifest, for one that breaks
+    Raises DataError, naming the manifest, for one that breaks
     MANIFEST_SCHEMA, has an unknown spec field, or disagrees with the blob
     or the model (version, shape, offset, length or sha256), and, naming
     the entry too, for an entry that holds a NaN or infinity.
     """
     dir_path = Path(dir_path)
     path = dir_path / MANIFEST_NAME
-    manifest = read_json(path, WeightsError, MANIFEST_SCHEMA)
+    manifest = read_json(path, MANIFEST_SCHEMA)
     if manifest["format_version"] != FORMAT_VERSION:
-        raise WeightsError(f"{path}: unsupported version {manifest['format_version']!r}")
+        raise DataError(f"{path}: unsupported version {manifest['format_version']!r}")
     try:
         spec = ModelSpec.from_dict(manifest["spec"])
-    except ModelError as e:
-        raise WeightsError(f"{path}: {e}") from e
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
 
     blob = (dir_path / WEIGHTS_NAME).read_bytes()
     if len(blob) != manifest["total_length"]:
-        raise WeightsError(
+        raise DataError(
             f"{path}: length mismatch: blob has {len(blob)} bytes, manifest says "
             f"{manifest['total_length']}"
         )
@@ -428,20 +420,20 @@ def load_weights(dir_path) -> Model:
     for entry in manifest["entries"]:
         name, offset = entry["name"], entry["offset"]
         if name not in arrays:
-            raise WeightsError(f"{path}: unknown layer entry {name!r}")
+            raise DataError(f"{path}: unknown layer entry {name!r}")
         arr = arrays[name]
         if entry["shape"] != list(arr.shape):
-            raise WeightsError(f"{path}: shape mismatch in {name!r}: {entry['shape']} vs {list(arr.shape)}")
+            raise DataError(f"{path}: shape mismatch in {name!r}: {entry['shape']} vs {list(arr.shape)}")
         raw = blob[offset : offset + entry["length"]]
         if offset < 0 or len(raw) != arr.nbytes:
-            raise WeightsError(f"{path}: length mismatch in {name!r}")
+            raise DataError(f"{path}: length mismatch in {name!r}")
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
-            raise WeightsError(f"{path}: checksum mismatch in {name!r}")
+            raise DataError(f"{path}: checksum mismatch in {name!r}")
         arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
         if not np.isfinite(arr).all():
-            raise WeightsError(f"{path}: non-finite values in {name!r}")
+            raise DataError(f"{path}: non-finite values in {name!r}")
         seen.add(name)
     missing = set(arrays) - seen
     if missing:
-        raise WeightsError(f"{path}: manifest missing entries for {sorted(missing)}")
+        raise DataError(f"{path}: manifest missing entries for {sorted(missing)}")
     return model

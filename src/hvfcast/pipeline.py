@@ -26,6 +26,7 @@ from .domain import (
     LEFT,
     NUMBER,
     RIGHT,
+    DataError,
     VisualField,
     atomic_write,
     expect,
@@ -43,10 +44,6 @@ MIN_PATIENTS = 20
 
 TEST_INDEX_CAP = 20  # test_index feature saturates here
 AGE_SCALE = 100.0
-
-
-class PipelineError(ValueError):
-    pass
 
 
 def years_between(earlier: date, later: date) -> float:
@@ -129,9 +126,9 @@ class SplitPlan:
 
     @classmethod
     def from_json_dict(cls, d, where="split plan") -> "SplitPlan":
-        """The plan `to_json_dict` wrote.  Raises PipelineError naming `where`
+        """The plan `to_json_dict` wrote.  Raises DataError naming `where`
         and the key for a value that does not match PLAN_SCHEMA."""
-        expect(d, PLAN_SCHEMA, where, PipelineError)
+        expect(d, PLAN_SCHEMA, where)
         return cls(
             test_patients=tuple(d["test_patients"]),
             folds=tuple(tuple(fold) for fold in d["folds"]),
@@ -148,21 +145,21 @@ def split_patients(patient_ids, ratio: float = SPLIT_RATIO, seed: int = 0) -> Sp
     (N_FOLDS folds), rest test.  The test set must hold at least one
     patient."""
     if not 0.0 < ratio < 1.0:  # also rejects nan
-        raise PipelineError(f"split ratio must be in (0, 1), got {ratio}")
+        raise DataError(f"split ratio must be in (0, 1), got {ratio}")
     patient_ids = sorted(set(patient_ids))
     n = len(patient_ids)
     if n < MIN_PATIENTS:
-        raise PipelineError(f"need at least {MIN_PATIENTS} patients, got {n}")
+        raise DataError(f"need at least {MIN_PATIENTS} patients, got {n}")
 
     rng = np.random.default_rng(seed)
     order = [patient_ids[i] for i in rng.permutation(n)]
     n_train = int(np.ceil(ratio * n))
     if n_train < N_FOLDS:
-        raise PipelineError(
+        raise DataError(
             f"too few patients for {N_FOLDS} nonempty folds ({n_train} in train split)"
         )
     if n_train == n:
-        raise PipelineError(f"split ratio {ratio} holds out no test patient of {n}")
+        raise DataError(f"split ratio {ratio} holds out no test patient of {n}")
     train, test = order[:n_train], order[n_train:]
     folds = tuple(tuple(train[i::N_FOLDS]) for i in range(N_FOLDS))
     return SplitPlan(test_patients=tuple(test), folds=folds, seed=seed, ratio=ratio)
@@ -198,7 +195,7 @@ class FeatureCombo:
         flags = name.split("+")
         unknown = [f for f in flags if f not in cls.FLAGS]
         if unknown:
-            raise PipelineError(f"unknown feature flags {unknown} in combo {name!r}")
+            raise DataError(f"unknown feature flags {unknown} in combo {name!r}")
         return cls(**{f: True for f in flags})
 
     @classmethod
@@ -282,38 +279,46 @@ def _resolve_ref(obj: dict, key: str, index: dict, where: str) -> VisualField:
     ref = obj[key]
     eye = EYE_FROM_WIRE.get(ref["eye"])
     if eye is None:
-        raise PipelineError(f"{where}: {key} eye {ref['eye']!r} is not OD or OS")
+        raise DataError(f"{where}: {key} eye {ref['eye']!r} is not OD or OS")
     k = (ref["patient_id"], eye, ref["test_index"])
     if k not in index:
-        raise PipelineError(f"{where}: {key} {ref} not in dataset")
+        raise DataError(f"{where}: {key} {ref} not in dataset")
     return index[k]
 
 
 def read_pairs(path, fields: list[VisualField]) -> dict[float, list[FieldPair]]:
     """Resolve a pair file against its dataset.
 
-    Raises PipelineError, prefixed `PATH: line N: `, on a line that breaks
+    Raises DataError, prefixed `PATH: line N: `, on a line that breaks
     PAIR_SCHEMA, holds an eye other than OD or OS or a dangling ref, refs two
-    patients or eyes, an input test not before its target, or a bin other
-    than `assign_bin` of the pair's gap.
+    patients or eyes, an input test not before its target, a bin other than
+    `assign_bin` of the pair's gap, or the input and target of an earlier line.
     """
     index = {(f.patient_id, f.eye, f.test_index): f for f in fields}
     binned: dict[float, list[FieldPair]] = {c: [] for c in BIN_CENTERS}
-    for where, obj in read_json_lines(path, PipelineError, PAIR_SCHEMA):
+    first_line: dict[tuple[str, str, int, int], str] = {}
+    for where, obj in read_json_lines(path, PAIR_SCHEMA):
         a = _resolve_ref(obj, "input_ref", index, where)
         b = _resolve_ref(obj, "target_ref", index, where)
         if (a.patient_id, a.eye) != (b.patient_id, b.eye):
-            raise PipelineError(f"{where}: input_ref and target_ref are different patients or eyes")
+            raise DataError(f"{where}: input_ref and target_ref are different patients or eyes")
         if not a.test_date < b.test_date:
-            raise PipelineError(
+            raise DataError(
                 f"{where}: input test of {a.test_date} is not before target test of {b.test_date}"
             )
         delta = years_between(a.test_date, b.test_date)
         center = assign_bin(delta)
         if center is None or obj["bin"] != center:
-            raise PipelineError(
+            raise DataError(
                 f"{where}: stored bin {obj['bin']!r} != {center!r}, the bin of its {delta:.6f}-year gap"
             )
+        key = (a.patient_id, a.eye, a.test_index, b.test_index)
+        if key in first_line:
+            raise DataError(
+                f"{where}: duplicate pair for patient {a.patient_id!r}, eye {EYE_TO_WIRE[a.eye]}, "
+                f"test_index {a.test_index} -> {b.test_index} (first at {first_line[key]})"
+            )
+        first_line[key] = where.removeprefix(f"{path}: ")
         binned[center].append(FieldPair(input=a, target=b, delta_years=delta))
     return binned
 

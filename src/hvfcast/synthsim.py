@@ -34,6 +34,7 @@ from .domain import (
     LEFT,
     RIGHT,
     Cell,
+    DataError,
     VisualField,
     eccentricity,
     mask_cells,
@@ -69,10 +70,6 @@ DEFAULT_MIX = {
     "paracentral": 0.10,
     "stable_hemianopia": 0.05,
 }
-
-
-class SimError(ValueError):
-    pass
 
 
 def normative_sensitivity(age_years: float, cell: Cell, eye: str = RIGHT) -> float:
@@ -156,27 +153,27 @@ class CohortConfig:
         for name in ("followup_years", "rate_range", "baseline_age_range", "second_eye_prob", "archetype_mix"):
             value = getattr(self, name)
             if not np.isfinite(list(value.values()) if isinstance(value, dict) else value).all():
-                raise SimError(f"{name} must be finite, got {value!r}")
+                raise DataError(f"{name} must be finite, got {value!r}")
         if self.patients < 1:
-            raise SimError("patients must be >= 1")
+            raise DataError("patients must be >= 1")
         if self.tests_per_eye[0] < 1 or self.tests_per_eye[1] < self.tests_per_eye[0]:
-            raise SimError(f"bad tests_per_eye range {self.tests_per_eye}")
+            raise DataError(f"bad tests_per_eye range {self.tests_per_eye}")
         if self.followup_years[0] <= 0 or self.followup_years[1] < self.followup_years[0]:
-            raise SimError(f"bad followup_years range {self.followup_years}")
+            raise DataError(f"bad followup_years range {self.followup_years}")
         if self.followup_years[0] < 0.4 and self.tests_per_eye[1] > 2:
             # interior visits are drawn from (0.2, span - 0.2)
-            raise SimError(
+            raise DataError(
                 f"followup_years minimum {self.followup_years[0]} is under 0.4 years, too short "
                 f"for {self.tests_per_eye[1]} tests per eye"
             )
         unknown = set(self.archetype_mix) - set(ARCHETYPE_NAMES)
         if unknown:
-            raise SimError(f"unknown archetypes in mix: {sorted(unknown)}")
+            raise DataError(f"unknown archetypes in mix: {sorted(unknown)}")
         weights = [self.archetype_mix.get(n, 0.0) for n in ARCHETYPE_NAMES]
         if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise SimError("archetype weights must be nonnegative with positive sum")
+            raise DataError("archetype weights must be nonnegative with positive sum")
         if self.rate_range[0] < 0 or self.rate_range[1] < self.rate_range[0]:
-            raise SimError(f"bad rate_range {self.rate_range}")
+            raise DataError(f"bad rate_range {self.rate_range}")
 
     def to_json_dict(self) -> dict:
         d = asdict(self)

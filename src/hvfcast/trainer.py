@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import AdamState, adam_step, masked_mae
-from .domain import NUMBER, expect, read_json, valid_mask_array, write_json
+from .domain import NUMBER, DataError, expect, read_json, valid_mask_array, write_json
 from .models import (
     Model,
     ModelSpec,
@@ -35,7 +35,7 @@ from .models import (
     snapshot_hash,
     weights_hash,
 )
-from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, PipelineError, SplitPlan, encode_pairs
+from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, SplitPlan, encode_pairs
 from .seeds import derive_seed
 
 PHASE_ARCH = "arch"
@@ -48,10 +48,6 @@ DESK_WIDTHS = (8, 16, 24)
 DESK_EPOCHS = 60
 FREEZE_MODES = ("best", "last")  # snapshot at the best validation epoch, or the final one
 PAPER_EPOCHS = 1000
-
-
-class TrainerError(ValueError):
-    pass
 
 
 class TrainingDiverged(RuntimeError):
@@ -78,13 +74,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise TrainerError("epochs must be >= 0")
+            raise DataError("epochs must be >= 0")
         if self.batch_size < 1:
-            raise TrainerError("batch_size must be >= 1")
+            raise DataError("batch_size must be >= 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
-            raise TrainerError(f"lr must be finite and > 0, got {self.lr!r}")
+            raise DataError(f"lr must be finite and > 0, got {self.lr!r}")
         if self.freeze not in FREEZE_MODES:
-            raise TrainerError(f"freeze must be 'best' or 'last', got {self.freeze!r}")
+            raise DataError(f"freeze must be 'best' or 'last', got {self.freeze!r}")
 
     def to_json_dict(self) -> dict:
         return asdict(self) | {"widths": list(self.widths)}
@@ -118,7 +114,7 @@ def evaluate_masked_mae(model: Model, xs: np.ndarray, ys: np.ndarray, batch_size
     mask = valid_mask_array()
     n = xs.shape[0]
     if n == 0:
-        raise TrainerError("cannot evaluate on an empty set")
+        raise DataError("cannot evaluate on an empty set")
     total = 0.0
     n_mask = int(mask.sum())
     for start in range(0, n, batch_size):
@@ -155,7 +151,7 @@ def train_model(
     train_x, train_y = train_data
     val_x, val_y = val_data
     if cfg.epochs > 0 and (train_x.shape[0] == 0 or val_x.shape[0] == 0):
-        raise TrainerError("training needs nonempty train and validation sets")
+        raise DataError("training needs nonempty train and validation sets")
     mask = valid_mask_array()
     n_mask = int(mask.sum())
     n = train_x.shape[0]
@@ -393,7 +389,7 @@ def _pick_winner(matrix: dict[str, list[float | None]]) -> str:
         name: row for name, row in matrix.items() if all(v is not None for v in row)
     }
     if not complete:
-        raise TrainerError("no candidate completed all folds")
+        raise DataError("no candidate completed all folds")
     means = {name: float(np.mean(row)) for name, row in complete.items()}
     best = min(means.values())
     return min(name for name, m in means.items() if m == best)
@@ -415,7 +411,7 @@ def _run_selection_phase(
     splits = [fold_split(pairs, plan, fold) for fold in range(n_folds)]
     for fold, (train, val) in enumerate(splits):
         if not train or not val:
-            raise TrainerError(f"fold {fold} has no pairs for phase {phase!r}")
+            raise DataError(f"fold {fold} has no pairs for phase {phase!r}")
     jobs = [
         _Job(phase, name, fold, spec, cfg, str(runs_dir), [_step(name, None, splits[fold], combo)])
         for name, spec, combo in candidates
@@ -431,7 +427,7 @@ def _run_selection_phase(
             errors.setdefault(job.candidate, []).append(f"fold {job.fold}: {record['error']}")
     try:
         winner = _pick_winner(matrix)
-    except TrainerError:
+    except DataError:
         if errors:
             raise TrainingDiverged(
                 f"phase {phase!r}: every candidate lost at least one fold to "
@@ -556,26 +552,26 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
     """
     path = Path(runs_dir) / PHASE_INTERVALS / CHAIN_RESULT
     if not path.is_file():
-        raise TrainerError(f"{path} not found; run `train --phase intervals` to completion first")
-    chain = read_json(path, TrainerError, CHAIN_SCHEMA)
+        raise DataError(f"{path} not found; run `train --phase intervals` to completion first")
+    chain = read_json(path, CHAIN_SCHEMA)
     try:
         combo = FeatureCombo.parse(chain["combo"])
-    except PipelineError as e:
-        raise TrainerError(f"{path}: 'combo': {e}") from None
+    except DataError as e:
+        raise DataError(f"{path}: 'combo': {e}") from None
     wanted = set(bins)
     listed: dict[tuple, int] = {}  # (bin, fold) -> index of its entry
     out: dict[float, list[Model]] = {}
     for i, e in enumerate(chain["entries"]):
         if e["bin"] not in BIN_CENTERS:
-            raise TrainerError(f"{path}: entries[{i}]: 'bin' must be one of {BIN_CENTERS}, got {e['bin']!r}")
+            raise DataError(f"{path}: entries[{i}]: 'bin' must be one of {BIN_CENTERS}, got {e['bin']!r}")
         if e["bin"] not in wanted:
             continue
-        expect(e, SERVED_ENTRY_SCHEMA, path, TrainerError, ("entries", i))
+        expect(e, SERVED_ENTRY_SCHEMA, path, ("entries", i))
         first = listed.setdefault((e["bin"], e["fold"]), i)
         if first != i:
-            raise TrainerError(f"{path}: entries[{i}]: bin {e['bin']} fold {e['fold']} is listed twice, "
+            raise DataError(f"{path}: entries[{i}]: bin {e['bin']} fold {e['fold']} is listed twice, "
                                f"first at entries[{first}]")
         if not e["gap"]:
-            checkpoint = expect(e, CHECKPOINT_SCHEMA, path, TrainerError, ("entries", i))["checkpoint"]
+            checkpoint = expect(e, CHECKPOINT_SCHEMA, path, ("entries", i))["checkpoint"]
             out.setdefault(e["bin"], []).append(load_weights(Path(runs_dir) / checkpoint))
     return combo, out

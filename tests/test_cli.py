@@ -278,6 +278,18 @@ class TestSettings:
         assert err.startswith("usage: ") == (via == "flag")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("widths", ["\u00b2,8,12", "4,8,1\u00b9"])
+    def test_non_decimal_digit_in_widths_exits_1_with_the_widths_message(self, tmp_path, capsys, widths):
+        """A superscript digit passes `str.isdigit` but is no integer: the
+        value takes the widths rule's message, as a seed takes its rule."""
+        code = run_cli("train", "--phase", "arch", "--data", "d", "--pairs", "p", "--split", "s",
+                       "--out", str(tmp_path / "runs"), "--widths", widths)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument --widths: widths must be three integers, got {widths!r}" in err
+        assert "_parse_widths" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_numeric_archetype_weight_exits_1(self, tmp_path, capsys):
         out = tmp_path / "d.jsonl"
         assert run_cli("simulate", "--patients", "2", "--archetype", "normal=x", "--out", str(out)) == 1
@@ -770,6 +782,27 @@ class TestPlanContract:
         assert f"error: {pairs}: line 1: input_ref and target_ref are different patients or eyes" in (
             capsys.readouterr().err
         )
+
+
+    def test_repeated_pair_line_exits_2_naming_both_lines(self, trained, tmp_path, capsys):
+        """A pair listed twice would be trained and scored twice."""
+        lines = (trained / "pairs.jsonl").read_text().splitlines()
+        obj = json.loads(lines[1])
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("\n".join(lines + [lines[1]]) + "\n")
+        code = run_cli(
+            "train", "--phase", "intervals",
+            "--data", str(trained / "d.jsonl"), "--pairs", str(pairs),
+            "--split", str(trained / "split.json"), "--out", str(tmp_path / "runs"),
+            "--arch", "FullyConnected", "--combo", "age", "--epochs", "1",
+        )
+        assert code == 2
+        ref, target = obj["input_ref"], obj["target_ref"]
+        assert capsys.readouterr().err == (
+            f"error: {pairs}: line {len(lines) + 1}: duplicate pair for patient {ref['patient_id']!r}, "
+            f"eye {ref['eye']}, test_index {ref['test_index']} -> {target['test_index']} (first at line 2)\n"
+        )
+        assert not (tmp_path / "runs").exists()
 
 
 class TestRunTreeContract:

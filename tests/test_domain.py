@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 from hvfcast import domain
 from hvfcast.domain import (
     BLIND_SPOT,
-    DomainError,
+    DataError,
     EYES,
     GENDERS,
     LEFT,
-    RecordError,
     RIGHT,
     VisualField,
     cell_degrees,
@@ -79,9 +78,9 @@ class TestMask:
             assert not {mask_cells()[i] for i in positions} & set(BLIND_SPOT[eye])
 
     def test_unknown_eye_rejected(self):
-        with pytest.raises(DomainError, match="unknown eye 'both'"):
+        with pytest.raises(DataError, match="unknown eye 'both'"):
             md_positions("both")
-        with pytest.raises(DomainError, match="unknown eye 'both'"):
+        with pytest.raises(DataError, match="unknown eye 'both'"):
             mean_deviation((30.0,) * 54, (30.0,) * 54, "both")
 
 
@@ -304,47 +303,47 @@ class TestCodec:
     def test_wrong_value_count(self):
         line = serialize_record(make_field(np.random.default_rng(10)))
         obj_55 = line.replace("]}", ", 12.00]}")
-        with pytest.raises(RecordError, match=r"values length 55 != 54"):
+        with pytest.raises(DataError, match=r"values length 55 != 54"):
             parse_record(obj_55)
 
     def test_malformed_json(self):
-        with pytest.raises(RecordError, match="malformed JSON"):
+        with pytest.raises(DataError, match="malformed JSON"):
             parse_record("{not json")
 
     def test_missing_key_named(self):
-        with pytest.raises(RecordError, match="'gender'"):
+        with pytest.raises(DataError, match="'gender'"):
             parse_record('{"patient_id": "P1", "eye": "OD"}')
 
     def test_serialize_refuses_invalid(self):
         f = make_field(np.random.default_rng(11))
         f.values = with_cell(f.values, (3, 3), 77.0)
-        with pytest.raises(DomainError, match="refusing to serialize"):
+        with pytest.raises(DataError, match="refusing to serialize"):
             serialize_record(f)
 
     def test_serialize_refuses_wrong_length(self):
         for n in (53, 55):
             f = make_field(values=(30.0,) * n)
-            with pytest.raises(DomainError, match=f"refusing to serialize invalid field: values length {n} != 54$"):
+            with pytest.raises(DataError, match=f"refusing to serialize invalid field: values length {n} != 54$"):
                 serialize_record(f)
 
     def test_bool_test_index_rejected(self):
         line = serialize_record(make_field(np.random.default_rng(13)))
         line = line.replace('"test_index": 1', '"test_index": true')
-        with pytest.raises(RecordError, match="^record: 'test_index' must be an int, got True$"):
+        with pytest.raises(DataError, match="^record: 'test_index' must be an int, got True$"):
             parse_record(line)
 
     @pytest.mark.parametrize("bad", [None, "old", "12.5", True, 10**400])
     def test_non_number_age_rejected(self, bad):
         obj = json.loads(serialize_record(make_field(np.random.default_rng(17))))
         obj["age"] = bad
-        with pytest.raises(RecordError, match="'age'|out of range"):
+        with pytest.raises(DataError, match="'age'|out of range"):
             parse_record(json.dumps(obj))
 
     @pytest.mark.parametrize("bad", [None, "old", "12.5", True, 10**400])
     def test_non_number_db_value_rejected(self, bad):
         obj = json.loads(serialize_record(make_field(np.random.default_rng(18))))
         obj["values"][7] = bad
-        with pytest.raises(RecordError, match=r"values\[7\]|out of range"):
+        with pytest.raises(DataError, match=r"values\[7\]|out of range"):
             parse_record(json.dumps(obj))
 
     def test_integer_numbers_parse_as_floats(self):
@@ -361,7 +360,7 @@ class TestCodec:
         good = serialize_record(make_field(np.random.default_rng(14)))
         path = tmp_path / "d.jsonl"
         path.write_text(good + "\n" + good.replace('"test_index": 1', '"test_index": true') + "\n")
-        with pytest.raises(RecordError, match=rf"^{re.escape(str(path))}: line 2: 'test_index' must be an int"):
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line 2: 'test_index' must be an int"):
             load_dataset(path)
 
     def test_load_dataset_rejects_duplicate_key(self, tmp_path):
@@ -372,7 +371,7 @@ class TestCodec:
         path = tmp_path / "d.jsonl"
         path.write_text("\n".join(serialize_record(f) for f in (first, other, again)) + "\n")
         with pytest.raises(
-            RecordError,
+            DataError,
             match=rf"^{re.escape(str(path))}: line 3: duplicate record for patient 'P7', eye OD, test_index 2 \(first at line 1\)",
         ):
             load_dataset(path)
@@ -419,13 +418,13 @@ class TestGenderProperty:
             path = Path(tmp) / "d.jsonl"
             save_dataset(fields, path)
             if errors:
-                with pytest.raises(RecordError, match=f"^{re.escape(f'{path}: {min(errors.values())[1]}')}$"):
+                with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {min(errors.values())[1]}')}$"):
                     load_dataset(path)
             else:
                 assert load_dataset(path) == fields
             for pid in first:
                 if pid in errors:
-                    with pytest.raises(RecordError, match=f"^{re.escape(f'{path}: {errors[pid][1]}')}$"):
+                    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {errors[pid][1]}')}$"):
                         find_record(path, pid, RIGHT, 1)
                 else:
                     want = [f for f in fields if (f.patient_id, f.test_index) == (pid, 1)]
@@ -503,8 +502,8 @@ class TestExpect:
         ],
     )
     def test_message_names_the_file_the_key_path_and_the_mismatch(self, value, schema, at, message):
-        with pytest.raises(DomainError) as info:
-            domain.expect(value, schema, "F", DomainError, at)
+        with pytest.raises(DataError) as info:
+            domain.expect(value, schema, "F", at)
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
@@ -513,4 +512,4 @@ class TestExpect:
          ({"a": 1, "extra": "kept"}, {"a": int}), ([{"a": [1]}], [{"a": [int]}])],
     )
     def test_a_match_returns_the_value(self, value, schema):
-        assert domain.expect(value, schema, "F", DomainError) is value
+        assert domain.expect(value, schema, "F") is value

@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from hvfcast.domain import BLIND_SPOT, RIGHT, mask_cells, valid_mask_array
+from hvfcast.domain import BLIND_SPOT, RIGHT, DataError, mask_cells, valid_mask_array
 from hvfcast.evaluation import (
-    DegenerateDataError,
-    EvaluationError,
     _BOOTSTRAP_DRAW,
     _bootstrap_ci,
     baseline_forecast,
@@ -80,11 +78,22 @@ class TestEnsemble:
     def test_spec_mismatch_rejected(self):
         a = constant_model(1.0)
         b = build_model(ModelSpec(family="FullBN", depth_k=2, widths=(2, 3, 4)))
-        with pytest.raises(EvaluationError, match="disagree"):
+        with pytest.raises(DataError, match="disagree"):
             ensemble_predict([a, b], np.zeros((1, 1, 8, 9)))
 
+    def test_spec_mismatch_names_both_specs(self):
+        """Two models of one architecture name differ in a width: the message
+        shows where, as the field lists of both specs."""
+        a = build_model(spec_from_name("Cascade-1", widths=(4, 8, 12)))
+        b = build_model(spec_from_name("Cascade-1", widths=(4, 8, 16), seed=1))
+        with pytest.raises(DataError) as info:
+            ensemble_predict([a, b], np.zeros((1, 1, 8, 9)))
+        assert str(info.value) == (f"ensemble models disagree on spec: {b.spec.to_dict()} vs "
+                                   f"{a.spec.to_dict()} (seed aside)")
+        assert "'widths': [4, 8, 16]" in str(info.value)
+
     def test_no_models_rejected(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(DataError):
             ensemble_predict([], np.zeros((1, 1, 8, 9)))
 
 
@@ -162,7 +171,7 @@ class TestPearson:
     def test_p_value_is_twice_the_student_t_tail(self, pairs):
         try:
             r, _, p = pearson_adj_r2(pairs)
-        except DegenerateDataError:
+        except DataError:
             return
         n = len(pairs)
         if r * r >= 1.0:
@@ -180,11 +189,11 @@ class TestPearson:
         assert stdtr(df, -t) == sstats.t.sf(t, df)
 
     def test_needs_three_points(self):
-        with pytest.raises(EvaluationError, match="n >= 3"):
+        with pytest.raises(DataError, match="n >= 3"):
             pearson_adj_r2([(0, 0), (1, 1)])
 
     def test_zero_variance_degenerate(self):
-        with pytest.raises(DegenerateDataError, match="degenerate"):
+        with pytest.raises(DataError, match="degenerate"):
             pearson_adj_r2([(1, 0), (1, 1), (1, 2)])
 
 
@@ -208,7 +217,7 @@ class TestBlandAltman:
         assert hi1 - lo1 == pytest.approx(hi0 - lo0, abs=1e-10)
 
     def test_needs_two_points(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(DataError):
             bland_altman([(1.0, 1.0)])
 
 
@@ -293,13 +302,13 @@ class TestBaselines:
 
     def test_insufficient_history_names_minimum(self):
         f = make_field(np.random.default_rng(8))
-        with pytest.raises(EvaluationError, match="at least 2"):
+        with pytest.raises(DataError, match="at least 2"):
             baseline_forecast("pointwise_ols", [f], 1.0)
-        with pytest.raises(EvaluationError, match="at least 1"):
+        with pytest.raises(DataError, match="at least 1"):
             baseline_forecast("copy", [], 1.0)
 
     def test_unknown_method(self):
-        with pytest.raises(EvaluationError, match="unknown baseline"):
+        with pytest.raises(DataError, match="unknown baseline"):
             baseline_forecast("kalman", [], 1.0)
 
 
@@ -511,5 +520,5 @@ class TestEvaluateTestset:
 
     def test_no_models_anywhere_errors(self):
         pairs = self._two_pair_fixture()
-        with pytest.raises(EvaluationError, match="no test pairs"):
+        with pytest.raises(DataError, match="no test pairs"):
             evaluate_testset({}, {1.0: pairs}, FeatureCombo(), n_bootstrap=10)

@@ -1,9 +1,10 @@
 """Source hygiene without a lint tool: no file imports a name it never uses,
 the package defines no function, class or method that nothing names, and
 it parses JSON, writes files, chooses exit codes and catches float faults
-each in one place."""
+each in one place, with one exception class per failing exit path."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -297,3 +298,119 @@ def test_only_train_model_catches_float_faults():
 def test_training_diverged_is_the_one_divergence_exception():
     assert [name for path in PACKAGE for name in divergence_classes(path.read_text(encoding="utf-8"))] == [
         "TrainingDiverged"]
+
+
+# One exception per failing exit path: bad input exits 2 and a diverged run
+# exits 3; engine misuse is a bug, which `main` leaves to end in a traceback
+EXCEPTIONS = {("src/hvfcast/domain.py", "DataError"), ("src/hvfcast/trainer.py", "TrainingDiverged"),
+              ("src/hvfcast/autodiff.py", "EngineError")}
+BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
+                      if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def _base_name(node: ast.expr) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def exception_classes(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(file, name) of every class, at any depth in any of `sources`, with a
+    base that is an exception: a builtin one, one named `*Error`,
+    `*Exception` or `*Warning`, or such a class of `sources` itself."""
+    classes = [(path, node.name, {_base_name(b) for b in node.bases})
+               for path, source in sources.items()
+               for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    known = set(BUILTIN_EXCEPTIONS)
+    for _ in classes:  # a subclass may come before its base: a pass per class reaches every one
+        known |= {name for _, name, bases in classes
+                  if any(b in known or (b or "").endswith(("Error", "Exception", "Warning")) for b in bases)}
+    return {(path, name) for path, name, bases in classes if name in known}
+
+
+def test_exception_scanner_finds_every_class():
+    sources = {
+        "a.py": (
+            "import argparse\n"
+            "class Late(Early):\n    pass\n"
+            "class Early(ValueError):\n    pass\n"
+            "class Spec:\n    pass\n"
+            "class Usage(argparse.ArgumentTypeError):\n    pass\n"
+            "def f():\n    class Inner(Exception):\n        pass\n"
+        ),
+        "b.py": "from a import Late\nclass Mixed(Spec, Late):\n    pass\nclass Plain(object):\n    pass\n",
+    }
+    assert exception_classes(sources) == {("a.py", "Late"), ("a.py", "Early"), ("a.py", "Usage"),
+                                          ("a.py", "Inner"), ("b.py", "Mixed")}
+
+
+def test_the_package_defines_three_exceptions():
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert exception_classes(sources) == EXCEPTIONS
+
+
+def caught_by(source: str, owner: str) -> list[tuple[str, ...]]:
+    """The names each `except` clause of `owner` (a dotted function or method
+    name) catches, in source order: `*NAME` for a starred tuple entry, and
+    () for a bare `except`."""
+    def named(node):
+        return f"*{_base_name(node.value)}" if isinstance(node, ast.Starred) else _base_name(node)
+
+    return [
+        () if node.type is None else tuple(map(named, node.type.elts if isinstance(node.type, ast.Tuple)
+                                               else [node.type]))
+        for node, found in owned_nodes(source) if found == owner and isinstance(node, ast.ExceptHandler)
+    ]
+
+
+def test_catch_scanner_names_every_clause():
+    source = (
+        "import argparse\n"
+        "def main():\n"
+        "    try:\n        pass\n    except SystemExit:\n        pass\n"
+        "    try:\n        pass\n    except (argparse.ArgumentTypeError, *ERRORS) as e:\n        pass\n"
+        "    except:\n        pass\n"
+        "    def inner():\n        try:\n            pass\n        except OSError:\n            pass\n"
+    )
+    assert caught_by(source, "main") == [("SystemExit",), ("ArgumentTypeError", "*ERRORS"), ()]
+    assert caught_by(source, "main.inner") == [("OSError",)]
+
+
+def test_main_catches_one_type_per_exit_code():
+    """Around the parser, argparse's own exit; around the command, a usage
+    error (exit 1), bad input or an unreadable or unwritable file (exit 2)
+    and a diverged run (exit 3)."""
+    source = (ROOT / "src" / "hvfcast" / "cli.py").read_text(encoding="utf-8")
+    assert caught_by(source, "main") == [("SystemExit",),
+                                         ("ArgumentTypeError", "TrainingDiverged", "DataError", "OSError")]
+
+
+def class_parameters(source: str) -> list[tuple[int, str, str]]:
+    """(line, owner, parameter) of every function parameter that takes a
+    class: annotated `type[...]`, or named `error`."""
+    found = []
+    for node, owner in owned_nodes(source):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+                annotation = arg.annotation
+                if arg.arg == "error" or (isinstance(annotation, ast.Subscript)
+                                          and _base_name(annotation.value) == "type"):
+                    found.append((arg.lineno, node.name if owner == "<module>" else f"{owner}.{node.name}",
+                                  arg.arg))
+    return found
+
+
+def test_class_parameter_scanner_finds_every_one():
+    source = (
+        "def read(path, error: type[Exception], schema=None):\n    pass\n"
+        "def parse(line, error, *, kind=int):\n    pass\n"
+        "class Reader:\n    def error(self, message, cls: type = int):\n        pass\n"
+        "    def load(self, path, *, factory: type[dict] = dict):\n        pass\n"
+    )
+    assert class_parameters(source) == [(1, "read", "error"), (3, "parse", "error"), (8, "Reader.load", "factory")]
+
+
+def test_no_reader_takes_an_exception_class():
+    """Every reader raises DataError itself; no caller picks the class."""
+    found = {str(path.relative_to(ROOT)): params for path in PACKAGE
+             if (params := class_parameters(path.read_text(encoding="utf-8")))}
+    assert found == {}

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from hvfcast import models
 from hvfcast.autodiff import Tensor, _toposort, concat_channels, masked_mae
-from hvfcast.domain import DomainError, valid_mask_array
+from hvfcast.domain import DataError, valid_mask_array
 from hvfcast.models import (
-    ModelError,
     ModelSpec,
-    WeightsError,
     build_model,
     canonical_specs,
     count_layers,
@@ -111,15 +109,15 @@ class TestCounting:
 
 class TestSpec:
     def test_unknown_family(self):
-        with pytest.raises(ModelError, match="family"):
+        with pytest.raises(DataError, match="family"):
             ModelSpec(family="Dense")
 
     def test_conv_family_requires_depth(self):
-        with pytest.raises(ModelError, match="depth_k"):
+        with pytest.raises(DataError, match="depth_k"):
             ModelSpec(family="Cascade")
 
     def test_fc_takes_no_depth(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(DataError):
             ModelSpec(family="FullyConnected", depth_k=3)
 
     def test_canonical_specs_are_the_nine(self):
@@ -157,7 +155,7 @@ class TestForward:
 
     def test_channel_mismatch(self):
         m = build_model(tiny_spec("FullBN", 1, in_channels=2))
-        with pytest.raises(ModelError, match="in_channels"):
+        with pytest.raises(DataError, match="in_channels"):
             m.forward(np.zeros((1, 1, 8, 9)))
 
     def test_zeroed_head_gives_zero_output(self):
@@ -311,7 +309,7 @@ class TestSerialization:
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
         dropped = manifest["entries"].pop(1)["name"]
         (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(WeightsError, match=rf"manifest missing entries for \['{dropped}'\]"):
+        with pytest.raises(DataError, match=rf"manifest missing entries for \['{dropped}'\]"):
             load_weights(tmp_path / "ck")
 
     def test_truncated_blob(self, tmp_path):
@@ -319,7 +317,7 @@ class TestSerialization:
         save_weights(m, tmp_path / "ck")
         blob = (tmp_path / "ck" / "weights.bin").read_bytes()
         (tmp_path / "ck" / "weights.bin").write_bytes(blob[:-8])
-        with pytest.raises(WeightsError, match="length mismatch"):
+        with pytest.raises(DataError, match="length mismatch"):
             load_weights(tmp_path / "ck")
 
     def test_unsupported_version(self, tmp_path):
@@ -328,7 +326,7 @@ class TestSerialization:
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
         manifest["format_version"] = "2"
         (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(WeightsError, match="unsupported version '2'"):
+        with pytest.raises(DataError, match="unsupported version '2'"):
             load_weights(tmp_path / "ck")
 
     def test_corruption_names_layer(self, tmp_path):
@@ -339,7 +337,7 @@ class TestSerialization:
         blob = bytearray((tmp_path / "ck" / "weights.bin").read_bytes())
         blob[entry["offset"]] ^= 0xFF
         (tmp_path / "ck" / "weights.bin").write_bytes(bytes(blob))
-        with pytest.raises(WeightsError, match=entry["name"].replace(".", r"\.")):
+        with pytest.raises(DataError, match=entry["name"].replace(".", r"\.")):
             load_weights(tmp_path / "ck")
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf, 1.5], ids=["nan", "inf", "finite"])
@@ -358,7 +356,7 @@ class TestSerialization:
             loaded = {name: arr for name, arr, _ in load_weights(tmp_path / "ck").all_entries()}
             assert loaded[entry["name"]].reshape(-1)[1] == value
         else:
-            with pytest.raises(WeightsError, match=f"^{re.escape(str(path))}: non-finite values in "
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite values in "
                                                    f"{re.escape(repr(entry['name']))}$"):
                 load_weights(tmp_path / "ck")
 
@@ -415,14 +413,14 @@ class TestSerialization:
         manifest = json.loads(path.read_text())
         edit(manifest)
         path.write_text(json.dumps(manifest))
-        with pytest.raises(WeightsError, match=f"^{re.escape(str(path))}: .*{needle}"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*{needle}"):
             load_weights(tmp_path / "ck")
 
     def test_manifest_that_is_not_an_object_is_named(self, tmp_path):
         save_weights(self._trained_tiny(), tmp_path / "ck")
         path = tmp_path / "ck" / "manifest.json"
         path.write_text("[]")
-        with pytest.raises(WeightsError, match=f"^{re.escape(str(path))}: must be an object, got \\[\\]$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: must be an object, got \\[\\]$"):
             load_weights(tmp_path / "ck")
 
     def test_write_json_is_sorted_indented_and_atomic(self, tmp_path):
@@ -437,7 +435,7 @@ class TestSerialization:
         """JSON has no NaN or Infinity, so no result file may hold one."""
         path = tmp_path / "out.json"
         path.write_text("stale")
-        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: Out of range float values"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: Out of range float values"):
             models.write_json(path, {"a": [1.0, value]})
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert path.read_text() == "stale"

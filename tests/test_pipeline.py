@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvfcast.autodiff import Tensor, masked_mae
-from hvfcast.domain import LEFT, RIGHT, mask_cells, valid_mask_array
+from hvfcast.domain import LEFT, RIGHT, DataError, mask_cells, valid_mask_array
 from hvfcast.pipeline import (
     BIN_CENTERS,
     FeatureCombo,
-    PipelineError,
     SplitPlan,
     assign_bin,
     bin_pairs,
@@ -212,16 +211,16 @@ class TestSplit:
             assert (f.patient_id in test) != (f.patient_id in train)
 
     def test_too_few_patients(self):
-        with pytest.raises(PipelineError, match="at least 20"):
+        with pytest.raises(DataError, match="at least 20"):
             split_patients([f"P{i}" for i in range(12)], seed=0)
 
     @pytest.mark.parametrize("ratio", [float("nan"), 0.0, 1.0, 1.5])
     def test_ratio_outside_open_unit_interval(self, ratio):
-        with pytest.raises(PipelineError, match=r"^split ratio must be in \(0, 1\)"):
+        with pytest.raises(DataError, match=r"^split ratio must be in \(0, 1\)"):
             split_patients([f"P{i:03d}" for i in range(40)], ratio=ratio, seed=0)
 
     def test_ratio_holding_out_no_patient(self):
-        with pytest.raises(PipelineError, match="^split ratio 0.99 holds out no test patient of 60$"):
+        with pytest.raises(DataError, match="^split ratio 0.99 holds out no test patient of 60$"):
             split_patients([f"P{i:03d}" for i in range(60)], ratio=0.99, seed=0)
 
     def test_json_round_trip(self):
@@ -246,13 +245,13 @@ class TestSplit:
     def test_value_of_wrong_type_names_key(self, key, bad, message):
         d = split_patients([f"P{i:03d}" for i in range(40)], seed=7).to_json_dict()
         d[key] = bad
-        with pytest.raises(PipelineError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             SplitPlan.from_json_dict(d)
 
     def test_missing_key_or_non_object_names_key(self):
-        with pytest.raises(PipelineError, match=r"^split plan: must be an object, got \[\]$"):
+        with pytest.raises(DataError, match=r"^split plan: must be an object, got \[\]$"):
             SplitPlan.from_json_dict([])
-        with pytest.raises(PipelineError, match="^split plan: 'seed' is missing$"):
+        with pytest.raises(DataError, match="^split plan: 'seed' is missing$"):
             SplitPlan.from_json_dict({"test_patients": [], "folds": []})
 
 
@@ -281,7 +280,7 @@ class TestFeatureCombo:
             assert FeatureCombo.parse(combo.name) == combo
 
     def test_parse_rejects_unknown(self):
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError):
             FeatureCombo.parse("age+iop")
 
 
@@ -356,7 +355,7 @@ class TestPairFiles:
         binned, _ = bin_pairs(make_pairs(fields))
         path = tmp_path / "pairs.jsonl"
         write_pairs(path, binned)
-        with pytest.raises(PipelineError, match="not in dataset"):
+        with pytest.raises(DataError, match="not in dataset"):
             read_pairs(path, fields[: len(fields) // 3])
 
     def test_pairs_for_patients_filters_both_sides(self, small_cohort):
@@ -420,7 +419,7 @@ class TestPairFileProperty:
             i = pick % len(lines)
             lines[i] = mutate(json.loads(lines[i]))
             path.write_text("\n".join(lines) + "\n")
-            with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: line {i + 1}: "):
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line {i + 1}: "):
                 read_pairs(path, fields)
 
     @pytest.mark.parametrize(
@@ -443,7 +442,7 @@ class TestPairFileProperty:
         lines = path.read_text().splitlines()
         lines[1] = mutate(json.loads(lines[1]))
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: line 2: {needle}"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 2: {needle}"):
             read_pairs(path, fields)
 
     def test_cross_patient_line_is_named(self, tmp_path):
@@ -454,5 +453,5 @@ class TestPairFileProperty:
         write_pairs(path, bin_pairs(make_pairs(fields))[0])
         obj = json.loads(path.read_text().splitlines()[0])
         path.write_text(_other_patient(obj) + "\n")
-        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: line 1: input_ref and target_ref are different patients"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 1: input_ref and target_ref are different patients"):
             read_pairs(path, fields)

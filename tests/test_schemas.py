@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from hvfcast import cli
 from hvfcast.cli import _MATRIX_ROW, FEATURES_RESULT_SCHEMA, PHASE_WINNER_SCHEMA, REPORT_SCHEMA
 from hvfcast.domain import NUMBER, RECORD_SCHEMA, expect, load_dataset, read_json
-from hvfcast.evaluation import EvaluationError
 from hvfcast.models import MANIFEST_SCHEMA, load_weights
-from hvfcast.pipeline import PAIR_SCHEMA, PLAN_SCHEMA, PipelineError, SplitPlan, read_pairs
-from hvfcast.trainer import CHECKPOINT_SCHEMA, SERVED_ENTRY_SCHEMA, TrainerError, load_interval_models
+from hvfcast.pipeline import PAIR_SCHEMA, PLAN_SCHEMA, SplitPlan, read_pairs
+from hvfcast.trainer import CHECKPOINT_SCHEMA, SERVED_ENTRY_SCHEMA, load_interval_models
 
 TINY = ("--epochs", "1", "--widths", "2,3,4", "--fc-hidden", "8", "--seed", "3", "--workers", "2")
 
@@ -80,17 +79,17 @@ def test_every_written_file_passes_its_readers_schema(tree):
     assert any(e["error"] and "checkpoint" not in e for e in entries)
     results = sorted(tree.rglob("phase_result.json"))
     for path in results:
-        result = read_json(path, TrainerError, PHASE_WINNER_SCHEMA)
-        expect(result, FEATURES_RESULT_SCHEMA, path, TrainerError)
+        result = read_json(path, PHASE_WINNER_SCHEMA)
+        expect(result, FEATURES_RESULT_SCHEMA, path)
         for name, row in result["matrix"].items():
-            expect(row, _MATRIX_ROW, path, TrainerError, ("matrix", name))
+            expect(row, _MATRIX_ROW, path, ("matrix", name))
     partial = json.loads((tree / "partial" / "arch" / "phase_result.json").read_text())
     assert partial["errors"] and None in [v for row in partial["matrix"].values() for v in row]
     assert not (tree / "lr-arch" / "arch" / "phase_result.json").exists()
-    read_json(tree / "report.json", EvaluationError, REPORT_SCHEMA)
+    read_json(tree / "report.json", REPORT_SCHEMA)
     fields = load_dataset(tree / "d.jsonl")
     assert sum(map(len, read_pairs(tree / "pairs.jsonl", fields).values())) > 0
-    SplitPlan.from_json_dict(read_json(tree / "split.json", PipelineError), "split.json")
+    SplitPlan.from_json_dict(read_json(tree / "split.json"), "split.json")
 
 
 def test_every_written_file_is_strict_json(tree):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hvfcast import synthsim
 from hvfcast.domain import (
+    DataError,
     LEFT,
     RIGHT,
     mask_cells,
@@ -23,7 +24,6 @@ from hvfcast.synthsim import (
     ARCHETYPE_NAMES,
     ARCHETYPES,
     CohortConfig,
-    SimError,
     add_noise,
     generate_cohort,
     noise_sd,
@@ -256,15 +256,15 @@ class TestGenerateCohort:
                 assert eye_info["rate_db_per_year"] >= 0
 
     def test_bad_config_rejected(self):
-        with pytest.raises(SimError):
+        with pytest.raises(DataError):
             CohortConfig(patients=0)
-        with pytest.raises(SimError):
+        with pytest.raises(DataError):
             CohortConfig(archetype_mix={"unknown": 1.0})
-        with pytest.raises(SimError):
+        with pytest.raises(DataError):
             CohortConfig(archetype_mix={"normal": 0.0})
-        with pytest.raises(SimError):
+        with pytest.raises(DataError):
             CohortConfig(tests_per_eye=(3, 2))
-        with pytest.raises(SimError, match="under 0.4 years"):
+        with pytest.raises(DataError, match="under 0.4 years"):
             CohortConfig(tests_per_eye=(2, 3), followup_years=(0.39, 1.0))
         CohortConfig(tests_per_eye=(1, 2), followup_years=(0.1, 0.3))
         CohortConfig(tests_per_eye=(2, 3), followup_years=(0.4, 1.0))
@@ -286,7 +286,7 @@ class TestGenerateCohort:
             value = value | {archetype: bad}
         else:
             value = bad
-        with pytest.raises(SimError, match=f"{name} must be finite"):
+        with pytest.raises(DataError, match=f"{name} must be finite"):
             dataclasses.replace(CohortConfig(), **{name: value})
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from hvfcast import trainer
 from hvfcast.autodiff import Tensor, adam_step, masked_mae
-from hvfcast.domain import valid_mask_array
+from hvfcast.domain import DataError, valid_mask_array
 from hvfcast.models import ModelSpec, build_model, spec_from_name, weights_hash
 from hvfcast.pipeline import (
     BIN_CENTERS,
@@ -25,7 +25,6 @@ from hvfcast.pipeline import (
 from hvfcast.trainer import (
     ChainResult,
     TrainConfig,
-    TrainerError,
     TrainingDiverged,
     _pick_winner,
     evaluate_masked_mae,
@@ -149,7 +148,7 @@ class TestTrainModel:
     def test_empty_sets_rejected(self):
         m = build_model(TINY_SPEC)
         empty = (np.zeros((0, 1, 8, 9)), np.zeros((0, 1, 8, 9)))
-        with pytest.raises(TrainerError, match="nonempty"):
+        with pytest.raises(DataError, match="nonempty"):
             train_model(m, empty, tiny_data(4), TrainConfig(epochs=1))
 
     def test_overfits_sixteen_pairs(self):
@@ -268,7 +267,7 @@ class TestWinnerRule:
         assert _pick_winner(matrix) == "good"
 
     def test_all_incomplete_errors(self):
-        with pytest.raises(TrainerError):
+        with pytest.raises(DataError):
             _pick_winner({"x": [None]})
 
 
@@ -399,7 +398,7 @@ class TestIntervalChain:
         path.write_text(json.dumps(chain))
         _, one_bin = load_interval_models(copy, bins=[some_bin])
         assert list(one_bin) == [some_bin]
-        with pytest.raises(TrainerError, match="'gap' must be a bool, got 'no'"):
+        with pytest.raises(DataError, match="'gap' must be a bool, got 'no'"):
             load_interval_models(copy)
 
     def test_chain_history_records_bin_and_transfer(self, chain_run):
