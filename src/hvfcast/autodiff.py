@@ -22,6 +22,15 @@ input is at least 3 times wider than the output, kn2row, one GEMM on the
 ungathered input followed by a shift-add of k*k narrow partial outputs.
 A 1x1 convolution is a plain matmul.
 
+`conv2d`, `dense` and `batch_norm` run M models of one architecture at
+once: each parameter may carry a leading model axis M (without one, M = 1),
+and an activation holds the M models' batches model-major, (M*B, ...), so
+rows m*B to (m+1)*B - 1 are model m's.  A `shared` input is one batch of B
+rows that every model reads, gathered once.  Every model's values are
+those of its own forward: the stacked GEMMs are the same per-model GEMMs
+in one call, and batch norm keeps per-model statistics.  The other ops are
+elementwise or per row, so they need not know M.
+
 All arithmetic is 64-bit, and every reduction is a plain numpy reduction
 with a fixed evaluation order, so repeated runs are bit-identical.
 """
@@ -161,14 +170,33 @@ def relu(x: Tensor) -> Tensor:
 # kn2row pays where the input is at least this many times wider than the
 # output (see conv2d)
 KN2ROW_MIN_RATIO = 3
+# At most this many rows of windows are gathered at once by an im2col conv
+# of a stack that builds no graph, so that serving a bin needs no buffer
+# much larger than a training step's
+STACK_GATHER_ROWS = 64
 
 
-def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Stride-1 same-padding 2-D convolution over (B, C, H, W) with square
-    odd kernels.
+def _model_rows(op: str, x: Tensor, models: int, shared: bool) -> tuple[int, int]:
+    """(leading axis of x's batches: 1 if shared else M, B) for an input of
+    M*B model-major rows, or of B rows read by every model."""
+    rows = x.data.shape[0]
+    if shared:
+        return 1, rows
+    if rows % models:
+        raise EngineError(f"{op}: {rows} input rows do not split over {models} models")
+    return models, rows // models
 
-    Output spatial size equals input size.  The layer's shape picks one of
-    three forwards, all exact up to the order of float sums:
+
+def conv2d(x: Tensor, weights: Tensor, bias: Tensor, shared: bool = False) -> Tensor:
+    """Stride-1 same-padding 2-D convolution over (M*B, C_in, H, W) with
+    square odd kernels, for the M models of `weights` (M, C_out, C_in, k, k)
+    and `bias` (M, C_out), or one model's (C_out, C_in, k, k) and (C_out,).
+
+    Output spatial size equals input size, shaped (M*B, C_out, H, W), model
+    m's rows from its own kernel on its own rows of `x`; with `shared`, `x`
+    is one (B, C_in, H, W) batch that every model reads, and it is gathered
+    once.  The layer's shape picks one of three forwards, all exact up to
+    the order of float sums:
 
     * k = 1: one GEMM of the (C_out, C_in) kernel on the input itself.
     * k > 1 and C_in >= 3 * C_out (kn2row, Vasudevan, Anderson & Gregg
@@ -177,6 +205,11 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
       shift-add in fixed tap order sums.
     * otherwise (im2col): one GEMM on the gather of every k x k window of
       the zero-padded input.
+
+    Each is one stacked `np.matmul` over (model, sample), which runs the
+    per-model GEMMs, so a model's output has the same bits alone or in a
+    stack.  An im2col stack that builds no graph gathers and multiplies a
+    group of models at a time, at most STACK_GATHER_ROWS rows of windows.
 
     The 3x rule comes from forward+backward timings at B=32 on the 8x9
     grid (2-vCPU Xeon, one OpenBLAS thread), im2col -> kn2row: 26->1
@@ -187,56 +220,76 @@ def conv2d(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     The backward gathers the upstream gradient `g`, never the input.  The
     input gradient is the transposed convolution: that gather times the
     180-degree-rotated kernel with its channel axes swapped, so there is no
-    col2im scatter; it is skipped when the input requires no gradient.
-    kn2row's kernel gradient is the same gather against the input, so on
-    that path nothing as wide as the input is gathered at all.  Gradients
-    are exact w.r.t. the input, the kernel, and the bias.
+    col2im scatter; it is skipped when the input requires no gradient, and
+    a shared input's sums the models'.  kn2row's kernel gradient is the same
+    gather against the input, so on that path nothing as wide as the input
+    is gathered at all.  Gradients are exact w.r.t. the input, the kernel,
+    and the bias.
     """
     if x.data.ndim != 4:
         raise EngineError(f"conv2d input must be 4-axis, got shape {x.data.shape}")
-    batch, c_in, height, width = x.data.shape
-    c_out, c_in_w, kh, kw = weights.data.shape
+    rows, c_in, height, width = x.data.shape
+    c_out, c_in_w, kh, kw = weights.data.shape[-4:]
     if c_in != c_in_w:
         raise EngineError(
             f"conv2d channel mismatch: input {x.data.shape} vs kernel {weights.data.shape}"
         )
     if kh != kw or kh % 2 == 0:
         raise EngineError(f"conv2d kernel must be square and odd, got {kh}x{kw}")
+    w = weights.data.reshape(-1, c_out, c_in, kh, kh)
+    models = w.shape[0]
+    lead, batch = _model_rows("conv2d", x, models, shared)
+    pixels = height * width
 
-    x_flat = x.data.reshape(batch, c_in, height * width)
+    x_flat = x.data.reshape(lead, batch, c_in, pixels)
     kn2row = kh > 1 and c_in >= KN2ROW_MIN_RATIO * c_out
     if kn2row:
-        rows = weights.data.transpose(2, 3, 0, 1).reshape(kh * kh * c_out, c_in)
-        out = _shift_add(np.matmul(rows, x_flat), kh, height, width) + bias.data[None, :, None, None]
+        rows_w = w.transpose(0, 3, 4, 1, 2).reshape(models, 1, kh * kh * c_out, c_in)
+        partial = np.matmul(rows_w, x_flat).reshape(models * batch, kh * kh * c_out, pixels)
+        out = _shift_add(partial, kh, height, width).reshape(models, batch, c_out, height, width)
+        out = out + bias.data.reshape(models, 1, c_out, 1, 1)
     else:
         # The cols buffer lives in the backward closure until backward runs
         # or the output is dropped; at the grid sizes this engine targets
         # that is a few MB per layer.  A 1x1 window is the input itself.
-        cols = _im2col(x.data, kh) if kh > 1 else x_flat
-        out = np.matmul(weights.data.reshape(c_out, c_in * kh * kh), cols)
-        out = out.reshape(batch, c_out, height, width)
-        out += bias.data[None, :, None, None]
+        def gather(rows):
+            cols = _im2col(rows.reshape(-1, c_in, height, width), kh) if kh > 1 else rows
+            return cols.reshape(-1, batch, c_in * kh * kh, pixels)
+
+        w2d = w.reshape(models, 1, c_out, c_in * kh * kh)
+        if lead == 1 or x.requires_grad or weights.requires_grad or bias.requires_grad:
+            cols = gather(x_flat)
+            out = np.matmul(w2d, cols)
+        else:  # an untaped stack gathers a few models at a time
+            group = max(1, STACK_GATHER_ROWS // batch)
+            out = np.empty((models, batch, c_out, pixels))
+            for m in range(0, models, group):
+                np.matmul(w2d[m : m + group], gather(x_flat[m : m + group]), out=out[m : m + group])
+        out += bias.data.reshape(models, 1, c_out, 1)
 
     def backward(g):
-        bias._take_grad(g.sum(axis=(0, 2, 3)))
-        g2 = g.reshape(batch, c_out, height * width)
+        g2 = g.reshape(models, batch, c_out, pixels)
+        bias._take_grad(g2.sum(axis=(1, 3)).reshape(bias.data.shape))
         # row o*k*k + di*k + dj, column i*W + j of g_cols is g[o] at
         # (i+di-p, j+dj-p): where tap (k-1-di, k-1-dj) carries input pixel (i, j)
-        g_cols = _im2col(g, kh) if kh > 1 and (kn2row or x.requires_grad) else g2
+        if kh > 1 and (kn2row or x.requires_grad):
+            g_cols = _im2col(g, kh).reshape(models, batch, -1, pixels)
+        else:
+            g_cols = g2
         if kn2row:
-            dw = np.matmul(g_cols, x_flat.transpose(0, 2, 1)).sum(axis=0)
-            dw = dw.reshape(c_out, kh, kh, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-            weights._take_grad(np.ascontiguousarray(dw))
+            dw = np.matmul(g_cols, x_flat.transpose(0, 1, 3, 2)).sum(axis=1)
+            dw = dw.reshape(models, c_out, kh, kh, c_in)[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3)
+            weights._take_grad(np.ascontiguousarray(dw).reshape(weights.data.shape))
         else:
             weights._take_grad(
-                np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.data.shape)
+                np.matmul(g2, cols.transpose(0, 1, 3, 2)).sum(axis=1).reshape(weights.data.shape)
             )
         if x.requires_grad:
-            flipped = weights.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx = np.matmul(flipped.reshape(c_in, c_out * kh * kh), g_cols)
-            x._take_grad(dx.reshape(x.data.shape))
+            flipped = w[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
+            dx = np.matmul(flipped.reshape(models, 1, c_in, c_out * kh * kh), g_cols)
+            x._take_grad((dx.sum(axis=0) if shared else dx).reshape(x.data.shape))
 
-    return Tensor(out, (x, weights, bias), backward)
+    return Tensor(out.reshape(models * batch, c_out, height, width), (x, weights, bias), backward)
 
 
 def _shift_add(partial: np.ndarray, k: int, height: int, width: int) -> np.ndarray:
@@ -279,22 +332,33 @@ def _im2col_index(k: int, height: int, width: int) -> np.ndarray:
     return index
 
 
-def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """y = x @ W.T + b for x shaped (B, in_dim), W shaped (out_dim, in_dim)."""
+def dense(x: Tensor, weights: Tensor, bias: Tensor, shared: bool = False) -> Tensor:
+    """y = x @ W.T + b per model, for x shaped (M*B, in_dim), model-major,
+    and the M models' W (M, out_dim, in_dim) and b (M, out_dim), or one
+    model's (out_dim, in_dim) and (out_dim,); with `shared`, x is one
+    (B, in_dim) batch that every model reads.  Output (M*B, out_dim)."""
     if x.data.ndim != 2:
         raise EngineError(f"dense input must be 2-axis, got shape {x.data.shape}")
-    if x.data.shape[1] != weights.data.shape[1]:
+    if x.data.shape[1] != weights.data.shape[-1]:
         raise EngineError(
             f"dense dimension mismatch: input {x.data.shape} vs weights {weights.data.shape}"
         )
+    out_dim, in_dim = weights.data.shape[-2:]
+    w = weights.data.reshape(-1, out_dim, in_dim)
+    models = w.shape[0]
+    lead, batch = _model_rows("dense", x, models, shared)
+    xs = x.data.reshape(lead, batch, in_dim)
 
     def backward(g):
-        weights._take_grad(g.T @ x.data)
-        bias._take_grad(g.sum(axis=0))
+        g3 = g.reshape(models, batch, out_dim)
+        weights._take_grad(np.matmul(g3.transpose(0, 2, 1), xs).reshape(weights.data.shape))
+        bias._take_grad(g3.sum(axis=1).reshape(bias.data.shape))
         if x.requires_grad:
-            x._take_grad(g @ weights.data)
+            dx = np.matmul(g3, w)
+            x._take_grad((dx.sum(axis=0) if shared else dx).reshape(x.data.shape))
 
-    return Tensor(x.data @ weights.data.T + bias.data, (x, weights, bias), backward)
+    out = np.matmul(xs, w.transpose(0, 2, 1)) + bias.data.reshape(models, 1, out_dim)
+    return Tensor(out.reshape(models * batch, out_dim), (x, weights, bias), backward)
 
 
 @dataclass
@@ -328,60 +392,68 @@ class BatchNormState:
 
 
 def batch_norm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
-    """Normalize per channel over (batch, H, W).
+    """Normalize per model and channel over (batch, H, W).
 
-    With `train` it uses batch statistics (biased variance, the same
-    statistic stored in the running average) and updates the running
-    statistics; otherwise it uses the running statistics and is a pure
-    function of its input.
+    The state's arrays are (M, C) for M models, or (C,) for one; `x` is
+    (M*B, C, H, W), model-major.  With `train` it uses each model's batch
+    statistics (biased variance, the same statistic stored in the running
+    average) and updates the running statistics; otherwise it uses the
+    running statistics and is a pure function of its input.
     """
     if x.data.ndim != 4:
         raise EngineError(f"batch_norm input must be 4-axis, got shape {x.data.shape}")
-    channels = x.data.shape[1]
-    if channels != state.gamma.data.shape[0]:
+    channels = state.gamma.data.shape[-1]
+    if x.data.shape[1] != channels:
         raise EngineError(
-            f"batch_norm channel mismatch: input has {channels}, state has "
-            f"{state.gamma.data.shape[0]}"
+            f"batch_norm channel mismatch: input has {x.data.shape[1]}, state has {channels}"
         )
     gamma, beta = state.gamma, state.beta
-    n = x.data.size // channels  # values per channel
+    models = gamma.data.size // channels
+    _, batch = _model_rows("batch_norm", x, models, False)
+    xs = x.data.reshape(models, batch, channels, -1)
+    n = batch * xs.shape[3]  # values per model and channel
+
+    def per_channel(a):  # (M, C) or (C,) -> broadcast against xs
+        return a.reshape(models, 1, channels, 1)
 
     # Each elementwise step writes into a buffer this call allocated; the
     # values are those of the plain expressions in the comments.
     if train:
-        mu = x.data.mean(axis=(0, 2, 3))
-        xhat = x.data - mu[None, :, None, None]
+        mu = xs.mean(axis=(1, 3))
+        xhat = xs - per_channel(mu)
         # np.var's own arithmetic, on the centred input it would recompute
-        var = np.square(xhat).sum(axis=(0, 2, 3)) / n
+        var = np.square(xhat).sum(axis=(1, 3)) / n
         inv = 1.0 / np.sqrt(var + state.eps)
-        xhat *= inv[None, :, None, None]  # (x - mu) * inv
-        state.running_mean[...] = state.momentum * state.running_mean + (1.0 - state.momentum) * mu
-        state.running_var[...] = state.momentum * state.running_var + (1.0 - state.momentum) * var
+        xhat *= per_channel(inv)  # (x - mu) * inv
+        shape = state.running_mean.shape
+        state.running_mean[...] = state.momentum * state.running_mean + (1.0 - state.momentum) * mu.reshape(shape)
+        state.running_var[...] = state.momentum * state.running_var + (1.0 - state.momentum) * var.reshape(shape)
     else:
         inv = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = x.data - state.running_mean[None, :, None, None]
-        xhat *= inv[None, :, None, None]
+        xhat = xs - per_channel(state.running_mean)
+        xhat *= per_channel(inv)
 
     def backward(g):
+        g = g.reshape(xs.shape)
         work = g * xhat
-        gamma._take_grad(work.sum(axis=(0, 2, 3)))
-        beta._take_grad(g.sum(axis=(0, 2, 3)))
-        dx = g * gamma.data[None, :, None, None]  # g_xhat
+        gamma._take_grad(work.sum(axis=(1, 3)).reshape(gamma.data.shape))
+        beta._take_grad(g.sum(axis=(1, 3)).reshape(beta.data.shape))
+        dx = g * per_channel(gamma.data)  # g_xhat
         if train:
             # inv / n * (n * g_xhat - sum_g - xhat * sum_gx)
-            sum_g = dx.sum(axis=(0, 2, 3), keepdims=True)
-            sum_gx = np.multiply(dx, xhat, out=work).sum(axis=(0, 2, 3), keepdims=True)
+            sum_g = dx.sum(axis=(1, 3), keepdims=True)
+            sum_gx = np.multiply(dx, xhat, out=work).sum(axis=(1, 3), keepdims=True)
             dx *= n
             dx -= sum_g
             dx -= np.multiply(xhat, sum_gx, out=work)
-            dx *= inv[None, :, None, None] / n
+            dx *= per_channel(inv) / n
         else:
-            dx *= inv[None, :, None, None]  # g_xhat * inv
-        x._take_grad(dx)
+            dx *= per_channel(inv)  # g_xhat * inv
+        x._take_grad(dx.reshape(x.data.shape))
 
-    out = xhat * gamma.data[None, :, None, None]
-    out += beta.data[None, :, None, None]  # gamma * xhat + beta
-    return Tensor(out, (x, gamma, beta), backward)
+    out = xhat * per_channel(gamma.data)
+    out += per_channel(beta.data)  # gamma * xhat + beta
+    return Tensor(out.reshape(x.data.shape), (x, gamma, beta), backward)
 
 
 def concat_channels(xs: list[Tensor]) -> Tensor:

@@ -1,7 +1,8 @@
 """Held-out evaluation: fold ensembling, agreement metrics, and baselines.
 
 Each test pair is forecast by averaging the per-fold models of its horizon
-bin (each model forwards the bin's pairs as one batch), then scored
+bin (the bin's folds, stacked on one model axis, forward the bin's pairs as
+one batch in one forward), then scored
 pointwise against the actual later field over the 54 measured cells.  The
 report carries overall MAE/RMSE with bootstrap CIs, mean-deviation
 agreement (Pearson r, adjusted R^2, Bland-Altman), a per-bin MAE table,
@@ -17,8 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import DB_MAX, DB_MIN, Cell, DataError, VisualField, mask_cells, mean_deviation, valid_mask_array
-from .models import Model
+from .domain import (DB_MAX, DB_MIN, GRID_COLS, GRID_ROWS, Cell, DataError, VisualField, mask_cells,
+                     mean_deviation, valid_mask_array)
+from .models import Model, require_same_spec
 from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, encode_input, years_between
 from . import synthsim
 
@@ -67,23 +69,24 @@ class EnsembleForecast:
 
 
 def ensemble_means(models: list[Model], xs: np.ndarray) -> np.ndarray:
-    """(n, 8, 9) cell-wise means of the models' infer-mode outputs for a
-    batch of n encoded inputs: one forward per model.
+    """(n, 8, 9) cell-wise means, over every model on every list element's
+    model axis, of their infer-mode outputs for a batch of n encoded
+    inputs: one forward per list element.
 
     Per-cell values are sorted before summation, so each mean is bit-exactly
-    independent of model order.  Conv families give the same bits at any
-    batch size; the FullyConnected dense layers are a matrix-vector product
-    at batch 1 and a matrix product at batch n, so they can differ in the
-    last bit.
+    independent of model order, and of how the models are stacked: a model
+    gives the same bits alone or on a stack's axis.  Conv families give the
+    same bits at any batch size; the FullyConnected dense layers are a
+    matrix-vector product at batch 1 and a matrix product at batch n, so
+    they can differ in the last bit.
     """
     if not models:
         raise DataError("ensemble needs at least one model")
-    ref = models[0].spec
     for m in models[1:]:
-        if m.spec.replace(seed=ref.seed) != ref:
-            raise DataError(f"ensemble models disagree on spec: {m.spec.to_dict()} vs {ref.to_dict()} (seed aside)")
-    outputs = np.stack([m.forward(xs, "infer").data[:, 0] for m in models])
-    return np.sort(outputs, axis=0).sum(axis=0) / len(models)
+        require_same_spec(models[0], m)
+    outputs = np.concatenate([m.forward(xs, "infer").data.reshape(m.n_models, len(xs), GRID_ROWS, GRID_COLS)
+                              for m in models])
+    return np.sort(outputs, axis=0).sum(axis=0) / len(outputs)
 
 
 def ensemble_predict(models: list[Model], x: np.ndarray, bin_center: float | None = None) -> EnsembleForecast:
@@ -92,7 +95,8 @@ def ensemble_predict(models: list[Model], x: np.ndarray, bin_center: float | Non
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
         x = x[None]
-    return EnsembleForecast(raw=ensemble_means(models, x)[0], n_models=len(models), bin=bin_center)
+    return EnsembleForecast(raw=ensemble_means(models, x)[0], n_models=sum(m.n_models for m in models),
+                            bin=bin_center)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +262,11 @@ def evaluate_testset(
     """Score fold-ensembled forecasts of every binned test pair, and the
     baselines' forecasts of the same pairs.
 
-    Each fold model of a bin forwards all of that bin's pairs in one batch
-    (`ensemble_means`).  Then, pair by pair in bin order, the ensemble's
-    export, copy-forward and (where the input has two distinct earlier test
-    dates) the least-squares/exponential baselines are scored by one rule
+    The fold models of a bin forward all of that bin's pairs in one batch,
+    one forward per element of its model list (`ensemble_means`).  Then,
+    pair by pair in bin order, the ensemble's export, copy-forward and
+    (where the input has two distinct earlier test dates) the
+    least-squares/exponential baselines are scored by one rule
     into one error table, and every report section is read off it.  Pairs
     whose bin has no trained model are skipped but counted.  When the full
     dataset is supplied, the least-squares/exponential baselines use each
@@ -302,7 +307,7 @@ def evaluate_testset(
             continue
         means = ensemble_means(models, np.stack([encode_input(pair.input, combo) for pair in pairs]))
         for pair, mean in zip(pairs, means):
-            pred = EnsembleForecast(raw=mean, n_models=len(models)).exported_grid()[mask]
+            pred = EnsembleForecast(raw=mean, n_models=sum(m.n_models for m in models)).exported_grid()[mask]
             forecasts = {
                 "ensemble": pred,
                 "copy": baseline_forecast("copy", [pair.input], pair.delta_years),

@@ -21,11 +21,16 @@ with a linear final activation:
 head); batch norm and activations belong to their conv unit.  `layer_plan`
 is the one statement of each family's wiring: every unit's inputs and skip,
 from which its input width follows; `Model.forward` runs the plan.
+
+A `Model` holds M models of one spec (seed aside) on a leading model axis:
+training builds and saves M = 1, and serving stacks a bin's fold models
+with `Model.extend`, so that one forward runs them all.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import dataclasses
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -34,6 +39,7 @@ import numpy as np
 
 from .autodiff import (
     BatchNormState,
+    EngineError,
     Tensor,
     batch_norm,
     concat_channels,
@@ -164,6 +170,12 @@ class LayerInfo:
     inputs: tuple[str, ...]
     add: str | None = None
 
+    @property
+    def shared(self) -> bool:
+        """Whether the unit reads only the model input, which every model
+        of a stack reads unchanged."""
+        return self.inputs == (INPUT,)
+
 
 def layer_plan(spec: ModelSpec) -> list[LayerInfo]:
     """Ordered layer list for a spec, and its only wiring: len(plan) is the
@@ -236,54 +248,137 @@ def published_comparison() -> list[dict]:
     return rows
 
 
-class Model:
-    """A built architecture: parameters, batch-norm states, and wiring.
+def _layout(layers: dict[str, LayerInfo]) -> list[tuple[str, tuple[int, ...], bool, int, int]]:
+    """(name, one model's shape, trainable, start, stop) of every stored
+    array, [start, stop) its place in a model's float64 values, in the
+    order weights.bin lays them out: each unit's weights, bias and
+    batch-norm gamma and beta, then each batch norm's running mean and
+    running variance."""
+    params, stats = [], []
+    for layer in layers.values():
+        if layer.kind == "dense":
+            params.append((f"{layer.name}.w", (layer.out_dim, layer.in_dim)))
+        else:
+            params.append((f"{layer.name}.w", (layer.out_dim, layer.in_dim, layer.kernel, layer.kernel)))
+        params.append((f"{layer.name}.b", (layer.out_dim,)))
+        if layer.bn:
+            params += [(f"{layer.name}.bn.{key}", (layer.out_dim,)) for key in ("gamma", "beta")]
+            stats += [(f"{layer.name}.bn.{key}", (layer.out_dim,)) for key in ("running_mean", "running_var")]
+    layout, start = [], 0
+    for trainable, group in ((True, params), (False, stats)):
+        for name, shape in group:
+            layout.append((name, shape, trainable, start, start + math.prod(shape)))
+            start = layout[-1][4]
+    return layout
 
-    Every stored array keeps its identity for the model's life, so the one
-    list built here names them all."""
+
+def _views(layout, buffer: np.ndarray) -> list[tuple[str, np.ndarray, bool]]:
+    """(name, array, trainable) for every entry of `layout`, each array a
+    (M, *shape) view of the (M, total) `buffer`."""
+    models = buffer.shape[0]
+    return [(name, buffer[:, start:stop].reshape(models, *shape), trainable)
+            for name, shape, trainable, start, stop in layout]
+
+
+def require_same_spec(ref: "Model", other: "Model") -> None:
+    """Raise DataError unless `other` has `ref`'s spec, seed aside."""
+    if other.spec.replace(seed=ref.spec.seed) != ref.spec:
+        raise DataError(
+            f"ensemble models disagree on spec: {other.spec.to_dict()} vs {ref.spec.to_dict()} (seed aside)"
+        )
+
+
+class Model:
+    """A built architecture: parameters, batch-norm states, and wiring, for
+    M models of one spec (seed aside) on a leading model axis.
+
+    Every stored array is a (M, ...) view into one float64 buffer of shape
+    (M, total), whose row m is model m's weights.bin.  The views keep their
+    identity for the model's life, except that `extend` rebinds them all.
+    The forward runs every model at once (see `autodiff.conv2d`): an input
+    batch of B rows gives M*B output rows, model m's at m*B to (m+1)*B - 1.
+    A stack (M > 1) serves and never trains: its parameters take no
+    gradient, so its forward builds no graph and each layer's buffers are
+    freed as soon as the next layer has read them.
+    `spec.seed` is the first model's seed.  `provenance` is the provenance
+    of the checkpoint `load_weights` read, or None."""
 
     def __init__(self, spec: ModelSpec, *, _seeded: bool = True):
-        """He-uniform weights drawn from spec.seed; `_seeded=False` leaves
-        the weights unset, for callers that overwrite every array."""
+        """One model (M = 1) with He-uniform weights drawn from spec.seed;
+        `_seeded=False` leaves every array unset, for callers that
+        overwrite them all."""
         self.spec = spec
         self.layers = {layer.name: layer for layer in layer_plan(spec)}
-        self.params: dict[str, Tensor] = {}
-        self.bn: dict[str, BatchNormState] = {}
-        rng = np.random.default_rng(spec.seed) if _seeded else None
-        for layer in self.layers.values():
-            if layer.kind == "dense":
-                shape = (layer.out_dim, layer.in_dim)
-                fan_in = layer.in_dim
-            else:
-                shape = (layer.out_dim, layer.in_dim, layer.kernel, layer.kernel)
-                fan_in = layer.in_dim * layer.kernel**2
-            if rng is None:
-                w = np.empty(shape)
-            else:
+        self.provenance = None
+        self._layout = _layout(self.layers)
+        self._bind(np.empty((1, self._layout[-1][4])))
+        if not _seeded:
+            return
+        rng = np.random.default_rng(spec.seed)
+        for name, arr, _ in self.all_entries():
+            key = name.rpartition(".")[2]
+            if key == "w":
+                fan_in = math.prod(arr.shape[2:])
                 limit = np.sqrt(6.0 / fan_in)
-                w = rng.uniform(-limit, limit, size=shape)
-            self.params[f"{layer.name}.w"] = Tensor(w)
-            self.params[f"{layer.name}.b"] = Tensor(np.zeros(layer.out_dim))
-            if layer.bn:
-                state = BatchNormState.create(layer.out_dim)
-                self.params[f"{layer.name}.bn.gamma"] = state.gamma
-                self.params[f"{layer.name}.bn.beta"] = state.beta
-                self.bn[layer.name] = state
-        # the order weights.bin lays the arrays out in
-        self._entries = [(name, p.data, True) for name, p in self.params.items()]
-        for name, state in self.bn.items():
-            self._entries.append((f"{name}.bn.running_mean", state.running_mean, False))
-            self._entries.append((f"{name}.bn.running_var", state.running_var, False))
+                arr[0] = rng.uniform(-limit, limit, size=arr.shape[1:])
+            else:
+                arr[...] = 1.0 if key in ("gamma", "running_var") else 0.0
+
+    def _bind(self, buffer: np.ndarray) -> None:
+        """Make `buffer` the model's values.  The views into it, and the
+        parameters and batch-norm states over them, are built on first use,
+        so a model that only extends another never builds them."""
+        self._buffer = buffer
+        self._state = None
+
+    def _bound(self) -> tuple[list, dict[str, Tensor], dict[str, BatchNormState]]:
+        """(entries, params, bn states), every array a view of the buffer."""
+        if self._state is None:
+            entries = _views(self._layout, self._buffer)
+            arrays = {name: arr for name, arr, _ in entries}
+            trains = self.n_models == 1
+            params = {name: Tensor(arr, requires_grad=trains) for name, arr, trainable in entries if trainable}
+            bn = {name: BatchNormState(params[f"{name}.bn.gamma"], params[f"{name}.bn.beta"],
+                                       arrays[f"{name}.bn.running_mean"], arrays[f"{name}.bn.running_var"])
+                  for name, layer in self.layers.items() if layer.bn}
+            self._state = (entries, params, bn)
+        return self._state
+
+    @property
+    def params(self) -> dict[str, Tensor]:
+        """Parameter name -> its Tensor, in weights.bin order."""
+        return self._bound()[1]
+
+    @property
+    def bn(self) -> dict[str, BatchNormState]:
+        """Batch-norm layer name -> its state."""
+        return self._bound()[2]
+
+    @property
+    def n_models(self) -> int:
+        """M, the length of the model axis."""
+        return self._buffer.shape[0]
+
+    def extend(self, others: list["Model"]) -> None:
+        """Append the models of `others`, in order, to this model's axis.
+        Each must have this spec, seed aside (else DataError).  Every array
+        is rebound to one new buffer; `others` are left as they were."""
+        for other in others:
+            require_same_spec(self, other)
+        self._bind(np.concatenate([self._buffer, *(other._buffer for other in others)]))
 
     # -- forward ----------------------------------------------------------
 
     def _unit(self, name: str, x: Tensor, train: bool) -> Tensor:
         """dense or conv -> batch norm -> relu (norm/relu only where the plan
-        says); `train` selects batch or running statistics for the norm."""
+        says); `train` selects batch or running statistics for the norm.
+        A unit that reads only the model input takes it as one batch that
+        every model shares."""
         layer = self.layers[name]
         w = self.params[f"{name}.w"]
         b = self.params[f"{name}.b"]
-        out = dense(x, w, b) if layer.kind == "dense" else conv2d(x, w, b)
+        op = dense if layer.kind == "dense" else conv2d
+        out = op(x, w, b, layer.shared)
         if layer.bn:
             out = batch_norm(out, self.bn[name], train)
         if layer.activation == "relu":
@@ -291,8 +386,11 @@ class Model:
         return out
 
     def forward(self, x, mode: str = "infer") -> Tensor:
-        """Run the network; returns a (batch, 1, 8, 9) Tensor.  An array `x`
-        is wrapped as a constant, so no gradient is computed for it."""
+        """Run the network; returns a (M*B, 1, 8, 9) Tensor for a (B, C, 8, 9)
+        input.  An array `x` is wrapped as a constant, so no gradient is
+        computed for it.  A unit that reads the input beside other units
+        reads it repeated once per model, a copy that takes no gradient, so
+        a stacked model (M > 1) refuses an input that requires one."""
         if mode not in ("train", "infer"):
             raise DataError(f"unknown mode {mode!r}")
         x = x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
@@ -301,10 +399,14 @@ class Model:
                 f"input shape {x.data.shape} does not match in_channels="
                 f"{self.spec.in_channels}"
             )
+        models = self.n_models
+        if models > 1 and x.requires_grad:
+            raise EngineError("a stacked model's input takes no gradient")
         train = mode == "train"
-        outputs = {INPUT: x}
+        tiled = x if models == 1 else Tensor(np.tile(x.data, (models, 1, 1, 1)), requires_grad=False)
+        outputs = {INPUT: tiled}
         for layer in self.layers.values():
-            h = concat_channels([outputs[name] for name in layer.inputs])
+            h = x if layer.shared else concat_channels([outputs[name] for name in layer.inputs])
             if layer.kind == "dense" and h.data.ndim == 4:
                 h = h.reshape(h.data.shape[0], layer.in_dim)
             h = self._unit(layer.name, h, train)
@@ -316,16 +418,16 @@ class Model:
     # -- state ------------------------------------------------------------
 
     def all_entries(self) -> list[tuple[str, np.ndarray, bool]]:
-        """(name, array, trainable) for every stored array, in fixed order;
-        the arrays are the model's own."""
-        return self._entries
+        """(name, array, trainable) for every stored array, in weights.bin
+        order; the arrays are the model's own (M, ...) views."""
+        return self._bound()[0]
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of all parameters and running statistics."""
-        return {name: arr.copy() for name, arr, _ in self._entries}
+        return {name: arr.copy() for name, arr, _ in self.all_entries()}
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, arr, _ in self._entries:
+        for name, arr, _ in self.all_entries():
             arr[...] = snap[name]
 
 
@@ -358,26 +460,26 @@ FORMAT_VERSION = "1"
 
 
 def save_weights(model: Model, dir_path, provenance: dict | None = None) -> Path:
-    """Write manifest.json + weights.bin into dir_path (atomic rename)."""
-    dir_path = Path(dir_path)
-    blobs = []
-    entries = []
-    offset = 0
-    for name, arr, trainable in model.all_entries():
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": "f64le", "offset": offset,
-                        "length": len(raw), "sha256": hashlib.sha256(raw).hexdigest(), "trainable": trainable})
-        blobs.append(raw)
-        offset += len(raw)
+    """Write manifest.json + weights.bin into dir_path (atomic rename).
 
+    weights.bin is the model's buffer; a stack (M > 1) raises EngineError,
+    since a checkpoint holds one model."""
+    if model.n_models != 1:
+        raise EngineError(f"save_weights: a checkpoint holds one model, this one stacks {model.n_models}")
+    dir_path = Path(dir_path)
+    blob = np.ascontiguousarray(model._buffer, dtype="<f8").tobytes()
+    entries = [{"name": name, "shape": list(shape), "dtype": "f64le", "offset": 8 * start,
+                "length": 8 * (stop - start), "sha256": hashlib.sha256(blob[8 * start : 8 * stop]).hexdigest(),
+                "trainable": trainable}
+               for name, shape, trainable, start, stop in model._layout]
     manifest = {
         "format_version": FORMAT_VERSION,
         "spec": model.spec.to_dict(),
         "provenance": provenance,
         "entries": entries,
-        "total_length": offset,
+        "total_length": len(blob),
     }
-    atomic_write(dir_path / WEIGHTS_NAME, b"".join(blobs))
+    atomic_write(dir_path / WEIGHTS_NAME, blob)
     write_json(dir_path / MANIFEST_NAME, manifest)
     return dir_path
 
@@ -388,12 +490,15 @@ MANIFEST_SCHEMA = {"format_version": str, "spec": SPEC_SCHEMA, "total_length": i
 
 
 def load_weights(dir_path) -> Model:
-    """Rebuild a model from a manifest/blob pair; bit-exact round trip.
+    """Rebuild a model (M = 1) from a manifest/blob pair; bit-exact round
+    trip.  The manifest's `provenance` is kept on the model.
 
-    Raises DataError, naming the manifest, for one that breaks
-    MANIFEST_SCHEMA, has an unknown spec field, or disagrees with the blob
-    or the model (version, shape, offset, length or sha256), and, naming
-    the entry too, for an entry that holds a NaN or infinity.
+    The blob is copied into the model's buffer in one piece and scanned
+    for non-finite values once, so every entry must sit where weights.bin
+    lays it out.  Raises DataError, naming the manifest, for one that
+    breaks MANIFEST_SCHEMA, has an unknown spec field, or disagrees with
+    the blob or the model (version, shape, offset, length or sha256), and,
+    naming the entry too, for an entry that holds a NaN or infinity.
     """
     dir_path = Path(dir_path)
     path = dir_path / MANIFEST_NAME
@@ -415,25 +520,30 @@ def load_weights(dir_path) -> Model:
     # every array is overwritten below (a missing entry is an error), so
     # the seeded init that build_model draws would be thrown away
     model = Model(spec, _seeded=False)
-    arrays = dict((name, arr) for name, arr, _ in model.all_entries())
-    seen = set()
+    layout = {name: (start, stop, list(shape)) for name, shape, _, start, stop in model._layout}
+    view = memoryview(blob)
     for entry in manifest["entries"]:
         name, offset = entry["name"], entry["offset"]
-        if name not in arrays:
+        if name not in layout:
             raise DataError(f"{path}: unknown layer entry {name!r}")
-        arr = arrays[name]
-        if entry["shape"] != list(arr.shape):
-            raise DataError(f"{path}: shape mismatch in {name!r}: {entry['shape']} vs {list(arr.shape)}")
-        raw = blob[offset : offset + entry["length"]]
-        if offset < 0 or len(raw) != arr.nbytes:
+        start, stop, shape = layout[name]
+        if entry["shape"] != shape:
+            raise DataError(f"{path}: shape mismatch in {name!r}: {entry['shape']} vs {shape}")
+        raw = view[offset : offset + entry["length"]]
+        if offset < 0 or len(raw) != 8 * (stop - start):
             raise DataError(f"{path}: length mismatch in {name!r}")
         if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
             raise DataError(f"{path}: checksum mismatch in {name!r}")
-        arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
-        if not np.isfinite(arr).all():
-            raise DataError(f"{path}: non-finite values in {name!r}")
-        seen.add(name)
-    missing = set(arrays) - seen
+        if offset != 8 * start:
+            raise DataError(f"{path}: offset mismatch in {name!r}: {offset}, where weights.bin holds it at {8 * start}")
+    missing = layout.keys() - {entry["name"] for entry in manifest["entries"]}
     if missing:
         raise DataError(f"{path}: manifest missing entries for {sorted(missing)}")
+    values = model._buffer[0]
+    values[...] = np.frombuffer(blob, dtype="<f8", count=values.size)
+    if not np.isfinite(values).all():
+        name = next(e["name"] for e in manifest["entries"]
+                    if not np.isfinite(values[layout[e["name"]][0] : layout[e["name"]][1]]).all())
+        raise DataError(f"{path}: non-finite values in {name!r}")
+    model.provenance = manifest.get("provenance")
     return model

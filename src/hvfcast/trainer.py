@@ -25,6 +25,7 @@ import numpy as np
 from .autodiff import AdamState, adam_step, masked_mae
 from .domain import NUMBER, DataError, expect, read_json, valid_mask_array, write_json
 from .models import (
+    MANIFEST_NAME,
     Model,
     ModelSpec,
     build_model,
@@ -536,21 +537,28 @@ def train_interval_chain(
 
 
 # What `load_interval_models` reads: an entry of a requested bin also needs
-# SERVED_ENTRY_SCHEMA, and one that is no gap CHECKPOINT_SCHEMA
+# SERVED_ENTRY_SCHEMA, one that is no gap CHECKPOINT_SCHEMA, and the
+# checkpoint it lists PROVENANCE_SCHEMA
 CHAIN_SCHEMA = {"combo": str, "entries": [{"bin": NUMBER}]}
 SERVED_ENTRY_SCHEMA = {"gap": bool, "fold": int}
 CHECKPOINT_SCHEMA = {"checkpoint": str}
+PROVENANCE_SCHEMA = {"phase": str, "candidate": str, "bin": NUMBER, "fold": int}
 
 
 def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict[float, list[Model]]]:
-    """The combo and the frozen fold models per bin that a chain recorded.
+    """The combo and the frozen fold models per bin that a chain recorded,
+    each bin's folds stacked on one model's axis (a list of that model).
 
     Exactly the checkpoints of the non-gap entries of `bins` (default: every
     bin) in `chain_result.json` are read, in its (bin, fold) order; no other
     file under the runs dir counts.  Every entry's bin must be one of
-    BIN_CENTERS, and a (bin, fold) pair of `bins` may be listed once.
+    BIN_CENTERS, and a (bin, fold) pair of `bins` may be listed once.  Each
+    checkpoint's provenance must name the intervals phase, the chain's
+    combo, and its entry's bin and fold.  A bin is served by its first
+    fold's loaded model, extended by the others.
     """
-    path = Path(runs_dir) / PHASE_INTERVALS / CHAIN_RESULT
+    runs_dir = Path(runs_dir)
+    path = runs_dir / PHASE_INTERVALS / CHAIN_RESULT
     if not path.is_file():
         raise DataError(f"{path} not found; run `train --phase intervals` to completion first")
     chain = read_json(path, CHAIN_SCHEMA)
@@ -572,6 +580,16 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
             raise DataError(f"{path}: entries[{i}]: bin {e['bin']} fold {e['fold']} is listed twice, "
                                f"first at entries[{first}]")
         if not e["gap"]:
-            checkpoint = expect(e, CHECKPOINT_SCHEMA, path, ("entries", i))["checkpoint"]
-            out.setdefault(e["bin"], []).append(load_weights(Path(runs_dir) / checkpoint))
+            checkpoint = runs_dir / expect(e, CHECKPOINT_SCHEMA, path, ("entries", i))["checkpoint"]
+            model = load_weights(checkpoint)
+            where = f"{path}: entries[{i}]: {checkpoint / MANIFEST_NAME}"
+            recorded = expect(model.provenance, PROVENANCE_SCHEMA, where, ("provenance",))
+            served = {"phase": PHASE_INTERVALS, "candidate": combo.name, "bin": e["bin"], "fold": e["fold"]}
+            for key, value in served.items():
+                if recorded[key] != value:
+                    raise DataError(f"{where}: provenance {key!r} is {recorded[key]!r}, not {value!r}")
+            out.setdefault(e["bin"], []).append(model)
+    for models in out.values():
+        models[0].extend(models[1:])
+        del models[1:]
     return combo, out

@@ -613,7 +613,7 @@ class TestServeWhatTheChainRecorded:
         on_disk = len(list((gapped_rerun / "intervals").glob("bin-*/fold-*/weights.bin")))
         assert 0 < chain["n_checkpoints"] < on_disk
         _, models = load_interval_models(gapped_rerun)
-        assert {c: len(m) for c, m in models.items()} == {c: len(f) for c, f in listed.items()}
+        assert {c: [m.n_models for m in ms] for c, ms in models.items()} == {c: [len(f)] for c, f in listed.items()}
 
         assert _evaluate(trained, gapped_rerun, tmp_path / "r.json") == 0
         report = json.loads((tmp_path / "r.json").read_text())
@@ -867,6 +867,50 @@ class TestRunTreeContract:
         j, fold = len(chain["entries"]) - 1, chain["entries"][i]["fold"]
         assert (f"{path}: entries[{j}]: bin 1.0 fold {fold} is listed twice, first at entries[{i}]"
                 in capsys.readouterr().err)
+
+    def test_swapped_bin_checkpoints_exit_2(self, trained, small_cohort, tmp_path, capsys):
+        """Two bins' checkpoints swapped in the chain result: each is a valid
+        checkpoint of the chain's spec, so only its provenance tells; before
+        provenance was checked, predict served bin 2.0's fold model as bin 1.0's."""
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        entries = chain["entries"]
+        i, j = next((i, j) for i, a in enumerate(entries) for j, b in enumerate(entries)
+                    if (a["bin"], b["bin"]) == (1.0, 2.0) and a["fold"] == b["fold"] and not (a["gap"] or b["gap"]))
+        entries[i]["checkpoint"], entries[j]["checkpoint"] = entries[j]["checkpoint"], entries[i]["checkpoint"]
+        path.write_text(json.dumps(chain))
+        assert _predict(trained, small_cohort[1][0], runs, tmp_path / "f.json", "1.0") == 2
+        manifest = runs / entries[i]["checkpoint"] / "manifest.json"
+        assert capsys.readouterr().err == (
+            f"error: {path}: entries[{i}]: {manifest}: provenance 'bin' is 2.0, not 1.0\n"
+        )
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["provenance"].update(phase="features"), "provenance 'phase' is 'features', not 'intervals'"),
+            (lambda m: m["provenance"].update(candidate="none"), "provenance 'candidate' is 'none', not 'age'"),
+            (lambda m: m["provenance"].update(bin=1.5), "provenance 'bin' is 1.5, not 1.0"),
+            (lambda m: m["provenance"].update(fold=9), "provenance 'fold' is 9, not 0"),
+            (lambda m: m["provenance"].pop("fold"), "provenance: 'fold' is missing"),
+            (lambda m: m["provenance"].update(fold="0"), "provenance: 'fold' must be an int, got '0'"),
+            (lambda m: m.pop("provenance"), "'provenance' must be an object, got None"),
+        ],
+        ids=["phase", "candidate", "bin", "fold", "no-fold", "fold-str", "none"],
+    )
+    def test_checkpoint_provenance_of_another_cell_exits_2(self, trained, tmp_path, capsys, edit, message):
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        i = next(i for i, e in enumerate(json.loads(path.read_text())["entries"])
+                 if (e["bin"], e["fold"], e["gap"]) == (1.0, 0, False))
+        manifest = runs / "intervals" / "bin-1.0" / "fold-0" / "manifest.json"
+        content = json.loads(manifest.read_text())
+        edit(content)
+        manifest.write_text(json.dumps(content))
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
+        assert capsys.readouterr().err == f"error: {path}: entries[{i}]: {manifest}: {message}\n"
 
     def test_served_chain_entry_without_int_fold_exits_2(self, trained, tmp_path, capsys):
         runs = self._runs_copy(trained, tmp_path)

@@ -1,7 +1,8 @@
 """Source hygiene without a lint tool: no file imports a name it never uses,
 the package defines no function, class or method that nothing names, and
-it parses JSON, writes files, chooses exit codes and catches float faults
-each in one place, with one exception class per failing exit path."""
+it parses JSON, writes files, chooses exit codes, catches float faults and
+runs the forward ops each in one place, with one exception class per
+failing exit path."""
 
 import ast
 import builtins
@@ -413,4 +414,44 @@ def test_no_reader_takes_an_exception_class():
     """Every reader raises DataError itself; no caller picks the class."""
     found = {str(path.relative_to(ROOT)): params for path in PACKAGE
              if (params := class_parameters(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+# The layer ops of a forward: only the model runs them, so training,
+# validation and serving take one forward path
+FORWARD_OPS = {"conv2d", "batch_norm", "dense", "relu", "concat_channels"}
+FORWARD_OWNER = "src/hvfcast/models.py"
+
+
+def forward_op_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every import of a forward op and every read of one,
+    by name or as an attribute (`autodiff.relu`); defining one is no use."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in FORWARD_OPS]
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in FORWARD_OPS:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_forward_op_scanner_finds_every_use():
+    source = (
+        "from .autodiff import Tensor, conv2d, relu as r\n"
+        "import hvfcast.autodiff as ad\n"
+        "def dense(x):\n    return x\n"
+        "def f(x, w, b):\n    return r(ad.batch_norm(dense(x), w, b))\n"
+        "op = ad.concat_channels\n"
+        "conv2d = None\n"
+    )
+    assert forward_op_uses(source) == [(1, "conv2d"), (1, "relu"), (6, "batch_norm"), (6, "dense"),
+                                       (7, "concat_channels")]
+
+
+def test_only_the_model_runs_forward_ops():
+    found = {str(path.relative_to(ROOT)): uses for path in PACKAGE
+             if str(path.relative_to(ROOT)) != FORWARD_OWNER
+             and (uses := forward_op_uses(path.read_text(encoding="utf-8")))}
     assert found == {}

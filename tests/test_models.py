@@ -4,15 +4,17 @@ import hashlib
 import json
 import re
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvfcast import models
-from hvfcast.autodiff import Tensor, _toposort, concat_channels, masked_mae
+from hvfcast.autodiff import AdamState, EngineError, Tensor, _toposort, adam_step, concat_channels, masked_mae
 from hvfcast.domain import DataError, valid_mask_array
+from hvfcast.evaluation import ensemble_means
 from hvfcast.models import (
     ModelSpec,
     build_model,
@@ -280,7 +282,7 @@ class TestSerialization:
             m.forward(x, mode="infer").data, m2.forward(x, mode="infer").data
         )
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        assert manifest["provenance"] == {"phase": "arch", "fold": 3}
+        assert manifest["provenance"] == m2.provenance == {"phase": "arch", "fold": 3}
 
     @pytest.mark.parametrize("spec", ALL_TINY, ids=lambda s: s.name)
     def test_round_trip_every_family(self, spec, tmp_path):
@@ -359,6 +361,25 @@ class TestSerialization:
             with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite values in "
                                                    f"{re.escape(repr(entry['name']))}$"):
                 load_weights(tmp_path / "ck")
+
+    def test_entry_away_from_its_place_rejected(self, tmp_path):
+        """Two entries of one length trade places in weights.bin, their
+        offsets and checksums rewritten to match: the blob is the model's
+        buffer, so each entry must sit where the model lays it out."""
+        save_weights(self._trained_tiny(), tmp_path / "ck")
+        path, blob_path = tmp_path / "ck" / "manifest.json", tmp_path / "ck" / "weights.bin"
+        manifest = json.loads(path.read_text())
+        a, b = [e for e in manifest["entries"] if e["name"].startswith("block1.conv1.")][1:3]
+        assert a["length"] == b["length"]
+        blob = bytearray(blob_path.read_bytes())
+        raw_a, raw_b = blob[a["offset"] : a["offset"] + a["length"]], blob[b["offset"] : b["offset"] + b["length"]]
+        blob[a["offset"] : a["offset"] + a["length"]], blob[b["offset"] : b["offset"] + b["length"]] = raw_b, raw_a
+        a["offset"], b["offset"] = b["offset"], a["offset"]
+        blob_path.write_bytes(bytes(blob))
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: offset mismatch in {re.escape(repr(a['name']))}: "
+                                               f"{a['offset']}, where weights.bin holds it at {b['offset']}$"):
+            load_weights(tmp_path / "ck")
 
     def test_manifest_offsets_contiguous(self, tmp_path):
         m = self._trained_tiny()
@@ -454,6 +475,122 @@ class TestSerialization:
             models.write_json(path, {"a": 1})
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert path.read_text() == "stale"
+
+
+def _folds(arch: str, in_channels: int, n_models: int, seed: int, rng) -> list:
+    """`n_models` models of one spec, seeds apart, each with the running
+    statistics of one train-mode forward."""
+    folds = []
+    for fold in range(n_models):
+        m = build_model(spec_from_name(arch, widths=(2, 3, 4), in_channels=in_channels, seed=seed + fold,
+                                       fc_hidden=16))
+        m.forward(rng.normal(size=(4, in_channels, 8, 9)) * 4 + 20, "train")
+        folds.append(m)
+    return folds
+
+
+def _stacked(folds: list):
+    """The folds on one model axis, as a served bin holds them: a copy of
+    the first, extended by the others."""
+    stack = build_model(folds[0].spec.replace(seed=99))
+    stack.restore(folds[0].snapshot())
+    stack.extend(folds[1:])
+    return stack
+
+
+AXIS_ARCHS = ["FullBN-1", "Residual-1", "Cascade-2", "FullyConnected"]
+
+
+class TestModelAxis:
+    """A stack of M models on one leading axis forwards as its M models do."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(arch=st.sampled_from(AXIS_ARCHS), in_channels=st.integers(1, 7), n_models=st.integers(1, 10),
+           batch=st.integers(1, 40), seed=st.integers(0, 2**16))
+    # a stack's im2col convs gather a group of models at a time: 64 // 20 = 3
+    # models per group leaves a last group of one
+    @example(arch="Cascade-2", in_channels=2, n_models=10, batch=20, seed=1)
+    @example(arch="Residual-1", in_channels=1, n_models=10, batch=40, seed=2)
+    def test_stack_equals_its_models_in_one_forward(self, arch, in_channels, n_models, batch, seed):
+        rng = np.random.default_rng(seed)
+        folds = _folds(arch, in_channels, n_models, seed, rng)
+        stack = _stacked(folds)
+        xs = rng.normal(size=(batch, in_channels, 8, 9)) * 4 + 20
+        with patch.object(models.Model, "forward", autospec=True, side_effect=models.Model.forward) as forward:
+            means = ensemble_means([stack], xs)
+        assert forward.call_count == 1
+        np.testing.assert_array_equal(means, ensemble_means(folds, xs))
+        outputs = stack.forward(xs, "infer").data.reshape(n_models, batch, 1, 8, 9)
+        for output, fold in zip(outputs, folds):
+            np.testing.assert_array_equal(output, fold.forward(xs, "infer").data)
+
+    @settings(max_examples=30, deadline=None)
+    @given(arch=st.sampled_from(AXIS_ARCHS), in_channels=st.integers(1, 7), n_models=st.integers(1, 10),
+           seed=st.integers(0, 2**16))
+    def test_every_array_is_a_view_of_one_buffer(self, arch, in_channels, n_models, seed):
+        """Row m of the buffer is model m's weights.bin, and `snapshot`,
+        `restore` and `adam_step` move the values in place."""
+        rng = np.random.default_rng(seed)
+        folds = _folds(arch, in_channels, n_models, seed, rng)
+        stack = _stacked(folds)
+        entries = stack.all_entries()
+        (buffer,) = {id(arr.base): arr.base for _, arr, _ in entries}.values()
+
+        def rows():
+            return np.stack([np.concatenate([arr[m].ravel() for _, arr, _ in entries]) for m in range(n_models)])
+
+        assert buffer.shape == (n_models, sum(arr[0].size for _, arr, _ in entries))
+        np.testing.assert_array_equal(buffer, rows())
+        for m, fold in enumerate(folds):
+            for (name, arr, _), (_, own, _) in zip(entries, fold.all_entries()):
+                np.testing.assert_array_equal(arr[m], own[0], err_msg=name)
+        assert all(stack.params[name].data is arr for name, arr, trainable in entries if trainable)
+        assert all(state.running_mean.base is buffer and state.gamma.data.base is buffer
+                   for state in stack.bn.values())
+
+        snap = stack.snapshot()
+        saved = buffer.copy()
+        assert not any(np.shares_memory(value, buffer) for value in snap.values())
+        for p in stack.params.values():
+            p.grad = rng.normal(size=p.data.shape)
+        adam_step(stack.params, AdamState(lr=0.1))
+        assert not np.array_equal(buffer, saved)
+        np.testing.assert_array_equal(buffer, rows())
+        stack.restore(snap)
+        assert all(arr is old for (_, arr, _), (_, old, _) in zip(stack.all_entries(), entries))
+        np.testing.assert_array_equal(buffer, saved)
+
+    def test_a_stack_builds_no_graph(self):
+        """A stack only serves, so its forward keeps no layer's buffers
+        alive; one model still tapes, for training."""
+        one = build_model(tiny_spec("Cascade", 2))
+        assert one.forward(np.zeros((2, 1, 8, 9)), "infer").requires_grad
+        one.extend([build_model(tiny_spec("Cascade", 2, seed=1))])
+        out = one.forward(np.zeros((2, 1, 8, 9)), "infer")
+        assert out.data.shape == (4, 1, 8, 9)
+        assert not out.requires_grad and out._backward is None and out._parents == ()
+
+    def test_extend_refuses_another_spec(self):
+        a = build_model(tiny_spec("FullBN", 1))
+        b = build_model(tiny_spec("FullBN", 2, seed=1))
+        with pytest.raises(DataError) as info:
+            a.extend([b])
+        assert str(info.value) == (f"ensemble models disagree on spec: {b.spec.to_dict()} vs "
+                                   f"{a.spec.to_dict()} (seed aside)")
+        assert a.n_models == 1
+
+    def test_a_stack_is_never_saved(self, tmp_path):
+        stack = build_model(tiny_spec("FullBN", 1))
+        stack.extend([build_model(tiny_spec("FullBN", 1, seed=1))])
+        with pytest.raises(EngineError, match="^save_weights: a checkpoint holds one model, this one stacks 2$"):
+            save_weights(stack, tmp_path / "ck")
+        assert not (tmp_path / "ck").exists()
+
+    def test_a_stack_refuses_an_input_that_requires_a_gradient(self):
+        stack = build_model(tiny_spec("Cascade", 2))
+        stack.extend([build_model(tiny_spec("Cascade", 2, seed=1))])
+        with pytest.raises(EngineError, match="input takes no gradient"):
+            stack.forward(Tensor(np.zeros((1, 1, 8, 9))), "train")
 
 
 class TestTransfer:

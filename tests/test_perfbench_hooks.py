@@ -108,3 +108,46 @@ def test_tracer_spans_pooled_jobs_in_their_workers(tmp_path):
         capture_output=True, text=True, timeout=300, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+PROBE_SERVE = """
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+from hvfcast import cli
+
+work = sys.argv[2]
+data = ["--data", f"{work}/d.jsonl", "--pairs", f"{work}/p.jsonl", "--split", f"{work}/s.json"]
+for argv in (["simulate", "--patients", "24", "--seed", "3", "--out", f"{work}/d.jsonl"],
+             ["pairs", "--data", f"{work}/d.jsonl", "--out", f"{work}/p.jsonl"],
+             ["split", "--data", f"{work}/d.jsonl", "--seed", "3", "--out", f"{work}/s.json"],
+             ["train", "--phase", "intervals", *data, "--out", f"{work}/runs", "--arch", "Cascade-1",
+              "--combo", "none", "--epochs", "1", "--widths", "2,3,4", "--seed", "3"]):
+    assert cli.main(argv) == 0, argv
+record = json.loads(open(f"{work}/d.jsonl").readline())
+tracer = Tracer(sys.argv[2])
+tracer.install()
+try:
+    for argv in (["evaluate", *data, "--runs", f"{work}/runs", "--bootstrap-n", "5", "--out", f"{work}/r.json"],
+                 ["predict", "--data", f"{work}/d.jsonl", "--patient", record["patient_id"], "--eye",
+                  record["eye"], "--test-index", str(record["test_index"]), "--interval", "1.0",
+                  "--runs", f"{work}/runs", "--out", f"{work}/f.json"]):
+        assert tracer.command(argv, cli.main) == 0, argv
+finally:
+    tracer.uninstall()
+metrics = tracer.layer_metrics({})
+assert metrics["models.load_weights.calls"] > 0, metrics
+assert 0 < metrics["models.load_weights.used_ratio"] <= 1, metrics
+assert "models.forward.infer" in {span[3] for span in tracer.spans}
+"""
+
+
+def test_tracer_sees_served_checkpoints_forwarded(tmp_path):
+    """A traced evaluate and predict count their checkpoint loads, find the
+    loaded object that is forwarded among them, and span the forwards."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE_SERVE, str(PERFBENCH), str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]

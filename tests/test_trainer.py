@@ -371,9 +371,11 @@ class TestIntervalChain:
         trained_bins = {e["bin"] for e in result.entries if not e["gap"]}
         assert set(models_by_bin) == trained_bins
         some_bin = sorted(trained_bins)[0]
-        model = models_by_bin[some_bin][0]
+        (model,) = models_by_bin[some_bin]
+        folds = sum(1 for e in result.entries if e["bin"] == some_bin and not e["gap"])
+        assert model.n_models == folds
         out = model.forward(np.zeros((1, 2, 8, 9)), mode="infer")
-        assert out.data.shape == (1, 1, 8, 9)
+        assert out.data.shape == (folds, 1, 8, 9)
 
     def test_load_interval_models_reads_only_requested_bins(self, chain_run):
         runs, result, _, _ = chain_run
