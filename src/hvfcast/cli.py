@@ -75,6 +75,7 @@ from .trainer import (
     PHASE_RESULT,
     TrainConfig,
     TrainingDiverged,
+    check_provenance,
     checkpoint_dir,
     keep_freed_memory,
     load_interval_models,
@@ -332,7 +333,8 @@ def _features_snapshots(
     """Fold -> weights of `combo`'s checkpoints from a complete features
     phase: its `phase_result.json` must hold a result for every fold, and
     each checkpoint must be the chain's `spec`, seed aside, with `combo`'s
-    input channels."""
+    input channels, and its provenance must name the features phase,
+    `combo` and its fold."""
     combo_name = combo.name
     spec = spec.replace(in_channels=combo.channels())
     result_path = runs_dir / PHASE_FEATURES / PHASE_RESULT
@@ -353,13 +355,15 @@ def _features_snapshots(
         )
     snapshots = {}
     for fold in range(n_folds):
-        fold_dir = runs_dir / checkpoint_dir(PHASE_FEATURES, combo_name, fold)
-        model = load_weights(fold_dir)
+        manifest = runs_dir / checkpoint_dir(PHASE_FEATURES, combo_name, fold) / MANIFEST_NAME
+        model = load_weights(manifest.parent)
         if model.spec.replace(seed=spec.seed) != spec:
             raise DataError(
-                f"--chain-init features: {fold_dir / MANIFEST_NAME} holds spec "
+                f"--chain-init features: {manifest} holds spec "
                 f"{model.spec.to_dict()}, not the chain's {spec.to_dict()} (seed aside)"
             )
+        check_provenance(model, f"--chain-init features: {manifest}",
+                         {"phase": PHASE_FEATURES, "candidate": combo_name, "bin": None, "fold": fold})
         snapshots[fold] = model.snapshot()
     return snapshots
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -271,19 +270,14 @@ def evaluate_testset(
     whose bin has no trained model are skipped but counted.  When the full
     dataset is supplied, the least-squares/exponential baselines use each
     pair's input-side history (tests up to the input date), so they never
-    see information the model could not.
-
-    Mean deviation is taken against `synthsim.normative_surface`, each
-    surface computed once per call: a field paired with several others
-    repeats its (age, eye) key, and about two thirds of the lookups on a
-    five-tests-per-eye cohort do.
+    see information the model could not.  Mean deviation is taken against
+    `synthsim.normative_surface`.
     """
     if n_bootstrap < 1:
         raise DataError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     if n_bootstrap > _MAX_BOOTSTRAP:
         raise DataError(f"n_bootstrap must be <= {_MAX_BOOTSTRAP}, got {n_bootstrap}")
     mask = valid_mask_array()
-    normative = lru_cache(maxsize=None)(synthsim.normative_surface)
 
     history_index: dict[tuple[str, str], list[VisualField]] = {}
     if fields is not None:
@@ -323,8 +317,8 @@ def evaluate_testset(
                 err = forecast - target
                 errors[name].append((center, float(np.abs(err).mean()), float((err * err).mean())))
 
-            surface = normative(pair.target.age_years, pair.target.eye)
-            input_surface = normative(pair.input.age_years, pair.input.eye)
+            surface = synthsim.normative_surface(pair.target.age_years, pair.target.eye)
+            input_surface = synthsim.normative_surface(pair.input.age_years, pair.input.eye)
             md_rows.append(
                 {
                     "bin": center,

@@ -32,8 +32,10 @@ from __future__ import annotations
 import hashlib
 import math
 import dataclasses
+import functools
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -280,6 +282,15 @@ def _views(layout, buffer: np.ndarray) -> list[tuple[str, np.ndarray, bool]]:
             for name, shape, trainable, start, stop in layout]
 
 
+@functools.cache
+def _wiring(spec: ModelSpec) -> tuple[MappingProxyType, tuple]:
+    """(layers, layout) of a spec with seed 0, built once per spec and
+    shared by every model of it: the layer plan as a read-only name ->
+    LayerInfo mapping, and the weights.bin layout."""
+    layers = {layer.name: layer for layer in layer_plan(spec)}
+    return MappingProxyType(layers), tuple(_layout(layers))
+
+
 def require_same_spec(ref: "Model", other: "Model") -> None:
     """Raise DataError unless `other` has `ref`'s spec, seed aside."""
     if other.spec.replace(seed=ref.spec.seed) != ref.spec:
@@ -300,17 +311,18 @@ class Model:
     A stack (M > 1) serves and never trains: its parameters take no
     gradient, so its forward builds no graph and each layer's buffers are
     freed as soon as the next layer has read them.
-    `spec.seed` is the first model's seed.  `provenance` is the provenance
-    of the checkpoint `load_weights` read, or None."""
+    `spec.seed` is the first model's seed.  `layers` (the layer plan, by
+    name) is a read-only mapping that every model of the spec shares.
+    `provenance` is the provenance of the checkpoint `load_weights` read,
+    or None."""
 
     def __init__(self, spec: ModelSpec, *, _seeded: bool = True):
         """One model (M = 1) with He-uniform weights drawn from spec.seed;
         `_seeded=False` leaves every array unset, for callers that
         overwrite them all."""
         self.spec = spec
-        self.layers = {layer.name: layer for layer in layer_plan(spec)}
+        self.layers, self._layout = _wiring(spec.replace(seed=0))
         self.provenance = None
-        self._layout = _layout(self.layers)
         self._bind(np.empty((1, self._layout[-1][4])))
         if not _seeded:
             return
@@ -486,7 +498,7 @@ def save_weights(model: Model, dir_path, provenance: dict | None = None) -> Path
 
 # What `load_weights` reads of a manifest
 MANIFEST_SCHEMA = {"format_version": str, "spec": SPEC_SCHEMA, "total_length": int,
-                   "entries": [{"name": str, "shape": list, "offset": int, "length": int, "sha256": str}]}
+                   "entries": [{"name": str, "shape": [int], "offset": int, "length": int, "sha256": str}]}
 
 
 def load_weights(dir_path) -> Model:

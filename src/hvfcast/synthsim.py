@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 from datetime import date, timedelta
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -46,6 +47,9 @@ AGE_REF_YEARS = 45.0
 AGING_DB_PER_YEAR = 0.06
 ECC_DB_PER_DEG = 0.15
 NORM_MAX_DB = 40.0
+
+# position of each valid cell in a field's values
+_CELL_INDEX = {c: i for i, c in enumerate(mask_cells())}
 
 NOISE_FLOOR_DB = 1.0
 NOISE_CAP_DB = 6.0
@@ -72,21 +76,36 @@ DEFAULT_MIX = {
 }
 
 
-def normative_sensitivity(age_years: float, cell: Cell, eye: str = RIGHT) -> float:
-    """Expected normal sensitivity: hill of vision minus aging and eccentricity."""
-    n = (
-        HILL_APEX_DB
-        - AGING_DB_PER_YEAR * (age_years - AGE_REF_YEARS)
-        - ECC_DB_PER_DEG * eccentricity(cell, eye)
-    )
-    # scalar min/max: np.clip on a Python float costs ~10 us, and this runs
-    # for each of the 54 cells of every simulated field and normative surface
-    return float(min(max(n, 0.0), NORM_MAX_DB))
+@lru_cache(maxsize=None)
+def _eccentricities(eye: str) -> np.ndarray:
+    """`eccentricity` of the 54 valid cells for `eye`, in `mask_cells()`
+    order: the same floats, built once per eye on first use.  Read-only.
+    An unknown eye raises DataError."""
+    table = np.array([eccentricity(c, eye) for c in mask_cells()])
+    table.setflags(write=False)
+    return table
+
+
+def _surfaces(ages: np.ndarray, eye: str) -> np.ndarray:
+    """(n, 54) expected normal sensitivity at each of n ages: hill of vision
+    minus aging and eccentricity, clipped to [0, NORM_MAX_DB].  Each value
+    takes the IEEE operations of the per-cell formula, in its order."""
+    level = HILL_APEX_DB - AGING_DB_PER_YEAR * (ages[:, None] - AGE_REF_YEARS)
+    return np.clip(level - ECC_DB_PER_DEG * _eccentricities(eye), 0.0, NORM_MAX_DB)
 
 
 def normative_surface(age_years: float, eye: str = RIGHT) -> tuple[float, ...]:
-    """Expected normal sensitivity of the 54 valid cells, in `mask_cells()` order."""
-    return tuple(normative_sensitivity(age_years, c, eye) for c in mask_cells())
+    """Expected normal sensitivity of the 54 valid cells, in `mask_cells()`
+    order: one vector expression over the eye's eccentricity table, the one
+    that `generate_cohort` evaluates at every visit age of a series at once."""
+    return tuple(_surfaces(np.array([age_years], dtype=np.float64), eye)[0].tolist())
+
+
+def normative_sensitivity(age_years: float, cell: Cell, eye: str = RIGHT) -> float:
+    """Expected normal sensitivity of one valid cell (DataError for another)."""
+    if cell not in _CELL_INDEX:
+        raise DataError(f"cell {cell} is not one of the 54 valid cells")
+    return normative_surface(age_years, eye)[_CELL_INDEX[cell]]
 
 
 @dataclass(frozen=True)
@@ -195,9 +214,32 @@ def _visit_offsets(rng: np.random.Generator, n_tests: int, span: float) -> list[
     return [0.0] + list(interior) + [span]
 
 
+def _series(arch: Archetype, eye: str, rate: float, baseline_age: float, days: list[int]) -> np.ndarray:
+    """(len(days), 54) noiseless values of one eye's tests, unrounded: the
+    normal surface at each visit age minus the archetype's defect, which
+    deepens by `rate` dB/year from the first visit, clipped to
+    [0, NORM_MAX_DB].  `days` count from the cohort's start date."""
+    visits = np.array(days)
+    t = (visits - days[0]) / DAYS_PER_YEAR
+    norm = _surfaces(baseline_age + visits / DAYS_PER_YEAR, eye)
+    affected = arch.affected(eye)
+    mults = np.array([mult for _, mult in affected])
+    defect = np.zeros_like(norm)
+    defect[:, [_CELL_INDEX[cell] for cell, _ in affected]] = arch.depth_db + rate * mults * t[:, None]
+    return np.clip(norm - defect, 0.0, NORM_MAX_DB)
+
+
 def generate_cohort(cfg: CohortConfig) -> tuple[list[VisualField], dict]:
-    """Simulate a cohort; returns (fields, ground-truth metadata)."""
-    cell_index = {c: i for i, c in enumerate(mask_cells())}
+    """Simulate a cohort; returns (fields, ground-truth metadata).
+
+    Each eye's series is simulated in one pass, as (n_tests, 54) arrays:
+    after the eye's archetype, rate, test count, span and visit days are
+    drawn, the normal surface at every visit age and the archetype's defect
+    at every visit are each one array expression (`_series`), and the noise
+    is one `rng.normal` draw of that shape, which takes the same stream
+    values as one draw of 54 per test.  Every value is the per-test
+    computation's, bit for bit.
+    """
     probs = np.array([cfg.archetype_mix.get(n, 0.0) for n in ARCHETYPE_NAMES])
     probs = probs / probs.sum()
 
@@ -215,7 +257,7 @@ def generate_cohort(cfg: CohortConfig) -> tuple[list[VisualField], dict]:
             eyes.append(LEFT if eyes[0] == RIGHT else RIGHT)
 
         used_days: set[int] = set()
-        patient_tests = []  # (day, eye, values vector)
+        patient_tests = []  # (day, eye, list of 54 values)
         eye_meta = {}
         for eye in eyes:
             arch_name = ARCHETYPE_NAMES[int(rng.choice(len(ARCHETYPE_NAMES), p=probs))]
@@ -232,20 +274,9 @@ def generate_cohort(cfg: CohortConfig) -> tuple[list[VisualField], dict]:
                 used_days.add(day)
                 days.append(day)
 
-            day0 = days[0]
-            for day in days:
-                t = (day - day0) / DAYS_PER_YEAR
-                age = baseline_age + day / DAYS_PER_YEAR
-                norm = np.array(normative_surface(age, eye))
-                defect = np.zeros(len(cell_index))
-                for cell, mult in arch.affected(eye):
-                    defect[cell_index[cell]] = arch.depth_db + rate * mult * t
-                values = np.clip(norm - defect, 0.0, NORM_MAX_DB)
-                if cfg.noise:
-                    values = add_noise(values, rng)
-                else:
-                    values = np.round(values, 2)
-                patient_tests.append((day, eye, values))
+            values = _series(arch, eye, rate, baseline_age, days)
+            values = add_noise(values, rng) if cfg.noise else np.round(values, 2)
+            patient_tests += [(day, eye, row) for day, row in zip(days, values.tolist())]
 
             eye_meta[eye] = {
                 "archetype": arch_name,
@@ -265,7 +296,7 @@ def generate_cohort(cfg: CohortConfig) -> tuple[list[VisualField], dict]:
                     age_years=baseline_age + day / DAYS_PER_YEAR,
                     test_date=cfg.start_date + timedelta(days=day),
                     test_index=test_index,
-                    values=tuple(values.tolist()),
+                    values=tuple(values),
                 )
             )
         meta_patients.append(

@@ -538,11 +538,22 @@ def train_interval_chain(
 
 # What `load_interval_models` reads: an entry of a requested bin also needs
 # SERVED_ENTRY_SCHEMA, one that is no gap CHECKPOINT_SCHEMA, and the
-# checkpoint it lists PROVENANCE_SCHEMA
+# checkpoint it lists PROVENANCE_SCHEMA, as does every checkpoint read for
+# its cell (the bin is null outside the intervals phase)
 CHAIN_SCHEMA = {"combo": str, "entries": [{"bin": NUMBER}]}
 SERVED_ENTRY_SCHEMA = {"gap": bool, "fold": int}
 CHECKPOINT_SCHEMA = {"checkpoint": str}
-PROVENANCE_SCHEMA = {"phase": str, "candidate": str, "bin": NUMBER, "fold": int}
+PROVENANCE_SCHEMA = {"phase": str, "candidate": str, "bin": (*NUMBER, None), "fold": int}
+
+
+def check_provenance(model: Model, where: str, cell: dict) -> None:
+    """Raise DataError naming `where` unless the provenance that
+    `load_weights` kept on `model` names `cell`'s phase, candidate, bin
+    and fold: `WHERE: provenance 'fold' is 1, not 0`."""
+    recorded = expect(model.provenance, PROVENANCE_SCHEMA, where, ("provenance",))
+    for key, value in cell.items():
+        if recorded[key] != value:
+            raise DataError(f"{where}: provenance {key!r} is {recorded[key]!r}, not {value!r}")
 
 
 def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict[float, list[Model]]]:
@@ -582,12 +593,8 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
         if not e["gap"]:
             checkpoint = runs_dir / expect(e, CHECKPOINT_SCHEMA, path, ("entries", i))["checkpoint"]
             model = load_weights(checkpoint)
-            where = f"{path}: entries[{i}]: {checkpoint / MANIFEST_NAME}"
-            recorded = expect(model.provenance, PROVENANCE_SCHEMA, where, ("provenance",))
-            served = {"phase": PHASE_INTERVALS, "candidate": combo.name, "bin": e["bin"], "fold": e["fold"]}
-            for key, value in served.items():
-                if recorded[key] != value:
-                    raise DataError(f"{where}: provenance {key!r} is {recorded[key]!r}, not {value!r}")
+            check_provenance(model, f"{path}: entries[{i}]: {checkpoint / MANIFEST_NAME}",
+                             {"phase": PHASE_INTERVALS, "candidate": combo.name, "bin": e["bin"], "fold": e["fold"]})
             out.setdefault(e["bin"], []).append(model)
     for models in out.values():
         models[0].extend(models[1:])

@@ -1140,6 +1140,40 @@ class TestChainInitFeatures:
         assert "not the chain's {'family': 'Cascade', 'depth_k': 1" in err
         assert not (runs / "intervals").exists()
 
+    def test_swapped_fold_checkpoints_exit_2(self, workdir, features_run, tmp_path, capsys):
+        """Two fold directories swapped hold checkpoints of the chain's spec,
+        so only their provenance tells; before it was checked, each fold's
+        chain started from the other fold's weights."""
+        runs = self._features_copy(features_run, tmp_path)
+        combo_dir = runs / "features" / "age"
+        (combo_dir / "fold-0").rename(combo_dir / "swap")
+        (combo_dir / "fold-1").rename(combo_dir / "fold-0")
+        (combo_dir / "swap").rename(combo_dir / "fold-1")
+        assert self._chain(workdir, runs) == 2
+        manifest = combo_dir / "fold-0" / "manifest.json"
+        assert capsys.readouterr().err == f"error: --chain-init features: {manifest}: provenance 'fold' is 1, not 0\n"
+        assert not (runs / "intervals").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update(phase="arch"), "provenance 'phase' is 'arch', not 'features'"),
+            (lambda p: p.update(candidate="eye"), "provenance 'candidate' is 'eye', not 'age'"),
+            (lambda p: p.update(bin=1.0), "provenance 'bin' is 1.0, not None"),
+            (lambda p: p.pop("candidate"), "provenance: 'candidate' is missing"),
+        ],
+        ids=["phase", "candidate", "bin", "missing"],
+    )
+    def test_features_checkpoint_of_another_cell_exits_2(self, workdir, features_run, tmp_path, capsys, edit,
+                                                         message):
+        runs = self._features_copy(features_run, tmp_path)
+        manifest = runs / "features" / "age" / "fold-3" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        edit(doc["provenance"])
+        manifest.write_text(json.dumps(doc))
+        assert self._chain(workdir, runs) == 2
+        assert capsys.readouterr().err == f"error: --chain-init features: {manifest}: {message}\n"
+
     def test_features_tree_without_phase_result_exits_2(self, workdir, features_run, tmp_path, capsys):
         """Fold checkpoints with no phase_result.json: what a features run
         that exited 3 leaves behind."""

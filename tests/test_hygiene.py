@@ -1,8 +1,8 @@
 """Source hygiene without a lint tool: no file imports a name it never uses,
 the package defines no function, class or method that nothing names, and
-it parses JSON, writes files, chooses exit codes, catches float faults and
-runs the forward ops each in one place, with one exception class per
-failing exit path."""
+it parses JSON, writes files, chooses exit codes, catches float faults,
+runs the forward ops and computes eccentricity each in one place, with one
+exception class per failing exit path."""
 
 import ast
 import builtins
@@ -455,3 +455,40 @@ def test_only_the_model_runs_forward_ops():
              if str(path.relative_to(ROOT)) != FORWARD_OWNER
              and (uses := forward_op_uses(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+# The distance of a cell from fixation: `domain.eccentricity` is the one
+# formula, and the simulator's per-eye table its one caller
+ECCENTRICITY_OWNERS = {"hypot": ("src/hvfcast/domain.py", "eccentricity"),
+                       "eccentricity": ("src/hvfcast/synthsim.py", "_eccentricities")}
+
+
+def eccentricity_uses(source: str) -> list[tuple[int, str, str]]:
+    """(line, owner, name) of every read of `hypot` or `eccentricity`, by
+    name or as an attribute (`np.hypot`); importing or defining one is no use."""
+    return [
+        (node.lineno, owner, name) for node, owner in owned_nodes(source)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        and (name := node.id if isinstance(node, ast.Name) else node.attr) in ECCENTRICITY_OWNERS
+    ]
+
+
+def test_eccentricity_scanner_finds_every_use():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "from .domain import eccentricity\n"
+        "def eccentricity(cell, eye):\n    return float(np.hypot(*cell))\n"
+        "def table(eye):\n    return [eccentricity(c, eye) for c in CELLS]\n"
+        "class Hill:\n    def level(self, c):\n        return math.hypot(*c), map(eccentricity, c)\n"
+        "ECC = domain.eccentricity\n"
+    )
+    assert eccentricity_uses(source) == [(5, "eccentricity", "hypot"), (7, "table", "eccentricity"),
+                                         (10, "Hill.level", "hypot"), (10, "Hill.level", "eccentricity"),
+                                         (11, "<module>", "eccentricity")]
+
+
+def test_eccentricity_is_computed_in_one_place():
+    found = {(str(path.relative_to(ROOT)), owner, name) for path in PACKAGE
+             for _, owner, name in eccentricity_uses(path.read_text(encoding="utf-8"))}
+    assert found == {(*owner, name) for name, owner in ECCENTRICITY_OWNERS.items()}

@@ -4,10 +4,11 @@ import dataclasses
 import functools
 import io
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvfcast import synthsim
@@ -15,6 +16,8 @@ from hvfcast.domain import (
     DataError,
     LEFT,
     RIGHT,
+    VisualField,
+    eccentricity,
     mask_cells,
     mean_deviation,
     serialize_record,
@@ -53,6 +56,57 @@ class TestNormative:
     def test_surface_covers_mask(self):
         surf = normative_surface(60.0, RIGHT)
         assert surf == tuple(normative_sensitivity(60.0, c, RIGHT) for c in mask_cells())
+
+
+def _reference_sensitivity(age_years: float, cell, eye: str) -> float:
+    """The per-cell formula the vector surface replaced, kept as its oracle."""
+    n = (
+        synthsim.HILL_APEX_DB
+        - synthsim.AGING_DB_PER_YEAR * (age_years - synthsim.AGE_REF_YEARS)
+        - synthsim.ECC_DB_PER_DEG * eccentricity(cell, eye)
+    )
+    return float(min(max(n, 0.0), synthsim.NORM_MAX_DB))
+
+
+@st.composite
+def clip_edge_ages(draw) -> float:
+    """An age at which one cell's formula value reaches 0 or NORM_MAX_DB, or
+    a float next to it."""
+    cell, eye = draw(st.sampled_from(mask_cells())), draw(st.sampled_from([RIGHT, LEFT]))
+    bound = draw(st.sampled_from([0.0, synthsim.NORM_MAX_DB]))
+    age = synthsim.AGE_REF_YEARS + (
+        synthsim.HILL_APEX_DB - synthsim.ECC_DB_PER_DEG * eccentricity(cell, eye) - bound
+    ) / synthsim.AGING_DB_PER_YEAR
+    return float(draw(st.sampled_from([np.nextafter(age, -np.inf), age, np.nextafter(age, np.inf)])))
+
+
+class TestVectorSurface:
+    """The surface is one vector expression over each eye's eccentricity
+    table; every value must be the per-cell formula's, bit for bit."""
+
+    @given(age=st.one_of(st.floats(0.0, 300.0), clip_edge_ages()), eye=st.sampled_from([RIGHT, LEFT]))
+    @example(age=0.0, eye=RIGHT)
+    @example(age=300.0, eye=LEFT)
+    def test_surface_equals_per_cell_formula(self, age, eye):
+        surf = normative_surface(age, eye)
+        assert type(surf) is tuple and all(type(v) is float for v in surf)
+        assert surf == tuple(_reference_sensitivity(age, c, eye) for c in mask_cells())
+
+    def test_clip_edges_are_reached(self):
+        """Past the ages the edge strategy draws, cells clip at 0 and at the cap."""
+        assert 0.0 in normative_surface(700.0, RIGHT)
+        assert synthsim.NORM_MAX_DB in normative_surface(-100.0, LEFT)
+
+    @pytest.mark.parametrize("eye", ["", "RIGHT", "both"])
+    def test_unknown_eye_raises(self, eye):
+        with pytest.raises(DataError, match="unknown eye"):
+            normative_surface(60.0, eye)
+        with pytest.raises(DataError, match="unknown eye"):
+            normative_sensitivity(60.0, (3, 5), eye)
+
+    def test_cell_outside_the_mask_raises(self):
+        with pytest.raises(DataError, match=r"cell \(0, 0\) is not one of the 54 valid cells"):
+            normative_sensitivity(60.0, (0, 0), RIGHT)
 
 
 class TestArchetypes:
@@ -288,6 +342,107 @@ class TestGenerateCohort:
             value = bad
         with pytest.raises(DataError, match=f"{name} must be finite"):
             dataclasses.replace(CohortConfig(), **{name: value})
+
+
+def _reference_values(arch, eye: str, rate: float, baseline_age: float, day0: int, day: int) -> np.ndarray:
+    """One test's 54 noiseless values, unrounded, as the per-test loop that
+    `generate_cohort` replaced computed them."""
+    t = (day - day0) / synthsim.DAYS_PER_YEAR
+    age = baseline_age + day / synthsim.DAYS_PER_YEAR
+    norm = np.array([_reference_sensitivity(age, c, eye) for c in mask_cells()])
+    defect = np.zeros(len(_POS))
+    for cell, mult in arch.affected(eye):
+        defect[_POS[cell]] = arch.depth_db + rate * mult * t
+    return np.clip(norm - defect, 0.0, synthsim.NORM_MAX_DB)
+
+
+def _reference_cohort(cfg: CohortConfig) -> tuple[list[VisualField], dict]:
+    """The per-test loop that `generate_cohort` replaced, kept as its oracle:
+    one normal surface, defect and noise draw of 54 values per test."""
+    probs = np.array([cfg.archetype_mix.get(n, 0.0) for n in ARCHETYPE_NAMES])
+    probs = probs / probs.sum()
+    fields, meta_patients = [], []
+    width = max(4, len(str(cfg.patients)))
+    for idx in range(cfg.patients):
+        pid = f"P{idx + 1:0{width}d}"
+        rng = synthsim.derived_rng(cfg.seed, "patient", idx)
+        gender = "M" if rng.random() < 0.5 else "F"
+        baseline_age = float(rng.uniform(*cfg.baseline_age_range))
+        eyes = [RIGHT if rng.random() < 0.5 else LEFT]
+        if rng.random() < cfg.second_eye_prob:
+            eyes.append(LEFT if eyes[0] == RIGHT else RIGHT)
+        used_days, patient_tests, eye_meta = set(), [], {}
+        for eye in eyes:
+            arch_name = ARCHETYPE_NAMES[int(rng.choice(len(ARCHETYPE_NAMES), p=probs))]
+            arch = ARCHETYPES[arch_name]
+            rate = float(rng.uniform(*cfg.rate_range))
+            n_tests = int(rng.integers(cfg.tests_per_eye[0], cfg.tests_per_eye[1] + 1))
+            span = float(rng.uniform(*cfg.followup_years))
+            days = []
+            for off in synthsim._visit_offsets(rng, n_tests, span):
+                day = int(round(off * synthsim.DAYS_PER_YEAR))
+                while day in used_days:
+                    day += 1
+                used_days.add(day)
+                days.append(day)
+            for day in days:
+                values = _reference_values(arch, eye, rate, baseline_age, days[0], day)
+                values = add_noise(values, rng) if cfg.noise else np.round(values, 2)
+                patient_tests.append((day, eye, values))
+            eye_meta[eye] = {"archetype": arch_name, "rate_db_per_year": rate, "depth_db": arch.depth_db,
+                             "n_tests": n_tests, "span_years": span}
+        patient_tests.sort(key=lambda item: item[0])
+        for test_index, (day, eye, values) in enumerate(patient_tests, start=1):
+            fields.append(VisualField(
+                patient_id=pid, eye=eye, gender=gender, age_years=baseline_age + day / synthsim.DAYS_PER_YEAR,
+                test_date=cfg.start_date + timedelta(days=day), test_index=test_index,
+                values=tuple(values.tolist()),
+            ))
+        meta_patients.append({"patient_id": pid, "gender": gender, "baseline_age": baseline_age, "eyes": eye_meta})
+    return fields, {"config": cfg.to_json_dict(), "patients": meta_patients}
+
+
+@st.composite
+def cohort_configs(draw) -> CohortConfig:
+    low = draw(st.integers(1, 8))
+    mix = draw(st.one_of(st.sampled_from(ARCHETYPE_NAMES).map(lambda name: {name: 1.0}),
+                         st.just(dict(synthsim.DEFAULT_MIX))))
+    return CohortConfig(
+        patients=draw(st.integers(1, 30)),
+        tests_per_eye=(low, draw(st.integers(low, 15))),
+        archetype_mix=mix,
+        rate_range=draw(st.sampled_from([(0.3, 1.5), (0.0, 0.0), (0.3, 60.0)])),
+        noise=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestCohortOracle:
+    @given(
+        arch=st.sampled_from(list(ARCHETYPES.values())),
+        eye=st.sampled_from([RIGHT, LEFT]),
+        rate=st.one_of(st.floats(0.0, 60.0), st.sampled_from([0.3, 1.5])),
+        baseline_age=st.floats(0.0, 300.0),
+        days=st.lists(st.integers(0, 20_000), min_size=1, max_size=15, unique=True).map(sorted),
+    )
+    def test_series_equals_per_test_values_unrounded(self, arch, eye, rate, baseline_age, days):
+        """Before rounding and noise, where one ulp would show."""
+        got = synthsim._series(arch, eye, rate, baseline_age, days)
+        want = np.array([_reference_values(arch, eye, rate, baseline_age, days[0], day) for day in days])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=cohort_configs())
+    def test_series_in_one_pass_equals_per_test_loop(self, cfg):
+        """Fields and metadata equal the per-test loop's, bit for bit: the
+        values (float by float, and as serialized), the dates and the draws
+        that follow each eye's noise."""
+        fields, meta = generate_cohort(cfg)
+        want_fields, want_meta = _reference_cohort(cfg)
+        assert fields == want_fields
+        assert [np.array(f.values).tobytes() for f in fields] == [np.array(f.values).tobytes() for f in want_fields]
+        assert serialize(fields) == serialize(want_fields)
+        assert meta == want_meta
 
 
 def serialize(fields) -> str:
