@@ -564,7 +564,7 @@ def _train_parser(sub) -> None:
         help="run one training phase",
         epilog="writes runs/<phase>/<candidate-or-bin>/fold-N/{manifest.json, weights.bin, "
                "history.json} plus phase_result.json or chain_result.json; weights.bin is "
-               "little-endian float64 laid out per the manifest entry table",
+               "little-endian float64 laid out by the manifest's spec",
     )
     p.add_argument("--phase", required=True, choices=[PHASE_ARCH, PHASE_FEATURES, PHASE_INTERVALS])
     p.add_argument("--data", required=True)

@@ -30,6 +30,7 @@ with `Model.extend`, so that one forward runs them all.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import dataclasses
 import functools
@@ -49,7 +50,7 @@ from .autodiff import (
     dense,
     relu,
 )
-from .domain import GRID_COLS, GRID_ROWS, DataError, atomic_write, read_json, write_json
+from .domain import GRID_COLS, GRID_ROWS, DataError, atomic_write, expect, read_json, write_json
 
 FULLY_CONNECTED = "FullyConnected"
 FULL_BN = "FullBN"
@@ -468,94 +469,82 @@ def build_model(spec: ModelSpec) -> Model:
 
 MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.bin"
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
+
+
+def _checkpoint_digest(spec: dict, blob: bytes) -> str:
+    """sha256 of the spec as sorted-key JSON followed by the blob: it binds
+    the spec that lays the blob out to the blob's bytes."""
+    h = hashlib.sha256(json.dumps(spec, sort_keys=True).encode())
+    h.update(blob)
+    return h.hexdigest()
 
 
 def save_weights(model: Model, dir_path, provenance: dict | None = None) -> Path:
-    """Write manifest.json + weights.bin into dir_path (atomic rename).
+    """Write weights.bin, then manifest.json, into dir_path (each an atomic
+    rename).
 
-    weights.bin is the model's buffer; a stack (M > 1) raises EngineError,
-    since a checkpoint holds one model."""
+    weights.bin is the model's buffer, laid out by its spec (`_layout`);
+    the manifest holds the spec, `provenance`, the blob's length and one
+    sha256 of spec and blob.  A stack (M > 1) raises EngineError, since a
+    checkpoint holds one model."""
     if model.n_models != 1:
         raise EngineError(f"save_weights: a checkpoint holds one model, this one stacks {model.n_models}")
     dir_path = Path(dir_path)
     blob = np.ascontiguousarray(model._buffer, dtype="<f8").tobytes()
-    entries = [{"name": name, "shape": list(shape), "dtype": "f64le", "offset": 8 * start,
-                "length": 8 * (stop - start), "sha256": hashlib.sha256(blob[8 * start : 8 * stop]).hexdigest(),
-                "trainable": trainable}
-               for name, shape, trainable, start, stop in model._layout]
+    spec = model.spec.to_dict()
     manifest = {
         "format_version": FORMAT_VERSION,
-        "spec": model.spec.to_dict(),
+        "spec": spec,
         "provenance": provenance,
-        "entries": entries,
         "total_length": len(blob),
+        "sha256": _checkpoint_digest(spec, blob),
     }
     atomic_write(dir_path / WEIGHTS_NAME, blob)
     write_json(dir_path / MANIFEST_NAME, manifest)
     return dir_path
 
 
-# What `load_weights` reads of a manifest
-MANIFEST_SCHEMA = {"format_version": str, "spec": SPEC_SCHEMA, "total_length": int,
-                   "entries": [{"name": str, "shape": [int], "offset": int, "length": int, "sha256": str}]}
+# What `load_weights` reads of a manifest: its version first, so that a
+# manifest of another format is refused by that version
+VERSION_SCHEMA = {"format_version": str}
+MANIFEST_SCHEMA = {"format_version": str, "spec": SPEC_SCHEMA, "total_length": int, "sha256": str}
 
 
 def load_weights(dir_path) -> Model:
     """Rebuild a model (M = 1) from a manifest/blob pair; bit-exact round
     trip.  The manifest's `provenance` is kept on the model.
 
-    The blob is copied into the model's buffer in one piece and scanned
-    for non-finite values once, so every entry must sit where weights.bin
-    lays it out.  Raises DataError, naming the manifest, for one that
-    breaks MANIFEST_SCHEMA, has an unknown spec field, or disagrees with
-    the blob or the model (version, shape, offset, length or sha256), and,
-    naming the entry too, for an entry that holds a NaN or infinity.
+    The spec lays the blob out, so the blob must be as long as the manifest
+    says and the spec's layout needs, and the one digest must match spec
+    and blob; the blob is then copied into the model's buffer in one piece
+    and scanned for non-finite values once.  Raises DataError, naming the
+    manifest, for one of another format version, one that breaks
+    MANIFEST_SCHEMA or has an unknown spec field, a length or digest
+    mismatch, and, naming the entry too, a NaN or infinity in an entry.
     """
     dir_path = Path(dir_path)
     path = dir_path / MANIFEST_NAME
-    manifest = read_json(path, MANIFEST_SCHEMA)
+    manifest = read_json(path, VERSION_SCHEMA)
     if manifest["format_version"] != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported version {manifest['format_version']!r}")
+    expect(manifest, MANIFEST_SCHEMA, path)
     try:
         spec = ModelSpec.from_dict(manifest["spec"])
     except DataError as e:
         raise DataError(f"{path}: {e}") from e
 
-    blob = (dir_path / WEIGHTS_NAME).read_bytes()
-    if len(blob) != manifest["total_length"]:
-        raise DataError(
-            f"{path}: length mismatch: blob has {len(blob)} bytes, manifest says "
-            f"{manifest['total_length']}"
-        )
-
-    # every array is overwritten below (a missing entry is an error), so
-    # the seeded init that build_model draws would be thrown away
     model = Model(spec, _seeded=False)
-    layout = {name: (start, stop, list(shape)) for name, shape, _, start, stop in model._layout}
-    view = memoryview(blob)
-    for entry in manifest["entries"]:
-        name, offset = entry["name"], entry["offset"]
-        if name not in layout:
-            raise DataError(f"{path}: unknown layer entry {name!r}")
-        start, stop, shape = layout[name]
-        if entry["shape"] != shape:
-            raise DataError(f"{path}: shape mismatch in {name!r}: {entry['shape']} vs {shape}")
-        raw = view[offset : offset + entry["length"]]
-        if offset < 0 or len(raw) != 8 * (stop - start):
-            raise DataError(f"{path}: length mismatch in {name!r}")
-        if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
-            raise DataError(f"{path}: checksum mismatch in {name!r}")
-        if offset != 8 * start:
-            raise DataError(f"{path}: offset mismatch in {name!r}: {offset}, where weights.bin holds it at {8 * start}")
-    missing = layout.keys() - {entry["name"] for entry in manifest["entries"]}
-    if missing:
-        raise DataError(f"{path}: manifest missing entries for {sorted(missing)}")
     values = model._buffer[0]
-    values[...] = np.frombuffer(blob, dtype="<f8", count=values.size)
+    blob = (dir_path / WEIGHTS_NAME).read_bytes()
+    if not len(blob) == manifest["total_length"] == values.nbytes:
+        raise DataError(f"{path}: length mismatch: blob has {len(blob)} bytes, manifest says "
+                        f"{manifest['total_length']}, the spec lays out {values.nbytes}")
+    if _checkpoint_digest(manifest["spec"], blob) != manifest["sha256"]:
+        raise DataError(f"{path}: checksum mismatch")
+    values[...] = np.frombuffer(blob, dtype="<f8")
     if not np.isfinite(values).all():
-        name = next(e["name"] for e in manifest["entries"]
-                    if not np.isfinite(values[layout[e["name"]][0] : layout[e["name"]][1]]).all())
+        name = next(name for name, _, _, start, stop in model._layout if not np.isfinite(values[start:stop]).all())
         raise DataError(f"{path}: non-finite values in {name!r}")
     model.provenance = manifest.get("provenance")
     return model

@@ -515,7 +515,8 @@ def train_interval_chain(
     A (bin, fold) cell with no training or validation pairs is recorded as a
     gap; the chain then carries the last trained weights forward.  With
     `init_snapshots` (fold -> weight snapshot) a fold's first bin starts
-    from those weights instead of a fresh initialization.
+    from those weights instead of a fresh initialization.  Writes
+    `chain_result.json`: the entries, the chain's spec and the config echo.
     """
     spec = spec.replace(in_channels=combo.channels())
     n_folds = len(plan.folds)
@@ -532,7 +533,8 @@ def train_interval_chain(
                for entry in job_entries]
     entries.sort(key=lambda e: (e["bin"], e["fold"]))
     result = ChainResult(combo=combo.name, entries=entries)
-    write_json(result_path, result.to_json_dict())
+    config = cfg.to_json_dict() | {"phase": PHASE_INTERVALS}
+    write_json(result_path, result.to_json_dict() | {"spec": spec.to_dict(), "config": config})
     return result
 
 

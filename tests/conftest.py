@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from datetime import date, timedelta
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 
 from hvfcast.domain import GENDERS, RIGHT, VisualField, mask_cells
 from hvfcast import synthsim
+from hvfcast.models import FAMILIES, FULLY_CONNECTED, ModelSpec, count_parameters_spec, layer_plan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -20,6 +24,36 @@ def child_env(**extra: str) -> dict[str, str]:
     PYTHONPATH, so a child Python imports the hvfcast under test."""
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
+def checkpoint_digest(spec: dict, blob: bytes) -> str:
+    """A format-2 manifest's `sha256`, as the README states it: the sha256
+    of the spec as sorted-key JSON followed by weights.bin."""
+    return hashlib.sha256(json.dumps(spec, sort_keys=True).encode() + blob).hexdigest()
+
+
+def layout_length(spec: ModelSpec) -> int:
+    """The number of float64 values weights.bin holds for `spec`: every
+    parameter, and each batch norm's running mean and variance."""
+    return count_parameters_spec(spec) + sum(2 * layer.out_dim for layer in layer_plan(spec) if layer.bn)
+
+
+def equal_length_spec(spec: ModelSpec) -> ModelSpec:
+    """The first other architecture (family, depth, widths or hidden width)
+    with `spec`'s input channels and seed whose weights.bin has the length
+    of `spec`'s; conv depths 1-2 and widths up to 12 are searched."""
+    total = layout_length(spec)
+    fields = dict(in_channels=spec.in_channels, seed=spec.seed)
+    for family in FAMILIES:
+        if family == FULLY_CONNECTED:
+            candidates = (ModelSpec(family, widths=spec.widths, fc_hidden=h, **fields) for h in range(1, 4097))
+        else:
+            candidates = (ModelSpec(family, depth, widths=widths, fc_hidden=spec.fc_hidden, **fields)
+                          for depth in (1, 2) for widths in product(range(1, 13), repeat=3))
+        for candidate in candidates:
+            if candidate != spec and layout_length(candidate) == total:
+                return candidate
+    raise AssertionError(f"no other spec has the layout length of {spec}")
 
 
 def random_values(rng: np.random.Generator) -> tuple[float, ...]:

@@ -13,12 +13,12 @@ import pytest
 from hvfcast import cli
 from hvfcast.domain import save_dataset
 from hvfcast.evaluation import _MAX_BOOTSTRAP, evaluate_testset
-from hvfcast.models import Model
+from hvfcast.models import Model, ModelSpec
 from hvfcast.pipeline import BIN_CENTERS, split_patients
 from hvfcast.synthsim import CohortConfig
 from hvfcast.trainer import TrainConfig
 
-from conftest import child_env
+from conftest import checkpoint_digest, child_env, equal_length_spec
 
 
 def run_cli(*argv) -> int:
@@ -349,6 +349,18 @@ class TestTrainAndEvaluate:
         assert (runs / "intervals" / "chain_result.json").is_file()
         assert (runs / "intervals" / "bin-1.0" / "fold-0" / "weights.bin").is_file()
         assert (runs / "run_manifest.json").is_file()
+
+    def test_chain_result_records_spec_and_config(self, trained):
+        """chain_result.json echoes the chain's spec and, as phase_result.json
+        does, the training config and its phase; the worker count is no
+        part of the echo, so results stay independent of it."""
+        chain = json.loads((trained / "runs" / "intervals" / "chain_result.json").read_text())
+        spec = ModelSpec.from_dict(chain["spec"])
+        assert (spec.name, spec.widths, spec.in_channels) == ("Cascade-1", (2, 3, 4), 2)
+        manifest = json.loads((trained / "runs" / "intervals" / "bin-1.0" / "fold-0" / "manifest.json").read_text())
+        assert chain["spec"] == manifest["spec"] | {"seed": chain["spec"]["seed"]}
+        assert chain["config"] == TrainConfig(epochs=1, widths=(2, 3, 4), seed=3).to_json_dict() | {
+            "phase": "intervals"}
 
     def test_train_manifest_records_allocator_setting(self, trained):
         manifest = json.loads((trained / "runs" / "run_manifest.json").read_text())
@@ -1043,11 +1055,11 @@ class TestRunTreeContract:
         assert _evaluate(trained, trained / "runs", tmp_path / "r.json", split=split) == 2
         assert capsys.readouterr().err == f"error: {split}: {message}\n"
 
-    def test_manifest_offset_of_wrong_type_exits_2(self, trained, small_cohort, tmp_path, capsys):
+    def test_manifest_total_length_of_wrong_type_exits_2(self, trained, small_cohort, tmp_path, capsys):
         runs = self._runs_copy(trained, tmp_path)
         path = runs / "intervals" / "bin-1.0" / "fold-0" / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["entries"][0]["offset"] = "a"
+        manifest["total_length"] = "a"
         path.write_text(json.dumps(manifest))
         field = small_cohort[1][0]
         code = run_cli(
@@ -1056,7 +1068,7 @@ class TestRunTreeContract:
             "--test-index", str(field.test_index), "--runs", str(runs), "--out", str(tmp_path / "f.json"),
         )
         assert code == 2
-        assert capsys.readouterr().err == f"error: {path}: entries[0]: 'offset' must be an int, got 'a'\n"
+        assert capsys.readouterr().err == f"error: {path}: 'total_length' must be an int, got 'a'\n"
 
     def test_pair_line_without_input_ref_exits_2(self, trained, tmp_path, capsys):
         lines = (trained / "pairs.jsonl").read_text().splitlines()
@@ -1371,28 +1383,77 @@ class TestPredict:
 
     def _non_finite_copy(self, trained, tmp_path):
         """A copy of the runs tree with a NaN in the first entry of bin 1.0
-        fold 0, its sha256 matching; returns it, the manifest and the entry."""
+        fold 0, the manifest's digest matching; returns it, the manifest
+        and the entry."""
         runs = tmp_path / "runs"
         shutil.copytree(trained / "runs", runs)
         ck = runs / "intervals" / "bin-1.0" / "fold-0"
         manifest = json.loads((ck / "manifest.json").read_text())
-        entry = manifest["entries"][0]
         blob = bytearray((ck / "weights.bin").read_bytes())
-        start = entry["offset"]
-        blob[start : start + 8] = b"\x00\x00\x00\x00\x00\x00\xf8\x7f"  # little-endian NaN
-        entry["sha256"] = hashlib.sha256(blob[start : start + entry["length"]]).hexdigest()
+        blob[0:8] = b"\x00\x00\x00\x00\x00\x00\xf8\x7f"  # little-endian NaN
+        manifest["sha256"] = checkpoint_digest(manifest["spec"], bytes(blob))
         (ck / "weights.bin").write_bytes(bytes(blob))
         (ck / "manifest.json").write_text(json.dumps(manifest))
-        return runs, ck / "manifest.json", entry["name"]
+        return runs, ck / "manifest.json", Model(ModelSpec.from_dict(manifest["spec"]))._layout[0][0]
+
+    def _serve_both(self, trained, small_cohort, runs, tmp_path, capsys) -> tuple[str, str]:
+        """The stderr of `predict` and of `evaluate` over `runs`, each
+        asserted to exit 2 and write nothing."""
+        errs = []
+        assert self._predict_bin_1(trained, small_cohort[1][0], runs, tmp_path / "a.json") == 2
+        errs.append(capsys.readouterr().err)
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
+        errs.append(capsys.readouterr().err)
+        assert not (tmp_path / "a.json").exists() and not (tmp_path / "r.json").exists()
+        return tuple(errs)
+
+    def test_format_1_checkpoint_exits_2_naming_its_version(self, trained, small_cohort, tmp_path, capsys):
+        """A checkpoint as format 1 wrote it (an entry table, a digest per
+        entry, none for the whole) is refused by its version."""
+        runs = tmp_path / "runs"
+        shutil.copytree(trained / "runs", runs)
+        ck = runs / "intervals" / "bin-1.0" / "fold-0"
+        manifest = json.loads((ck / "manifest.json").read_text())
+        blob = (ck / "weights.bin").read_bytes()
+        layout = Model(ModelSpec.from_dict(manifest["spec"]))._layout
+        entries = [{"name": name, "shape": list(shape), "dtype": "f64le", "offset": 8 * start,
+                    "length": 8 * (stop - start), "sha256": hashlib.sha256(blob[8 * start : 8 * stop]).hexdigest(),
+                    "trainable": trainable} for name, shape, trainable, start, stop in layout]
+        v1 = {"format_version": "1", "spec": manifest["spec"], "provenance": manifest["provenance"],
+              "entries": entries, "total_length": len(blob)}
+        (ck / "manifest.json").write_text(json.dumps(v1))
+        expected = f"error: {ck / 'manifest.json'}: unsupported version '1'\n"
+        assert self._serve_both(trained, small_cohort, runs, tmp_path, capsys) == (expected, expected)
+
+    def test_torn_checkpoint_exits_2(self, trained, small_cohort, tmp_path, capsys):
+        """The weights.bin of one save beside the manifest.json of another,
+        as an interruption between a checkpoint's two renames leaves them:
+        same spec, same length, other bytes."""
+        runs = tmp_path / "runs"
+        shutil.copytree(trained / "runs", runs)
+        ck, other = (runs / "intervals" / "bin-1.0" / f"fold-{fold}" for fold in (0, 1))
+        assert (ck / "weights.bin").read_bytes() != (other / "weights.bin").read_bytes()
+        shutil.copy(other / "weights.bin", ck / "weights.bin")
+        expected = f"error: {ck / 'manifest.json'}: checksum mismatch\n"
+        assert self._serve_both(trained, small_cohort, runs, tmp_path, capsys) == (expected, expected)
+
+    def test_foreign_spec_of_equal_length_exits_2(self, trained, small_cohort, tmp_path, capsys):
+        """A manifest whose spec names another architecture that lays out as
+        many values as the blob holds: the digest binds the spec."""
+        runs = tmp_path / "runs"
+        shutil.copytree(trained / "runs", runs)
+        path = runs / "intervals" / "bin-1.0" / "fold-0" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        foreign = equal_length_spec(ModelSpec.from_dict(manifest["spec"]))
+        assert foreign.name != "Cascade-1"
+        path.write_text(json.dumps(manifest | {"spec": foreign.to_dict()}))
+        expected = f"error: {path}: checksum mismatch\n"
+        assert self._serve_both(trained, small_cohort, runs, tmp_path, capsys) == (expected, expected)
 
     def test_non_finite_checkpoint_exits_2_naming_it(self, trained, small_cohort, tmp_path, capsys):
         runs, manifest, name = self._non_finite_copy(trained, tmp_path)
-        assert self._predict_bin_1(trained, small_cohort[1][0], runs, tmp_path / "a.json") == 2
-        assert capsys.readouterr().err == f"error: {manifest}: non-finite values in {name!r}\n"
-        assert not (tmp_path / "a.json").exists()
-        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
-        assert capsys.readouterr().err == f"error: {manifest}: non-finite values in {name!r}\n"
-        assert not (tmp_path / "r.json").exists()
+        expected = f"error: {manifest}: non-finite values in {name!r}\n"
+        assert self._serve_both(trained, small_cohort, runs, tmp_path, capsys) == (expected, expected)
 
     @pytest.mark.parametrize("test_index", ["0", "-1"])
     def test_test_index_below_one_exits_1(self, trained, capsys, test_index):

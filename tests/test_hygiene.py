@@ -1,8 +1,9 @@
 """Source hygiene without a lint tool: no file imports a name it never uses,
 the package defines no function, class or method that nothing names, and
 it parses JSON, writes files, chooses exit codes, catches float faults,
-runs the forward ops and computes eccentricity each in one place, with one
-exception class per failing exit path."""
+runs the forward ops, computes eccentricity and reads and writes the
+checkpoint format each in one place, with one exception class per failing
+exit path."""
 
 import ast
 import builtins
@@ -492,3 +493,50 @@ def test_eccentricity_is_computed_in_one_place():
     found = {(str(path.relative_to(ROOT)), owner, name) for path in PACKAGE
              for _, owner, name in eccentricity_uses(path.read_text(encoding="utf-8"))}
     assert found == {(*owner, name) for name, owner in ECCENTRICITY_OWNERS.items()}
+
+
+# The checkpoint format: only `save_weights` and `load_weights` name the
+# blob's file or compute the manifest's digest
+CHECKPOINT_OWNERS = {("src/hvfcast/models.py", "save_weights"), ("src/hvfcast/models.py", "load_weights")}
+CHECKPOINT_NAMES = {"WEIGHTS_NAME", "_checkpoint_digest"}
+WEIGHTS_FILE = "weights.bin"
+
+
+def checkpoint_format_uses(source: str) -> list[tuple[int, str, str]]:
+    """(line, owner, name) of every read of WEIGHTS_NAME or
+    `_checkpoint_digest`, by name or as an attribute, and of every string
+    that is the file name itself; defining, assigning or importing one is
+    no use."""
+    found = []
+    for node, owner in owned_nodes(source):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in CHECKPOINT_NAMES:
+                found.append((node.lineno, owner, name))
+        elif isinstance(node, ast.Constant) and node.value == WEIGHTS_FILE:
+            found.append((node.lineno, owner, WEIGHTS_FILE))
+    return found
+
+
+def test_checkpoint_scanner_finds_every_use():
+    source = (
+        "from .models import WEIGHTS_NAME\n"
+        "import hvfcast.models as m\n"
+        "WEIGHTS_NAME = 'weights.bin'\n"
+        "def _checkpoint_digest(spec, blob):\n    return blob\n"
+        "def save_weights(d):\n    return d / WEIGHTS_NAME, _checkpoint_digest({}, b'')\n"
+        "class Store:\n    def put(self, d):\n        return d / 'weights.bin', m._checkpoint_digest\n"
+        "HELP = 'writes weights.bin'\n"
+        "BLOB = m.WEIGHTS_NAME\n"
+    )
+    assert checkpoint_format_uses(source) == [
+        (3, "<module>", "weights.bin"), (7, "save_weights", "WEIGHTS_NAME"),
+        (7, "save_weights", "_checkpoint_digest"), (10, "Store.put", "weights.bin"),
+        (10, "Store.put", "_checkpoint_digest"), (12, "<module>", "WEIGHTS_NAME")]
+
+
+def test_checkpoint_format_lives_in_save_and_load():
+    found = {(str(path.relative_to(ROOT)), owner, name) for path in PACKAGE
+             for _, owner, name in checkpoint_format_uses(path.read_text(encoding="utf-8"))}
+    assert found == {(*owner, name) for owner in CHECKPOINT_OWNERS for name in CHECKPOINT_NAMES} | {
+        ("src/hvfcast/models.py", "<module>", WEIGHTS_FILE)}

@@ -1,8 +1,8 @@
 """Architecture construction, counting, wiring, and weight serialization."""
 
-import hashlib
 import json
 import re
+import tempfile
 from pathlib import Path
 from unittest.mock import patch
 
@@ -16,6 +16,8 @@ from hvfcast.autodiff import AdamState, EngineError, Tensor, _toposort, adam_ste
 from hvfcast.domain import DataError, valid_mask_array
 from hvfcast.evaluation import ensemble_means
 from hvfcast.models import (
+    FAMILIES,
+    Model,
     ModelSpec,
     build_model,
     canonical_specs,
@@ -28,6 +30,8 @@ from hvfcast.models import (
     spec_from_name,
     weights_hash,
 )
+
+from conftest import checkpoint_digest, equal_length_spec
 
 TINY = dict(widths=(4, 8, 12), fc_hidden=16)
 
@@ -305,13 +309,27 @@ class TestSerialization:
         assert [name for name, p in m.params.items() if p._grad is not None] == []
         assert out._grad is None
 
+    def _rewrite(self, ck, blob: bytes, **manifest_fields) -> Path:
+        """Write `blob` as ck's weights.bin and update its manifest with
+        `manifest_fields`, its digest recomputed for spec and blob."""
+        path = ck / "manifest.json"
+        manifest = json.loads(path.read_text()) | manifest_fields
+        manifest["sha256"] = checkpoint_digest(manifest["spec"], blob)
+        (ck / "weights.bin").write_bytes(blob)
+        path.write_text(json.dumps(manifest))
+        return path
+
     def test_missing_entry_rejected(self, tmp_path):
+        """A blob without its last entry, its manifest's length and digest
+        matching: the spec lays out the entry, so the blob is too short."""
         m = self._trained_tiny()
         save_weights(m, tmp_path / "ck")
-        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        dropped = manifest["entries"].pop(1)["name"]
-        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match=rf"manifest missing entries for \['{dropped}'\]"):
+        name, _, _, start, stop = m._layout[-1]
+        assert stop == m._buffer.size
+        blob = (tmp_path / "ck" / "weights.bin").read_bytes()[: 8 * start]
+        path = self._rewrite(tmp_path / "ck", blob, total_length=len(blob))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: length mismatch: blob has {8 * start} bytes, "
+                                               f"manifest says {8 * start}, the spec lays out {8 * stop}$"):
             load_weights(tmp_path / "ck")
 
     def test_truncated_blob(self, tmp_path):
@@ -323,94 +341,94 @@ class TestSerialization:
             load_weights(tmp_path / "ck")
 
     def test_unsupported_version(self, tmp_path):
-        m = self._trained_tiny()
-        save_weights(m, tmp_path / "ck")
-        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        manifest["format_version"] = "2"
-        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="unsupported version '2'"):
-            load_weights(tmp_path / "ck")
-
-    def test_corruption_names_layer(self, tmp_path):
-        m = self._trained_tiny()
-        save_weights(m, tmp_path / "ck")
-        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-        entry = manifest["entries"][0]
-        blob = bytearray((tmp_path / "ck" / "weights.bin").read_bytes())
-        blob[entry["offset"]] ^= 0xFF
-        (tmp_path / "ck" / "weights.bin").write_bytes(bytes(blob))
-        with pytest.raises(DataError, match=entry["name"].replace(".", r"\.")):
-            load_weights(tmp_path / "ck")
+        """A format-1 manifest (an entry table and no top-level digest) and
+        an unknown later version are refused by their version."""
+        save_weights(self._trained_tiny(), tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        v1 = {key: manifest[key] for key in ("spec", "provenance", "total_length")} | {
+            "format_version": "1", "entries": []}
+        for doc, version in ((v1, "1"), (manifest | {"format_version": "3"}, "3")):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: unsupported version '{version}'$"):
+                load_weights(tmp_path / "ck")
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf, 1.5], ids=["nan", "inf", "finite"])
     def test_non_finite_entry_names_file_and_entry(self, tmp_path, value):
-        """A value written into an entry, its sha256 matching: only a finite one loads."""
-        save_weights(self._trained_tiny(), tmp_path / "ck")
-        path, blob_path = tmp_path / "ck" / "manifest.json", tmp_path / "ck" / "weights.bin"
-        manifest = json.loads(path.read_text())
-        entry = manifest["entries"][2]
-        start, blob = entry["offset"], bytearray(blob_path.read_bytes())
-        blob[start + 8 : start + 16] = np.array([value], dtype="<f8").tobytes()
-        entry["sha256"] = hashlib.sha256(blob[start : start + entry["length"]]).hexdigest()
-        blob_path.write_bytes(bytes(blob))
-        path.write_text(json.dumps(manifest))
+        """A value written into an entry, the digest matching: only a finite one loads."""
+        m = self._trained_tiny()
+        save_weights(m, tmp_path / "ck")
+        name, _, _, start, _ = m._layout[2]
+        blob = bytearray((tmp_path / "ck" / "weights.bin").read_bytes())
+        blob[8 * start + 8 : 8 * start + 16] = np.array([value], dtype="<f8").tobytes()
+        path = self._rewrite(tmp_path / "ck", bytes(blob))
         if np.isfinite(value):
             loaded = {name: arr for name, arr, _ in load_weights(tmp_path / "ck").all_entries()}
-            assert loaded[entry["name"]].reshape(-1)[1] == value
+            assert loaded[name].reshape(-1)[1] == value
         else:
             with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite values in "
-                                                   f"{re.escape(repr(entry['name']))}$"):
+                                                   f"{re.escape(repr(name))}$"):
                 load_weights(tmp_path / "ck")
 
     def test_entry_away_from_its_place_rejected(self, tmp_path):
-        """Two entries of one length trade places in weights.bin, their
-        offsets and checksums rewritten to match: the blob is the model's
-        buffer, so each entry must sit where the model lays it out."""
-        save_weights(self._trained_tiny(), tmp_path / "ck")
-        path, blob_path = tmp_path / "ck" / "manifest.json", tmp_path / "ck" / "weights.bin"
-        manifest = json.loads(path.read_text())
-        a, b = [e for e in manifest["entries"] if e["name"].startswith("block1.conv1.")][1:3]
-        assert a["length"] == b["length"]
-        blob = bytearray(blob_path.read_bytes())
-        raw_a, raw_b = blob[a["offset"] : a["offset"] + a["length"]], blob[b["offset"] : b["offset"] + b["length"]]
-        blob[a["offset"] : a["offset"] + a["length"]], blob[b["offset"] : b["offset"] + b["length"]] = raw_b, raw_a
-        a["offset"], b["offset"] = b["offset"], a["offset"]
-        blob_path.write_bytes(bytes(blob))
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: offset mismatch in {re.escape(repr(a['name']))}: "
-                                               f"{a['offset']}, where weights.bin holds it at {b['offset']}$"):
+        """Two entries of one length trade places in weights.bin: the blob
+        is the model's buffer, laid out by the spec, and the digest that
+        binds the two refuses it."""
+        m = self._trained_tiny()
+        save_weights(m, tmp_path / "ck")
+        (_, _, _, a0, a1), (_, _, _, b0, b1) = [e for e in m._layout if e[0].startswith("block1.conv1.")][1:3]
+        assert a1 - a0 == b1 - b0
+        blob = bytearray((tmp_path / "ck" / "weights.bin").read_bytes())
+        blob[8 * a0 : 8 * a1], blob[8 * b0 : 8 * b1] = blob[8 * b0 : 8 * b1], blob[8 * a0 : 8 * a1]
+        (tmp_path / "ck" / "weights.bin").write_bytes(bytes(blob))
+        path = tmp_path / "ck" / "manifest.json"
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: checksum mismatch$"):
             load_weights(tmp_path / "ck")
 
     def test_manifest_offsets_contiguous(self, tmp_path):
+        """The manifest holds no entry table: the spec's layout places the
+        entries back to back, and `total_length` is where the last ends."""
         m = self._trained_tiny()
-        save_weights(m, tmp_path / "ck")
+        save_weights(m, tmp_path / "ck", provenance={"phase": "arch"})
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert set(manifest) == {"format_version", "spec", "provenance", "total_length", "sha256"}
         offset = 0
-        for entry in manifest["entries"]:
-            assert entry["offset"] == offset
-            offset += entry["length"]
-        assert manifest["total_length"] == offset
+        for _, shape, _, start, stop in m._layout:
+            assert (start, stop) == (offset, offset + int(np.prod(shape)))
+            offset = stop
+        assert manifest["total_length"] == 8 * offset == (tmp_path / "ck" / "weights.bin").stat().st_size
+        assert manifest["sha256"] == checkpoint_digest(manifest["spec"], (tmp_path / "ck" / "weights.bin").read_bytes())
 
     def test_manifest_spec_holds_only_model_fields(self, tmp_path):
         save_weights(self._trained_tiny(), tmp_path / "ck")
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
         assert set(manifest["spec"]) == {"family", "depth_k", "widths", "in_channels", "seed", "fc_hidden"}
 
+    @pytest.mark.parametrize("spec", ALL_TINY[1:], ids=lambda s: s.name)
+    def test_foreign_spec_of_equal_length_rejected(self, spec, tmp_path):
+        """A manifest whose spec names another architecture that lays out
+        as many values: only the digest tells the two apart."""
+        save_weights(build_model(spec), tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        foreign = equal_length_spec(spec)
+        assert foreign.name != spec.name or foreign.widths != spec.widths
+        path.write_text(json.dumps(manifest | {"spec": foreign.to_dict()}))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: checksum mismatch$"):
+            load_weights(tmp_path / "ck")
+
     @pytest.mark.parametrize(
         "edit,needle",
         [
             (lambda m: m.clear(), "'format_version' is missing"),
             (lambda m: m.pop("spec"), "'spec' is missing"),
-            (lambda m: m.pop("entries"), "'entries' is missing"),
             (lambda m: m.pop("total_length"), "'total_length' is missing"),
-            (lambda m: m["entries"][2].pop("sha256"), r"entries\[2\]: 'sha256' is missing"),
-            (lambda m: m["entries"].__setitem__(1, []), r"entries\[1\] must be an object, got \[\]"),
-            (lambda m: m.update(entries=5), "'entries' must be a list, got 5"),
-            (lambda m: m["entries"][0].update(offset="a"), r"entries\[0\]: 'offset' must be an int, got 'a'"),
-            (lambda m: m["entries"][1].update(length=-8), "length mismatch in '"),
-            (lambda m: m["entries"][0].update(shape="x"), r"entries\[0\]: 'shape' must be a list, got 'x'"),
-            (lambda m: m["entries"][0].update(name=["w"]), r"entries\[0\]: 'name' must be a str, got \['w'\]"),
-            (lambda m: m["entries"][0].update(sha256=None), r"entries\[0\]: 'sha256' must be a str, got None"),
+            (lambda m: m.pop("sha256"), "'sha256' is missing"),
+            (lambda m: m.update(format_version=2), "'format_version' must be a str, got 2"),
+            (lambda m: m.update(total_length="8"), "'total_length' must be an int, got '8'"),
+            (lambda m: m.update(total_length=-8), "length mismatch: blob has "),
+            (lambda m: m.update(sha256=None), "'sha256' must be a str, got None"),
+            (lambda m: m.update(sha256="0" * 64), "checksum mismatch$"),
             # the spec of a checkpoint written before the two training fields left it
             (lambda m: m["spec"].update(batch_size=32, lr=0.001),
              r"spec: unknown fields \['batch_size', 'lr'\]"),
@@ -422,11 +440,12 @@ class TestSerialization:
             (lambda m: m["spec"].update(depth_k=True), "spec: 'depth_k' must be an int or null, got True"),
             (lambda m: m["spec"].update(seed="a"), "spec: 'seed' must be an int, got 'a'"),
             (lambda m: m["spec"].update(fc_hidden=None), "spec: 'fc_hidden' must be an int, got None"),
+            (lambda m: m["spec"].update(seed=13), "checksum mismatch$"),
         ],
-        ids=["empty", "no-spec", "no-entries", "no-total-length", "entry-key", "entry-not-object",
-             "entries-int", "offset-str", "length-negative", "shape-str", "name-list", "sha-none",
+        ids=["empty", "no-spec", "no-total-length", "no-sha256", "version-int",
+             "total-length-str", "length-negative", "sha-none", "sha-other",
              "old-spec-fields", "missing-spec-field", "spec-type", "depth-float", "in-channels-float",
-             "width-float", "depth-bool", "seed-str", "fc-hidden-null"],
+             "width-float", "depth-bool", "seed-str", "fc-hidden-null", "seed-other"],
     )
     def test_malformed_manifest_names_file_and_key(self, tmp_path, edit, needle):
         save_weights(self._trained_tiny(), tmp_path / "ck")
@@ -476,6 +495,131 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert path.read_text() == "stale"
 
+
+
+@st.composite
+def small_specs(draw) -> ModelSpec:
+    """Any family at small random widths, depth, hidden width and input channels."""
+    family = draw(st.sampled_from(FAMILIES))
+    return ModelSpec(family, None if family == models.FULLY_CONNECTED else draw(st.integers(1, 2)),
+                     widths=tuple(draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))),
+                     in_channels=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)),
+                     fc_hidden=draw(st.integers(1, 6)))
+
+
+@st.composite
+def checkpoints(draw) -> Model:
+    """A model of `small_specs` whose every stored value is drawn: normal
+    values, with some cells set to any finite float (zeros, subnormals and
+    the extremes among them)."""
+    model = build_model(draw(small_specs()))
+    values = model._buffer[0]
+    values[:] = np.random.default_rng(draw(st.integers(0, 2**32))).normal(size=values.size)
+    for i in draw(st.lists(st.integers(0, values.size - 1), max_size=4)):
+        values[i] = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return model
+
+
+# A new value for each spec field, drawn from the field's old value; the
+# result may be no valid spec at all (a FullyConnected with a depth)
+SPEC_EDITS = {
+    "family": lambda v: st.sampled_from([f for f in FAMILIES if f != v]),
+    "depth_k": lambda v: st.sampled_from([None, 1, 2, 3]).filter(lambda d: d != v),
+    "widths": lambda v: st.lists(st.integers(1, 5), min_size=3, max_size=3).filter(lambda w: w != v),
+    "in_channels": lambda v: st.integers(1, 4).filter(lambda c: c != v),
+    "seed": lambda v: st.integers(0, 2**32).filter(lambda s: s != v),
+    "fc_hidden": lambda v: st.integers(1, 7).filter(lambda h: h != v),
+}
+
+
+class TestCheckpointProperties:
+    """Format-2 checkpoints of every family: a round trip is bit for bit,
+    and each way of changing one file is refused naming the manifest."""
+
+    @staticmethod
+    def _saved(model, tmp) -> tuple[Path, Path, bytes]:
+        save_weights(model, Path(tmp) / "ck", provenance={"phase": "arch", "fold": 1})
+        ck = Path(tmp) / "ck"
+        return ck, ck / "manifest.json", (ck / "weights.bin").read_bytes()
+
+    @staticmethod
+    def _refused(ck, path, reason: str = ".*") -> None:
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {reason}"):
+            load_weights(ck)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=checkpoints())
+    def test_round_trip_is_bit_for_bit(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            ck, path, blob = self._saved(model, tmp)
+            loaded = load_weights(ck)
+            manifest = json.loads(path.read_text())
+        assert loaded._buffer.tobytes() == model._buffer.tobytes() == blob
+        assert loaded.spec == model.spec and loaded.provenance == {"phase": "arch", "fold": 1}
+        assert manifest["sha256"] == checkpoint_digest(model.spec.to_dict(), blob)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=checkpoints(), data=st.data())
+    def test_any_flipped_byte_of_the_blob_is_refused(self, model, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            ck, path, blob = self._saved(model, tmp)
+            i = data.draw(st.integers(0, len(blob) - 1), label="byte")
+            flipped = bytearray(blob)
+            flipped[i] ^= data.draw(st.integers(1, 255), label="mask")
+            (ck / "weights.bin").write_bytes(bytes(flipped))
+            self._refused(ck, path, "checksum mismatch$")
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=checkpoints(), data=st.data())
+    def test_truncated_or_extended_blob_is_refused(self, model, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            ck, path, blob = self._saved(model, tmp)
+            if data.draw(st.booleans(), label="truncate"):
+                resized = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+            else:
+                resized = blob + data.draw(st.binary(min_size=1, max_size=24), label="tail")
+            (ck / "weights.bin").write_bytes(resized)
+            self._refused(ck, path, f"length mismatch: blob has {len(resized)} bytes, manifest says {len(blob)}, "
+                                    f"the spec lays out {len(blob)}$")
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=checkpoints(), data=st.data())
+    def test_edited_manifest_is_refused(self, model, data):
+        """A changed digest, length or spec field, the blob as saved."""
+        with tempfile.TemporaryDirectory() as tmp:
+            ck, path, _ = self._saved(model, tmp)
+            manifest = json.loads(path.read_text())
+            key = data.draw(st.sampled_from(["sha256", "total_length", *SPEC_EDITS]), label="key")
+            if key == "sha256":
+                i = data.draw(st.integers(0, 63), label="digit")
+                digit = data.draw(st.sampled_from("0123456789abcdef").filter(lambda c: c != manifest[key][i]))
+                manifest[key] = manifest[key][:i] + digit + manifest[key][i + 1 :]
+            elif key == "total_length":
+                manifest[key] = data.draw(st.integers(-8, 2 * manifest[key]).filter(lambda n: n != manifest[key]))
+            else:
+                manifest["spec"][key] = data.draw(SPEC_EDITS[key](manifest["spec"][key]), label="value")
+            path.write_text(json.dumps(manifest))
+            self._refused(ck, path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=checkpoints(), data=st.data())
+    def test_non_finite_value_is_refused_naming_its_entry(self, model, data):
+        """A NaN or infinity written into one or more entries, the digest
+        recomputed: the first such entry in weights.bin order is named."""
+        bad = data.draw(st.lists(st.sampled_from(model._layout), min_size=1, max_size=3, unique=True), label="entries")
+        name = min(bad, key=lambda entry: entry[3])[0]
+        with tempfile.TemporaryDirectory() as tmp:
+            ck, path, blob = self._saved(model, tmp)
+            broken = bytearray(blob)
+            for _, _, _, start, stop in bad:
+                i = data.draw(st.integers(start, stop - 1), label="index")
+                value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+                broken[8 * i : 8 * i + 8] = np.array([value], dtype="<f8").tobytes()
+            manifest = json.loads(path.read_text())
+            manifest["sha256"] = checkpoint_digest(manifest["spec"], bytes(broken))
+            (ck / "weights.bin").write_bytes(bytes(broken))
+            path.write_text(json.dumps(manifest))
+            self._refused(ck, path, f"non-finite values in {re.escape(repr(name))}$")
 
 def _folds(arch: str, in_channels: int, n_models: int, seed: int, rng) -> list:
     """`n_models` models of one spec, seeds apart, each with the running

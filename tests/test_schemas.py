@@ -301,26 +301,25 @@ def test_mutated_file_exits_2_naming_it_never_1(tree, name):
 @pytest.mark.parametrize("spell", [lambda d, i: float(d) if i % 2 == 0 else True if d == 1 else d,
                                    lambda d, i: float(d), lambda d, i: True if d == 1 else d],
                          ids=["mixed", "floats", "bool"])
-def test_manifest_shape_of_equal_non_ints_exits_2_naming_the_entry(tree, spell):
-    """A shape spelled with floats or a bool equals the int shape in Python
-    (`[2.0, True] == [2, 1]`), so only the schema tells it apart."""
+def test_manifest_widths_of_equal_non_ints_exits_2_naming_the_field(tree, spell):
+    """Widths spelled with floats or a bool equal the int widths in Python
+    (`[2.0, True] == [2, 1]`), so only the schema tells them apart."""
     manifest = tree / "runs" / "intervals" / "bin-1.0" / "fold-0" / "manifest.json"
     original = manifest.read_text()
     doc = json.loads(original)
-    i = next(i for i, e in enumerate(doc["entries"]) if e["name"] == "head.w")
-    shape = doc["entries"][i]["shape"]
-    assert shape[0] == 1 and len(shape) == 4
-    doc["entries"][i]["shape"] = [spell(d, j) for j, d in enumerate(shape)]
-    assert doc["entries"][i]["shape"] == shape
-    bad = next(j for j, d in enumerate(doc["entries"][i]["shape"]) if type(d) is not int)
+    widths = [1, *doc["spec"]["widths"][1:]]  # a width of 1, so that a bool can spell it
+    doc["spec"]["widths"] = [spell(d, j) for j, d in enumerate(widths)]
+    assert doc["spec"]["widths"] == widths
+    bad = next(j for j, d in enumerate(doc["spec"]["widths"]) if type(d) is not int)
     try:
         manifest.write_text(json.dumps(doc))
         code, err = run(*_predict(tree, tree))
     finally:
         manifest.write_text(original)
     assert code == 2
-    got = doc["entries"][i]["shape"][bad]
-    assert err == f"error: {manifest}: entries[{i}].shape[{bad}] must be an int, got {got!r}\n"
+    got = doc["spec"]["widths"][bad]
+    assert err == f"error: {manifest}: spec.widths[{bad}] must be an int, got {got!r}\n"
+
 
 def _parses(text: str) -> bool:
     try:
