@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import os
+import resource
 import sys
 from collections import Counter
 from datetime import datetime, timezone
@@ -135,6 +136,17 @@ def _write_run_manifest(target, command: str, config: dict, inputs, outputs, sta
         "finished_at": _utc_now(),
     } | facts
     write_json(path, manifest)
+
+
+def _resource_usage() -> dict:
+    """Peak RSS in MB (`ru_maxrss`, KiB on Linux) and CPU seconds (user +
+    system) of this process (`self`) and of its reaped children, the pool
+    workers (`children`, whose peak is that of the largest one)."""
+    def usage(who: int) -> dict:
+        ru = resource.getrusage(who)
+        return {"peak_rss_mb": ru.ru_maxrss / 1024, "cpu_s": ru.ru_utime + ru.ru_stime}
+
+    return {"self": usage(resource.RUSAGE_SELF), "children": usage(resource.RUSAGE_CHILDREN)}
 
 
 def _parse_widths(text: str) -> tuple[int, int, int]:
@@ -311,7 +323,7 @@ def _cmd_train(args) -> None:
         runs_dir, f"train --phase {args.phase}",
         cfg.to_json_dict() | {"phase": args.phase, "workers": args.workers},
         [args.data, args.pairs, args.split], [runs_dir], started,
-        allocator=keep_freed_memory(),
+        allocator=keep_freed_memory(), resources=_resource_usage(),
     )
     if diverged:
         # chain_result.json is written: evaluate and predict serve the other cells

@@ -16,8 +16,8 @@ run sequentially or on a process pool.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -223,14 +223,6 @@ def checkpoint_dir(phase: str, label: str, fold: int) -> Path:
     return Path(phase) / label / f"fold-{fold}"
 
 
-def _step(label: str, center: float | None, split: tuple[list[FieldPair], list[FieldPair]],
-          combo: FeatureCombo) -> tuple:
-    """One training step of a job from a fold's (train, validation) split:
-    (label, bin center or None, train_x, train_y, val_x, val_y)."""
-    train, val = split
-    return (label, center, *encode_pairs(train, combo), *encode_pairs(val, combo))
-
-
 # ---------------------------------------------------------------------------
 # Jobs (top-level and picklable so a process pool can run them)
 
@@ -238,17 +230,31 @@ def _step(label: str, center: float | None, split: tuple[list[FieldPair], list[F
 @dataclass
 class _Job:
     """One fold of one candidate: a selection job has a single step labelled
-    with the candidate, a chain job one step per bin labelled `bin-X.X`
-    (see `_step`)."""
+    with the candidate, a chain job one step per bin labelled `bin-X.X`.
+
+    A step is (label, bin center or None, train pairs, validation pairs)
+    until `_encoded` turns its pairs into `combo`'s arrays:
+    (label, center, train_x, train_y, val_x, val_y).
+    """
 
     phase: str
     candidate: str
     fold: int
     spec: ModelSpec
+    combo: FeatureCombo
     cfg: TrainConfig
     out_dir: str
     steps: list
     init_snapshot: dict | None = None
+
+
+def _encoded(job: _Job) -> _Job:
+    """`job` with every step's pairs encoded, built in the main process just
+    before the job runs or is submitted, so that only the jobs in flight
+    hold arrays."""
+    steps = [(label, center, *encode_pairs(train, job.combo), *encode_pairs(val, job.combo))
+             for label, center, train, val in job.steps]
+    return replace(job, steps=steps)
 
 
 def _fit(job: _Job, step: tuple, init: dict | None = None,
@@ -345,15 +351,30 @@ def keep_freed_memory() -> dict | None:
 
 
 def _run_jobs(jobs, worker, workers: int) -> list:
+    """`worker`'s record of each encoded job, in job order.
+
+    A pool holds at most 2 x `workers` jobs submitted and not yet collected:
+    enough to keep every worker fed while the main process encodes the next
+    job, and few enough that a phase's arrays are never all alive at once.
+    """
     keep_freed_memory()
     # a fork-started pool forks all `max_workers` children at the first submit
     workers = min(workers, len(jobs))
     if workers <= 1:
-        return [worker(job) for job in jobs]
+        return [worker(_encoded(job)) for job in jobs]
+    records = [None] * len(jobs)
+    in_flight = {}  # future -> index of its job
     # forked workers inherit the setting; spawned and forkserver ones set it
     with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_memory) as pool:
-        futures = [pool.submit(worker, job) for job in jobs]
-        return [f.result() for f in futures]
+        for i, job in enumerate(jobs):
+            if len(in_flight) == 2 * workers:
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    records[in_flight.pop(future)] = future.result()
+            in_flight[pool.submit(worker, _encoded(job))] = i
+        for future, i in in_flight.items():
+            records[i] = future.result()
+    return records
 
 
 def _run_phase(jobs, worker, workers: int, result_path: Path) -> list:
@@ -414,7 +435,7 @@ def _run_selection_phase(
         if not train or not val:
             raise DataError(f"fold {fold} has no pairs for phase {phase!r}")
     jobs = [
-        _Job(phase, name, fold, spec, cfg, str(runs_dir), [_step(name, None, splits[fold], combo)])
+        _Job(phase, name, fold, spec, combo, cfg, str(runs_dir), [(name, None, *splits[fold])])
         for name, spec, combo in candidates
         for fold in range(n_folds)
     ]
@@ -522,8 +543,8 @@ def train_interval_chain(
     n_folds = len(plan.folds)
 
     jobs = [
-        _Job(PHASE_INTERVALS, combo.name, fold, spec, cfg, str(runs_dir),
-             [_step(bin_dir_name(center), center, fold_split(binned_pairs.get(center, []), plan, fold), combo)
+        _Job(PHASE_INTERVALS, combo.name, fold, spec, combo, cfg, str(runs_dir),
+             [(bin_dir_name(center), center, *fold_split(binned_pairs.get(center, []), plan, fold))
               for center in BIN_CENTERS],
              None if init_snapshots is None else init_snapshots.get(fold))
         for fold in range(n_folds)

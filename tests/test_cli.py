@@ -369,6 +369,16 @@ class TestTrainAndEvaluate:
         else:
             assert manifest["allocator"] is None
 
+    def test_train_manifest_records_peak_rss_and_cpu(self, trained):
+        """The `trained` chain ran on two pool workers, so the reaped children
+        have a peak RSS and CPU time of their own."""
+        resources = json.loads((trained / "runs" / "run_manifest.json").read_text())["resources"]
+        assert set(resources) == {"self", "children"}
+        for who, usage in resources.items():
+            assert set(usage) == {"peak_rss_mb", "cpu_s"}
+            for name, value in usage.items():
+                assert type(value) is float and value > 0, (who, name, value)
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_1(self, workdir, tmp_path, capsys, workers):
         code = run_cli(

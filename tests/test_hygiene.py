@@ -1,9 +1,9 @@
 """Source hygiene without a lint tool: no file imports a name it never uses,
 the package defines no function, class or method that nothing names, and
 it parses JSON, writes files, chooses exit codes, catches float faults,
-runs the forward ops, computes eccentricity and reads and writes the
-checkpoint format each in one place, with one exception class per failing
-exit path."""
+runs the forward ops, computes eccentricity, encodes pairs and reads and
+writes the checkpoint format each in one place, with one exception class
+per failing exit path."""
 
 import ast
 import builtins
@@ -540,3 +540,36 @@ def test_checkpoint_format_lives_in_save_and_load():
              for _, owner, name in checkpoint_format_uses(path.read_text(encoding="utf-8"))}
     assert found == {(*owner, name) for owner in CHECKPOINT_OWNERS for name in CHECKPOINT_NAMES} | {
         ("src/hvfcast/models.py", "<module>", WEIGHTS_FILE)}
+
+
+# Pairs become model input in one place: the job encoder, which runs just
+# before its job, so no phase encodes all its jobs up front
+ENCODER = ("src/hvfcast/trainer.py", "_encoded")
+
+
+def encode_uses(source: str) -> list[tuple[int, str]]:
+    """(line, owner) of every read of `encode_pairs`, by name or as an
+    attribute (`pipeline.encode_pairs`); importing or defining it is no use."""
+    return [
+        (node.lineno, owner) for node, owner in owned_nodes(source)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        and _base_name(node) == "encode_pairs"
+    ]
+
+
+def test_encode_scanner_finds_every_use():
+    source = (
+        "from .pipeline import encode_pairs\n"
+        "import hvfcast.pipeline as p\n"
+        "def encode_pairs(pairs, combo):\n    return pairs\n"
+        "def _encoded(job):\n    return encode_pairs(job.a, job.c), encode_pairs(job.b, job.c)\n"
+        "class Phase:\n    def jobs(self, splits):\n        return list(map(p.encode_pairs, splits))\n"
+        "STEP = encode_pairs([], None)\n"
+    )
+    assert encode_uses(source) == [(6, "_encoded"), (6, "_encoded"), (9, "Phase.jobs"), (10, "<module>")]
+
+
+def test_pairs_are_encoded_only_by_the_job_encoder():
+    found = {(str(path.relative_to(ROOT)), owner) for path in PACKAGE
+             for _, owner in encode_uses(path.read_text(encoding="utf-8"))}
+    assert found == {ENCODER}

@@ -1,7 +1,9 @@
 """Training-loop contracts, selection phases, and the transfer chain."""
 
 import ctypes
+import functools
 import gc
+import itertools
 import json
 import shutil
 from concurrent.futures import Future
@@ -9,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvfcast import trainer
 from hvfcast.autodiff import Tensor, adam_step, masked_mae
@@ -487,3 +491,99 @@ class TestIntervalChain:
         assert on_disk["n_checkpoints"] == result.n_checkpoints
         assert on_disk["combo"] == result.combo == "age"
         assert ChainResult(combo="age", entries=on_disk["entries"]).n_checkpoints == result.n_checkpoints
+
+
+class TestJobEncoding:
+    def test_phases_hand_over_pairs_and_encode_each_job_as_it_runs(self, cohort_pairs, tmp_path, monkeypatch):
+        """No job reaches `_run_jobs` holding arrays, and nothing is encoded
+        before it starts: the runner encodes every step of every job."""
+        encoded, handed = [], []
+        run_jobs, encode_pairs_ = trainer._run_jobs, trainer.encode_pairs
+
+        def counting_encode(pairs, combo):
+            encoded.append(len(pairs))
+            return encode_pairs_(pairs, combo)
+
+        def checking_run_jobs(jobs, worker, workers):
+            arrays = [v for job in jobs for step in job.steps for v in step if isinstance(v, np.ndarray)]
+            before = len(encoded)
+            records = run_jobs(jobs, worker, workers)
+            handed.append((before, len(arrays), len(encoded), sum(len(job.steps) for job in jobs)))
+            encoded.clear()
+            return records
+
+        monkeypatch.setattr(trainer, "encode_pairs", counting_encode)
+        monkeypatch.setattr(trainer, "_run_jobs", checking_run_jobs)
+        _, binned, plan = cohort_pairs
+        cfg = TrainConfig(epochs=1, widths=(2, 3, 4), seed=5)
+        select_architecture([TINY_SPEC], binned[1.0], plan, cfg, tmp_path / "arch", workers=2)
+        train_interval_chain(TINY_SPEC, FeatureCombo(), binned, plan, cfg, tmp_path / "chain")
+        # (encoded before the run, arrays handed over, encoded by the run, steps)
+        assert handed == [(0, 0, 2 * 10, 10), (0, 0, 2 * 10 * len(BIN_CENTERS), 10 * len(BIN_CENTERS))]
+
+
+def _job_record(job):
+    """A stand-in worker: the job's name and its steps' encoded shapes."""
+    return job.candidate, job.fold, [tuple(a.shape for a in step[2:]) for step in job.steps]
+
+
+class _DrawnFuture(Future):
+    def __init__(self, pool, fn, args):
+        super().__init__()
+        self.pool, self.fn, self.args = pool, fn, args
+
+    def result(self, timeout=None):
+        while not self.done():  # block: the pool completes others meanwhile
+            self.pool.complete_one()
+        self.pool.collected.add(self)
+        return super().result(timeout)
+
+
+class _DrawnOrderPool:
+    """Stands in for ProcessPoolExecutor: a job runs when its future
+    completes, futures complete in the order `picks` draws among those not
+    yet done, and no more than `running` are ever left undone."""
+
+    def __init__(self, picks, running, log, max_workers, initializer=None):
+        self.picks, self.running, self.log = itertools.cycle(picks), min(running, max_workers), log
+        self.undone, self.submitted, self.collected = [], 0, set()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        while self.undone:
+            self.complete_one()
+        return False
+
+    def complete_one(self):
+        future = self.undone.pop(next(self.picks) % len(self.undone))
+        future.set_result(future.fn(*future.args))
+
+    def submit(self, fn, *args):
+        future = _DrawnFuture(self, fn, args)
+        self.submitted += 1
+        self.undone.append(future)
+        self.log.append(self.submitted - len(self.collected))
+        while len(self.undone) > self.running:
+            self.complete_one()
+        return future
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_jobs=st.integers(0, 12), workers=st.integers(2, 5), running=st.integers(1, 5),
+       picks=st.lists(st.integers(0, 11), min_size=1, max_size=12))
+def test_pool_bounds_jobs_in_flight_and_keeps_job_order(n_jobs, workers, running, picks):
+    """However the pool completes its futures, `_run_jobs` never holds more
+    than 2 x workers jobs submitted and uncollected, and returns the
+    records of a sequential run, in job order."""
+    cfg = TrainConfig(epochs=0, widths=(2, 3, 4))
+    jobs = [trainer._Job(trainer.PHASE_FEATURES, f"c{i}", i % 3, TINY_SPEC, FeatureCombo(age=i % 2 == 1), cfg,
+                         "unused", [(f"c{i}", None, [], [])]) for i in range(n_jobs)]
+    in_flight = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "ProcessPoolExecutor", functools.partial(_DrawnOrderPool, picks, running, in_flight))
+        records = trainer._run_jobs(jobs, _job_record, workers)
+    assert records == trainer._run_jobs(jobs, _job_record, 1)
+    assert len(in_flight) == (n_jobs if n_jobs > 1 else 0)
+    assert max(in_flight, default=0) <= 2 * min(workers, n_jobs)
