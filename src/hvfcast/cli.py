@@ -442,8 +442,7 @@ def _cmd_predict(args) -> None:
             raise argparse.ArgumentTypeError("--test-index must be >= 1")
         if not (args.data and args.patient and args.eye and args.test_index is not None):
             raise argparse.ArgumentTypeError("provide --field FILE or all of --data/--patient/--eye/--test-index")
-        eye = EYE_FROM_WIRE.get(args.eye, args.eye)
-        field = find_record(args.data, args.patient, eye, args.test_index)
+        field = find_record(args.data, args.patient, EYE_FROM_WIRE[args.eye], args.test_index)
         if field is None:
             raise DataError(
                 f"no record for patient {args.patient!r}, eye {args.eye!r}, "
@@ -625,7 +624,7 @@ def _predict_parser(sub) -> None:
     p.add_argument("--field", default=None, help="single-record JSONL file")
     p.add_argument("--data", default=None)
     p.add_argument("--patient", default=None)
-    p.add_argument("--eye", default=None, help="OD or OS")
+    p.add_argument("--eye", default=None, choices=EYE_FROM_WIRE, help="OD or OS")
     p.add_argument("--test-index", type=int, default=None)
     p.add_argument("--interval", type=float, required=True, help="forecast horizon in years")
     p.add_argument("--runs", required=True)

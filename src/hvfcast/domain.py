@@ -16,14 +16,13 @@ blind-spot column mirrors (column 7 for right eyes, column 1 for left).
 from __future__ import annotations
 
 import json
+import math
 import os
 import reprlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
-from itertools import product, repeat
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -147,8 +146,8 @@ def validate_field(f: VisualField) -> list[str]:
         violations.append(f"eye {f.eye!r} not in {EYES}")
     if f.gender not in GENDERS:
         violations.append(f"gender {f.gender!r} not in {GENDERS}")
-    if not (isinstance(f.age_years, (int, float)) and f.age_years >= 0):
-        violations.append(f"age_years {f.age_years!r} must be >= 0")
+    if not (isinstance(f.age_years, (int, float)) and 0 <= f.age_years < math.inf):  # also rejects nan
+        violations.append(f"age_years {f.age_years!r} must be finite and >= 0")
     if not (type(f.test_index) is int and f.test_index >= 1):  # a bool is no int
         violations.append(f"test_index {f.test_index!r} must be an integer >= 1")
 
@@ -189,81 +188,40 @@ _TYPE_NAMES = {bool: "a bool", int: "an int", float: "a float", str: "a str",
                type(None): "null", list: "a list", dict: "an object"}
 
 
-def _compile(schema):
-    """(types, check, contents, rows): the exact types of `schema`'s values; a
-    function giving None for a match, else the key path below the value and
-    the problem; that function without the type test, for a list or object
-    schema; and for an object schema, a test of a list of objects."""
-    alts = [type(None) if alt is None else alt for alt in (schema if type(schema) is tuple else (schema,))]
-    types = frozenset(alt if isinstance(alt, type) else type(alt) for alt in alts)
-    expected = " or ".join(f"a list of {len(alt)} items" if type(alt) is list and len(alt) > 1
-                           else _TYPE_NAMES[alt if isinstance(alt, type) else type(alt)] for alt in alts)
-    inner = {type(alt): (_fields if type(alt) is dict else _items)(alt)
-             for alt in alts if not isinstance(alt, type)}
-    if not inner:
-        contents, rows = None, None
-    elif len(types) == 1:  # a list or an object, and nothing else
-        contents, rows = inner.popitem()[1]
-    else:
-        contents, rows = lambda v: inner[type(v)][0](v) if type(v) in inner else None, None
-
-    def check(v):
-        if type(v) not in types:
-            return (), f"must be {expected}, got {reprlib.repr(v)}"
-        return contents(v) if contents else None
-
-    return types, check, contents, rows
-
-
-def _fields(schema: dict):
-    """(contents, rows) of an object schema.  One itemgetter fetches an
-    object's fields and one set lookup takes their types; a list of objects
-    is checked a field at a time, each field in one C-level pass."""
-    keys = tuple(schema)
-    parts = [_compile(s) for s in schema.values()]
-    get = itemgetter(*keys) if len(keys) > 1 else lambda d: (d[keys[0]],)
-    allowed = frozenset(product(*(types for types, _, _, _ in parts)))
-    nested = [(key, contents) for key, (_, _, contents, _) in zip(keys, parts) if contents]
-    columns = [(itemgetter(key), types, contents) for key, (types, _, contents, _) in zip(keys, parts)]
-
-    def fields(v):
-        try:
-            valid = tuple(map(type, get(v))) in allowed
-        except KeyError:
-            return (next(key for key in keys if key not in v),), "is missing"
-        for key, check in nested if valid else zip(keys, (check for _, check, _, _ in parts)):
-            if found := check(v[key]):
+def _mismatch(v, schema):
+    """None if `v` matches `schema`, else the key path below `v` and the problem."""
+    kind = type(v)
+    alts = schema if type(schema) is tuple else (schema,)
+    for alt in alts:
+        if alt is kind or alt is None is v:
+            return None
+        if type(alt) is dict is kind:
+            for key in alt:  # a missing key is reported before a wrong type at an earlier key
+                if key not in v:
+                    return (key,), "is missing"
+            parts = alt.items()
+        elif type(alt) is list is kind and len(alt) > 1:
+            if len(v) != len(alt):
+                return (), f"must be a list of {len(alt)} items, got {reprlib.repr(v)}"
+            parts = enumerate(alt)
+        elif type(alt) is list is kind:
+            item = alt[0]
+            types = item if type(item) is tuple else (item,)
+            if all(t is None or isinstance(t, type) for t in types) and {
+                    type(None) if t is None else t for t in types}.issuperset(map(type, v)):
+                return None  # one C-level pass; the walk below only names the failing item
+            parts = ((i, item) for i in range(len(v)))
+        else:
+            continue
+        for key, s in parts:  # key: an object's key or a list's index
+            x = v[key]
+            if s is not type(x) and (found := _mismatch(x, s)):
                 return (key, *found[0]), found[1]
-
-    def rows(vs):
-        try:
-            return all(types.issuperset(map(type, map(column, vs))) and (
-                contents is None or not any(map(contents, map(column, vs)))) for column, types, contents in columns)
-        except KeyError:
-            return False
-
-    return fields, rows
-
-
-def _items(schema: list):
-    """(contents, None) of `[item]`, or of `[a, b, ...]`: exactly those items."""
-    parts = [_compile(s) for s in schema]
-    (item_types, _, item_contents, item_rows), checks = parts[0], [check for _, check, _, _ in parts]
-
-    def items(v):
-        if len(checks) == 1 and item_types.issuperset(map(type, v)) and (
-                item_rows(v) if item_rows else item_contents is None or not any(map(item_contents, v))):
-            return None  # a valid list of one schema, in C-level passes
-        if len(checks) > 1 and len(v) != len(checks):
-            return (), f"must be a list of {len(checks)} items, got {reprlib.repr(v)}"
-        for i, (x, check) in enumerate(zip(v, checks if len(checks) > 1 else repeat(checks[0]))):
-            if found := check(x):
-                return (i, *found[0]), found[1]
-
-    return items, None
-
-
-_COMPILED: dict[int, tuple] = {}
+        return None
+    expected = " or ".join(f"a list of {len(alt)} items" if type(alt) is list and len(alt) > 1 else
+                           _TYPE_NAMES[type(None) if alt is None else alt if isinstance(alt, type) else type(alt)]
+                           for alt in alts)
+    return (), f"must be {expected}, got {reprlib.repr(v)}"
 
 
 def expect(value, schema, where, at: tuple = ()):
@@ -272,10 +230,8 @@ def expect(value, schema, where, at: tuple = ()):
     `PATH: entries[3]: 'gap' must be a bool, got 'no'`.  A schema is a type,
     a tuple of types (None for null), `[item]`, `[a, b, ...]` (exactly those
     items) or `{key: schema}` (at least those keys); a bool is no int.
-    Schemas are module constants, compiled once and kept (so ids stay theirs).
     """
-    compiled = _COMPILED.get(id(schema)) or _COMPILED.setdefault(id(schema), (schema, _compile(schema)[1]))
-    found = compiled[1](value)
+    found = _mismatch(value, schema)
     if found is None:
         return value
     path = (*at, *found[0])
@@ -286,12 +242,21 @@ def expect(value, schema, where, at: tuple = ()):
     raise DataError(f"{where}: {subject} {found[1]}" if subject else f"{where}: {found[1]}")
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+# The readers' one decoder: JSON has no NaN or Infinity, though json reads them.  It is
+# made once, as json.loads's is: making one per call adds a fifth to a record's parse.
+_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def read_json(path, schema=None):
     """The JSON value in the file at `path`, checked against `schema` if
     given; malformed JSON or a mismatch raises DataError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            value = json.load(fh)
+            value = _JSON.decode(fh.read())
     except (ValueError, RecursionError) as e:  # RecursionError: arrays nested past the parser's depth
         raise DataError(f"{path}: {e}") from None
     return value if schema is None else expect(value, schema, path)
@@ -301,7 +266,7 @@ def _parse_line(line: str, where: str, schema):
     """The JSON value of one line of a JSON-lines file, checked against
     `schema`; malformed JSON or a mismatch raises DataError naming `where`."""
     try:
-        value = json.loads(line)
+        value = _JSON.decode(line)
     except (ValueError, RecursionError) as e:  # as in read_json; or an integer past the digit limit
         raise DataError(f"{where}: malformed JSON: {e}") from e
     return expect(value, schema, where)

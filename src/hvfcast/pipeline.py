@@ -127,8 +127,12 @@ class SplitPlan:
     @classmethod
     def from_json_dict(cls, d, where="split plan") -> "SplitPlan":
         """The plan `to_json_dict` wrote.  Raises DataError naming `where`
-        and the key for a value that does not match PLAN_SCHEMA."""
+        and the key for a value that does not match PLAN_SCHEMA, and for a
+        plan that does not hold N_FOLDS nonempty folds."""
         expect(d, PLAN_SCHEMA, where)
+        if len(d["folds"]) != N_FOLDS or not all(d["folds"]):
+            raise DataError(f"{where}: 'folds' must hold {N_FOLDS} nonempty folds, "
+                            f"got {len(d['folds'])} of sizes {[len(fold) for fold in d['folds']]}")
         return cls(
             test_patients=tuple(d["test_patients"]),
             folds=tuple(tuple(fold) for fold in d["folds"]),

@@ -127,6 +127,22 @@ class TestBasics:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "age, problem",
+        [("1e400", "invalid record: age_years inf must be finite and >= 0"),
+         ("Infinity", "malformed JSON: Infinity is not a JSON number"),
+         ("NaN", "malformed JSON: NaN is not a JSON number")],
+    )
+    def test_non_finite_age_exits_2_with_line(self, workdir, tmp_path, capsys, age, problem):
+        lines = (workdir / "d.jsonl").read_text().splitlines()[:3]
+        obj = json.loads(lines[1])
+        obj["age"] = "AGE"
+        lines[1] = json.dumps(obj).replace('"AGE"', age)
+        data = tmp_path / "d.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        assert run_cli("pairs", "--data", str(data), "--out", str(tmp_path / "p.jsonl")) == 2
+        assert capsys.readouterr().err == f"error: {data}: line 2: {problem}\n"
+
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         code = run_cli("pairs", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "p.jsonl"))
         assert code == 2
@@ -575,6 +591,16 @@ class TestTrainAndEvaluate:
         assert run_cli("report", "--report", str(path), "--out-dir", str(tmp_path / "csv")) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    def test_nan_in_report_exits_2_naming_it(self, report_json, tmp_path, capsys):
+        """JSON has no NaN; json.dumps writes one and json.loads reads it, but no reader does."""
+        report = json.loads(report_json.read_text())
+        report["per_bin"][0]["mae"] = float("nan")
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert run_cli("report", "--report", str(path), "--out-dir", str(tmp_path / "csv")) == 2
+        assert capsys.readouterr().err == f"error: {path}: NaN is not a JSON number\n"
+        assert not (tmp_path / "csv").exists()
+
 
 def _evaluate(workdir, runs, out, *extra, split=None):
     return run_cli(
@@ -768,6 +794,21 @@ class TestPlanContract:
             capsys.readouterr().err
         )
         assert not (tmp_path / "runs").exists() and not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("phase", ["arch", "intervals"])
+    def test_plan_without_folds_exits_2(self, trained, tmp_path, capsys, phase):
+        """Once arch training raised a ValueError and an interval chain of no
+        checkpoint exited 0."""
+        split = self._plan_copy(trained, tmp_path, lambda plan: plan.update(folds=[]))
+        code = run_cli(
+            "train", "--phase", phase,
+            "--data", str(trained / "d.jsonl"), "--pairs", str(trained / "pairs.jsonl"),
+            "--split", str(split), "--out", str(tmp_path / "runs"),
+            "--arch", "FullyConnected", "--combo", "age", "--epochs", "1", "--widths", "2,3,4", "--fc-hidden", "8",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {split}: 'folds' must hold 10 nonempty folds, got 0 of sizes []\n"
+        assert not (tmp_path / "runs").exists()
 
     def test_patient_in_two_folds_exits_2(self, trained, tmp_path, capsys):
         split = self._plan_copy(trained, tmp_path, lambda plan: plan["folds"][0].append(plan["folds"][1][0]))
@@ -1475,6 +1516,20 @@ class TestPredict:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: --test-index must be >= 1\n"
+
+    @pytest.mark.parametrize("eye", ["left", "od", "foo"])
+    def test_eye_other_than_od_or_os_exits_1(self, trained, tmp_path, capsys, eye):
+        code = run_cli(
+            "predict", "--interval", "1.0",
+            "--data", str(trained / "d.jsonl"),
+            "--patient", "P0001", "--eye", eye, "--test-index", "1",
+            "--runs", str(trained / "runs"), "--combo", "age", "--out", str(tmp_path / "f.json"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hvfcast predict")
+        assert err.endswith(f"error: argument --eye: invalid choice: {eye!r} (choose from 'OD', 'OS')\n")
+        assert not (tmp_path / "f.json").exists()
 
     def test_missing_record_exits_2(self, trained):
         code = run_cli(

@@ -135,6 +135,8 @@ class TestValidation:
             (dict(gender="X"), "gender"),
             (dict(age_years=-1.0), "age_years"),
             (dict(test_index=0), "test_index"),
+            (dict(age_years=math.inf), "age_years"),
+            (dict(age_years=math.nan), "age_years"),
         ],
     )
     def test_bad_scalars(self, patch, needle):
@@ -499,6 +501,11 @@ class TestExpect:
             ({"a": 1}, {"a": str}, ("entries", 3), "F: entries[3]: 'a' must be a str, got 1"),
             (5, str, ("entries", 3), "F: entries[3] must be a str, got 5"),
             ({"b": [True]}, {"b": [int]}, ("x",), "F: x.b[0] must be an int, got True"),
+            # the report's mae_ci and a features matrix row
+            ([1.5], ([domain.NUMBER, domain.NUMBER], None), (), "F: must be a list of 2 items, got [1.5]"),
+            ([1.5, "x"], ([domain.NUMBER, domain.NUMBER], None), (), "F: [1] must be an int or a float, got 'x'"),
+            ([0.5, None, True], [(*domain.NUMBER, None)], ("matrix", "age"),
+             "F: matrix.age[2] must be an int or a float or null, got True"),
         ],
     )
     def test_message_names_the_file_the_key_path_and_the_mismatch(self, value, schema, at, message):
@@ -509,7 +516,9 @@ class TestExpect:
     @pytest.mark.parametrize(
         "value,schema",
         [(None, (int, None)), (3, int), (2.5, domain.NUMBER), ([1, "a"], [int, str]),
-         ({"a": 1, "extra": "kept"}, {"a": int}), ([{"a": [1]}], [{"a": [int]}])],
+         ({"a": 1, "extra": "kept"}, {"a": int}), ([{"a": [1]}], [{"a": [int]}]),
+         (None, ([domain.NUMBER, domain.NUMBER], None)), ([1, 2.5], ([domain.NUMBER, domain.NUMBER], None)),
+         ([0.5, None, 3], [(*domain.NUMBER, None)])],
     )
     def test_a_match_returns_the_value(self, value, schema):
         assert domain.expect(value, schema, "F") is value

@@ -101,7 +101,8 @@ JSON_EXEMPT = {"_load_archetypes"}
 
 def json_parses(source: str) -> list[tuple[int, str]]:
     """(line, enclosing function or `<module>`) of every `json.load`/`json.loads`
-    call, and of every call of a `load`/`loads` imported from json."""
+    call, of every call of a `load`/`loads` imported from json, and of every
+    `.decode` call on `_JSON`, the readers' decoder."""
     tree = ast.parse(source)
     imported = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module == "json" for a in node.names if a.name in ("load", "loads")}
@@ -115,7 +116,9 @@ def json_parses(source: str) -> list[tuple[int, str]]:
             f = getattr(child, "func", None)
             if (isinstance(f, ast.Attribute) and f.attr in ("load", "loads")
                     and isinstance(f.value, ast.Name) and f.value.id == "json") or (
-                    isinstance(f, ast.Name) and f.id in imported):
+                    isinstance(f, ast.Name) and f.id in imported) or (
+                    isinstance(f, ast.Attribute) and f.attr == "decode"
+                    and isinstance(f.value, ast.Name) and f.value.id == "_JSON"):
                 found.append((child.lineno, owner))
             visit(child, owner)
 
@@ -131,8 +134,9 @@ def test_json_scanner_finds_every_parse():
         "def other(fh):\n    def inner():\n        return parse('1')\n    return json.load(fh)\n"
         "TABLE = json.loads('{}')\n"
         "json.dumps(1)\n"
+        "def stray(s):\n    return _JSON.decode(s), s.decode()\n"
     )
-    assert json_parses(source) == [(4, "read_json"), (7, "inner"), (8, "other"), (9, "<module>")]
+    assert json_parses(source) == [(4, "read_json"), (7, "inner"), (8, "other"), (9, "<module>"), (12, "stray")]
 
 
 def test_json_is_parsed_only_by_the_readers():

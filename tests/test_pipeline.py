@@ -239,8 +239,12 @@ class TestSplit:
             ("folds", ["P0001"], "split plan: folds[0] must be a list, got 'P0001'"),
             ("seed", True, "split plan: 'seed' must be an int, got True"),
             ("ratio", "0.8", "split plan: 'ratio' must be an int or a float, got '0.8'"),
+            ("folds", [], "split plan: 'folds' must hold 10 nonempty folds, got 0 of sizes []"),
+            ("folds", [["P0001"]] * 9 + [[]],
+             "split plan: 'folds' must hold 10 nonempty folds, got 10 of sizes [1, 1, 1, 1, 1, 1, 1, 1, 1, 0]"),
         ],
-        ids=["patients-str", "patient-int", "folds-int", "fold-str", "seed-bool", "ratio-str"],
+        ids=["patients-str", "patient-int", "folds-int", "fold-str", "seed-bool", "ratio-str", "no-folds",
+             "empty-fold"],
     )
     def test_value_of_wrong_type_names_key(self, key, bad, message):
         d = split_patients([f"P{i:03d}" for i in range(40)], seed=7).to_json_dict()
