@@ -77,6 +77,7 @@ from .trainer import (
     TrainConfig,
     TrainingDiverged,
     check_provenance,
+    check_spec,
     checkpoint_dir,
     keep_freed_memory,
     load_interval_models,
@@ -341,7 +342,7 @@ def _arch_spec(arch: str | None, runs_dir: Path, cfg: TrainConfig) -> ModelSpec:
 
 def _features_snapshots(
     runs_dir: Path, combo: FeatureCombo, spec: ModelSpec, n_folds: int
-) -> dict[int, dict]:
+) -> dict:
     """Fold -> weights of `combo`'s checkpoints from a complete features
     phase: its `phase_result.json` must hold a result for every fold, and
     each checkpoint must be the chain's `spec`, seed aside, with `combo`'s
@@ -369,11 +370,7 @@ def _features_snapshots(
     for fold in range(n_folds):
         manifest = runs_dir / checkpoint_dir(PHASE_FEATURES, combo_name, fold) / MANIFEST_NAME
         model = load_weights(manifest.parent)
-        if model.spec.replace(seed=spec.seed) != spec:
-            raise DataError(
-                f"--chain-init features: {manifest} holds spec "
-                f"{model.spec.to_dict()}, not the chain's {spec.to_dict()} (seed aside)"
-            )
+        check_spec(model, f"--chain-init features: {manifest}", spec)
         check_provenance(model, f"--chain-init features: {manifest}",
                          {"phase": PHASE_FEATURES, "candidate": combo_name, "bin": None, "fold": fold})
         snapshots[fold] = model.snapshot()

@@ -146,8 +146,9 @@ def validate_field(f: VisualField) -> list[str]:
         violations.append(f"eye {f.eye!r} not in {EYES}")
     if f.gender not in GENDERS:
         violations.append(f"gender {f.gender!r} not in {GENDERS}")
-    if not (isinstance(f.age_years, (int, float)) and 0 <= f.age_years < math.inf):  # also rejects nan
-        violations.append(f"age_years {f.age_years!r} must be finite and >= 0")
+    age = f.age_years  # a bool is no number, and nan fails the range test
+    if isinstance(age, bool) or not (isinstance(age, (int, float)) and 0 <= age < math.inf):
+        violations.append(f"age_years {age!r} must be finite and >= 0")
     if not (type(f.test_index) is int and f.test_index >= 1):  # a bool is no int
         violations.append(f"test_index {f.test_index!r} must be an integer >= 1")
 
@@ -194,6 +195,8 @@ def _mismatch(v, schema):
     alts = schema if type(schema) is tuple else (schema,)
     for alt in alts:
         if alt is kind or alt is None is v:
+            if kind is float and not math.isfinite(v):  # json reads a literal such as 1e400 as inf
+                return (), f"must be a finite number, got {v!r}"
             return None
         if type(alt) is dict is kind:
             for key in alt:  # a missing key is reported before a wrong type at an earlier key
@@ -209,13 +212,17 @@ def _mismatch(v, schema):
             types = item if type(item) is tuple else (item,)
             if all(t is None or isinstance(t, type) for t in types) and {
                     type(None) if t is None else t for t in types}.issuperset(map(type, v)):
-                return None  # one C-level pass; the walk below only names the failing item
+                # one C-level pass; the walk below only names the failing item.  It lets an
+                # infinite float through: the float lists read are a dataset record's values,
+                # which validate_field checks one by one, and a features matrix row, read only
+                # for which folds have a result
+                return None
             parts = ((i, item) for i in range(len(v)))
         else:
             continue
         for key, s in parts:  # key: an object's key or a list's index
             x = v[key]
-            if s is not type(x) and (found := _mismatch(x, s)):
+            if (s is not type(x) or s is float) and (found := _mismatch(x, s)):
                 return (key, *found[0]), found[1]
         return None
     expected = " or ".join(f"a list of {len(alt)} items" if type(alt) is list and len(alt) > 1 else

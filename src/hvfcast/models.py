@@ -435,26 +435,24 @@ class Model:
         order; the arrays are the model's own (M, ...) views."""
         return self._bound()[0]
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of all parameters and running statistics."""
-        return {name: arr.copy() for name, arr, _ in self.all_entries()}
+    def snapshot(self) -> np.ndarray:
+        """A copy of the (M, total) values: row m is model m's weights.bin."""
+        return self._buffer.copy()
 
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, arr, _ in self.all_entries():
-            arr[...] = snap[name]
-
-
-def snapshot_hash(snap: dict[str, np.ndarray]) -> str:
-    """sha256 over all arrays in sorted name order (little-endian float64)."""
-    h = hashlib.sha256()
-    for name in sorted(snap):
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(snap[name], dtype="<f8").tobytes())
-    return h.hexdigest()
+    def restore(self, snap: np.ndarray) -> None:
+        """Copy a `snapshot` into the values; one row fills every model of a stack."""
+        if snap.shape[-1] != self._buffer.shape[1]:
+            raise EngineError(f"restore: a snapshot row of {snap.shape[-1]} values, not {self._buffer.shape[1]}")
+        self._buffer[...] = snap
 
 
 def weights_hash(model: Model) -> str:
-    return snapshot_hash(model.snapshot())
+    """sha256 over all arrays in sorted name order (little-endian float64)."""
+    h = hashlib.sha256()
+    for name, _, _, start, stop in sorted(model._layout):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(model._buffer[:, start:stop], dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def build_model(spec: ModelSpec) -> Model:

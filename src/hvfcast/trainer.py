@@ -26,6 +26,7 @@ from .autodiff import AdamState, adam_step, masked_mae
 from .domain import NUMBER, DataError, expect, read_json, valid_mask_array, write_json
 from .models import (
     MANIFEST_NAME,
+    SPEC_SCHEMA,
     Model,
     ModelSpec,
     build_model,
@@ -33,7 +34,6 @@ from .models import (
     load_weights,
     published_comparison,
     save_weights,
-    snapshot_hash,
     weights_hash,
 )
 from .pipeline import BIN_CENTERS, FeatureCombo, FieldPair, SplitPlan, encode_pairs
@@ -89,13 +89,12 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch record plus the frozen weight snapshot."""
+    """Per-epoch record and the hashes of the initial and frozen weights."""
 
     train_loss: list[float]
     val_mae: list[float]
     best_epoch: int | None
     best_val_mae: float | None
-    best_weights: dict[str, np.ndarray]
     initial_hash: str
     best_hash: str
 
@@ -197,8 +196,7 @@ def train_model(
 
     model.restore(best_snap)
     best_val_mae = None if best_epoch is None else val_maes[best_epoch]
-    return TrainHistory(train_losses, val_maes, best_epoch, best_val_mae,
-                        best_snap, initial_hash, snapshot_hash(best_snap))
+    return TrainHistory(train_losses, val_maes, best_epoch, best_val_mae, initial_hash, weights_hash(model))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +243,7 @@ class _Job:
     cfg: TrainConfig
     out_dir: str
     steps: list
-    init_snapshot: dict | None = None
+    init_snapshot: np.ndarray | None = None
 
 
 def _encoded(job: _Job) -> _Job:
@@ -257,14 +255,14 @@ def _encoded(job: _Job) -> _Job:
     return replace(job, steps=steps)
 
 
-def _fit(job: _Job, step: tuple, init: dict | None = None,
-         extra: dict | None = None) -> tuple[TrainHistory | None, dict]:
+def _fit(job: _Job, step: tuple, init: np.ndarray | None = None,
+         extra: dict | None = None) -> tuple[Model | None, dict]:
     """Train one step of `job`, starting from the `init` snapshot when given.
 
     Seeds derive from (cfg.seed, phase, label, fold).  The frozen model and
-    its history go under its `checkpoint_dir`.  Returns the history and the
+    its history go under its `checkpoint_dir`.  Returns the model and the
     step's record: its best validation MAE, weight hashes and runs-relative
-    checkpoint; or, when training diverged, no history and the error.
+    checkpoint; or, when training diverged, no model and the error.
     """
     label, center, train_x, train_y, val_x, val_y = step
     cfg = job.cfg
@@ -291,9 +289,9 @@ def _fit(job: _Job, step: tuple, init: dict | None = None,
             "n_val_pairs": int(val_x.shape[0]),
         } | (extra or {}),
     )
-    return history, {"gap": False, "best_val_mae": history.best_val_mae,
-                     "initial_weights_sha256": history.initial_hash,
-                     "best_weights_sha256": history.best_hash, "checkpoint": str(rel)}
+    return model, {"gap": False, "best_val_mae": history.best_val_mae,
+                   "initial_weights_sha256": history.initial_hash,
+                   "best_weights_sha256": history.best_hash, "checkpoint": str(rel)}
 
 
 def _run_phase_job(job: _Job) -> dict:
@@ -313,10 +311,10 @@ def _run_chain_job(job: _Job) -> list[dict]:
         if train_x.shape[0] == 0 or val_x.shape[0] == 0:
             continue
         entry["transferred_from"] = prev_label
-        history, record = _fit(job, step, prev_snapshot, {"transferred_from": prev_label})
+        model, record = _fit(job, step, prev_snapshot, {"transferred_from": prev_label})
         entry.update(record)
-        if history is not None:
-            prev_snapshot, prev_label = history.best_weights, label
+        if model is not None:
+            prev_snapshot, prev_label = model.snapshot(), label
     return entries
 
 
@@ -529,7 +527,7 @@ def train_interval_chain(
     cfg: TrainConfig,
     runs_dir,
     workers: int = 1,
-    init_snapshots: dict[int, dict] | None = None,
+    init_snapshots: dict[int, np.ndarray] | None = None,
 ) -> ChainResult:
     """Per fold: train bin 1.0 fresh, then transfer forward bin by bin.
 
@@ -563,10 +561,17 @@ def train_interval_chain(
 # SERVED_ENTRY_SCHEMA, one that is no gap CHECKPOINT_SCHEMA, and the
 # checkpoint it lists PROVENANCE_SCHEMA, as does every checkpoint read for
 # its cell (the bin is null outside the intervals phase)
-CHAIN_SCHEMA = {"combo": str, "entries": [{"bin": NUMBER}]}
+CHAIN_SCHEMA = {"combo": str, "spec": SPEC_SCHEMA, "entries": [{"bin": NUMBER}]}
 SERVED_ENTRY_SCHEMA = {"gap": bool, "fold": int}
 CHECKPOINT_SCHEMA = {"checkpoint": str}
 PROVENANCE_SCHEMA = {"phase": str, "candidate": str, "bin": (*NUMBER, None), "fold": int}
+
+
+def check_spec(model: Model, where: str, spec: ModelSpec) -> None:
+    """Raise DataError naming `where` unless `model` has the chain's `spec`,
+    seed aside."""
+    if model.spec.replace(seed=spec.seed) != spec:
+        raise DataError(f"{where} holds spec {model.spec.to_dict()}, not the chain's {spec.to_dict()} (seed aside)")
 
 
 def check_provenance(model: Model, where: str, cell: dict) -> None:
@@ -587,9 +592,10 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
     bin) in `chain_result.json` are read, in its (bin, fold) order; no other
     file under the runs dir counts.  Every entry's bin must be one of
     BIN_CENTERS, and a (bin, fold) pair of `bins` may be listed once.  Each
-    checkpoint's provenance must name the intervals phase, the chain's
-    combo, and its entry's bin and fold.  A bin is served by its first
-    fold's loaded model, extended by the others.
+    checkpoint must hold the chain's spec, seed aside, and its provenance
+    must name the intervals phase, the chain's combo, and its entry's bin
+    and fold.  A bin is served by its first fold's loaded model, extended
+    by the others.
     """
     runs_dir = Path(runs_dir)
     path = runs_dir / PHASE_INTERVALS / CHAIN_RESULT
@@ -600,6 +606,10 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
         combo = FeatureCombo.parse(chain["combo"])
     except DataError as e:
         raise DataError(f"{path}: 'combo': {e}") from None
+    try:
+        spec = ModelSpec.from_dict(chain["spec"])
+    except DataError as e:
+        raise DataError(f"{path}: 'spec': {e}") from None
     wanted = set(bins)
     listed: dict[tuple, int] = {}  # (bin, fold) -> index of its entry
     out: dict[float, list[Model]] = {}
@@ -616,7 +626,9 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
         if not e["gap"]:
             checkpoint = runs_dir / expect(e, CHECKPOINT_SCHEMA, path, ("entries", i))["checkpoint"]
             model = load_weights(checkpoint)
-            check_provenance(model, f"{path}: entries[{i}]: {checkpoint / MANIFEST_NAME}",
+            where = f"{path}: entries[{i}]: {checkpoint / MANIFEST_NAME}"
+            check_spec(model, where, spec)
+            check_provenance(model, where,
                              {"phase": PHASE_INTERVALS, "candidate": combo.name, "bin": e["bin"], "fold": e["fold"]})
             out.setdefault(e["bin"], []).append(model)
     for models in out.values():

@@ -13,7 +13,7 @@ import pytest
 from hvfcast import cli
 from hvfcast.domain import save_dataset
 from hvfcast.evaluation import _MAX_BOOTSTRAP, evaluate_testset
-from hvfcast.models import Model, ModelSpec
+from hvfcast.models import Model, ModelSpec, build_model, load_weights, save_weights
 from hvfcast.pipeline import BIN_CENTERS, split_patients
 from hvfcast.synthsim import CohortConfig
 from hvfcast.trainer import TrainConfig
@@ -129,7 +129,7 @@ class TestBasics:
 
     @pytest.mark.parametrize(
         "age, problem",
-        [("1e400", "invalid record: age_years inf must be finite and >= 0"),
+        [("1e400", "'age' must be a finite number, got inf"),
          ("Infinity", "malformed JSON: Infinity is not a JSON number"),
          ("NaN", "malformed JSON: NaN is not a JSON number")],
     )
@@ -601,6 +601,16 @@ class TestTrainAndEvaluate:
         assert capsys.readouterr().err == f"error: {path}: NaN is not a JSON number\n"
         assert not (tmp_path / "csv").exists()
 
+    def test_number_beyond_float_range_in_report_exits_2_naming_it(self, report_json, tmp_path, capsys):
+        """json reads 1e400 as inf, without the hook that refuses NaN."""
+        report = json.loads(report_json.read_text())
+        report["per_bin"][0]["mae"] = "MAE"
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report).replace('"MAE"', "1e400"))
+        assert run_cli("report", "--report", str(path), "--out-dir", str(tmp_path / "csv")) == 2
+        assert capsys.readouterr().err == f"error: {path}: per_bin[0]: 'mae' must be a finite number, got inf\n"
+        assert not (tmp_path / "csv").exists()
+
 
 def _evaluate(workdir, runs, out, *extra, split=None):
     return run_cli(
@@ -950,6 +960,34 @@ class TestRunTreeContract:
         )
         assert not (tmp_path / "f.json").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_checkpoints_of_another_spec_exit_2(self, trained, small_cohort, tmp_path, capsys, command):
+        """A bin's checkpoints re-saved as another architecture, provenance
+        kept: each is a valid checkpoint of its cell, so only the chain's
+        spec tells; before it was checked, both commands served them."""
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        served = [(i, e) for i, e in enumerate(chain["entries"]) if e["bin"] == 2.0 and not e["gap"]]
+        assert served
+        for _, e in served:
+            old = load_weights(runs / e["checkpoint"])
+            other = build_model(ModelSpec("FullBN", 1, widths=(2, 3, 4), in_channels=old.spec.in_channels,
+                                          seed=old.spec.seed))
+            save_weights(other, runs / e["checkpoint"], old.provenance)
+        if command == "predict":
+            code = _predict(trained, small_cohort[1][0], runs, tmp_path / "out.json", "2.0")
+        else:
+            code = _evaluate(trained, runs, tmp_path / "out.json")
+        assert code == 2
+        i, e = served[0]
+        held = load_weights(runs / e["checkpoint"]).spec.to_dict()
+        assert capsys.readouterr().err == (
+            f"error: {path}: entries[{i}]: {runs / e['checkpoint'] / 'manifest.json'} holds spec {held}, "
+            f"not the chain's {ModelSpec.from_dict(chain['spec']).to_dict()} (seed aside)\n"
+        )
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -1049,6 +1087,15 @@ class TestRunTreeContract:
             f"error: {path}: 'combo': unknown feature flags ['bogus'] in combo 'bogus'\n"
         )
 
+    def test_chain_result_spec_that_does_not_parse_exits_2(self, trained, tmp_path, capsys):
+        runs = self._runs_copy(trained, tmp_path)
+        path = runs / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        chain["spec"]["family"] = "Bogus"
+        path.write_text(json.dumps(chain))
+        assert _evaluate(trained, runs, tmp_path / "r.json") == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: 'spec': unknown family 'Bogus'")
+
     @pytest.mark.parametrize(
         "phase, winner, message, extra",
         [
@@ -1105,6 +1152,14 @@ class TestRunTreeContract:
         split.write_text(json.dumps(plan))
         assert _evaluate(trained, trained / "runs", tmp_path / "r.json", split=split) == 2
         assert capsys.readouterr().err == f"error: {split}: {message}\n"
+
+    def test_split_ratio_beyond_float_range_exits_2(self, trained, tmp_path, capsys):
+        plan = json.loads((trained / "split.json").read_text())
+        plan["ratio"] = "RATIO"
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(plan).replace('"RATIO"', "1e400"))
+        assert _evaluate(trained, trained / "runs", tmp_path / "r.json", split=split) == 2
+        assert capsys.readouterr().err == f"error: {split}: 'ratio' must be a finite number, got inf\n"
 
     def test_manifest_total_length_of_wrong_type_exits_2(self, trained, small_cohort, tmp_path, capsys):
         runs = self._runs_copy(trained, tmp_path)

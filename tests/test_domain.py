@@ -328,6 +328,13 @@ class TestCodec:
             with pytest.raises(DataError, match=f"refusing to serialize invalid field: values length {n} != 54$"):
                 serialize_record(f)
 
+    def test_save_dataset_refuses_a_bool_age(self, tmp_path):
+        """A bool is no number: `"age": true` would be a line no reader takes."""
+        f = make_field(np.random.default_rng(12), age_years=True)
+        with pytest.raises(DataError, match="^refusing to serialize invalid field: age_years True must be finite"):
+            save_dataset([f], tmp_path / "d.jsonl")
+        assert not (tmp_path / "d.jsonl").exists()
+
     def test_bool_test_index_rejected(self):
         line = serialize_record(make_field(np.random.default_rng(13)))
         line = line.replace('"test_index": 1', '"test_index": true')

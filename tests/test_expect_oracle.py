@@ -2,10 +2,12 @@
 verbatim as its oracle: on schemas and values Hypothesis draws, both accept
 the same values and refuse the others with the same message."""
 
+import math
 import reprlib
 from itertools import product, repeat
 from operator import itemgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,10 +120,13 @@ def expect(value, schema, where, at: tuple = ()):
 
 
 # ---------------------------------------------------------------------------
-# Schemas, values that match them, and values a few edits away
+# Schemas, values that match them, and values a few edits away.  The oracle
+# took an infinite float for a float; `expect` refuses one (see below), so
+# the values drawn here are finite
 
 _SCALARS = (bool, int, float, str)
-_SCALAR_VALUES = {bool: st.booleans(), int: st.integers(-3, 3) | st.integers(), float: st.floats(),
+_SCALAR_VALUES = {bool: st.booleans(), int: st.integers(-3, 3) | st.integers(),
+                  float: st.floats(allow_nan=False, allow_infinity=False),
                   str: st.text(max_size=3), list: st.lists(st.integers(), max_size=2),
                   dict: st.dictionaries(st.text(max_size=1), st.integers(), max_size=2)}
 
@@ -262,4 +267,22 @@ def test_expect_refuses_as_the_compiled_checker_does(data):
     for _ in range(rnd.choice((1, 2))):
         value = _edited(rnd, value, schema)
     _agree(schema, value, data.draw(_AT, label="at"))
+
+
+
+@pytest.mark.parametrize(
+    "value, schema, problem",
+    [
+        (math.inf, float, "must be a finite number, got inf"),
+        (-math.inf, (*domain.NUMBER, None), "must be a finite number, got -inf"),
+        (math.nan, domain.NUMBER, "must be a finite number, got nan"),
+        ({"mae": math.inf}, {"mae": (*domain.NUMBER, None)}, "'mae' must be a finite number, got inf"),
+        ({"x": math.inf}, {"x": float}, "'x' must be a finite number, got inf"),
+        ([{"bin": 1.0}, {"bin": -math.inf}], [{"bin": domain.NUMBER}], "[1]: 'bin' must be a finite number, got -inf"),
+        ([1.0, math.inf], [domain.NUMBER, domain.NUMBER], "[1] must be a finite number, got inf"),
+    ],
+)
+def test_expect_refuses_a_float_that_is_not_finite(value, schema, problem):
+    """json reads a number literal beyond the float range, such as 1e400, as inf."""
+    assert _outcome(domain.expect, value, schema, ()) == f"F: {problem}"
 

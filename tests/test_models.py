@@ -1,5 +1,6 @@
 """Architecture construction, counting, wiring, and weight serialization."""
 
+import hashlib
 import json
 import re
 import tempfile
@@ -295,7 +296,7 @@ class TestSerialization:
         m.forward(rng.normal(size=(4, 1, 8, 9)), mode="train")
         save_weights(m, tmp_path / "ck")
         m2 = load_weights(tmp_path / "ck")
-        assert models.snapshot_hash(m2.snapshot()) == models.snapshot_hash(m.snapshot())
+        assert weights_hash(m2) == weights_hash(m)
         x = rng.normal(size=(3, 1, 8, 9))
         np.testing.assert_array_equal(
             m.forward(x, mode="infer").data, m2.forward(x, mode="infer").data
@@ -694,7 +695,7 @@ class TestModelAxis:
 
         snap = stack.snapshot()
         saved = buffer.copy()
-        assert not any(np.shares_memory(value, buffer) for value in snap.values())
+        assert not np.shares_memory(snap, buffer)
         for p in stack.params.values():
             p.grad = rng.normal(size=p.data.shape)
         adam_step(stack.params, AdamState(lr=0.1))
@@ -774,6 +775,54 @@ class TestTransfer:
         b.restore(a.snapshot())  # B "trained" for 0 epochs keeps A's weights
         c.restore(b.snapshot())
         assert weights_hash(c) == weights_hash(a)
+
+
+def _snapshot_hash(snap: dict[str, np.ndarray]) -> str:
+    """The weight hash as it was computed from a dict of named array
+    copies, kept as `weights_hash`'s oracle."""
+    h = hashlib.sha256()
+    for name in sorted(snap):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(snap[name], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestSnapshot:
+    """A snapshot is a copy of the model's buffer, and the weight hash reads
+    the buffer as the named arrays it holds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_specs(), n_models=st.integers(1, 3), seed=st.integers(0, 2**32))
+    def test_weights_hash_equals_the_named_array_hash(self, spec, n_models, seed):
+        rng = np.random.default_rng(seed)
+        stack, *others = [build_model(spec.replace(seed=spec.seed + m)) for m in range(n_models)]
+        for model in (stack, *others):
+            model._buffer[...] = rng.normal(size=model._buffer.shape)
+        stack.extend(others)
+        assert weights_hash(stack) == _snapshot_hash({name: arr for name, arr, _ in stack.all_entries()})
+
+    @pytest.mark.parametrize("spec", ALL_TINY, ids=lambda s: s.name)
+    def test_snapshot_is_a_copy_that_restores(self, spec):
+        model = build_model(spec.replace(seed=3))
+        entries = model.all_entries()
+        snap, before = model.snapshot(), weights_hash(model)
+        assert type(snap) is np.ndarray and not np.shares_memory(snap, model._buffer)
+        model.forward(np.random.default_rng(4).normal(size=(4, 1, 8, 9)), mode="train")
+        model._buffer += 1.0
+        assert weights_hash(model) != before
+        np.testing.assert_array_equal(snap, build_model(spec.replace(seed=3))._buffer)
+        model.restore(snap)
+        assert weights_hash(model) == before
+        assert all(arr is old for (_, arr, _), (_, old, _) in zip(model.all_entries(), entries))
+
+    def test_restore_refuses_a_snapshot_of_another_length(self):
+        model = build_model(tiny_spec("FullBN", 2))
+        before = model.snapshot()
+        snap = build_model(tiny_spec("FullBN", 1)).snapshot()
+        message = f"^restore: a snapshot row of {snap.shape[1]} values, not {before.shape[1]}$"
+        with pytest.raises(EngineError, match=message):
+            model.restore(snap)
+        np.testing.assert_array_equal(model._buffer, before)
 
 
 def _block_forward(m, x, train: bool) -> Tensor:

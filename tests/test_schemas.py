@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hvfcast import cli
 from hvfcast.cli import _MATRIX_ROW, FEATURES_RESULT_SCHEMA, PHASE_WINNER_SCHEMA, REPORT_SCHEMA
 from hvfcast.domain import NUMBER, RECORD_SCHEMA, expect, load_dataset, read_json
-from hvfcast.models import MANIFEST_SCHEMA, load_weights
+from hvfcast.models import MANIFEST_SCHEMA, SPEC_SCHEMA, load_weights
 from hvfcast.pipeline import PAIR_SCHEMA, PLAN_SCHEMA, SplitPlan, read_pairs
 from hvfcast.trainer import CHECKPOINT_SCHEMA, SERVED_ENTRY_SCHEMA, load_interval_models
 
@@ -115,7 +115,7 @@ def _chain_schema(chain: dict) -> dict:
     numeric bin and a bool gap, and one that is no gap a checkpoint."""
     entries = [{"bin": NUMBER, **SERVED_ENTRY_SCHEMA, **(CHECKPOINT_SCHEMA if e.get("gap") is False else {})}
                for e in chain["entries"]]
-    return {"combo": str, "entries": entries}
+    return {"combo": str, "spec": SPEC_SCHEMA, "entries": entries}
 
 
 def _features_schema(result: dict) -> dict:
