@@ -65,5 +65,5 @@ model = build_model(ModelSpec(family="Cascade", depth_k=2, widths=(4, 8, 12), se
 inputs = rng.normal(size=(16, 1, 8, 9)) * 4 + 22
 targets = inputs - 1.5
 history = train_model(model, (inputs, targets), (inputs, targets), TrainConfig(epochs=120, batch_size=8, seed=5))
-print(f"train loss: {history.train_loss[0]:.2f} dB (epoch 1) -> {history.train_loss[-1]:.3f} dB (epoch 120)")
-print(f"best validation MAE {history.best_val_mae:.3f} dB at epoch {history.best_epoch + 1}")
+print(f"train loss: {history['train_loss'][0]:.2f} dB (epoch 1) -> {history['train_loss'][-1]:.3f} dB (epoch 120)")
+print(f"best validation MAE {history['best_val_mae']:.3f} dB at epoch {history['best_epoch'] + 1}")

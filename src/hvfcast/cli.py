@@ -76,8 +76,7 @@ from .trainer import (
     PHASE_RESULT,
     TrainConfig,
     TrainingDiverged,
-    check_provenance,
-    check_spec,
+    check_checkpoint,
     checkpoint_dir,
     keep_freed_memory,
     load_interval_models,
@@ -295,12 +294,12 @@ def _cmd_train(args) -> None:
         bin1 = train_binned[BIN_CENTERS[0]]
         candidates = canonical_specs(widths=cfg.widths, fc_hidden=cfg.fc_hidden)
         result = select_architecture(candidates, bin1, plan, cfg, runs_dir, args.workers)
-        print(f"architecture winner: {result.winner}")
+        print(f"architecture winner: {result['winner']}")
     elif args.phase == PHASE_FEATURES:
         bin1 = train_binned[BIN_CENTERS[0]]
         arch_spec = _arch_spec(args.arch, runs_dir, cfg)
         result = select_features(arch_spec, FeatureCombo.all_combos(), bin1, plan, cfg, runs_dir, args.workers)
-        print(f"feature-combination winner: {result.winner}")
+        print(f"feature-combination winner: {result['winner']}")
     else:  # intervals
         spec = _arch_spec(args.arch, runs_dir, cfg)
         combo = (FeatureCombo.parse(args.combo) if args.combo
@@ -311,10 +310,10 @@ def _cmd_train(args) -> None:
         result = train_interval_chain(
             spec, combo, train_binned, plan, cfg, runs_dir, args.workers, init_snapshots
         )
-        diverged = sum(1 for e in result.entries if e["error"])
-        empty = sum(1 for e in result.entries if e["gap"]) - diverged
+        diverged = sum(1 for e in result["entries"] if e["error"])
+        empty = sum(1 for e in result["entries"] if e["gap"]) - diverged
         print(
-            f"interval chain: {result.n_checkpoints} checkpoints "
+            f"interval chain: {result['n_checkpoints']} checkpoints "
             f"({empty} empty-bin gaps, {diverged} diverged) under {runs_dir / PHASE_INTERVALS}"
         )
 
@@ -370,8 +369,7 @@ def _features_snapshots(
     for fold in range(n_folds):
         manifest = runs_dir / checkpoint_dir(PHASE_FEATURES, combo_name, fold) / MANIFEST_NAME
         model = load_weights(manifest.parent)
-        check_spec(model, f"--chain-init features: {manifest}", spec)
-        check_provenance(model, f"--chain-init features: {manifest}",
+        check_checkpoint(model, f"--chain-init features: {manifest}", spec,
                          {"phase": PHASE_FEATURES, "candidate": combo_name, "bin": None, "fold": fold})
         snapshots[fold] = model.snapshot()
     return snapshots
@@ -411,15 +409,15 @@ def _cmd_evaluate(args) -> None:
         n_bootstrap=args.bootstrap_n,
     )
     out = Path(args.out)
-    write_json(out, report.to_json_dict())
+    write_json(out, report)
     _write_run_manifest(
         out, "evaluate",
         {"combo": combo.name, "bootstrap_seed": bootstrap_seed, "bootstrap_n": args.bootstrap_n},
         [args.data, args.pairs, args.split, args.runs], [out], started,
     )
     print(
-        f"evaluated {report.n_pairs} pairs ({report.n_skipped} skipped): "
-        f"MAE {report.overall['mae']:.3f} dB, RMSE {report.overall['rmse']:.3f} dB -> {out}"
+        f"evaluated {report['n_pairs']} pairs ({report['n_skipped']} skipped): "
+        f"MAE {report['overall']['mae']:.3f} dB, RMSE {report['overall']['rmse']:.3f} dB -> {out}"
     )
 
 

@@ -4,7 +4,8 @@ Each test pair is forecast by averaging the per-fold models of its horizon
 bin (the bin's folds, stacked on one model axis, forward the bin's pairs as
 one batch in one forward), then scored
 pointwise against the actual later field over the 54 measured cells.  The
-report carries overall MAE/RMSE with bootstrap CIs, mean-deviation
+report, the dict `evaluate_testset` returns and `evaluate` writes as
+`report.json`, carries overall MAE/RMSE with bootstrap CIs, mean-deviation
 agreement (Pearson r, adjusted R^2, Bland-Altman), a per-bin MAE table,
 and rows for the classical baselines (copy-forward, pointwise least
 squares, pointwise exponential).
@@ -12,8 +13,9 @@ squares, pointwise exponential).
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,25 +197,6 @@ def baseline_forecast(method: str, history: list[VisualField], horizon_years: fl
 # Test-set evaluation
 
 
-@dataclass
-class MetricsReport:
-    """Everything the evaluation emits, JSON-serializable."""
-
-    n_pairs: int
-    n_skipped: int
-    overall: dict
-    md_scatter: dict
-    bland_altman: dict
-    per_bin: list[dict]
-    baselines: list[dict]
-    rows: dict = field(default_factory=dict)
-    bootstrap: dict = field(default_factory=dict)
-    reference: dict = field(default_factory=lambda: dict(CLINICAL_REFERENCE))
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
 def _bootstrap_ci(
     values: np.ndarray, rng: np.random.Generator, n_resamples: int, transform=None
 ) -> list[float]:
@@ -257,9 +240,13 @@ def evaluate_testset(
     fields: list[VisualField] | None = None,
     bootstrap_seed: int = 0,
     n_bootstrap: int = N_BOOTSTRAP,
-) -> MetricsReport:
+) -> dict:
     """Score fold-ensembled forecasts of every binned test pair, and the
-    baselines' forecasts of the same pairs.
+    baselines' forecasts of the same pairs; returns the report that
+    `evaluate` writes as `report.json`: `n_pairs`, `n_skipped`, `overall`,
+    `md_scatter`, `bland_altman`, `per_bin`, `baselines`, the scatter and
+    Bland-Altman `rows`, the `bootstrap` settings, and a copy of
+    CLINICAL_REFERENCE as `reference`.
 
     The fold models of a bin forward all of that bin's pairs in one batch,
     one forward per element of its model list (`ensemble_means`).  Then,
@@ -373,16 +360,16 @@ def evaluate_testset(
         )
 
     md_pairs = [(row["predicted_md"], row["actual_md"]) for row in md_rows]
-    return MetricsReport(
-        n_pairs=mae.size,
-        n_skipped=sum(skipped_by_bin.values()),
-        overall=overall,
-        md_scatter={"n": len(md_pairs)}
+    return {
+        "n_pairs": mae.size,
+        "n_skipped": sum(skipped_by_bin.values()),
+        "overall": overall,
+        "md_scatter": {"n": len(md_pairs)}
         | _statistic(pearson_adj_r2, md_pairs, ("pearson_r", "adjusted_r2", "p_two_sided")),
-        bland_altman=_statistic(bland_altman, md_pairs, ("mean_difference", "loa_lower", "loa_upper")),
-        per_bin=per_bin,
-        baselines=baselines,
-        rows={
+        "bland_altman": _statistic(bland_altman, md_pairs, ("mean_difference", "loa_lower", "loa_upper")),
+        "per_bin": per_bin,
+        "baselines": baselines,
+        "rows": {
             "md_scatter": md_rows,
             "bland_altman": [
                 {
@@ -393,5 +380,6 @@ def evaluate_testset(
                 for row in md_rows
             ],
         },
-        bootstrap={"n_resamples": n_bootstrap, "seed": bootstrap_seed},
-    )
+        "bootstrap": {"n_resamples": n_bootstrap, "seed": bootstrap_seed},
+        "reference": copy.deepcopy(CLINICAL_REFERENCE),
+    }

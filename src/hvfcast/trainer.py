@@ -6,7 +6,9 @@ best validation MAEs.  Phase 2 repeats the protocol over the 16 clinical
 feature combinations.  Phase 3 trains the winning configuration on all ten
 horizon bins per fold, initializing each bin from the previous bin's frozen
 weights (forward transfer), yielding up to 10 bins x 10 folds = 100
-checkpointed models.
+checkpointed models.  Each phase returns the dict it writes as its
+`phase_result.json` or `chain_result.json`, as `train_model` returns the
+record a job's `history.json` starts from.
 
 Every training step derives its own RNG streams from (seed, phase,
 candidate or bin label, fold), so results are bit-identical whether jobs
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,28 +89,6 @@ class TrainConfig:
         return asdict(self) | {"widths": list(self.widths)}
 
 
-@dataclass
-class TrainHistory:
-    """Per-epoch record and the hashes of the initial and frozen weights."""
-
-    train_loss: list[float]
-    val_mae: list[float]
-    best_epoch: int | None
-    best_val_mae: float | None
-    initial_hash: str
-    best_hash: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "val_mae": self.val_mae,
-            "best_epoch": self.best_epoch,
-            "best_val_mae": self.best_val_mae,
-            "initial_weights_sha256": self.initial_hash,
-            "best_weights_sha256": self.best_hash,
-        }
-
-
 def evaluate_masked_mae(model: Model, xs: np.ndarray, ys: np.ndarray, batch_size: int = 32) -> float:
     """Masked MAE over a dataset in infer mode, fixed batch order."""
     mask = valid_mask_array()
@@ -132,8 +112,11 @@ def train_model(
     val_data: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     shuffle_seed: int | None = None,
-) -> TrainHistory:
-    """Mini-batch Adam on the masked MAE loss.
+) -> dict:
+    """Mini-batch Adam on the masked MAE loss; returns the history that a
+    job's `history.json` starts from: the per-epoch `train_loss` and
+    `val_mae`, `best_epoch` and `best_val_mae` (None with no epoch), and
+    the `initial_weights_sha256` and `best_weights_sha256` of the weights.
 
     Validation MAE is measured in infer mode at the end of every epoch; the
     weights of the best epoch are snapshotted and restored into the model
@@ -195,8 +178,9 @@ def train_model(
         raise TrainingDiverged(f"divergence: {e} at {where}", initial_hash) from e
 
     model.restore(best_snap)
-    best_val_mae = None if best_epoch is None else val_maes[best_epoch]
-    return TrainHistory(train_losses, val_maes, best_epoch, best_val_mae, initial_hash, weights_hash(model))
+    return {"train_loss": train_losses, "val_mae": val_maes, "best_epoch": best_epoch,
+            "best_val_mae": None if best_epoch is None else val_maes[best_epoch],
+            "initial_weights_sha256": initial_hash, "best_weights_sha256": weights_hash(model)}
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +263,18 @@ def _fit(job: _Job, step: tuple, init: np.ndarray | None = None,
     rel = checkpoint_dir(job.phase, label, job.fold)
     out_dir = Path(job.out_dir) / rel
     provenance = {"phase": job.phase, "candidate": job.candidate, "fold": job.fold, "bin": center}
-    save_weights(model, out_dir, provenance=provenance | {"epoch": history.best_epoch})
+    save_weights(model, out_dir, provenance=provenance | {"epoch": history["best_epoch"]})
     write_json(
         out_dir / "history.json",
-        history.to_json_dict() | provenance | {
+        history | provenance | {
             "config": cfg.to_json_dict(),
             "seeds": {"init": init_seed, "shuffle": shuffle_seed},
             "n_train_pairs": int(train_x.shape[0]),
             "n_val_pairs": int(val_x.shape[0]),
         } | (extra or {}),
     )
-    return model, {"gap": False, "best_val_mae": history.best_val_mae,
-                   "initial_weights_sha256": history.initial_hash,
-                   "best_weights_sha256": history.best_hash, "checkpoint": str(rel)}
+    kept = ("best_val_mae", "initial_weights_sha256", "best_weights_sha256")
+    return model, {"gap": False, "checkpoint": str(rel)} | {key: history[key] for key in kept}
 
 
 def _run_phase_job(job: _Job) -> dict:
@@ -390,20 +373,6 @@ def _run_phase(jobs, worker, workers: int, result_path: Path) -> list:
 # Phase results
 
 
-@dataclass
-class PhaseResult:
-    """Per-(candidate, fold) best validation MAE matrix and its winner."""
-
-    phase: str
-    candidates: list[str]
-    matrix: dict[str, list[float | None]]
-    winner: str
-    errors: dict[str, list[str]] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
 def _pick_winner(matrix: dict[str, list[float | None]]) -> str:
     complete = {
         name: row for name, row in matrix.items() if all(v is not None for v in row)
@@ -424,14 +393,19 @@ def _run_selection_phase(
     runs_dir,
     workers: int,
     extra: dict,
-) -> PhaseResult:
-    """Train every (candidate, fold) job, pick the winner, and write
-    `phase_result.json`: the fold matrix, the config echo, and `extra`."""
+) -> dict:
+    """Train every (candidate, fold) job, pick the winner, and write and
+    return `phase_result.json`: the phase, its candidates, the per-(candidate,
+    fold) best validation MAE `matrix` (None where a job diverged), the
+    `winner`, each candidate's divergence `errors`, the `config` echo, and
+    `extra`."""
     n_folds = len(plan.folds)
     splits = [fold_split(pairs, plan, fold) for fold in range(n_folds)]
     for fold, (train, val) in enumerate(splits):
         if not train or not val:
             raise DataError(f"fold {fold} has no pairs for phase {phase!r}")
+    if cfg.epochs == 0:
+        raise DataError(f"phase {phase!r} picks its winner by validation MAE, so it needs at least one epoch")
     jobs = [
         _Job(phase, name, fold, spec, combo, cfg, str(runs_dir), [(name, None, *splits[fold])])
         for name, spec, combo in candidates
@@ -454,15 +428,9 @@ def _run_selection_phase(
                 f"divergence ({sum(len(v) for v in errors.values())} aborted jobs)"
             ) from None
         raise
-    result = PhaseResult(
-        phase=phase,
-        candidates=[name for name, _, _ in candidates],
-        matrix=matrix,
-        winner=winner,
-        errors=errors,
-    )
-    config = cfg.to_json_dict() | {"phase": phase}
-    write_json(result_path, result.to_json_dict() | {"config": config} | extra)
+    result = {"phase": phase, "candidates": [name for name, _, _ in candidates], "matrix": matrix,
+              "winner": winner, "errors": errors, "config": cfg.to_json_dict() | {"phase": phase}} | extra
+    write_json(result_path, result)
     return result
 
 
@@ -473,8 +441,10 @@ def select_architecture(
     cfg: TrainConfig,
     runs_dir,
     workers: int = 1,
-) -> PhaseResult:
-    """Train each candidate once per fold on the 1.0-year bin (field-only input)."""
+) -> dict:
+    """Train each candidate once per fold on the 1.0-year bin (field-only
+    input); returns `phase_result.json`, whose extra keys are the
+    `published_comparison` and `trained_parameters` tables."""
     combo = FeatureCombo()
     named = [(spec.name, spec, combo) for spec in candidates]
     # the comparison table always uses the canonical widths so its
@@ -494,29 +464,15 @@ def select_features(
     cfg: TrainConfig,
     runs_dir,
     workers: int = 1,
-) -> PhaseResult:
-    """Train the winning architecture once per fold for each feature combo."""
+) -> dict:
+    """Train the winning architecture once per fold for each feature combo;
+    returns `phase_result.json`, whose extra key is the `architecture`."""
     named = [
         (combo.name, arch_spec.replace(in_channels=combo.channels()), combo)
         for combo in combos
     ]
     extra = {"architecture": arch_spec.name}
     return _run_selection_phase(PHASE_FEATURES, named, bin1_pairs, plan, cfg, runs_dir, workers, extra)
-
-
-@dataclass
-class ChainResult:
-    """Outcome of the interval chain: its combo and one entry per (bin, fold)."""
-
-    combo: str
-    entries: list[dict]
-
-    @property
-    def n_checkpoints(self) -> int:
-        return sum(1 for e in self.entries if not e["gap"])
-
-    def to_json_dict(self) -> dict:
-        return {"combo": self.combo, "n_checkpoints": self.n_checkpoints, "entries": self.entries}
 
 
 def train_interval_chain(
@@ -528,14 +484,16 @@ def train_interval_chain(
     runs_dir,
     workers: int = 1,
     init_snapshots: dict[int, np.ndarray] | None = None,
-) -> ChainResult:
+) -> dict:
     """Per fold: train bin 1.0 fresh, then transfer forward bin by bin.
 
     A (bin, fold) cell with no training or validation pairs is recorded as a
     gap; the chain then carries the last trained weights forward.  With
     `init_snapshots` (fold -> weight snapshot) a fold's first bin starts
-    from those weights instead of a fresh initialization.  Writes
-    `chain_result.json`: the entries, the chain's spec and the config echo.
+    from those weights instead of a fresh initialization.  Writes and
+    returns `chain_result.json`: the `combo`, one entry per (bin, fold) in
+    that order, `n_checkpoints` (the entries that are no gap), the chain's
+    `spec` and the `config` echo.
     """
     spec = spec.replace(in_channels=combo.channels())
     n_folds = len(plan.folds)
@@ -551,9 +509,9 @@ def train_interval_chain(
     entries = [entry for job_entries in _run_phase(jobs, _run_chain_job, workers, result_path)
                for entry in job_entries]
     entries.sort(key=lambda e: (e["bin"], e["fold"]))
-    result = ChainResult(combo=combo.name, entries=entries)
-    config = cfg.to_json_dict() | {"phase": PHASE_INTERVALS}
-    write_json(result_path, result.to_json_dict() | {"spec": spec.to_dict(), "config": config})
+    result = {"combo": combo.name, "n_checkpoints": sum(1 for e in entries if not e["gap"]), "entries": entries,
+              "spec": spec.to_dict(), "config": cfg.to_json_dict() | {"phase": PHASE_INTERVALS}}
+    write_json(result_path, result)
     return result
 
 
@@ -567,17 +525,13 @@ CHECKPOINT_SCHEMA = {"checkpoint": str}
 PROVENANCE_SCHEMA = {"phase": str, "candidate": str, "bin": (*NUMBER, None), "fold": int}
 
 
-def check_spec(model: Model, where: str, spec: ModelSpec) -> None:
-    """Raise DataError naming `where` unless `model` has the chain's `spec`,
-    seed aside."""
+def check_checkpoint(model: Model, where: str, spec: ModelSpec, cell: dict) -> None:
+    """Raise DataError naming `where` unless the loaded `model` has the
+    chain's `spec`, seed aside, and the provenance that `load_weights` kept
+    on it names `cell`'s phase, candidate, bin and fold: `WHERE: provenance
+    'fold' is 1, not 0`."""
     if model.spec.replace(seed=spec.seed) != spec:
         raise DataError(f"{where} holds spec {model.spec.to_dict()}, not the chain's {spec.to_dict()} (seed aside)")
-
-
-def check_provenance(model: Model, where: str, cell: dict) -> None:
-    """Raise DataError naming `where` unless the provenance that
-    `load_weights` kept on `model` names `cell`'s phase, candidate, bin
-    and fold: `WHERE: provenance 'fold' is 1, not 0`."""
     recorded = expect(model.provenance, PROVENANCE_SCHEMA, where, ("provenance",))
     for key, value in cell.items():
         if recorded[key] != value:
@@ -627,8 +581,7 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
             checkpoint = runs_dir / expect(e, CHECKPOINT_SCHEMA, path, ("entries", i))["checkpoint"]
             model = load_weights(checkpoint)
             where = f"{path}: entries[{i}]: {checkpoint / MANIFEST_NAME}"
-            check_spec(model, where, spec)
-            check_provenance(model, where,
+            check_checkpoint(model, where, spec,
                              {"phase": PHASE_INTERVALS, "candidate": combo.name, "bin": e["bin"], "fold": e["fold"]})
             out.setdefault(e["bin"], []).append(model)
     for models in out.values():

@@ -336,14 +336,14 @@ def test_criterion_learning_signal(progressive_cohort, bin1_ensemble_report):
     _, _, binned, _ = progressive_cohort
     assert all(len(binned[c]) > 0 for c in BIN_CENTERS)  # 6-year span fills every bin
     report = bin1_ensemble_report
-    copy_row = next(r for r in report.baselines if r["method"] == "copy")
-    assert copy_row["n_pairs"] == report.n_pairs
-    assert report.overall["mae"] < copy_row["mae"], (
-        f"model {report.overall['mae']:.4f} vs copy {copy_row['mae']:.4f}"
+    copy_row = next(r for r in report["baselines"] if r["method"] == "copy")
+    assert copy_row["n_pairs"] == report["n_pairs"]
+    assert report["overall"]["mae"] < copy_row["mae"], (
+        f"model {report['overall']['mae']:.4f} vs copy {copy_row['mae']:.4f}"
     )
     print(
-        f"{PASS} learning signal: model {report.overall['mae']:.3f} dB < "
-        f"copy {copy_row['mae']:.3f} dB on {report.n_pairs} pairs"
+        f"{PASS} learning signal: model {report['overall']['mae']:.3f} dB < "
+        f"copy {copy_row['mae']:.3f} dB on {report['n_pairs']} pairs"
     )
 
 
@@ -420,7 +420,7 @@ def test_criterion_metric_oracles(twin_pipelines, bin1_ensemble_report):
     adj_large = 1 - (1 - 0.92**2) * (n - 1) / (n - 2)
     assert abs(adj_large - 0.84) < 0.01
 
-    reports = [bin1_ensemble_report.to_json_dict()]
+    reports = [bin1_ensemble_report]
     for root in twin_pipelines:
         reports.append(json.loads((root / "report.json").read_text()))
     for rep in reports:
@@ -462,8 +462,8 @@ def test_criterion_ensemble_semantics():
     oracle_rmse = float(
         np.sqrt(np.mean([np.mean([(ensembled - v) ** 2 for v in t]) for t in targets]))
     )
-    assert abs(report.overall["mae"] - oracle_mae) < 1e-12
-    assert abs(report.overall["rmse"] - oracle_rmse) < 1e-12
+    assert abs(report["overall"]["mae"] - oracle_mae) < 1e-12
+    assert abs(report["overall"]["rmse"] - oracle_rmse) < 1e-12
     print(f"{PASS} ensemble semantics vs hand oracle (MAE {oracle_mae:.3f})")
 
 

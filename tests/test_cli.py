@@ -770,6 +770,28 @@ class TestServeWhatTheChainRecorded:
         assert result_path.is_file()
 
 
+class TestZeroEpochSelection:
+    @pytest.mark.parametrize("phase", ["arch", "features"])
+    def test_refused_before_any_job(self, workdir, tmp_path, capsys, monkeypatch, phase):
+        """A selection phase picks by validation MAE, and zero epochs measure
+        none, so `train` refuses before any job runs and writes nothing."""
+        from hvfcast import trainer
+
+        monkeypatch.setattr(trainer, "_run_jobs", lambda *args: pytest.fail("a job ran"))
+        runs = tmp_path / "runs"
+        code = run_cli(
+            "train", "--phase", phase,
+            "--data", str(workdir / "d.jsonl"), "--pairs", str(workdir / "pairs.jsonl"),
+            "--split", str(workdir / "split.json"), "--out", str(runs),
+            "--arch", "FullyConnected", "--widths", "2,2,2", "--fc-hidden", "4", "--epochs", "0",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: phase '{phase}' picks its winner by validation MAE, so it needs at least one epoch\n"
+        )
+        assert not runs.exists()
+
+
 class TestPlanContract:
     """train and evaluate reject a split plan that plans a patient twice or
     plans one the dataset does not hold."""

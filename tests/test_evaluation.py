@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from hvfcast.domain import BLIND_SPOT, RIGHT, DataError, mask_cells, valid_mask_array
+from hvfcast.domain import BLIND_SPOT, RIGHT, DataError, mask_cells, read_json, valid_mask_array, write_json
 from hvfcast.evaluation import (
+    CLINICAL_REFERENCE,
     _BOOTSTRAP_DRAW,
     _bootstrap_ci,
     baseline_forecast,
@@ -335,24 +336,24 @@ class TestEvaluateTestset:
         models = [constant_model(20.0), constant_model(30.0)]  # ensemble -> 25
         report = evaluate_testset({1.0: models}, {1.0: pairs}, FeatureCombo(), n_bootstrap=50)
         # targets are constant 25 and 31 -> per-pair MAE 0 and 6, mean 3
-        assert report.overall["mae"] == pytest.approx(3.0, abs=1e-12)
-        assert report.overall["rmse"] == pytest.approx(math.sqrt((0 + 36) / 2), abs=1e-12)
-        assert report.n_pairs == 2 and report.n_skipped == 0
+        assert report["overall"]["mae"] == pytest.approx(3.0, abs=1e-12)
+        assert report["overall"]["rmse"] == pytest.approx(math.sqrt((0 + 36) / 2), abs=1e-12)
+        assert report["n_pairs"] == 2 and report["n_skipped"] == 0
 
     def test_scored_on_the_clamped_export(self):
         pairs = self._two_pair_fixture()
         report = evaluate_testset({1.0: [constant_model(60.0)]}, {1.0: pairs}, FeatureCombo(), n_bootstrap=10)
         # exported at 50 dB, so per-pair MAE 25 and 19, not 35 and 29
-        assert report.overall["mae"] == 22.0
+        assert report["overall"]["mae"] == 22.0
 
     def test_perfect_forecast_zeroes_everything(self):
         pairs = self._two_pair_fixture()
         pairs = [pairs[0]]
         models = [constant_model(25.0)]
         report = evaluate_testset({1.0: models}, {1.0: pairs + pairs}, FeatureCombo(), n_bootstrap=50)
-        assert report.overall["mae"] == 0.0
-        assert report.overall["rmse"] == 0.0
-        assert report.bland_altman["mean_difference"] == pytest.approx(0.0, abs=1e-12)
+        assert report["overall"]["mae"] == 0.0
+        assert report["overall"]["rmse"] == 0.0
+        assert report["bland_altman"]["mean_difference"] == pytest.approx(0.0, abs=1e-12)
 
     def test_skipped_pairs_counted(self):
         pairs = self._two_pair_fixture()
@@ -363,8 +364,8 @@ class TestEvaluateTestset:
             FeatureCombo(),
             n_bootstrap=50,
         )
-        assert report.n_skipped == 2
-        by_bin = {e["bin"]: e for e in report.per_bin}
+        assert report["n_skipped"] == 2
+        by_bin = {e["bin"]: e for e in report["per_bin"]}
         assert by_bin[3.0]["n_skipped"] == 2
 
     def test_bootstrap_deterministic_and_contains_point(self):
@@ -372,10 +373,10 @@ class TestEvaluateTestset:
         models = [constant_model(22.0)]
         r1 = evaluate_testset({1.0: models}, {1.0: pairs}, FeatureCombo(), bootstrap_seed=5, n_bootstrap=200)
         r2 = evaluate_testset({1.0: models}, {1.0: pairs}, FeatureCombo(), bootstrap_seed=5, n_bootstrap=200)
-        assert r1.overall == r2.overall
-        lo, hi = r1.overall["mae_ci"]
-        assert lo <= r1.overall["mae"] <= hi
-        assert r1.overall["rmse"] >= r1.overall["mae"]
+        assert r1["overall"] == r2["overall"]
+        lo, hi = r1["overall"]["mae_ci"]
+        assert lo <= r1["overall"]["mae"] <= hi
+        assert r1["overall"]["rmse"] >= r1["overall"]["mae"]
 
     @pytest.mark.parametrize("n", [1, 3, 8, 129, 1000])
     @pytest.mark.parametrize("transform", [None, np.sqrt])
@@ -413,12 +414,25 @@ class TestEvaluateTestset:
             fields=fields,
             n_bootstrap=50,
         )
-        rows = {r["method"]: r for r in report.baselines}
+        rows = {r["method"]: r for r in report["baselines"]}
         assert rows["copy"]["n_pairs"] == 6
         assert rows["copy"]["mae"] is not None
         assert rows["copy"]["rmse"] >= rows["copy"]["mae"]
         # least-squares rows only use pairs whose input has >= 2 earlier tests
         assert rows["pointwise_ols"]["n_pairs"] <= 6
+
+    def test_report_is_the_file_it_writes(self, small_cohort, tmp_path):
+        _, fields, _ = small_cohort
+        binned, _ = bin_pairs(make_pairs(fields))
+        test_binned = {1.0: binned[1.0][:6], 2.0: binned[2.0][:5], 3.0: binned[3.0][:2]}
+        report = evaluate_testset({1.0: [constant_model(23.5)], 2.0: [constant_model(21.0)]}, test_binned,
+                                  FeatureCombo(), fields=fields, n_bootstrap=10)
+        write_json(tmp_path / "report.json", report)
+        assert report == read_json(tmp_path / "report.json")
+        assert report["n_skipped"] == 2 and report["reference"] == CLINICAL_REFERENCE
+        # a copy: editing a report leaves the constant as it was
+        report["reference"]["overall_mae_ci_db"].append(0.0)
+        assert CLINICAL_REFERENCE["overall_mae_ci_db"] == [2.45, 2.48]
 
     def test_rows_match_cell_keyed_reference(self, small_cohort):
         # the MD rows, the per-bin MAEs and the baselines, recomputed over
@@ -441,14 +455,14 @@ class TestEvaluateTestset:
             return total / 52
 
         copy_mae = []
-        for pair, row in zip(pairs, report.rows["md_scatter"], strict=True):
+        for pair, row in zip(pairs, report["rows"]["md_scatter"], strict=True):
             source = dict(zip(mask_cells(), pair.input.values))
             target = dict(zip(mask_cells(), pair.target.values))
             assert row["predicted_md"] == md(predicted, pair.target)
             assert row["actual_md"] == md(target, pair.target)
             assert row["input_md"] == md(source, pair.input)
             copy_mae.append(np.mean([abs(source[c] - target[c]) for c in mask_cells()]))
-        rows = {r["method"]: r for r in report.baselines}
+        rows = {r["method"]: r for r in report["baselines"]}
         assert rows["copy"]["mae"] == float(np.mean(copy_mae))
 
         def errors(forecast: dict, target: dict) -> tuple[float, float]:
@@ -457,7 +471,7 @@ class TestEvaluateTestset:
 
         for center, center_pairs in test_binned.items():
             maes = [errors(predicted, dict(zip(mask_cells(), p.target.values)))[0] for p in center_pairs]
-            entry = next(e for e in report.per_bin if e["bin"] == center)
+            entry = next(e for e in report["per_bin"] if e["bin"] == center)
             assert (entry["n_pairs"], entry["mae"]) == (len(center_pairs), float(np.mean(maes)))
         for method in ("pointwise_ols", "pointwise_exp"):
             scored = []
@@ -488,11 +502,11 @@ class TestEvaluateTestset:
         test_binned = {center: pairs[:8] for center, pairs in binned.items() if pairs}
         report = evaluate_testset({c: [model, model] for c in test_binned}, test_binned, FeatureCombo(),
                                   fields=fields, n_bootstrap=10)
-        copy = next(r for r in report.baselines if r["method"] == "copy")
-        assert report.n_pairs == copy["n_pairs"] == sum(map(len, test_binned.values()))
-        assert (report.overall["mae"], report.overall["rmse"]) == (copy["mae"], copy["rmse"])
+        copy = next(r for r in report["baselines"] if r["method"] == "copy")
+        assert report["n_pairs"] == copy["n_pairs"] == sum(map(len, test_binned.values()))
+        assert (report["overall"]["mae"], report["overall"]["rmse"]) == (copy["mae"], copy["rmse"])
         assert len(test_binned) > 1
-        for entry in report.per_bin:
+        for entry in report["per_bin"]:
             pairs = test_binned.get(entry["bin"], [])
             copy_mae = [np.abs(np.array(p.input.values) - np.array(p.target.values)).mean() for p in pairs]
             assert entry["mae"] == (float(np.mean(copy_mae)) if pairs else None)
@@ -515,7 +529,7 @@ class TestEvaluateTestset:
 
         monkeypatch.setattr(Model, "forward", counted)
         report = evaluate_testset(models_by_bin, test_binned, FeatureCombo(), n_bootstrap=10)
-        assert report.n_pairs == 12
+        assert report["n_pairs"] == 12
         assert batches == [7, 7, 7, 5, 5, 5]
 
     def test_no_models_anywhere_errors(self):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+SCANNED = sorted(p for d in ("src", "tests", "demos", "scripts") for p in (ROOT / d).rglob("*.py"))
 PACKAGE = sorted((ROOT / "src" / "hvfcast").rglob("*.py"))
 # the benchmark patches and calls package names, so it counts as a user
 USERS = SCANNED + sorted((ROOT / "perfbench").rglob("*.py"))

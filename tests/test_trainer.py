@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hvfcast import trainer
 from hvfcast.autodiff import Tensor, adam_step, masked_mae
-from hvfcast.domain import DataError, valid_mask_array
+from hvfcast.domain import DataError, read_json, valid_mask_array
 from hvfcast.models import ModelSpec, build_model, spec_from_name, weights_hash
 from hvfcast.pipeline import (
     BIN_CENTERS,
@@ -27,7 +27,6 @@ from hvfcast.pipeline import (
     split_patients,
 )
 from hvfcast.trainer import (
-    ChainResult,
     TrainConfig,
     TrainingDiverged,
     _pick_winner,
@@ -63,22 +62,22 @@ class TestTrainModel:
     def test_single_epoch_history(self):
         m = build_model(TINY_SPEC)
         hist = train_model(m, tiny_data(), tiny_data(8, seed=1), TrainConfig(epochs=1, seed=2))
-        assert len(hist.train_loss) == 1
-        assert len(hist.val_mae) == 1
-        assert hist.best_epoch == 0
+        assert len(hist["train_loss"]) == 1
+        assert len(hist["val_mae"]) == 1
+        assert hist["best_epoch"] == 0
 
     def test_zero_epochs_keeps_initial_weights(self):
         m = build_model(TINY_SPEC)
         before = weights_hash(m)
         hist = train_model(m, tiny_data(), tiny_data(8, seed=1), TrainConfig(epochs=0))
-        assert hist.train_loss == [] and hist.best_epoch is None
-        assert weights_hash(m) == before == hist.best_hash
+        assert hist["train_loss"] == [] and hist["best_epoch"] is None
+        assert weights_hash(m) == before == hist["best_weights_sha256"]
 
     def test_deterministic_for_fixed_seeds(self):
         def run():
             m = build_model(TINY_SPEC.replace(seed=11))
             hist = train_model(m, tiny_data(), tiny_data(8, seed=1), TrainConfig(epochs=3, seed=4))
-            return hist.train_loss, hist.val_mae, weights_hash(m)
+            return hist["train_loss"], hist["val_mae"], weights_hash(m)
 
         assert run() == run()
 
@@ -88,26 +87,26 @@ class TestTrainModel:
         hist = train_model(m, tiny_data(seed=2), val, TrainConfig(epochs=5, seed=5))
         # the model ends restored to the best epoch's weights
         revalidated = evaluate_masked_mae(m, val[0], val[1], 32)
-        assert revalidated == hist.best_val_mae == min(hist.val_mae)
-        assert hist.val_mae[hist.best_epoch] == hist.best_val_mae
+        assert revalidated == hist["best_val_mae"] == min(hist["val_mae"])
+        assert hist["val_mae"][hist["best_epoch"]] == hist["best_val_mae"]
 
     def test_best_never_exceeds_first_epoch(self):
         m = build_model(TINY_SPEC.replace(seed=13))
         hist = train_model(m, tiny_data(seed=4), tiny_data(8, seed=5), TrainConfig(epochs=6, seed=6))
-        assert hist.best_val_mae <= hist.val_mae[0]
+        assert hist["best_val_mae"] <= hist["val_mae"][0]
 
     def test_freeze_last_keeps_final_weights(self):
         spec = TINY_SPEC.replace(seed=14)
         m = build_model(spec)
         cfg = TrainConfig(epochs=4, seed=7, freeze="last")
         hist = train_model(m, tiny_data(seed=6), tiny_data(8, seed=7), cfg)
-        assert hist.best_epoch == 3
-        assert hist.best_val_mae == hist.val_mae[-1]
+        assert hist["best_epoch"] == 3
+        assert hist["best_val_mae"] == hist["val_mae"][-1]
 
     def test_training_reduces_loss(self):
         m = build_model(TINY_SPEC.replace(seed=15))
         hist = train_model(m, tiny_data(48, seed=8), tiny_data(12, seed=9), TrainConfig(epochs=15, seed=8))
-        assert hist.train_loss[-1] < hist.train_loss[0]
+        assert hist["train_loss"][-1] < hist["train_loss"][0]
 
     def test_divergence_raises_with_checkpoint(self):
         m = build_model(TINY_SPEC.replace(seed=16))
@@ -160,7 +159,7 @@ class TestTrainModel:
         m = build_model(ModelSpec(family="Cascade", depth_k=2, widths=(4, 8, 12), in_channels=1, seed=21))
         data = tiny_data(16, seed=12)
         hist = train_model(m, data, data, TrainConfig(epochs=500, batch_size=8, seed=13))
-        assert hist.train_loss[-1] < 0.5
+        assert hist["train_loss"][-1] < 0.5
 
     @pytest.mark.parametrize("name", ["Cascade-2", "FullBN-3", "Residual-3", "FullyConnected"])
     def test_training_leaves_no_cyclic_garbage(self, name):
@@ -187,8 +186,8 @@ class TestBatchNormRunningStats:
         out = model.forward(Tensor(val_x), mode="train")  # updates the running statistics
         batch_mae = float(masked_mae(out, val_y, valid_mask_array()).data)
         model.restore(trained)
-        assert evaluate_masked_mae(model, val_x, val_y) == hist.val_mae[0]
-        assert hist.val_mae[0] < 2.0 * batch_mae
+        assert evaluate_masked_mae(model, val_x, val_y) == hist["val_mae"][0]
+        assert hist["val_mae"][0] < 2.0 * batch_mae
 
 
 class TestKeepFreedMemory:
@@ -280,13 +279,33 @@ class TestSelectionPhases:
         _, binned, plan = cohort_pairs
         cfg = TrainConfig(epochs=1, widths=(2, 3, 4), seed=5)
         result = select_architecture([TINY_SPEC], binned[1.0], plan, cfg, runs_dir=tmp_path)
-        assert result.winner == "Cascade-2"
-        assert len(result.matrix["Cascade-2"]) == 10
-        assert all(v is not None for v in result.matrix["Cascade-2"])
-        assert (tmp_path / "arch" / "phase_result.json").is_file()
+        assert result["winner"] == "Cascade-2"
+        assert len(result["matrix"]["Cascade-2"]) == 10
+        assert all(v is not None for v in result["matrix"]["Cascade-2"])
+        assert result == read_json(tmp_path / "arch" / "phase_result.json")
         assert (tmp_path / "arch" / "Cascade-2" / "fold-0" / "weights.bin").is_file()
         history = json.loads((tmp_path / "arch" / "Cascade-2" / "fold-3" / "history.json").read_text())
         assert history["fold"] == 3 and history["phase"] == "arch"
+
+    def test_history_json_starts_from_train_models_record(self, cohort_pairs, tmp_path, monkeypatch):
+        """Every key that `train_model` returns holds the same value in the
+        job's history.json; with one worker the jobs run in fold order."""
+        records = []
+
+        def recording(*args, **kwargs):
+            records.append(train_model(*args, **kwargs))
+            return records[-1]
+
+        monkeypatch.setattr(trainer, "train_model", recording)
+        _, binned, plan = cohort_pairs
+        select_architecture([TINY_SPEC], binned[1.0], plan, TrainConfig(epochs=2, widths=(2, 3, 4), seed=5),
+                            runs_dir=tmp_path)
+        assert len(records) == 10
+        for fold, record in enumerate(records):
+            history = read_json(tmp_path / "arch" / "Cascade-2" / f"fold-{fold}" / "history.json")
+            assert set(record) == {"train_loss", "val_mae", "best_epoch", "best_val_mae",
+                                   "initial_weights_sha256", "best_weights_sha256"}
+            assert {key: history[key] for key in record} == record
 
     def test_selection_history_has_null_bin_and_no_transfer(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
@@ -302,7 +321,7 @@ class TestSelectionPhases:
         cfg = TrainConfig(epochs=1, widths=(2, 3, 4), seed=6)
         seq = select_architecture([TINY_SPEC], binned[1.0], plan, cfg, tmp_path / "seq", workers=1)
         par = select_architecture([TINY_SPEC], binned[1.0], plan, cfg, tmp_path / "par", workers=4)
-        assert seq.matrix == par.matrix
+        assert seq["matrix"] == par["matrix"]
 
     def test_all_candidates_diverging_surfaces_divergence(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
@@ -315,7 +334,8 @@ class TestSelectionPhases:
         cfg = TrainConfig(epochs=1, widths=(2, 3, 4), seed=7)
         combos = [FeatureCombo(), FeatureCombo(age=True), FeatureCombo(age=True, eye=True)]
         result = select_features(TINY_SPEC, combos, binned[1.0], plan, cfg, runs_dir=tmp_path)
-        assert set(result.matrix) == {"none", "age", "age+eye"}
+        assert set(result["matrix"]) == {"none", "age", "age+eye"}
+        assert result == read_json(tmp_path / "features" / "phase_result.json")
         manifest = json.loads((tmp_path / "features" / "age" / "fold-0" / "manifest.json").read_text())
         assert manifest["spec"]["in_channels"] == 2
 
@@ -330,7 +350,7 @@ class TestSelectionPhases:
         cfg = TrainConfig(epochs=2, seed=8)
         ha = train_model(build_model(TINY_SPEC.replace(seed=3)), (xa, ya), encode_pairs(val, FeatureCombo()), cfg, shuffle_seed=99)
         hb = train_model(build_model(TINY_SPEC.replace(seed=3)), (xb, yb), encode_pairs(val, FeatureCombo()), cfg, shuffle_seed=99)
-        assert ha.val_mae == hb.val_mae and ha.best_hash == hb.best_hash
+        assert ha["val_mae"] == hb["val_mae"] and ha["best_weights_sha256"] == hb["best_weights_sha256"]
 
 
 @pytest.fixture(scope="module")
@@ -347,13 +367,13 @@ def chain_run(cohort_pairs, tmp_path_factory):
 class TestIntervalChain:
     def test_entries_cover_all_bins_and_folds(self, chain_run):
         _, result, _, _ = chain_run
-        assert len(result.entries) == len(BIN_CENTERS) * 10
-        assert result.n_checkpoints == sum(1 for e in result.entries if not e["gap"])
+        assert len(result["entries"]) == len(BIN_CENTERS) * 10
+        assert result["n_checkpoints"] == sum(1 for e in result["entries"] if not e["gap"])
 
     def test_transfer_initialization_hashes(self, chain_run):
         _, result, _, _ = chain_run
         by_fold = {}
-        for e in result.entries:
+        for e in result["entries"]:
             by_fold.setdefault(e["fold"], []).append(e)
         checked = 0
         for entries in by_fold.values():
@@ -372,11 +392,11 @@ class TestIntervalChain:
         runs, result, _, _ = chain_run
         combo, models_by_bin = load_interval_models(runs)
         assert combo == FeatureCombo(age=True)
-        trained_bins = {e["bin"] for e in result.entries if not e["gap"]}
+        trained_bins = {e["bin"] for e in result["entries"] if not e["gap"]}
         assert set(models_by_bin) == trained_bins
         some_bin = sorted(trained_bins)[0]
         (model,) = models_by_bin[some_bin]
-        folds = sum(1 for e in result.entries if e["bin"] == some_bin and not e["gap"])
+        folds = sum(1 for e in result["entries"] if e["bin"] == some_bin and not e["gap"])
         assert model.n_models == folds
         out = model.forward(np.zeros((1, 2, 8, 9)), mode="infer")
         assert out.data.shape == (folds, 1, 8, 9)
@@ -409,7 +429,7 @@ class TestIntervalChain:
 
     def test_chain_history_records_bin_and_transfer(self, chain_run):
         runs, result, _, _ = chain_run
-        trained = sorted((e for e in result.entries if e["fold"] == 0 and not e["gap"]),
+        trained = sorted((e for e in result["entries"] if e["fold"] == 0 and not e["gap"]),
                          key=lambda e: e["bin"])
         for entry in trained[:2]:
             history = json.loads((runs / entry["checkpoint"] / "history.json").read_text())
@@ -423,17 +443,17 @@ class TestIntervalChain:
         _, binned, plan = cohort_pairs
         cfg = TrainConfig(epochs=2, widths=(2, 3, 4), seed=12, lr=1e300)
         result = train_interval_chain(TINY_SPEC, FeatureCombo(), binned, plan, cfg, runs_dir=tmp_path)
-        diverged = [e for e in result.entries if e["error"]]
+        diverged = [e for e in result["entries"] if e["error"]]
         assert diverged
         for e in diverged:
             assert e["gap"] is True and e["best_val_mae"] is None
             assert len(e["initial_weights_sha256"]) == 64
             assert "checkpoint" not in e
         # every trained cell diverges at this rate, so nothing is written but the result
-        assert result.n_checkpoints == 0
+        assert result["n_checkpoints"] == 0
         assert not list((tmp_path / "intervals").glob("bin-*"))
         on_disk = json.loads((tmp_path / "intervals" / "chain_result.json").read_text())
-        assert on_disk["entries"] == json.loads(json.dumps(result.entries))
+        assert on_disk["entries"] == json.loads(json.dumps(result["entries"]))
 
     @pytest.mark.parametrize("workers, sizes", [(64, [10]), (3, [3]), (1, [])])
     def test_pool_has_no_more_workers_than_jobs(self, cohort_pairs, tmp_path, monkeypatch, workers, sizes):
@@ -461,16 +481,16 @@ class TestIntervalChain:
         cfg = TrainConfig(epochs=0, widths=(2, 3, 4), seed=11)
         result = train_interval_chain(TINY_SPEC, FeatureCombo(), binned, plan, cfg, tmp_path, workers=workers)
         assert asked == sizes and len(plan.folds) == 10
-        assert result.n_checkpoints > 0
+        assert result["n_checkpoints"] > 0
 
     def test_gap_recorded_for_empty_bins(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
         only_one = {c: (binned[c] if c == 1.0 else []) for c in BIN_CENTERS}
         cfg = TrainConfig(epochs=1, widths=(2, 3, 4), seed=10)
         result = train_interval_chain(TINY_SPEC, FeatureCombo(), only_one, plan, cfg, runs_dir=tmp_path)
-        gaps = [e for e in result.entries if e["gap"]]
+        gaps = [e for e in result["entries"] if e["gap"]]
         assert len(gaps) == 9 * 10
-        assert result.n_checkpoints == 10
+        assert result["n_checkpoints"] == 10
 
     def test_zero_epoch_chain_shares_first_weights(self, cohort_pairs, tmp_path):
         _, binned, plan = cohort_pairs
@@ -478,7 +498,7 @@ class TestIntervalChain:
         result = train_interval_chain(TINY_SPEC, FeatureCombo(), binned, plan, cfg, runs_dir=tmp_path)
         for fold in range(10):
             entries = sorted(
-                (e for e in result.entries if e["fold"] == fold and not e["gap"]),
+                (e for e in result["entries"] if e["fold"] == fold and not e["gap"]),
                 key=lambda e: e["bin"],
             )
             first = entries[0]
@@ -487,10 +507,9 @@ class TestIntervalChain:
 
     def test_json_result_shape(self, chain_run):
         runs, result, _, _ = chain_run
-        on_disk = json.loads((runs / "intervals" / "chain_result.json").read_text())
-        assert on_disk["n_checkpoints"] == result.n_checkpoints
-        assert on_disk["combo"] == result.combo == "age"
-        assert ChainResult(combo="age", entries=on_disk["entries"]).n_checkpoints == result.n_checkpoints
+        assert result == read_json(runs / "intervals" / "chain_result.json")
+        assert result["combo"] == "age"
+        assert result["n_checkpoints"] == sum(1 for e in result["entries"] if not e["gap"])
 
 
 class TestJobEncoding:
