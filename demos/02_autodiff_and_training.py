@@ -9,8 +9,8 @@ cells entirely, and watches Adam walk a toy problem and a tiny network.
 import numpy as np
 
 from hvfcast.autodiff import (
+    ADAM_EPS,
     AdamState,
-    BatchNormState,
     Tensor,
     adam_step,
     batch_norm,
@@ -31,17 +31,20 @@ x = rng.normal(size=(2, 1, 8, 9)) * 4 + 20
 target = rng.normal(size=(2, 1, 8, 9)) * 4 + 20
 w = Tensor(rng.normal(size=(1, 1, 3, 3)) * 0.5)
 b = Tensor(np.zeros(1))
-bn = BatchNormState.create(1)
+# batch norm is given its scale, shift and running statistics, as a model
+# passes the views of its weights buffer
+gamma, beta = Tensor(np.ones(1)), Tensor(np.zeros(1))
+running_mean, running_var = np.zeros(1), np.ones(1)
 
 
 def loss_fn():
     h = conv2d(Tensor(x), w, b)
-    h = batch_norm(h, bn, True)
+    h = batch_norm(h, gamma, beta, running_mean, running_var, True)
     h = relu(h)
     return masked_mae(h, target, mask)
 
 
-err = grad_check(loss_fn, [w, b, bn.gamma, bn.beta], kink_tol=1e-6)
+err = grad_check(loss_fn, [w, b, gamma, beta], kink_tol=1e-6)
 print(f"max relative error vs central finite differences: {err:.2e}")
 
 print("\n=== the masked loss never sees the 18 unmeasured cells ===")
@@ -58,7 +61,7 @@ theta = Tensor(np.array([0.0]))
 params = {"theta": theta}
 theta.grad[:] = 1.0
 adam_step(params, AdamState(lr=1e-3))
-print(f"theta after one step: {theta.data[0]:+.12f}  (expected -lr/(1+eps))")
+print(f"theta after one step: {theta.data[0]:+.12f}  (expected {-1e-3 / (1.0 + ADAM_EPS):+.12f}, -lr/(1+eps))")
 
 print("\n=== a tiny cascade memorizing 16 pairs ===")
 model = build_model(ModelSpec(family="Cascade", depth_k=2, widths=(4, 8, 12), seed=21))

@@ -361,53 +361,35 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor, shared: bool = False) -> Ten
     return Tensor(out.reshape(models * batch, out_dim), (x, weights, bias), backward)
 
 
-@dataclass
-class BatchNormState:
-    """Per-channel batch normalization parameters and running statistics.
-
-    `gamma`/`beta` are trainable; the running mean/variance are inference
-    statistics that training updates in place, by exponential moving
-    average, so each array keeps its identity for the state's life.  They
-    start at mean 0 and variance 1, the identity normalization, and each
-    train-mode call keeps `momentum` = 0.9 of the old value (PyTorch's
-    default), so that inference after a few steps divides by about the
-    data's spread, not by `sqrt(eps)`.
-    """
-
-    gamma: Tensor
-    beta: Tensor
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.9
-    eps: float = 1e-5
-
-    @classmethod
-    def create(cls, channels: int) -> "BatchNormState":
-        return cls(
-            gamma=Tensor(np.ones(channels)),
-            beta=Tensor(np.zeros(channels)),
-            running_mean=np.zeros(channels),
-            running_var=np.ones(channels),
-        )
+# Batch norm keeps this share of the old running statistics at each
+# train-mode call (PyTorch's default), and adds this to the variance
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
 
 
-def batch_norm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
-    """Normalize per model and channel over (batch, H, W).
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+               running_var: np.ndarray, train: bool) -> Tensor:
+    """Normalize per model and channel over (batch, H, W), then scale by
+    `gamma` and shift by `beta`; like `torch.nn.functional.batch_norm`, it
+    is given every array it reads.
 
-    The state's arrays are (M, C) for M models, or (C,) for one; `x` is
+    The four arrays are (M, C) for M models, or (C,) for one; `x` is
     (M*B, C, H, W), model-major.  With `train` it uses each model's batch
     statistics (biased variance, the same statistic stored in the running
-    average) and updates the running statistics; otherwise it uses the
-    running statistics and is a pure function of its input.
+    average) and updates `running_mean` and `running_var` in place, by
+    exponential moving average, so each keeps its identity; otherwise it
+    uses the running statistics and is a pure function of its input.  A
+    model starts them at mean 0 and variance 1, the identity normalization,
+    so that inference after a few steps divides by about the data's spread,
+    not by `sqrt(BN_EPS)`.
     """
     if x.data.ndim != 4:
         raise EngineError(f"batch_norm input must be 4-axis, got shape {x.data.shape}")
-    channels = state.gamma.data.shape[-1]
+    channels = gamma.data.shape[-1]
     if x.data.shape[1] != channels:
         raise EngineError(
-            f"batch_norm channel mismatch: input has {x.data.shape[1]}, state has {channels}"
+            f"batch_norm channel mismatch: input has {x.data.shape[1]}, gamma has {channels}"
         )
-    gamma, beta = state.gamma, state.beta
     models = gamma.data.size // channels
     _, batch = _model_rows("batch_norm", x, models, False)
     xs = x.data.reshape(models, batch, channels, -1)
@@ -423,14 +405,14 @@ def batch_norm(x: Tensor, state: BatchNormState, train: bool) -> Tensor:
         xhat = xs - per_channel(mu)
         # np.var's own arithmetic, on the centred input it would recompute
         var = np.square(xhat).sum(axis=(1, 3)) / n
-        inv = 1.0 / np.sqrt(var + state.eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= per_channel(inv)  # (x - mu) * inv
-        shape = state.running_mean.shape
-        state.running_mean[...] = state.momentum * state.running_mean + (1.0 - state.momentum) * mu.reshape(shape)
-        state.running_var[...] = state.momentum * state.running_var + (1.0 - state.momentum) * var.reshape(shape)
+        shape = running_mean.shape
+        running_mean[...] = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mu.reshape(shape)
+        running_var[...] = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var.reshape(shape)
     else:
-        inv = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = xs - per_channel(state.running_mean)
+        inv = 1.0 / np.sqrt(running_var + BN_EPS)
+        xhat = xs - per_channel(running_mean)
         xhat *= per_channel(inv)
 
     def backward(g):
@@ -509,15 +491,19 @@ def masked_mae(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
 # Optimizer
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba 2015's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam optimizer state: step counter plus the moments of every
-    parameter, concatenated in the order of the params dict."""
+    """Adam optimizer state: learning rate and step counter plus the
+    moments of every parameter, concatenated in the order of the params
+    dict."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
@@ -533,8 +519,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
     grads = [p.grad.reshape(-1) for p in params.values()]
     g = np.concatenate(grads)
     if not np.all(np.isfinite(g)):
@@ -543,11 +529,11 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     if state.first_moment is None:
         state.first_moment, state.second_moment = np.zeros_like(g), np.zeros_like(g)
     m, v = state.first_moment, state.second_moment
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    update = state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    update = state.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     offset = 0
     for p in params.values():
         p.data -= update[offset : offset + p.data.size].reshape(p.data.shape)

@@ -240,6 +240,20 @@ def _load_plan(path, fields) -> SplitPlan:
     return plan
 
 
+# What evaluate and --chain-init features read of the result whose models they use
+SPLIT_RECORD_SCHEMA = {"split_sha256": str}
+
+
+def _require_split(result_path: Path, plan: SplitPlan, split_path) -> None:
+    """Raise DataError naming both files unless the phase or chain result at
+    `result_path` was trained on `plan`, the plan at `split_path`: patients
+    its models trained on could otherwise be held out now."""
+    recorded, given = read_json(result_path, SPLIT_RECORD_SCHEMA)["split_sha256"], plan.sha256()
+    if recorded != given:
+        raise DataError(f"{result_path} was trained on another split plan than {split_path} "
+                        f"(split_sha256 {recorded}, not {given})")
+
+
 # What a run given no --arch or --combo reads of that phase's phase_result.json
 PHASE_WINNER_SCHEMA = {"winner": str}
 # What --chain-init features reads of the features phase_result.json: the
@@ -306,7 +320,7 @@ def _cmd_train(args) -> None:
                  else _phase_winner(runs_dir, PHASE_FEATURES, "combo", FeatureCombo.parse))
         init_snapshots = None
         if args.chain_init == "features":
-            init_snapshots = _features_snapshots(runs_dir, combo, spec, len(plan.folds))
+            init_snapshots = _features_snapshots(runs_dir, combo, spec, plan, args.split)
         result = train_interval_chain(
             spec, combo, train_binned, plan, cfg, runs_dir, args.workers, init_snapshots
         )
@@ -340,14 +354,16 @@ def _arch_spec(arch: str | None, runs_dir: Path, cfg: TrainConfig) -> ModelSpec:
 
 
 def _features_snapshots(
-    runs_dir: Path, combo: FeatureCombo, spec: ModelSpec, n_folds: int
+    runs_dir: Path, combo: FeatureCombo, spec: ModelSpec, plan: SplitPlan, split_path
 ) -> dict:
     """Fold -> weights of `combo`'s checkpoints from a complete features
-    phase: its `phase_result.json` must hold a result for every fold, and
-    each checkpoint must be the chain's `spec`, seed aside, with `combo`'s
-    input channels, and its provenance must name the features phase,
-    `combo` and its fold."""
+    phase trained on `plan`, the plan at `split_path`: its
+    `phase_result.json` must hold a result for every fold, and each
+    checkpoint must be the chain's `spec`, seed aside, with `combo`'s input
+    channels, and its provenance must name the features phase, `combo` and
+    its fold."""
     combo_name = combo.name
+    n_folds = len(plan.folds)
     spec = spec.replace(in_channels=combo.channels())
     result_path = runs_dir / PHASE_FEATURES / PHASE_RESULT
     if not result_path.is_file():
@@ -365,6 +381,7 @@ def _features_snapshots(
             f"--chain-init features: combo {combo_name!r} has no result for folds {missing} "
             f"in {result_path}"
         )
+    _require_split(result_path, plan, split_path)
     snapshots = {}
     for fold in range(n_folds):
         manifest = runs_dir / checkpoint_dir(PHASE_FEATURES, combo_name, fold) / MANIFEST_NAME
@@ -397,6 +414,7 @@ def _cmd_evaluate(args) -> None:
     if not any(test_binned.values()):
         raise DataError("no binned pairs for the held-out test patients")
     combo, models_by_bin = _served_models(args)
+    _require_split(Path(args.runs) / PHASE_INTERVALS / CHAIN_RESULT, plan, args.split)
     if not models_by_bin:
         raise DataError(f"no interval checkpoints listed under {Path(args.runs) / PHASE_INTERVALS}")
 

@@ -41,7 +41,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .autodiff import (
-    BatchNormState,
     EngineError,
     Tensor,
     batch_norm,
@@ -221,16 +220,8 @@ def count_layers(spec: ModelSpec) -> int:
 
 
 def count_parameters_spec(spec: ModelSpec) -> int:
-    """Trainable parameter count from the layer plan (no allocation)."""
-    total = 0
-    for layer in layer_plan(spec):
-        if layer.kind == "dense":
-            total += layer.out_dim * layer.in_dim + layer.out_dim
-        else:
-            total += layer.out_dim * layer.in_dim * layer.kernel**2 + layer.out_dim
-        if layer.bn:
-            total += 2 * layer.out_dim
-    return total
+    """Trainable parameter count from the spec's layout (no allocation)."""
+    return sum(stop - start for _, _, trainable, start, stop in _wiring(spec.replace(seed=0))[1] if trainable)
 
 
 def published_comparison() -> list[dict]:
@@ -301,7 +292,7 @@ def require_same_spec(ref: "Model", other: "Model") -> None:
 
 
 class Model:
-    """A built architecture: parameters, batch-norm states, and wiring, for
+    """A built architecture: parameters, running statistics, and wiring, for
     M models of one spec (seed aside) on a leading model axis.
 
     Every stored array is a (M, ...) view into one float64 buffer of shape
@@ -339,32 +330,24 @@ class Model:
 
     def _bind(self, buffer: np.ndarray) -> None:
         """Make `buffer` the model's values.  The views into it, and the
-        parameters and batch-norm states over them, are built on first use,
-        so a model that only extends another never builds them."""
+        parameters over them, are built on first use, so a model that only
+        extends another never builds them."""
         self._buffer = buffer
         self._state = None
 
-    def _bound(self) -> tuple[list, dict[str, Tensor], dict[str, BatchNormState]]:
-        """(entries, params, bn states), every array a view of the buffer."""
+    def _bound(self) -> tuple[list, dict[str, np.ndarray], dict[str, Tensor]]:
+        """(entries, arrays by name, params), every array a view of the buffer."""
         if self._state is None:
             entries = _views(self._layout, self._buffer)
             arrays = {name: arr for name, arr, _ in entries}
             trains = self.n_models == 1
             params = {name: Tensor(arr, requires_grad=trains) for name, arr, trainable in entries if trainable}
-            bn = {name: BatchNormState(params[f"{name}.bn.gamma"], params[f"{name}.bn.beta"],
-                                       arrays[f"{name}.bn.running_mean"], arrays[f"{name}.bn.running_var"])
-                  for name, layer in self.layers.items() if layer.bn}
-            self._state = (entries, params, bn)
+            self._state = (entries, arrays, params)
         return self._state
 
     @property
     def params(self) -> dict[str, Tensor]:
         """Parameter name -> its Tensor, in weights.bin order."""
-        return self._bound()[1]
-
-    @property
-    def bn(self) -> dict[str, BatchNormState]:
-        """Batch-norm layer name -> its state."""
         return self._bound()[2]
 
     @property
@@ -388,12 +371,12 @@ class Model:
         A unit that reads only the model input takes it as one batch that
         every model shares."""
         layer = self.layers[name]
-        w = self.params[f"{name}.w"]
-        b = self.params[f"{name}.b"]
+        _, arrays, params = self._bound()
         op = dense if layer.kind == "dense" else conv2d
-        out = op(x, w, b, layer.shared)
+        out = op(x, params[f"{name}.w"], params[f"{name}.b"], layer.shared)
         if layer.bn:
-            out = batch_norm(out, self.bn[name], train)
+            out = batch_norm(out, params[f"{name}.bn.gamma"], params[f"{name}.bn.beta"],
+                             arrays[f"{name}.bn.running_mean"], arrays[f"{name}.bn.running_var"], train)
         if layer.activation == "relu":
             out = relu(out)
         return out

@@ -10,6 +10,7 @@ into 10 cross-validation folds.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from datetime import date
@@ -123,6 +124,11 @@ class SplitPlan:
             "test_patients": sorted(self.test_patients),
             "folds": [sorted(fold) for fold in self.folds],
         }
+
+    def sha256(self) -> str:
+        """sha256 of `to_json_dict()` as sorted-key JSON: what a phase or
+        chain result records as `split_sha256`, the plan it trained on."""
+        return hashlib.sha256(json.dumps(self.to_json_dict(), sort_keys=True).encode()).hexdigest()
 
     @classmethod
     def from_json_dict(cls, d, where="split plan") -> "SplitPlan":

@@ -101,13 +101,6 @@ def normative_surface(age_years: float, eye: str = RIGHT) -> tuple[float, ...]:
     return tuple(_surfaces(np.array([age_years], dtype=np.float64), eye)[0].tolist())
 
 
-def normative_sensitivity(age_years: float, cell: Cell, eye: str = RIGHT) -> float:
-    """Expected normal sensitivity of one valid cell (DataError for another)."""
-    if cell not in _CELL_INDEX:
-        raise DataError(f"cell {cell} is not one of the 54 valid cells")
-    return normative_surface(age_years, eye)[_CELL_INDEX[cell]]
-
-
 @dataclass(frozen=True)
 class Archetype:
     """A defect region template: onset depth plus per-cell progression rates."""

@@ -397,8 +397,8 @@ def _run_selection_phase(
     """Train every (candidate, fold) job, pick the winner, and write and
     return `phase_result.json`: the phase, its candidates, the per-(candidate,
     fold) best validation MAE `matrix` (None where a job diverged), the
-    `winner`, each candidate's divergence `errors`, the `config` echo, and
-    `extra`."""
+    `winner`, each candidate's divergence `errors`, the `config` echo, the
+    plan's `split_sha256`, and `extra`."""
     n_folds = len(plan.folds)
     splits = [fold_split(pairs, plan, fold) for fold in range(n_folds)]
     for fold, (train, val) in enumerate(splits):
@@ -429,7 +429,8 @@ def _run_selection_phase(
             ) from None
         raise
     result = {"phase": phase, "candidates": [name for name, _, _ in candidates], "matrix": matrix,
-              "winner": winner, "errors": errors, "config": cfg.to_json_dict() | {"phase": phase}} | extra
+              "winner": winner, "errors": errors, "config": cfg.to_json_dict() | {"phase": phase},
+              "split_sha256": plan.sha256()} | extra
     write_json(result_path, result)
     return result
 
@@ -493,7 +494,7 @@ def train_interval_chain(
     from those weights instead of a fresh initialization.  Writes and
     returns `chain_result.json`: the `combo`, one entry per (bin, fold) in
     that order, `n_checkpoints` (the entries that are no gap), the chain's
-    `spec` and the `config` echo.
+    `spec`, the `config` echo and the plan's `split_sha256`.
     """
     spec = spec.replace(in_channels=combo.channels())
     n_folds = len(plan.folds)
@@ -510,7 +511,8 @@ def train_interval_chain(
                for entry in job_entries]
     entries.sort(key=lambda e: (e["bin"], e["fold"]))
     result = {"combo": combo.name, "n_checkpoints": sum(1 for e in entries if not e["gap"]), "entries": entries,
-              "spec": spec.to_dict(), "config": cfg.to_json_dict() | {"phase": PHASE_INTERVALS}}
+              "spec": spec.to_dict(), "config": cfg.to_json_dict() | {"phase": PHASE_INTERVALS},
+              "split_sha256": plan.sha256()}
     write_json(result_path, result)
     return result
 
@@ -545,8 +547,10 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
     Exactly the checkpoints of the non-gap entries of `bins` (default: every
     bin) in `chain_result.json` are read, in its (bin, fold) order; no other
     file under the runs dir counts.  Every entry's bin must be one of
-    BIN_CENTERS, and a (bin, fold) pair of `bins` may be listed once.  Each
-    checkpoint must hold the chain's spec, seed aside, and its provenance
+    BIN_CENTERS, and a (bin, fold) pair of `bins` may be listed once.  A
+    checkpoint is read from its cell's `checkpoint_dir`, which the entry
+    must record, so no entry leads out of the runs dir.  Each checkpoint
+    must hold the chain's spec, seed aside, and its provenance
     must name the intervals phase, the chain's combo, and its entry's bin
     and fold.  A bin is served by its first fold's loaded model, extended
     by the others.
@@ -578,7 +582,12 @@ def load_interval_models(runs_dir, bins=BIN_CENTERS) -> tuple[FeatureCombo, dict
             raise DataError(f"{path}: entries[{i}]: bin {e['bin']} fold {e['fold']} is listed twice, "
                                f"first at entries[{first}]")
         if not e["gap"]:
-            checkpoint = runs_dir / expect(e, CHECKPOINT_SCHEMA, path, ("entries", i))["checkpoint"]
+            cell = checkpoint_dir(PHASE_INTERVALS, bin_dir_name(e["bin"]), e["fold"])
+            recorded = expect(e, CHECKPOINT_SCHEMA, path, ("entries", i))["checkpoint"]
+            if recorded != str(cell):
+                raise DataError(f"{path}: entries[{i}]: 'checkpoint' is {recorded!r}, not {str(cell)!r}, "
+                                f"the directory of bin {e['bin']} fold {e['fold']}")
+            checkpoint = runs_dir / cell
             model = load_weights(checkpoint)
             where = f"{path}: entries[{i}]: {checkpoint / MANIFEST_NAME}"
             check_checkpoint(model, where, spec,

@@ -14,7 +14,7 @@ import pytest
 
 from hvfcast.domain import GENDERS, RIGHT, VisualField, mask_cells
 from hvfcast import synthsim
-from hvfcast.models import FAMILIES, FULLY_CONNECTED, ModelSpec, count_parameters_spec, layer_plan
+from hvfcast.models import FAMILIES, FULLY_CONNECTED, ModelSpec, layer_plan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -32,10 +32,18 @@ def checkpoint_digest(spec: dict, blob: bytes) -> str:
     return hashlib.sha256(json.dumps(spec, sort_keys=True).encode() + blob).hexdigest()
 
 
+def formula_parameters(spec: ModelSpec) -> int:
+    """The trainable parameter count of `spec` by the per-layer formula, not
+    by the weights layout: out*in*k^2 + out for a conv unit, out*in + out
+    for a dense one, and 2*out more (gamma, beta) for a batch norm."""
+    return sum(layer.out_dim * layer.in_dim * (layer.kernel**2 if layer.kind == "conv" else 1)
+               + layer.out_dim + (2 * layer.out_dim if layer.bn else 0) for layer in layer_plan(spec))
+
+
 def layout_length(spec: ModelSpec) -> int:
     """The number of float64 values weights.bin holds for `spec`: every
     parameter, and each batch norm's running mean and variance."""
-    return count_parameters_spec(spec) + sum(2 * layer.out_dim for layer in layer_plan(spec) if layer.bn)
+    return formula_parameters(spec) + sum(2 * layer.out_dim for layer in layer_plan(spec) if layer.bn)
 
 
 def equal_length_spec(spec: ModelSpec) -> ModelSpec:

@@ -376,8 +376,7 @@ def test_criterion_ols_exact_fit(progressive_cohort):
             t = (f.test_date - day0).days / 365.25
             values = []
             affected = dict(arch.affected(eye))
-            for cell in mask_cells():
-                v = synthsim.normative_sensitivity(f.age_years, cell, eye)
+            for cell, v in zip(mask_cells(), synthsim.normative_surface(f.age_years, eye)):
                 if cell in affected:
                     v -= info["depth_db"] + rate * affected[cell] * t
                 assert 0.0 < v < 40.0  # clamp never engages in this cohort

@@ -9,8 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvfcast.autodiff import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
-    BatchNormState,
+    BN_MOMENTUM,
     EngineError,
     Tensor,
     adam_step,
@@ -337,84 +340,88 @@ class TestDense:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def _bn_arrays(channels: int) -> tuple:
+    """gamma, beta, running mean and running variance of a fresh batch norm:
+    1, 0, 0 and 1 per channel, as a built model starts them."""
+    return Tensor(np.ones(channels)), Tensor(np.zeros(channels)), np.zeros(channels), np.ones(channels)
+
+
 class TestBatchNorm:
     def test_train_mode_normalizes(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(loc=3.0, scale=2.5, size=(4, 3, 8, 9)))
-        state = BatchNormState.create(3)
-        out = batch_norm(x, state, True)
+        out = batch_norm(x, *_bn_arrays(3), True)
         mean = out.data.mean(axis=(0, 2, 3))
         var = out.data.var(axis=(0, 2, 3))
         np.testing.assert_allclose(mean, 0.0, atol=1e-12)
         np.testing.assert_allclose(var, 1.0, atol=1e-4)  # epsilon shrinks variance slightly
 
     def test_infer_mode_hand_example(self):
-        state = BatchNormState.create(1)
-        state.running_mean[:] = 0.0
-        state.running_var[:] = 1.0
-        state.gamma.data[:] = 2.0
-        state.beta.data[:] = 3.0
-        out = batch_norm(Tensor(np.ones((1, 1, 2, 2))), state, train=False)
+        gamma, beta, mean, var = _bn_arrays(1)
+        mean[:] = 0.0
+        var[:] = 1.0
+        gamma.data[:] = 2.0
+        beta.data[:] = 3.0
+        out = batch_norm(Tensor(np.ones((1, 1, 2, 2))), gamma, beta, mean, var, train=False)
         np.testing.assert_allclose(out.data, 5.0, atol=1e-4)
 
     def test_infer_is_pure(self):
         rng = np.random.default_rng(6)
-        state = BatchNormState.create(2)
-        batch_norm(Tensor(rng.normal(size=(4, 2, 3, 3))), state, True)  # populate running stats
+        bn = _bn_arrays(2)
+        _, _, mean, var = bn
+        batch_norm(Tensor(rng.normal(size=(4, 2, 3, 3))), *bn, True)  # populate running stats
         x = rng.normal(size=(2, 2, 3, 3))
-        running = (state.running_mean.copy(), state.running_var.copy())
-        a = batch_norm(Tensor(x), state, train=False).data
-        b = batch_norm(Tensor(x), state, train=False).data
+        running = (mean.copy(), var.copy())
+        a = batch_norm(Tensor(x), *bn, train=False).data
+        b = batch_norm(Tensor(x), *bn, train=False).data
         np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(state.running_mean, running[0])
-        np.testing.assert_array_equal(state.running_var, running[1])
+        np.testing.assert_array_equal(mean, running[0])
+        np.testing.assert_array_equal(var, running[1])
         # infer mode really reads the running statistics, not the batch's
-        assert np.abs(a - batch_norm(Tensor(x), state, train=True).data).max() > 1e-3
+        assert np.abs(a - batch_norm(Tensor(x), *bn, train=True).data).max() > 1e-3
 
     def test_running_stats_ema(self):
         rng = np.random.default_rng(7)
         x = rng.normal(loc=5.0, size=(8, 1, 4, 4))
-        state = BatchNormState.create(1)
-        assert state.momentum == 0.9
-        batch_norm(Tensor(x), state, True)
-        np.testing.assert_allclose(state.running_mean, 0.1 * x.mean(), atol=1e-12)
-        np.testing.assert_allclose(state.running_var, 0.9 + 0.1 * x.var(), atol=1e-12)
+        gamma, beta, mean, var = _bn_arrays(1)
+        assert BN_MOMENTUM == 0.9
+        batch_norm(Tensor(x), gamma, beta, mean, var, True)
+        np.testing.assert_allclose(mean, 0.1 * x.mean(), atol=1e-12)
+        np.testing.assert_allclose(var, 0.9 + 0.1 * x.var(), atol=1e-12)
 
     def test_train_mode_writes_running_stats_in_place(self):
-        """A model lists its running-statistic arrays once, at build time."""
+        """A model lists its running-statistic arrays once, at build time:
+        the arrays it passes are the ones updated."""
         rng = np.random.default_rng(9)
         x = rng.normal(loc=2.0, size=(4, 2, 3, 3))
-        state = BatchNormState.create(2)
-        state.momentum = 0.5
-        mean, var = state.running_mean, state.running_var
-        batch_norm(Tensor(x), state, True)
-        assert state.running_mean is mean and state.running_var is var
-        np.testing.assert_array_equal(mean, 0.5 * x.mean(axis=(0, 2, 3)))
-        np.testing.assert_array_equal(var, 0.5 + 0.5 * x.var(axis=(0, 2, 3)))
+        gamma, beta, mean, var = _bn_arrays(2)
+        batch_norm(Tensor(x), gamma, beta, mean, var, True)
+        np.testing.assert_array_equal(mean, 0.9 * 0.0 + (1.0 - 0.9) * x.mean(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(var, 0.9 * 1.0 + (1.0 - 0.9) * x.var(axis=(0, 2, 3)))
 
     def test_batch_of_one_constant_channel_is_finite(self):
-        state = BatchNormState.create(1)
-        out = batch_norm(Tensor(np.full((1, 1, 3, 3), 7.0)), state, True)
+        out = batch_norm(Tensor(np.full((1, 1, 3, 3), 7.0)), *_bn_arrays(1), True)
         assert np.all(np.isfinite(out.data))
 
     def test_train_gradients(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(3, 2, 4, 4)))
-        state = BatchNormState.create(2)
+        bn = _bn_arrays(2)
+        gamma, beta, _, _ = bn
         probe = Tensor(rng.normal(size=(3, 2, 4, 4)))
 
         def f():
-            return _dot(batch_norm(x, state, True), probe)
+            return _dot(batch_norm(x, *bn, True), probe)
 
-        for t in (x, state.gamma, state.beta):
+        for t in (x, gamma, beta):
             t.zero_grad()
         f().backward()
-        for t in (x, state.gamma, state.beta):
+        for t in (x, gamma, beta):
             np.testing.assert_allclose(t.grad, fd_grad(f, t), atol=1e-6)
 
     def test_channel_mismatch(self):
         with pytest.raises(EngineError):
-            batch_norm(Tensor(np.zeros((1, 3, 2, 2))), BatchNormState.create(2), True)
+            batch_norm(Tensor(np.zeros((1, 3, 2, 2))), *_bn_arrays(2), True)
 
 
 class TestConcat:
@@ -509,7 +516,8 @@ class TestAdam:
         p = Tensor(np.array([0.0]))
         params = {"theta": p}
         p.grad[:] = 1.0
-        state = AdamState(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
+        state = AdamState(lr=1e-3)
         adam_step(params, state)
         expected = -1e-3 * 1.0 / (1.0 + 1e-8)  # bias-corrected m=v=1
         assert abs(p.data[0] - expected) < 1e-12
@@ -580,14 +588,14 @@ class TestAdam:
 def _per_parameter_adam(params: dict[str, Tensor], state: AdamState, moments: dict) -> None:
     """Bias-corrected Adam, one parameter at a time."""
     state.step_count += 1
-    bias1 = 1.0 - state.beta1**state.step_count
-    bias2 = 1.0 - state.beta2**state.step_count
+    bias1 = 1.0 - ADAM_BETA1**state.step_count
+    bias2 = 1.0 - ADAM_BETA2**state.step_count
     for name, p in params.items():
         g = p.grad
         m, v = moments.setdefault(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        p.data -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         p.grad[...] = 0.0
 
 
@@ -642,15 +650,15 @@ class TestGradCheck:
         mask = rng.random((4, 5)) < 0.7
         w = Tensor(rng.normal(size=(3, 1, 3, 3)) * 0.4)
         b = Tensor(rng.normal(size=3) * 0.1)
-        state = BatchNormState.create(3)
+        bn = _bn_arrays(3)
 
         def f():
             h = conv2d(Tensor(x), w, b)
-            h = batch_norm(h, state, True)
+            h = batch_norm(h, *bn, True)
             h = relu(h)
             return masked_mae(_reduce_channels(h), target, mask)
 
-        err = grad_check(f, [w, b, state.gamma, state.beta], kink_tol=1e-6)
+        err = grad_check(f, [w, b, bn[0], bn[1]], kink_tol=1e-6)
         assert err < 1e-5
 
     def test_kink_exclusion_skips_corner(self):
@@ -711,7 +719,7 @@ def _every_op(rng) -> list[Tensor]:
     x = Tensor(rng.normal(size=(2, 2, 4, 5)))
     w, b = Tensor(rng.normal(size=(3, 2, 3, 3))), Tensor(rng.normal(size=3))
     conv = conv2d(x, w, b)
-    state = BatchNormState.create(3)
+    bn = _bn_arrays(3)
     flat = x.reshape(2, 40)
     return [
         x + x,
@@ -719,8 +727,8 @@ def _every_op(rng) -> list[Tensor]:
         relu(x),
         conv,
         dense(flat, Tensor(rng.normal(size=(4, 40))), Tensor(rng.normal(size=4))),
-        batch_norm(conv, state, train=False),
-        batch_norm(conv, state, train=True),
+        batch_norm(conv, *bn, train=False),
+        batch_norm(conv, *bn, train=True),
         concat_channels([x, conv]),
         masked_mae(Tensor(rng.normal(size=(2, 1, 4, 5))), np.zeros((2, 1, 4, 5)), np.ones((4, 5))),
     ]
@@ -762,12 +770,12 @@ def _small_net(rng) -> tuple[Tensor, list[Tensor]]:
     w1, b1 = Tensor(rng.normal(size=(3, 2, 3, 3))), Tensor(rng.normal(size=3))
     w2, b2 = Tensor(rng.normal(size=(1, 5, 1, 1))), Tensor(rng.normal(size=1))
     wd, bd = Tensor(rng.normal(size=(20, 20))), Tensor(rng.normal(size=20))
-    state = BatchNormState.create(3)
-    h = relu(batch_norm(conv2d(x, w1, b1), state, train=True))
+    bn = _bn_arrays(3)
+    h = relu(batch_norm(conv2d(x, w1, b1), *bn, train=True))
     h = conv2d(concat_channels([h, x]), w2, b2)
     h = dense((h + h).reshape(2, 20), wd, bd).reshape(2, 1, 4, 5)
     loss = masked_mae(h, rng.normal(size=(2, 1, 4, 5)), rng.random((4, 5)) < 0.7)
-    return loss, [x, w1, b1, w2, b2, wd, bd, state.gamma, state.beta]
+    return loss, [x, w1, b1, w2, b2, wd, bd, bn[0], bn[1]]
 
 
 class TestBackwardConsumesGraph:

@@ -25,6 +25,12 @@ def run_cli(*argv) -> int:
     return cli.main(list(argv))
 
 
+def plan_sha256(path) -> str:
+    """The `split_sha256` of the plan file at `path`, as the README states
+    it: the sha256 of the plan as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(json.loads(path.read_text()), sort_keys=True).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory, small_cohort):
     """Dataset + pairs + split files for the 36-patient cohort."""
@@ -827,6 +833,25 @@ class TestPlanContract:
         )
         assert not (tmp_path / "runs").exists() and not (tmp_path / "r.json").exists()
 
+    def test_plan_other_than_the_chains_exits_2(self, trained, tmp_path, capsys):
+        """Another plan of the same patients holds out patients the chain
+        trained on; before the chain recorded its plan, evaluate scored them
+        as held out and exited 0."""
+        split = tmp_path / "split-4.json"
+        assert run_cli("split", "--data", str(trained / "d.jsonl"), "--seed", "4", "--out", str(split)) == 0
+        capsys.readouterr()
+        trained_on = {pid for fold in json.loads((trained / "split.json").read_text())["folds"] for pid in fold}
+        assert trained_on & set(json.loads(split.read_text())["test_patients"])
+        assert self._evaluate(trained, split, tmp_path) == 2
+        chain = trained / "runs" / "intervals" / "chain_result.json"
+        recorded = json.loads(chain.read_text())["split_sha256"]
+        assert recorded == plan_sha256(trained / "split.json")
+        assert capsys.readouterr().err == (
+            f"error: {chain} was trained on another split plan than {split} "
+            f"(split_sha256 {recorded}, not {plan_sha256(split)})\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("phase", ["arch", "intervals"])
     def test_plan_without_folds_exits_2(self, trained, tmp_path, capsys, phase):
         """Once arch training raised a ValueError and an interval chain of no
@@ -964,23 +989,51 @@ class TestRunTreeContract:
                 in capsys.readouterr().err)
 
     def test_swapped_bin_checkpoints_exit_2(self, trained, small_cohort, tmp_path, capsys):
-        """Two bins' checkpoints swapped in the chain result: each is a valid
-        checkpoint of the chain's spec, so only its provenance tells; before
-        provenance was checked, predict served bin 2.0's fold model as bin 1.0's."""
+        """Two bins' checkpoint directories swapped: each is a valid
+        checkpoint of the chain's spec where its entry says, so only its
+        provenance tells; before provenance was checked, predict served bin
+        2.0's fold model as bin 1.0's."""
         runs = self._runs_copy(trained, tmp_path)
         path = runs / "intervals" / "chain_result.json"
-        chain = json.loads(path.read_text())
-        entries = chain["entries"]
+        entries = json.loads(path.read_text())["entries"]
         i, j = next((i, j) for i, a in enumerate(entries) for j, b in enumerate(entries)
                     if (a["bin"], b["bin"]) == (1.0, 2.0) and a["fold"] == b["fold"] and not (a["gap"] or b["gap"]))
-        entries[i]["checkpoint"], entries[j]["checkpoint"] = entries[j]["checkpoint"], entries[i]["checkpoint"]
-        path.write_text(json.dumps(chain))
+        a, b = runs / entries[i]["checkpoint"], runs / entries[j]["checkpoint"]
+        a.rename(tmp_path / "swapping")
+        b.rename(a)
+        (tmp_path / "swapping").rename(b)
         assert _predict(trained, small_cohort[1][0], runs, tmp_path / "f.json", "1.0") == 2
         manifest = runs / entries[i]["checkpoint"] / "manifest.json"
         assert capsys.readouterr().err == (
             f"error: {path}: entries[{i}]: {manifest}: provenance 'bin' is 2.0, not 1.0\n"
         )
         assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("where", ["absolute", "parent"])
+    def test_checkpoint_outside_its_cell_exits_2(self, trained, small_cohort, tmp_path, capsys, command, where):
+        """An entry that points at another tree's checkpoint of its own cell:
+        that checkpoint holds the chain's spec and the cell's provenance, so
+        only the path tells; before the directory was derived from the cell,
+        both commands served it."""
+        runs = self._runs_copy(trained, tmp_path)
+        shutil.copytree(trained / "runs" / "intervals", tmp_path / "other" / "intervals")
+        path = runs / "intervals" / "chain_result.json"
+        chain = json.loads(path.read_text())
+        i = next(i for i, e in enumerate(chain["entries"]) if (e["bin"], e["fold"], e["gap"]) == (1.0, 0, False))
+        cell = "intervals/bin-1.0/fold-0"
+        recorded = str(tmp_path / "other" / cell) if where == "absolute" else f"../other/{cell}"
+        chain["entries"][i]["checkpoint"] = recorded
+        path.write_text(json.dumps(chain))
+        if command == "predict":
+            code = _predict(trained, small_cohort[1][0], runs, tmp_path / "out.json", "1.0")
+        else:
+            code = _evaluate(trained, runs, tmp_path / "out.json")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: entries[{i}]: 'checkpoint' is {recorded!r}, not {cell!r}, the directory of bin 1.0 fold 0\n"
+        )
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_checkpoints_of_another_spec_exit_2(self, trained, small_cohort, tmp_path, capsys, command):
@@ -1250,12 +1303,12 @@ class TestChainInitFeatures:
         shutil.copytree(features_run / "features", runs / "features")
         return runs
 
-    def _chain(self, workdir, runs, combo="age", arch="FullyConnected"):
+    def _chain(self, workdir, runs, combo="age", arch="FullyConnected", split=None):
         return run_cli(
             "train", "--phase", "intervals",
             "--data", str(workdir / "d.jsonl"),
             "--pairs", str(workdir / "pairs.jsonl"),
-            "--split", str(workdir / "split.json"),
+            "--split", str(split or workdir / "split.json"),
             "--out", str(runs),
             "--arch", arch, "--combo", combo, "--chain-init", "features",
             "--epochs", "1", "--widths", "2,3,4", "--fc-hidden", "8", "--seed", "3",
@@ -1270,6 +1323,23 @@ class TestChainInitFeatures:
         first_bin = [e for e in entries if e["bin"] == 1.0]
         assert len(first_bin) == 10
         assert all(e["transferred_from"] == "seed" and not e["gap"] for e in first_bin)
+
+    def test_features_run_on_another_plan_exits_2(self, workdir, features_run, tmp_path, capsys):
+        """The features checkpoints trained on patients that another plan may
+        hold out, and the chain would start from them."""
+        runs = self._features_copy(features_run, tmp_path)
+        split = tmp_path / "split-4.json"
+        assert run_cli("split", "--data", str(workdir / "d.jsonl"), "--seed", "4", "--out", str(split)) == 0
+        capsys.readouterr()
+        assert self._chain(workdir, runs, split=split) == 2
+        result = runs / "features" / "phase_result.json"
+        recorded = json.loads(result.read_text())["split_sha256"]
+        assert recorded == plan_sha256(workdir / "split.json")
+        assert capsys.readouterr().err == (
+            f"error: {result} was trained on another split plan than {split} "
+            f"(split_sha256 {recorded}, not {plan_sha256(split)})\n"
+        )
+        assert not (runs / "intervals").exists()
 
     def test_features_run_of_another_architecture_exits_2(self, workdir, features_run, tmp_path, capsys):
         runs = self._features_copy(features_run, tmp_path)

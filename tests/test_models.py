@@ -32,7 +32,7 @@ from hvfcast.models import (
     weights_hash,
 )
 
-from conftest import checkpoint_digest, equal_length_spec
+from conftest import checkpoint_digest, equal_length_spec, formula_parameters
 
 TINY = dict(widths=(4, 8, 12), fc_hidden=16)
 
@@ -74,7 +74,17 @@ class TestCounting:
     def test_built_model_matches_spec_count(self):
         for spec in ALL_TINY:
             params = build_model(spec).params.values()
-            assert sum(p.data.size for p in params) == count_parameters_spec(spec)
+            assert sum(p.data.size for p in params) == count_parameters_spec(spec) == formula_parameters(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), depth=st.integers(1, 3),
+           widths=st.tuples(*[st.integers(1, 12)] * 3), in_channels=st.integers(1, 7),
+           fc_hidden=st.integers(1, 64))
+    def test_trainable_sizes_follow_the_per_layer_formula(self, family, depth, widths, in_channels, fc_hidden):
+        spec = ModelSpec(family=family, depth_k=None if family == "FullyConnected" else depth, widths=widths,
+                         in_channels=in_channels, fc_hidden=fc_hidden)
+        built = sum(arr[0].size for _, arr, trainable in build_model(spec).all_entries() if trainable)
+        assert built == count_parameters_spec(spec) == formula_parameters(spec)
 
     def test_dense_72_to_72_with_bias(self):
         spec = ModelSpec(family="FullyConnected", fc_hidden=72)
@@ -634,6 +644,21 @@ def _folds(arch: str, in_channels: int, n_models: int, seed: int, rng) -> list:
     return folds
 
 
+def batch_norm_calls(model: Model, x: np.ndarray, mode: str) -> list[tuple[np.ndarray, ...]]:
+    """The gamma, beta, running mean and running variance arrays of each
+    `batch_norm` call of one forward of `model`, in call order."""
+    calls = []
+    real = models.batch_norm
+
+    def spy(h, gamma, beta, running_mean, running_var, train):
+        calls.append((gamma.data, beta.data, running_mean, running_var))
+        return real(h, gamma, beta, running_mean, running_var, train)
+
+    with patch.object(models, "batch_norm", spy):
+        model.forward(x, mode)
+    return calls
+
+
 def _stacked(folds: list):
     """The folds on one model axis, as a served bin holds them: a copy of
     the first, extended by the others."""
@@ -690,8 +715,8 @@ class TestModelAxis:
             for (name, arr, _), (_, own, _) in zip(entries, fold.all_entries()):
                 np.testing.assert_array_equal(arr[m], own[0], err_msg=name)
         assert all(stack.params[name].data is arr for name, arr, trainable in entries if trainable)
-        assert all(state.running_mean.base is buffer and state.gamma.data.base is buffer
-                   for state in stack.bn.values())
+        xs = rng.normal(size=(3, in_channels, 8, 9)) * 4 + 20
+        assert all(arr.base is buffer for call in batch_norm_calls(stack, xs, "infer") for arr in call)
 
         snap = stack.snapshot()
         saved = buffer.copy()
@@ -758,14 +783,13 @@ class TestTransfer:
         model listed at build time, so every reader sees the current state."""
         m = build_model(tiny_spec("Residual", 2, seed=40))
         entries = [(name, arr) for name, arr, _ in m.all_entries()]
-        m.forward(np.random.default_rng(41).normal(size=(4, 1, 8, 9)), mode="train")
+        calls = batch_norm_calls(m, np.random.default_rng(41).normal(size=(4, 1, 8, 9)), "train")
         m.restore(build_model(tiny_spec("Residual", 2, seed=42)).snapshot())
         for (name, arr), (name2, arr2, _) in zip(entries, m.all_entries()):
             assert name == name2 and arr is arr2
-        state = m.bn["block1.conv1"]
         by_name = dict(entries)
-        assert by_name["block1.conv1.bn.running_mean"] is state.running_mean
-        assert by_name["block1.conv1.bn.running_var"] is state.running_var
+        keys = ("gamma", "beta", "running_mean", "running_var")
+        assert all(arr is by_name[f"block1.conv1.bn.{key}"] for arr, key in zip(calls[0], keys))
         assert by_name["block1.conv1.w"] is m.params["block1.conv1.w"].data
 
     def test_zero_epoch_chain_propagates_initial_weights(self):

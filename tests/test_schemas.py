@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvfcast import cli
-from hvfcast.cli import _MATRIX_ROW, FEATURES_RESULT_SCHEMA, PHASE_WINNER_SCHEMA, REPORT_SCHEMA
+from hvfcast.cli import _MATRIX_ROW, FEATURES_RESULT_SCHEMA, PHASE_WINNER_SCHEMA, REPORT_SCHEMA, SPLIT_RECORD_SCHEMA
 from hvfcast.domain import NUMBER, RECORD_SCHEMA, expect, load_dataset, read_json
 from hvfcast.models import MANIFEST_SCHEMA, SPEC_SCHEMA, load_weights
 from hvfcast.pipeline import PAIR_SCHEMA, PLAN_SCHEMA, SplitPlan, read_pairs
@@ -69,7 +69,8 @@ def tree(tmp_path_factory) -> Path:
 
 def test_every_written_file_passes_its_readers_schema(tree):
     """Each shape a writer emits: FullyConnected's null depth_k, null fold
-    cells and `errors`, and chain gaps with no checkpoint."""
+    cells and `errors`, and chain gaps with no checkpoint; every phase and
+    chain result records the digest of the plan it trained on."""
     manifests = sorted(tree.rglob("manifest.json"))
     specs = [load_weights(path.parent).spec for path in manifests]
     assert {spec.depth_k is None for spec in specs} == {True, False}
@@ -89,7 +90,9 @@ def test_every_written_file_passes_its_readers_schema(tree):
     read_json(tree / "report.json", REPORT_SCHEMA)
     fields = load_dataset(tree / "d.jsonl")
     assert sum(map(len, read_pairs(tree / "pairs.jsonl", fields).values())) > 0
-    SplitPlan.from_json_dict(read_json(tree / "split.json"), "split.json")
+    plan = SplitPlan.from_json_dict(read_json(tree / "split.json"), "split.json")
+    for path in sorted(tree.rglob("chain_result.json")) + results:
+        assert read_json(path, SPLIT_RECORD_SCHEMA)["split_sha256"] == plan.sha256(), path
 
 
 def test_every_written_file_is_strict_json(tree):
@@ -111,17 +114,19 @@ def test_every_written_file_is_strict_json(tree):
 
 
 def _chain_schema(chain: dict) -> dict:
-    """What `evaluate` requires of this chain_result.json: every entry a
-    numeric bin and a bool gap, and one that is no gap a checkpoint."""
+    """What `evaluate` requires of this chain_result.json: the plan's
+    digest, every entry a numeric bin and a bool gap, and one that is no
+    gap a checkpoint."""
     entries = [{"bin": NUMBER, **SERVED_ENTRY_SCHEMA, **(CHECKPOINT_SCHEMA if e.get("gap") is False else {})}
                for e in chain["entries"]]
-    return {"combo": str, "spec": SPEC_SCHEMA, "entries": entries}
+    return {"combo": str, "spec": SPEC_SCHEMA, "entries": entries} | SPLIT_RECORD_SCHEMA
 
 
 def _features_schema(result: dict) -> dict:
     """What a chain with `--chain-init features` and no `--combo` requires
-    of the features phase_result.json: the winner, and the winner's row."""
-    return PHASE_WINNER_SCHEMA | {"matrix": {result["winner"]: _MATRIX_ROW}}
+    of the features phase_result.json: the winner, the winner's row, and
+    the plan's digest."""
+    return PHASE_WINNER_SCHEMA | {"matrix": {result["winner"]: _MATRIX_ROW}} | SPLIT_RECORD_SCHEMA
 
 
 def _features_runs(tree: Path, tmp: Path) -> Path:

@@ -30,32 +30,34 @@ from hvfcast.synthsim import (
     add_noise,
     generate_cohort,
     noise_sd,
-    normative_sensitivity,
     normative_surface,
 )
+
+
+def _at(surface: tuple[float, ...], cell) -> float:
+    """The value of a valid `cell` in a surface, at its `mask_cells()` position."""
+    return surface[mask_cells().index(cell)]
 
 
 class TestNormative:
     def test_reference_cell_at_reference_age(self):
         # cell (3, 5) sits at (3, 3) degrees for a right eye: ecc = sqrt(18)
-        got = normative_sensitivity(45.0, (3, 5), RIGHT)
+        got = _at(normative_surface(45.0, RIGHT), (3, 5))
         assert got == pytest.approx(34.0 - 0.15 * math.sqrt(18), abs=1e-12)
         assert round(got, 2) == 33.36
 
     def test_aging_slope(self):
-        young = normative_sensitivity(45.0, (3, 5), RIGHT)
-        old = normative_sensitivity(95.0, (3, 5), RIGHT)
+        young = _at(normative_surface(45.0, RIGHT), (3, 5))
+        old = _at(normative_surface(95.0, RIGHT), (3, 5))
         assert young - old == pytest.approx(3.0, abs=1e-12)
 
     def test_clamped_to_0_40(self):
         for age in (0.0, 45.0, 300.0):
-            for cell in mask_cells():
-                v = normative_sensitivity(age, cell, LEFT)
+            for v in normative_surface(age, LEFT):
                 assert 0.0 <= v <= 40.0
 
     def test_surface_covers_mask(self):
-        surf = normative_surface(60.0, RIGHT)
-        assert surf == tuple(normative_sensitivity(60.0, c, RIGHT) for c in mask_cells())
+        assert len(normative_surface(60.0, RIGHT)) == len(mask_cells()) == 54
 
 
 def _reference_sensitivity(age_years: float, cell, eye: str) -> float:
@@ -101,12 +103,6 @@ class TestVectorSurface:
     def test_unknown_eye_raises(self, eye):
         with pytest.raises(DataError, match="unknown eye"):
             normative_surface(60.0, eye)
-        with pytest.raises(DataError, match="unknown eye"):
-            normative_sensitivity(60.0, (3, 5), eye)
-
-    def test_cell_outside_the_mask_raises(self):
-        with pytest.raises(DataError, match=r"cell \(0, 0\) is not one of the 54 valid cells"):
-            normative_sensitivity(60.0, (0, 0), RIGHT)
 
 
 class TestArchetypes:
@@ -165,7 +161,7 @@ def _noiseless_visits():
         day = (f.test_date - cfg.start_date).days
         t = (day - first_day[(f.patient_id, f.eye)]) / synthsim.DAYS_PER_YEAR
         age = patient["baseline_age"] + day / synthsim.DAYS_PER_YEAR
-        normal = tuple(normative_sensitivity(age, c, f.eye) for c in mask_cells())
+        normal = normative_surface(age, f.eye)
         visits.append((f, ARCHETYPES[eye_truth["archetype"]], eye_truth["rate_db_per_year"], t, normal))
     assert {arch.name for _, arch, _, _, _ in visits} == set(ARCHETYPES)
     return visits
